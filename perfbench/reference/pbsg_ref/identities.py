@@ -1,0 +1,278 @@
+"""Term language for semigroup identities with unary inverses and idempotent
+premises.
+
+Concrete syntax::
+
+    identity := [premises "=>"] word "=" word
+    premises := premise ("," premise)*
+    premise  := var "=" var "^2"        (both occurrences the same variable)
+    word     := literal+
+    literal  := var ["^-1" | "'"]
+    var      := "x" positive-integer
+
+Whitespace is insignificant.  ``x1'`` is accepted as a synonym for ``x1^-1``;
+the canonical printer always emits ``^-1``.  Variables are renumbered so the
+premise-constrained ones come first (1..e), then the rest in order of first
+occurrence in the left word, then the right word.
+"""
+
+from __future__ import annotations
+
+import re
+from dataclasses import dataclass, field
+from typing import Iterator, Optional, Sequence
+
+
+class IdentitySyntaxError(ValueError):
+    """Malformed identity text; carries the offending position (0-based)."""
+
+    def __init__(self, message: str, position: int, expected: Optional[str] = None):
+        detail = f"{message} at position {position}"
+        if expected:
+            detail += f" (expected {expected})"
+        super().__init__(detail)
+        self.position = position
+        self.expected = expected
+
+
+class PremiseMismatchError(IdentitySyntaxError):
+    """A premise is not of the shape ``xi = xi^2``."""
+
+
+class EmptyWordError(IdentitySyntaxError):
+    """One side of the equation has no literals."""
+
+
+@dataclass(frozen=True)
+class Literal:
+    var: int
+    exponent: int
+
+    def __post_init__(self):
+        if self.var < 1:
+            raise ValueError("variable index must be positive")
+        if self.exponent not in (-1, 1):
+            raise ValueError("exponent must be +1 or -1")
+
+    def __str__(self):
+        return f"x{self.var}" + ("^-1" if self.exponent == -1 else "")
+
+
+@dataclass(frozen=True)
+class Word:
+    literals: tuple[Literal, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "literals", tuple(self.literals))
+        if not self.literals:
+            raise ValueError("words must be nonempty")
+
+    def __len__(self):
+        return len(self.literals)
+
+    def __iter__(self) -> Iterator[Literal]:
+        return iter(self.literals)
+
+    def __getitem__(self, i):
+        return self.literals[i]
+
+    def __str__(self):
+        return " ".join(str(lit) for lit in self.literals)
+
+
+@dataclass(frozen=True)
+class Identity:
+    """``x1 = x1^2, ..., xe = xe^2  =>  u = v`` in canonical numbering.
+
+    ``renumbering`` records how source variable names map to canonical ones;
+    it is bookkeeping only and excluded from equality.
+    """
+
+    num_vars: int
+    num_premises: int
+    lhs: Word
+    rhs: Word
+    renumbering: tuple[tuple[int, int], ...] = field(default=(), compare=False)
+
+    def __post_init__(self):
+        if self.num_vars < 1:
+            raise ValueError("an identity mentions at least one variable")
+        if not 0 <= self.num_premises <= self.num_vars:
+            raise ValueError("premise count out of range")
+        for word in (self.lhs, self.rhs):
+            for lit in word:
+                if lit.var > self.num_vars:
+                    raise ValueError(f"literal x{lit.var} exceeds num_vars")
+
+    def renumbering_map(self) -> dict[int, int]:
+        return dict(self.renumbering)
+
+    def __str__(self):
+        return format_identity(self)
+
+
+@dataclass(frozen=True)
+class OccurrenceSets:
+    """0-based positions of one variable in the two words."""
+
+    lhs_positions: frozenset
+    rhs_positions: frozenset
+
+
+_TOKEN_RE = re.compile(r"x\d+|\^-1|\^2|'|=>|=|,")
+_WS_RE = re.compile(r"\s*")
+
+
+def _tokenize(text: str):
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        pos = _WS_RE.match(text, pos).end()
+        if pos >= len(text):
+            break
+        m = _TOKEN_RE.match(text, pos)
+        if not m:
+            raise IdentitySyntaxError(f"unexpected character {text[pos]!r}", pos)
+        tokens.append((m.group(), pos))
+        pos = m.end()
+    return tokens
+
+
+class _Parser:
+    def __init__(self, tokens, length):
+        self.tokens = tokens
+        self.at = 0
+        self.length = length
+
+    def peek(self):
+        return self.tokens[self.at][0] if self.at < len(self.tokens) else None
+
+    def pos(self):
+        return self.tokens[self.at][1] if self.at < len(self.tokens) else self.length
+
+    def take(self):
+        tok = self.tokens[self.at]
+        self.at += 1
+        return tok
+
+    def expect(self, text, what):
+        if self.peek() != text:
+            raise IdentitySyntaxError(
+                f"unexpected {self.peek()!r}" if self.peek() else "unexpected end of input",
+                self.pos(),
+                expected=what,
+            )
+        return self.take()
+
+    def var(self, what="a variable like x1"):
+        tok = self.peek()
+        if tok is None or not tok.startswith("x"):
+            raise IdentitySyntaxError(
+                f"unexpected {tok!r}" if tok else "unexpected end of input",
+                self.pos(),
+                expected=what,
+            )
+        text, pos = self.take()
+        v = int(text[1:])
+        if v < 1:
+            raise IdentitySyntaxError(f"variable index must be positive, got {text}", pos)
+        return v
+
+    def word(self, side):
+        lits = []
+        while True:
+            tok = self.peek()
+            if tok is None or not tok.startswith("x"):
+                break
+            v = self.var()
+            if self.peek() in ("^-1", "'"):
+                self.take()
+                lits.append(Literal(v, -1))
+            else:
+                lits.append(Literal(v, 1))
+        if not lits:
+            raise EmptyWordError(f"{side} side has no literals", self.pos())
+        return lits
+
+
+def parse_identity(text: str) -> Identity:
+    """Parse and canonicalize one identity."""
+    tokens = _tokenize(text)
+    implies = [i for i, (tok, _) in enumerate(tokens) if tok == "=>"]
+    if len(implies) > 1:
+        raise IdentitySyntaxError("more than one '=>'", tokens[implies[1]][1])
+
+    premise_vars: list[int] = []
+    if implies:
+        head = _Parser(tokens[: implies[0]], len(text))
+        while True:
+            start = head.pos()
+            v1 = head.var()
+            head.expect("=", "'='")
+            v2 = head.var()
+            if head.peek() != "^2" or v1 != v2:
+                raise PremiseMismatchError(
+                    f"premise must have the shape x{v1} = x{v1}^2", start
+                )
+            head.take()
+            if v1 not in premise_vars:
+                premise_vars.append(v1)
+            if head.peek() is None:
+                break
+            head.expect(",", "',' between premises")
+        body = _Parser(tokens[implies[0] + 1 :], len(text))
+    else:
+        body = _Parser(tokens, len(text))
+
+    lhs_raw = body.word("left")
+    body.expect("=", "'=' between the two words")
+    rhs_raw = body.word("right")
+    if body.peek() is not None:
+        raise IdentitySyntaxError(f"trailing {body.peek()!r}", body.pos())
+
+    renumber: dict[int, int] = {}
+    for v in premise_vars:
+        renumber[v] = len(renumber) + 1
+    for lit in lhs_raw + rhs_raw:
+        if lit.var not in renumber:
+            renumber[lit.var] = len(renumber) + 1
+
+    lhs = Word(tuple(Literal(renumber[l.var], l.exponent) for l in lhs_raw))
+    rhs = Word(tuple(Literal(renumber[l.var], l.exponent) for l in rhs_raw))
+    return Identity(
+        num_vars=len(renumber),
+        num_premises=len(premise_vars),
+        lhs=lhs,
+        rhs=rhs,
+        renumbering=tuple(sorted(renumber.items())),
+    )
+
+
+def format_identity(ident: Identity) -> str:
+    """Canonical text; ``parse_identity(format_identity(i)) == i``."""
+    eq = f"{ident.lhs} = {ident.rhs}"
+    if ident.num_premises == 0:
+        return eq
+    premises = ", ".join(f"x{i}=x{i}^2" for i in range(1, ident.num_premises + 1))
+    return f"{premises} => {eq}"
+
+
+def occurrence_sets(ident: Identity, var: int) -> OccurrenceSets:
+    """Positions (0-based) where ``var`` occurs, regardless of exponent."""
+    if not 1 <= var <= ident.num_vars:
+        raise ValueError(f"variable x{var} out of range")
+    return OccurrenceSets(
+        frozenset(p for p, lit in enumerate(ident.lhs) if lit.var == var),
+        frozenset(p for p, lit in enumerate(ident.rhs) if lit.var == var),
+    )
+
+
+def apply_assignment(word: Word, assignment: Sequence):
+    """Evaluate a word under elements assigned to x1..xm (left-to-right)."""
+    acc = None
+    for lit in word:
+        el = assignment[lit.var - 1]
+        if lit.exponent == -1:
+            el = el.inverse()
+        acc = el if acc is None else acc * el
+    return acc

@@ -1,0 +1,276 @@
+"""Partial bijections and total transformations on a finite point set.
+
+Points are 0-indexed internally.  The text and JSON forms are 1-indexed, with
+``"_"`` (text) or ``null`` (JSON) marking undefined points: ``"2 _ 1"`` is the
+map {1->2, 3->1} on three points.  Composition is left-to-right throughout,
+so ``x`` under ``a * b`` is ``(x a) b``.
+
+All values here are immutable after construction and every operation is pure,
+so sharing across threads needs no coordination.
+"""
+
+from __future__ import annotations
+
+from itertools import product
+from typing import Iterable, Iterator, Optional
+
+
+class PartialBijection:
+    """An injective partial self-map of ``{0, ..., degree-1}``.
+
+    ``entries[x]`` is the image of point ``x``, or ``None`` where the map is
+    undefined.  The degree is part of the value: equal graphs on different
+    degrees compare unequal.
+    """
+
+    __slots__ = ("entries", "_hash")
+
+    def __init__(self, entries: Iterable[Optional[int]]):
+        entries = tuple(entries)
+        n = len(entries)
+        if n == 0:
+            raise ValueError("degree must be at least 1")
+        seen = set()
+        for v in entries:
+            if v is None:
+                continue
+            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
+                raise ValueError(f"image {v!r} out of range for degree {n}")
+            if v in seen:
+                raise ValueError(f"not injective: image {v} repeated")
+            seen.add(v)
+        self.entries = entries
+        self._hash = hash(entries)
+
+    @property
+    def degree(self) -> int:
+        return len(self.entries)
+
+    # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def identity(cls, n: int) -> "PartialBijection":
+        return cls(range(n))
+
+    @classmethod
+    def empty(cls, n: int) -> "PartialBijection":
+        return cls([None] * n)
+
+    @classmethod
+    def partial_identity(cls, n: int, points: Iterable[int]) -> "PartialBijection":
+        """The idempotent fixing exactly ``points``."""
+        entries: list[Optional[int]] = [None] * n
+        for x in points:
+            entries[x] = x
+        return cls(entries)
+
+    @classmethod
+    def from_pairs(cls, n: int, pairs) -> "PartialBijection":
+        items = pairs.items() if isinstance(pairs, dict) else pairs
+        entries: list[Optional[int]] = [None] * n
+        for x, y in items:
+            if entries[x] is not None:
+                raise ValueError(f"point {x} mapped twice")
+            entries[x] = y
+        return cls(entries)
+
+    @classmethod
+    def from_text(cls, text: str) -> "PartialBijection":
+        """Parse the 1-indexed text form, e.g. ``"2 _ 1"``."""
+        tokens = text.split()
+        if not tokens:
+            raise ValueError("empty text form")
+        n = len(tokens)
+        entries: list[Optional[int]] = []
+        for tok in tokens:
+            if tok == "_":
+                entries.append(None)
+                continue
+            try:
+                v = int(tok)
+            except ValueError:
+                raise ValueError(f"bad token {tok!r} in text form") from None
+            if not 1 <= v <= n:
+                raise ValueError(f"point {v} out of range 1..{n}")
+            entries.append(v - 1)
+        return cls(entries)
+
+    def to_text(self) -> str:
+        return " ".join("_" if v is None else str(v + 1) for v in self.entries)
+
+    @classmethod
+    def from_json_obj(cls, obj) -> "PartialBijection":
+        """Parse the JSON form ``{"degree": n, "map": [2, null, 1]}``."""
+        if not isinstance(obj, dict) or "degree" not in obj or "map" not in obj:
+            raise ValueError('expected an object {"degree": n, "map": [...]}')
+        n = obj["degree"]
+        raw = obj["map"]
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+            raise ValueError("degree must be a positive integer")
+        if not isinstance(raw, list) or len(raw) != n:
+            raise ValueError("map length must equal degree")
+        entries: list[Optional[int]] = []
+        for v in raw:
+            if v is None:
+                entries.append(None)
+            elif isinstance(v, int) and not isinstance(v, bool) and 1 <= v <= n:
+                entries.append(v - 1)
+            else:
+                raise ValueError(f"map entry {v!r} must be null or a point in 1..{n}")
+        return cls(entries)
+
+    def to_json_obj(self) -> dict:
+        return {
+            "degree": self.degree,
+            "map": [None if v is None else v + 1 for v in self.entries],
+        }
+
+    # -- algebra -----------------------------------------------------------
+
+    def apply(self, x: int) -> Optional[int]:
+        """Image of ``x``, or None when ``x`` is outside the domain."""
+        if not 0 <= x < self.degree:
+            raise ValueError(f"point {x} out of range for degree {self.degree}")
+        return self.entries[x]
+
+    def __mul__(self, other):
+        if not isinstance(other, PartialBijection):
+            return NotImplemented
+        if other.degree != self.degree:
+            raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
+        o = other.entries
+        return PartialBijection(
+            tuple(None if v is None else o[v] for v in self.entries)
+        )
+
+    def inverse(self) -> "PartialBijection":
+        inv: list[Optional[int]] = [None] * self.degree
+        for x, v in enumerate(self.entries):
+            if v is not None:
+                inv[v] = x
+        return PartialBijection(inv)
+
+    def dom(self) -> frozenset:
+        return frozenset(x for x, v in enumerate(self.entries) if v is not None)
+
+    def image(self) -> frozenset:
+        return frozenset(v for v in self.entries if v is not None)
+
+    def graph(self) -> Iterator[tuple[int, int]]:
+        """Defined (point, image) pairs in point order."""
+        for x, v in enumerate(self.entries):
+            if v is not None:
+                yield x, v
+
+    def is_idempotent(self) -> bool:
+        return self * self == self
+
+    def idempotent_power(self) -> "PartialBijection":
+        """The unique idempotent among the powers of this element."""
+        return _idempotent_power(self)
+
+    def embed(self) -> "Transformation":
+        """Total map on degree+1 points; the extra point absorbs undefined images."""
+        n = self.degree
+        return Transformation(
+            tuple(n if v is None else v for v in self.entries) + (n,)
+        )
+
+    # -- value semantics ----------------------------------------------------
+
+    def __eq__(self, other):
+        if isinstance(other, PartialBijection):
+            return self.entries == other.entries
+        return NotImplemented
+
+    def __ne__(self, other):
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return f"PartialBijection({self.to_text()!r})"
+
+
+class Transformation:
+    """A total self-map of ``{0, ..., degree-1}``, immutable and hashable."""
+
+    __slots__ = ("entries", "_hash")
+
+    def __init__(self, entries: Iterable[int]):
+        entries = tuple(entries)
+        n = len(entries)
+        if n == 0:
+            raise ValueError("degree must be at least 1")
+        for v in entries:
+            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
+                raise ValueError(f"image {v!r} out of range for degree {n}")
+        self.entries = entries
+        self._hash = hash(("total", entries))
+
+    @property
+    def degree(self) -> int:
+        return len(self.entries)
+
+    @classmethod
+    def identity(cls, n: int) -> "Transformation":
+        return cls(range(n))
+
+    def apply(self, x: int) -> int:
+        if not 0 <= x < self.degree:
+            raise ValueError(f"point {x} out of range for degree {self.degree}")
+        return self.entries[x]
+
+    def __mul__(self, other):
+        if not isinstance(other, Transformation):
+            return NotImplemented
+        if other.degree != self.degree:
+            raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
+        o = other.entries
+        return Transformation(tuple(o[v] for v in self.entries))
+
+    def is_idempotent(self) -> bool:
+        return self * self == self
+
+    def idempotent_power(self) -> "Transformation":
+        return _idempotent_power(self)
+
+    def __eq__(self, other):
+        if isinstance(other, Transformation):
+            return self.entries == other.entries
+        return NotImplemented
+
+    def __ne__(self, other):
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return f"Transformation({' '.join(str(v + 1) for v in self.entries)!r})"
+
+
+def _idempotent_power(x):
+    # The powers of an element of a finite semigroup contain exactly one
+    # idempotent, so plain iteration terminates and returns the minimal one.
+    p = x
+    while not p.is_idempotent():
+        p = p * x
+    return p
+
+
+def all_partial_bijections(n: int) -> list[PartialBijection]:
+    """Every injective partial self-map on ``n`` points.
+
+    Ordered lexicographically by entry tuple with "undefined" before the
+    points, so the empty map comes first and the full cycle maps last.
+    """
+    out = []
+    for entries in product((None, *range(n)), repeat=n):
+        defined = [v for v in entries if v is not None]
+        if len(set(defined)) == len(defined):
+            out.append(PartialBijection(entries))
+    return out

@@ -1,0 +1,347 @@
+"""Corridor tiling: instances, a complete solver, and the compilation to an
+idempotent-membership question.
+
+A corridor instance is a finite set of square tiles with colored edges and a
+row count m; it asks for some number of columns forming a grid whose adjacent
+edges match and whose outer border is all color 1.  The compilation produces
+one partial bijection per (row, tile) pair acting on 2*m*c points (pairs
+(q, r) with q in [2m] and r in [c], flattened as (q-1)*c + r in 1-based
+terms) plus a target idempotent fixing {(1,1)} and {(m+p, 1) : p in [m]}.
+The instance is tilable exactly when the target is a product of the
+generators, and a membership witness decodes column by column back into a
+grid.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from itertools import product
+from typing import Optional
+
+from .closure import DEFAULT_LIMIT, GeneratorSet, MemberResult, evaluate_word, member
+from .pbij import PartialBijection
+
+
+class MalformedWitness(ValueError):
+    """A membership word that does not factor into row-ordered columns."""
+
+
+@dataclass(frozen=True)
+class Tile:
+    """Edge colors, clockwise from the top: north, east, south, west."""
+
+    north: int
+    east: int
+    south: int
+    west: int
+
+    def __post_init__(self):
+        for value in (self.north, self.east, self.south, self.west):
+            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+                raise ValueError(f"edge color {value!r} must be a positive integer")
+
+    @classmethod
+    def from_json_obj(cls, obj) -> "Tile":
+        if not isinstance(obj, dict) or set(obj) != {"n", "e", "s", "w"}:
+            raise ValueError('expected a tile object {"n":..,"e":..,"s":..,"w":..}')
+        return cls(obj["n"], obj["e"], obj["s"], obj["w"])
+
+    def to_json_obj(self) -> dict:
+        return {"n": self.north, "e": self.east, "s": self.south, "w": self.west}
+
+
+@dataclass(frozen=True)
+class TilingInstance:
+    tiles: tuple[Tile, ...]
+    num_colors: int
+    width: int  # rows in every grid
+
+    def __post_init__(self):
+        object.__setattr__(self, "tiles", tuple(self.tiles))
+        if not self.tiles:
+            raise ValueError("at least one tile required")
+        if self.num_colors < 1 or self.width < 1:
+            raise ValueError("colors and width must be positive")
+        for t in self.tiles:
+            for value in (t.north, t.east, t.south, t.west):
+                if value > self.num_colors:
+                    raise ValueError(f"color {value} exceeds palette size {self.num_colors}")
+
+    @classmethod
+    def from_json_obj(cls, obj) -> "TilingInstance":
+        if not isinstance(obj, dict) or not {"colors", "width", "tiles"} <= set(obj):
+            raise ValueError('expected {"colors": c, "width": m, "tiles": [...]}')
+        tiles = tuple(Tile.from_json_obj(t) for t in obj["tiles"])
+        return cls(tiles, obj["colors"], obj["width"])
+
+    def to_json_obj(self) -> dict:
+        return {
+            "colors": self.num_colors,
+            "width": self.width,
+            "tiles": [t.to_json_obj() for t in self.tiles],
+        }
+
+
+@dataclass(frozen=True)
+class TilingGrid:
+    """Row-major grid of 0-based tile indices; rows = instance width."""
+
+    cells: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        cells = tuple(tuple(row) for row in self.cells)
+        object.__setattr__(self, "cells", cells)
+        if not cells or not cells[0]:
+            raise ValueError("grid must be nonempty")
+        if any(len(row) != len(cells[0]) for row in cells):
+            raise ValueError("grid rows must have equal length")
+
+    @property
+    def num_cols(self) -> int:
+        return len(self.cells[0])
+
+
+@dataclass(frozen=True)
+class TilingCheck:
+    proper: bool
+    violation: Optional[tuple[str, int, int]] = None  # condition, row, col (1-based)
+
+
+def verify_proper_tiling(inst: TilingInstance, grid: TilingGrid) -> TilingCheck:
+    """Check every border and adjacency equation; first failure in row-major
+    order (within a cell: north, west, east, south)."""
+    m = inst.width
+    if len(grid.cells) != m:
+        raise ValueError(f"grid has {len(grid.cells)} rows, instance width is {m}")
+    ncols = grid.num_cols
+    tiles = inst.tiles
+    for row in grid.cells:
+        for idx in row:
+            if not 0 <= idx < len(tiles):
+                raise ValueError(f"tile index {idx} out of range")
+    for i in range(m):
+        for j in range(ncols):
+            t = tiles[grid.cells[i][j]]
+            if i == 0 and t.north != 1:
+                return TilingCheck(False, ("north-border", 1, j + 1))
+            if j == 0 and t.west != 1:
+                return TilingCheck(False, ("west-border", i + 1, 1))
+            if j + 1 < ncols:
+                if t.east != tiles[grid.cells[i][j + 1]].west:
+                    return TilingCheck(False, ("east-adjacency", i + 1, j + 1))
+            elif t.east != 1:
+                return TilingCheck(False, ("east-border", i + 1, j + 1))
+            if i + 1 < m:
+                if t.south != tiles[grid.cells[i + 1][j]].north:
+                    return TilingCheck(False, ("south-adjacency", i + 1, j + 1))
+            elif t.south != 1:
+                return TilingCheck(False, ("south-border", i + 1, j + 1))
+    return TilingCheck(True, None)
+
+
+@dataclass(frozen=True)
+class SolveResult:
+    solvable: bool
+    grid: Optional[TilingGrid] = None
+
+
+def solve_corridor_tiling(inst: TilingInstance, max_cols: Optional[int] = None) -> SolveResult:
+    """Complete decision by reachability over east-edge color profiles.
+
+    Vertically consistent columns (internal edges matching, all-1 top and
+    bottom) are edges from their west profile to their east profile; the
+    instance is solvable iff the all-1 profile reaches itself in >= 1 steps.
+    A shortest path exists within c^width columns (profiles repeat past
+    that), which the default ``max_cols`` covers.  The returned grid is the
+    lexicographically least among the shortest, comparing column by column,
+    each column read top to bottom.
+    """
+    m, k = inst.width, len(inst.tiles)
+    tiles = inst.tiles
+    columns = []
+    for combo in product(range(k), repeat=m):
+        if tiles[combo[0]].north != 1 or tiles[combo[-1]].south != 1:
+            continue
+        if any(tiles[combo[a]].south != tiles[combo[a + 1]].north for a in range(m - 1)):
+            continue
+        west = tuple(tiles[j].west for j in combo)
+        east = tuple(tiles[j].east for j in combo)
+        columns.append((combo, west, east))
+    if max_cols is None:
+        max_cols = inst.num_colors ** m + 1
+
+    target = (1,) * m
+    parent: dict = {target: None}
+    frontier = [target]
+    depth = 0
+    while frontier and depth < max_cols:
+        depth += 1
+        nxt = []
+        for profile in frontier:
+            for combo, west, east in columns:
+                if west != profile:
+                    continue
+                if east == target:
+                    chain = [combo]
+                    back = profile
+                    while parent[back] is not None:
+                        back, combo_prev = parent[back]
+                        chain.append(combo_prev)
+                    chain.reverse()
+                    cells = tuple(
+                        tuple(chain[b][a] for b in range(len(chain)))
+                        for a in range(m)
+                    )
+                    return SolveResult(True, TilingGrid(cells))
+                if east not in parent:
+                    parent[east] = (profile, combo)
+                    nxt.append(east)
+        frontier = nxt
+    return SolveResult(False, None)
+
+
+@dataclass(frozen=True)
+class ReducedInstance:
+    """The compiled membership question for one corridor instance.
+
+    Generators are ordered row-major over (row i, tile j): index
+    (i-1)·k + (j-1).  ``point_count`` is 2·width·colors.
+    """
+
+    width: int
+    num_colors: int
+    num_tiles: int
+    point_count: int
+    generator_set: GeneratorSet
+    target: PartialBijection
+
+    def generator_index(self, row: int, tile: int) -> int:
+        """0-based generator index for 1-based (row, tile)."""
+        return (row - 1) * self.num_tiles + (tile - 1)
+
+    def generator_label(self, index: int) -> tuple[int, int]:
+        """1-based (row, tile) of a generator index."""
+        return index // self.num_tiles + 1, index % self.num_tiles + 1
+
+    def point_label(self, flat: int) -> tuple[int, int]:
+        """1-based (q, r) pair of a 0-based flat point."""
+        return flat // self.num_colors + 1, flat % self.num_colors + 1
+
+
+def _encode_point(q: int, r: int, c: int) -> int:
+    # 1-based (q, r) to 0-based flat; externally this is (q-1)*c + r
+    return (q - 1) * c + (r - 1)
+
+
+def reduce(inst: TilingInstance) -> ReducedInstance:
+    """Compile the instance into generators and a target idempotent.
+
+    The generator for (row i, tile j) advances the column-checking point
+    (i, north) to (i+1, south), wrapping to (1, 1) at the last row when the
+    south edge is 1; recolors the row-checking point (m+i, west) to
+    (m+i, east); and fixes every point of the other row-checking blocks.
+    Domain and image sizes are (m-1)*c + 2, except (m-1)*c + 1 for last-row
+    tiles whose south edge is not 1.
+    """
+    m, c, k = inst.width, inst.num_colors, len(inst.tiles)
+    npts = 2 * m * c
+    gens = []
+    for i in range(1, m + 1):
+        for tile in inst.tiles:
+            entries: list[Optional[int]] = [None] * npts
+            if i < m:
+                entries[_encode_point(i, tile.north, c)] = _encode_point(i + 1, tile.south, c)
+            elif tile.south == 1:
+                entries[_encode_point(m, tile.north, c)] = _encode_point(1, 1, c)
+            entries[_encode_point(m + i, tile.west, c)] = _encode_point(m + i, tile.east, c)
+            for p in range(1, m + 1):
+                if p != i:
+                    for r in range(1, c + 1):
+                        entries[_encode_point(m + p, r, c)] = _encode_point(m + p, r, c)
+            gens.append(PartialBijection(entries))
+    target = PartialBijection.partial_identity(
+        npts,
+        [_encode_point(1, 1, c)] + [_encode_point(m + p, 1, c) for p in range(1, m + 1)],
+    )
+    return ReducedInstance(
+        width=m,
+        num_colors=c,
+        num_tiles=k,
+        point_count=npts,
+        generator_set=GeneratorSet(npts, tuple(gens)),
+        target=target,
+    )
+
+
+def encode_grid(reduced: ReducedInstance, grid: TilingGrid) -> tuple[int, ...]:
+    """The column-major word whose value is the target, for a proper grid."""
+    word = []
+    for col in range(grid.num_cols):
+        for row in range(reduced.width):
+            word.append(row * reduced.num_tiles + grid.cells[row][col])
+    return tuple(word)
+
+
+def decode_witness(
+    inst: TilingInstance, reduced: ReducedInstance, word
+) -> TilingGrid:
+    """Read a membership witness back into a grid.
+
+    Any word evaluating to the target factors into blocks of ``width``
+    letters, the t-th letter of each block using row t; anything else raises
+    MalformedWitness.
+    """
+    m, k = reduced.width, reduced.num_tiles
+    word = tuple(word)
+    if not word or len(word) % m:
+        raise MalformedWitness(
+            f"witness length {len(word)} is not a positive multiple of {m}"
+        )
+    ncols = len(word) // m
+    cells = [[0] * ncols for _ in range(m)]
+    for t, g in enumerate(word):
+        if not 0 <= g < m * k:
+            raise MalformedWitness(f"letter {g} out of range")
+        row, tile = divmod(g, k)
+        if row != t % m:
+            raise MalformedWitness(
+                f"letter {t + 1} uses row {row + 1}, expected row {t % m + 1}"
+            )
+        cells[row][t // m] = tile
+    if evaluate_word(reduced.generator_set, word) != reduced.target:
+        raise MalformedWitness("word does not evaluate to the target idempotent")
+    return TilingGrid(tuple(tuple(row) for row in cells))
+
+
+@dataclass(frozen=True)
+class RoundtripReport:
+    solvable: bool
+    member: MemberResult
+    consistent: bool
+    grid: Optional[TilingGrid] = None
+    decoded: Optional[TilingGrid] = None
+
+
+def roundtrip_check(inst: TilingInstance, limit: int = DEFAULT_LIMIT) -> RoundtripReport:
+    """Run solver and membership on one instance and confront the two.
+
+    Consistency means: equal verdicts; and on solvable instances the solver
+    grid's word evaluates to the target while the membership witness decodes
+    to a proper grid.
+    """
+    solved = solve_corridor_tiling(inst)
+    reduced = reduce(inst)
+    got = member(reduced.generator_set, reduced.target, limit)
+    consistent = solved.solvable == got.found
+    decoded = None
+    if consistent and solved.solvable:
+        if evaluate_word(reduced.generator_set, encode_grid(reduced, solved.grid)) != reduced.target:
+            consistent = False
+        else:
+            try:
+                decoded = decode_witness(inst, reduced, got.witness)
+            except MalformedWitness:
+                consistent = False
+            else:
+                consistent = verify_proper_tiling(inst, decoded).proper
+    return RoundtripReport(solved.solvable, got, consistent, solved.grid, decoded)
