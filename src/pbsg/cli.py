@@ -325,7 +325,7 @@ def _grid_rows(grid):
 
 def _cmd_tiling_solve(args, cfg, out):
     inst = _load_tiling(args.instance)
-    result = tiling_mod.solve_corridor_tiling(inst, args.max_cols)
+    result = tiling_mod.solve_corridor_tiling(inst, args.max_cols, cfg.closure_limit)
     if cfg.output_mode == "json":
         _emit_json(out, {"schema": SCHEMA, "command": "tiling-solve",
                          "solvable": result.solvable,
@@ -442,7 +442,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_common(p, budget=False):
         p.add_argument("--limit", type=int, default=DEFAULT_LIMIT,
-                       help="closure element budget (default %(default)s)")
+                       help="closure element or tiling column budget (default %(default)s)")
         p.add_argument("--json", action="store_true", help="machine-readable output")
         if budget:
             p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,

@@ -2,9 +2,11 @@
 
 This is the ground-truth substrate: the closure enumerates every product of
 the generators (no empty word), keeps one shortest witness word per element,
-and records the right action of each generator.  Enumeration is breadth-first
-by word length with ties broken by generator index, so output is deterministic
-for a fixed input order.
+and records the right action of each generator as an integer Cayley table.
+The product of two closure elements is read off that table as an index, so
+composition happens only while the closure is enumerated.  Enumeration is
+breadth-first by word length with ties broken by generator index, so output
+is deterministic for a fixed input order.
 """
 
 from __future__ import annotations
@@ -12,16 +14,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .pbij import PartialBijection, Transformation
+from .pbij import PartialBijection
 
 DEFAULT_LIMIT = 200_000
 
 
 class LimitExceeded(RuntimeError):
-    """The closure grew past the configured element budget."""
+    """A search outgrew its budget: closure elements, or what ``message`` names."""
 
-    def __init__(self, limit: int, count: int):
-        super().__init__(f"closure exceeds {limit} elements (stopped at {count})")
+    def __init__(self, limit: int, count: int, message: str = ""):
+        super().__init__(message or f"closure exceeds {limit} elements (stopped at {count})")
         self.limit = limit
         self.count = count
 
@@ -95,7 +97,10 @@ class GeneratorSet:
             PartialBijection.from_json_obj({"degree": n, "map": entry})
             for entry in raw
         )
-        return cls(n, gens, bool(obj.get("inverse_closed", False)))
+        inverse_closed = obj.get("inverse_closed", False)
+        if not isinstance(inverse_closed, bool):
+            raise ValueError("inverse_closed must be true or false")
+        return cls(n, gens, inverse_closed)
 
     def to_json_obj(self) -> dict:
         return {
@@ -111,27 +116,17 @@ class MemberResult:
     witness: Optional[tuple[int, ...]] = None
 
 
-def _composer(sample):
-    if isinstance(sample, PartialBijection):
-        return (
-            lambda a, b: tuple(None if v is None else b[v] for v in a),
-            PartialBijection,
-        )
-    if isinstance(sample, Transformation):
-        return (lambda a, b: tuple(b[v] for v in a), Transformation)
-    raise TypeError(f"cannot close over {type(sample).__name__} elements")
-
-
 class SemigroupClosure:
     """The enumerated semigroup: elements, witness words, and Cayley edges.
 
     ``elements[i]`` was first reached by the word ``words[i]`` (generator
     indices, length >= 1), and ``cayley[i][g]`` is the index of
-    ``elements[i] * generators[g]``.  Finished closures are immutable and safe
-    for concurrent reads.
+    ``elements[i] * generators[g]``.  Products of closure elements are indices
+    too: ``pair_product`` reads them off ``cayley``.  Finished closures are
+    immutable and safe for concurrent reads.
     """
 
-    __slots__ = ("generators", "elements", "words", "cayley", "index", "complete", "_prows")
+    __slots__ = ("generators", "elements", "words", "cayley", "index", "complete")
 
     def __init__(self, generators, elements, words, cayley, index, complete):
         self.generators = generators
@@ -140,7 +135,6 @@ class SemigroupClosure:
         self.cayley = cayley
         self.index = index
         self.complete = complete
-        self._prows = [None] * len(elements)
 
     def __len__(self):
         return len(self.elements)
@@ -161,18 +155,16 @@ class SemigroupClosure:
         return self.words[i]
 
     def pair_product(self, i: int, j: int) -> int:
-        """Index of ``elements[i] * elements[j]``, with per-row caching."""
-        row = self._prows[i]
-        if row is None:
-            a = self.elements[i]
-            row = [self.index[(a * b).entries] for b in self.elements]
-            self._prows[i] = row
-        return row[j]
+        """Index of ``elements[i] * elements[j]``: the walk through ``cayley``
+        from ``i`` along the witness word of ``j``."""
+        cayley = self.cayley
+        for g in self.words[j]:
+            i = cayley[i][g]
+        return i
 
 
 def _bfs(generators, limit, target=None):
     """Core enumeration; stops early when ``target`` is reached."""
-    compose, make = _composer(generators[0])
     gen_entries = [g.entries for g in generators]
     target_entries = None if target is None else target.entries
 
@@ -198,14 +190,14 @@ def _bfs(generators, limit, target=None):
         word = words[scan]
         row = []
         for gi, g in enumerate(gen_entries):
-            prod = compose(cur, g)
+            prod = tuple(None if v is None else g[v] for v in cur)
             idx = index.get(prod)
             if idx is None:
                 if len(elements) >= limit:
                     raise LimitExceeded(limit, len(elements) + 1)
                 idx = len(elements)
                 index[prod] = idx
-                elements.append(make(prod))
+                elements.append(PartialBijection(prod))
                 words.append(word + (gi,))
                 if target_entries is not None and prod == target_entries:
                     row.append(idx)

@@ -2,7 +2,9 @@
 
 Everything here scans the enumerated element set directly, by the property's
 definition, so these are the ground truth the generator-level checkers are
-tested against.  Scans are order-independent; the witnesses reported follow
+tested against.  Scans work on element indices: every product is an index
+read off the closure's Cayley table by ``pair_product``, and no element is
+composed here.  Scans are order-independent; the witnesses reported follow
 enumeration order so output stays deterministic.
 """
 
@@ -24,8 +26,8 @@ from .pbij import PartialBijection
 from .properties import CheckReport, PropertyName
 
 
-def _show(el) -> str:
-    return el.to_text() if isinstance(el, PartialBijection) else repr(el)
+def _show(closure, i) -> str:
+    return closure.elements[i].to_text()
 
 
 def _require_complete(closure: SemigroupClosure):
@@ -44,26 +46,28 @@ class IdentityLists:
 
 def oracle_identities(closure: SemigroupClosure) -> IdentityLists:
     _require_complete(closure)
-    els = closure.elements
-    left = tuple(e for e in els if all(e * s == s for s in els))
-    right = tuple(e for e in els if all(s * e == s for s in els))
+    mul, idx, els = closure.pair_product, range(len(closure)), closure.elements
+    left = [e for e in idx if all(mul(e, s) == s for s in idx)]
+    right = [e for e in idx if all(mul(s, e) == s for s in idx)]
     right_set = set(right)
-    return IdentityLists(left, right, tuple(e for e in left if e in right_set))
+    two_sided = [e for e in left if e in right_set]
+    return IdentityLists(*(tuple(els[e] for e in ids) for ids in (left, right, two_sided)))
 
 
 def _commutative(closure):
-    els = closure.elements
-    for i, a in enumerate(els):
-        for b in els[i + 1 :]:
-            if a * b != b * a:
-                return False, {"left": _show(a), "right": _show(b)}
+    mul, n = closure.pair_product, len(closure)
+    for a in range(n):
+        for b in range(a + 1, n):
+            if mul(a, b) != mul(b, a):
+                return False, {"left": _show(closure, a), "right": _show(closure, b)}
     return True, None
 
 
 def _band(closure):
-    for a in closure.elements:
-        if a * a != a:
-            return False, {"element": _show(a)}
+    mul = closure.pair_product
+    for a in range(len(closure)):
+        if mul(a, a) != a:
+            return False, {"element": _show(closure, a)}
     return True, None
 
 
@@ -75,57 +79,52 @@ def _semilattice(closure):
 
 
 def _group(closure):
-    els = closure.elements
-    idems = [e for e in els if e * e == e]
+    mul, idx = closure.pair_product, range(len(closure))
+    idems = [e for e in idx if mul(e, e) == e]
     if len(idems) != 1:
-        return False, {"idempotents": [_show(e) for e in idems[:2]]}
+        return False, {"idempotents": [_show(closure, e) for e in idems[:2]]}
     e = idems[0]
-    for s in els:
-        if e * s != s or s * e != s:
-            return False, {"not_identity_on": _show(s)}
-    for s in els:
-        if not any(s * t == e and t * s == e for t in els):
-            return False, {"no_inverse": _show(s)}
+    for s in idx:
+        if mul(e, s) != s or mul(s, e) != s:
+            return False, {"not_identity_on": _show(closure, s)}
+    for s in idx:
+        if not any(mul(s, t) == e and mul(t, s) == e for t in idx):
+            return False, {"no_inverse": _show(closure, s)}
     return True, None
 
 
-def _left_zero(closure):
-    for z in closure.elements:
-        if all(z * s == z for s in closure.elements):
-            return True, {"element": _show(z)}
-    return False, None
+def _first_zero(closure, left, right) -> Optional[int]:
+    """The first z with z*s == z (when ``left``) and s*z == z (when ``right``)
+    for every s: a left zero, a right zero or a zero."""
+    mul, idx = closure.pair_product, range(len(closure))
+    for z in idx:
+        if all((not left or mul(z, s) == z) and (not right or mul(s, z) == z) for s in idx):
+            return z
+    return None
 
 
-def _right_zero(closure):
-    for z in closure.elements:
-        if all(s * z == z for s in closure.elements):
-            return True, {"element": _show(z)}
-    return False, None
+def _zero_check(left, right):
+    def check(closure):
+        z = _first_zero(closure, left, right)
+        return (False, None) if z is None else (True, {"element": _show(closure, z)})
 
-
-def _zero(closure):
-    for z in closure.elements:
-        if all(z * s == z and s * z == z for s in closure.elements):
-            return True, {"element": _show(z)}
-    return False, None
+    return check
 
 
 def _nilpotent(closure):
-    has_zero, witness = _zero(closure)
-    if not has_zero:
+    zero = _first_zero(closure, True, True)
+    if zero is None:
         return False, {"reason": "no zero element"}
-    zero_key = witness["element"]
-    zero = next(e for e in closure.elements if _show(e) == zero_key)
-    gens = list(dict.fromkeys(closure.generators))
-    current = set(gens)
+    zero_key = _show(closure, zero)
+    current = {closure.index_of(g) for g in closure.generators}
     # Any annihilating product length is at most the closure size (along a
     # longest non-zero word, the prefix values are pairwise distinct).
-    for length in range(1, len(closure.elements) + 1):
+    for length in range(1, len(closure) + 1):
         if current == {zero}:
             return True, {"zero": zero_key, "annihilating_length": length}
-        current = {e * g for e in current for g in gens}
+        current = {nxt for e in current for nxt in closure.cayley[e]}
     if current == {zero}:
-        return True, {"zero": zero_key, "annihilating_length": len(closure.elements) + 1}
+        return True, {"zero": zero_key, "annihilating_length": len(closure) + 1}
     return False, {"zero": zero_key}
 
 
@@ -143,56 +142,54 @@ def _right_ideal(closure, i):
 
 def _r_trivial(closure):
     ideals = {}
-    for i, el in enumerate(closure.elements):
+    for i in range(len(closure)):
         ideal = _right_ideal(closure, i)
         other = ideals.get(ideal)
         if other is not None:
-            return False, {"first": _show(closure.elements[other]), "second": _show(el)}
+            return False, {"first": _show(closure, other), "second": _show(closure, i)}
         ideals[ideal] = i
     return True, None
 
 
 def _central_idempotents(closure):
-    els = closure.elements
-    for e in els:
-        if e * e != e:
+    mul, idx = closure.pair_product, range(len(closure))
+    for e in idx:
+        if mul(e, e) != e:
             continue
-        for s in els:
-            if e * s != s * e:
-                return False, {"idempotent": _show(e), "element": _show(s)}
+        for s in idx:
+            if mul(e, s) != mul(s, e):
+                return False, {"idempotent": _show(closure, e), "element": _show(closure, s)}
     return True, None
 
 
 def _regular(closure):
-    els = closure.elements
-    for s in els:
-        if not any(s * t * s == s for t in els):
-            return False, {"element": _show(s)}
+    mul, idx = closure.pair_product, range(len(closure))
+    for s in idx:
+        if not any(mul(mul(s, t), s) == s for t in idx):
+            return False, {"element": _show(closure, s)}
     return True, None
 
 
 def _completely_regular(closure):
     for s in closure.elements:
-        if not isinstance(s, PartialBijection):
-            raise TypeError("completely-regular oracle needs partial bijections")
         if s.dom() != s.image():
-            return False, {"element": _show(s)}
+            return False, {"element": s.to_text()}
     return True, None
 
 
 def _left_identity(closure):
     ids = oracle_identities(closure).left
-    return (True, {"element": _show(ids[0])}) if ids else (False, None)
+    return (True, {"element": ids[0].to_text()}) if ids else (False, None)
 
 
 def _right_identity(closure):
     ids = oracle_identities(closure).right
-    return (True, {"element": _show(ids[0])}) if ids else (False, None)
+    return (True, {"element": ids[0].to_text()}) if ids else (False, None)
 
 
 def _two_sided_identity(closure):
     ids = oracle_identities(closure).two_sided
-    return (True, {"element": _show(ids[0])}) if ids else (False, None)
+    return (True, {"element": ids[0].to_text()}) if ids else (False, None)
 
 
 _CHECKS: dict[PropertyName, Callable] = {
@@ -200,9 +197,9 @@ _CHECKS: dict[PropertyName, Callable] = {
     PropertyName.SEMILATTICE: _semilattice,
     PropertyName.BAND: _band,
     PropertyName.GROUP: _group,
-    PropertyName.LEFT_ZERO: _left_zero,
-    PropertyName.RIGHT_ZERO: _right_zero,
-    PropertyName.ZERO: _zero,
+    PropertyName.LEFT_ZERO: _zero_check(True, False),
+    PropertyName.RIGHT_ZERO: _zero_check(False, True),
+    PropertyName.ZERO: _zero_check(True, True),
     PropertyName.NILPOTENT: _nilpotent,
     PropertyName.R_TRIVIAL: _r_trivial,
     PropertyName.CENTRAL_IDEMPOTENTS: _central_idempotents,
@@ -245,18 +242,13 @@ def oracle_models(
     clo = close(gens, limit)
     els = clo.elements
     n_els = len(els)
+    pair = clo.pair_product
 
     inv_index = []
     for el in els:
         j = clo.index_of(el.inverse())
         assert j is not None, "inverse-closed closure must contain inverses"
         inv_index.append(j)
-
-    if n_els <= 1200:
-        pair = clo.pair_product
-    else:
-        def pair(i, j, _els=els, _idx=clo.index):
-            return _idx[(_els[i] * _els[j]).entries]
 
     def eval_side(word, assign):
         acc = None
@@ -267,7 +259,7 @@ def oracle_models(
             acc = i if acc is None else pair(acc, i)
         return acc
 
-    idem_indices = [i for i, e in enumerate(els) if e * e == e]
+    idem_indices = [i for i in range(n_els) if pair(i, i) == i]
     ranges = [
         idem_indices if v <= ident.num_premises else range(n_els)
         for v in range(1, ident.num_vars + 1)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Optional
 
-from .closure import DEFAULT_LIMIT, GeneratorSet, MemberResult, evaluate_word, member
+from .closure import DEFAULT_LIMIT, GeneratorSet, LimitExceeded, MemberResult, evaluate_word, member
 from .pbij import PartialBijection
 
 
@@ -60,8 +60,9 @@ class TilingInstance:
         object.__setattr__(self, "tiles", tuple(self.tiles))
         if not self.tiles:
             raise ValueError("at least one tile required")
-        if self.num_colors < 1 or self.width < 1:
-            raise ValueError("colors and width must be positive")
+        for name, value in (("colors", self.num_colors), ("width", self.width)):
+            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+                raise ValueError(f"{name} {value!r} must be a positive integer")
         for t in self.tiles:
             for value in (t.north, t.east, t.south, t.west):
                 if value > self.num_colors:
@@ -71,6 +72,8 @@ class TilingInstance:
     def from_json_obj(cls, obj) -> "TilingInstance":
         if not isinstance(obj, dict) or not {"colors", "width", "tiles"} <= set(obj):
             raise ValueError('expected {"colors": c, "width": m, "tiles": [...]}')
+        if not isinstance(obj["tiles"], list):
+            raise ValueError("tiles must be a list of tile objects")
         tiles = tuple(Tile.from_json_obj(t) for t in obj["tiles"])
         return cls(tiles, obj["colors"], obj["width"])
 
@@ -145,7 +148,9 @@ class SolveResult:
     grid: Optional[TilingGrid] = None
 
 
-def solve_corridor_tiling(inst: TilingInstance, max_cols: Optional[int] = None) -> SolveResult:
+def solve_corridor_tiling(
+    inst: TilingInstance, max_cols: Optional[int] = None, limit: int = DEFAULT_LIMIT
+) -> SolveResult:
     """Complete decision by reachability over east-edge color profiles.
 
     Vertically consistent columns (internal edges matching, all-1 top and
@@ -154,9 +159,14 @@ def solve_corridor_tiling(inst: TilingInstance, max_cols: Optional[int] = None) 
     A shortest path exists within c^width columns (profiles repeat past
     that), which the default ``max_cols`` covers.  The returned grid is the
     lexicographically least among the shortest, comparing column by column,
-    each column read top to bottom.
+    each column read top to bottom.  The k^width candidate columns are
+    enumerated up front, so more than ``limit`` of them raise LimitExceeded
+    before any is built.
     """
     m, k = inst.width, len(inst.tiles)
+    if k**m > limit:
+        message = f"tiling needs {k**m} candidate columns, over the limit of {limit}"
+        raise LimitExceeded(limit, k**m, message)
     tiles = inst.tiles
     columns = []
     for combo in product(range(k), repeat=m):
@@ -329,7 +339,7 @@ def roundtrip_check(inst: TilingInstance, limit: int = DEFAULT_LIMIT) -> Roundtr
     grid's word evaluates to the target while the membership witness decodes
     to a proper grid.
     """
-    solved = solve_corridor_tiling(inst)
+    solved = solve_corridor_tiling(inst, limit=limit)
     reduced = reduce(inst)
     got = member(reduced.generator_set, reduced.target, limit)
     consistent = solved.solvable == got.found

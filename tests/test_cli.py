@@ -1,4 +1,5 @@
 import json
+import time
 
 from pbsg.cli import main
 
@@ -171,6 +172,27 @@ class TestTiling:
         assert code == 0
         assert "solvable=false" in out and "member=false" in out
 
+    def test_mistyped_fields_are_usage_errors(self, tmp_json, capsys):
+        for field, value in (("colors", "2"), ("width", True), ("tiles", 3)):
+            path = tmp_json("t.json", {**TILING_OK, field: value})
+            for sub in ("solve", "roundtrip"):
+                code = main(["tiling", sub, path])
+                err = capsys.readouterr().err
+                assert code == 2, (field, sub)
+                assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+    def test_column_limit(self, tmp_json, capsys):
+        # 4 tiles on 14 rows: 4**14 candidate columns, far over the default limit
+        path = tmp_json("t.json", {**TILING_OK, "width": 14, "tiles": TILING_OK["tiles"] * 4})
+        for sub in ("solve", "roundtrip"):
+            start = time.perf_counter()
+            code = main(["tiling", sub, path])
+            assert time.perf_counter() - start < 1.0
+            err = capsys.readouterr().err
+            assert code == 3 and len(err.splitlines()) == 1 and "columns" in err
+        code = main(["tiling", "solve", path, "--limit", "1"])
+        assert code == 3 and "columns" in capsys.readouterr().err
+
 
 class TestRandom:
     def test_gens_deterministic_and_valid(self, capsys):
@@ -218,3 +240,10 @@ class TestUsage:
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         assert main(["props", str(path)]) == 2
+
+    def test_inverse_closed_must_be_boolean(self, tmp_json, capsys):
+        for value in ("no", 1):
+            path = tmp_json("g.json", {**GENS_SWAP, "inverse_closed": value})
+            assert main(["props", path]) == 2
+            err = capsys.readouterr().err
+            assert len(err.splitlines()) == 1 and "inverse_closed" in err

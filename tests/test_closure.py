@@ -102,6 +102,16 @@ class TestClose:
                 for gi, g in enumerate(gens.generators):
                     assert clo.elements[clo.cayley[i][gi]] == el * g
 
+    def test_pair_product_matches_composition(self):
+        for inverse_closed in (False, True):
+            for gens in seeded_generator_sets(108, 15, degrees=(2, 3, 4),
+                                              inverse_closed=inverse_closed):
+                clo = close(gens)
+                els = clo.elements
+                for i, a in enumerate(els):
+                    for j, b in enumerate(els):
+                        assert clo.pair_product(i, j) == clo.index_of(a * b)
+
     def test_closing_the_closure_adds_nothing(self):
         for gens in seeded_generator_sets(105, 10, degrees=(2, 3)):
             clo = close(gens)
