@@ -25,6 +25,8 @@ DEFAULT_IDENTITIES = [
     "x1=x1^2, x2=x2^2 => x1 x2 = x2 x1",
     "x1^-1 = x1^-1 x1^-1",
     "x1 x2^-1 x1 = x1",
+    "x1 x2 x3 = x3 x2 x1",
+    "x1 x2 x1 = x1 x1 x2",
 ]
 
 

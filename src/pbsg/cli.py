@@ -110,6 +110,18 @@ def _emit_json(out, obj):
     out.write("\n")
 
 
+def _write_doc(doc, path, out):
+    if path:
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                _emit_json(fh, doc)
+        except OSError as exc:
+            raise _InputError(f"cannot write {path}: {exc}") from None
+        out.write(f"wrote {path}\n")
+    else:
+        _emit_json(out, doc)
+
+
 def _parse_property(text: str) -> PropertyName:
     try:
         return PropertyName(text)
@@ -326,6 +338,10 @@ def _grid_rows(grid):
 def _cmd_tiling_solve(args, cfg, out):
     inst = _load_tiling(args.instance)
     result = tiling_mod.solve_corridor_tiling(inst, args.max_cols, cfg.closure_limit)
+    if result.capped:
+        raise LimitExceeded(args.max_cols, args.max_cols,
+                            f"tiling search stopped at {args.max_cols} columns "
+                            "with profiles left to explore")
     if cfg.output_mode == "json":
         _emit_json(out, {"schema": SCHEMA, "command": "tiling-solve",
                          "solvable": result.solvable,
@@ -363,13 +379,7 @@ def _reduction_doc(inst, reduced):
 def _cmd_tiling_reduce(args, cfg, out):
     inst = _load_tiling(args.instance)
     reduced = tiling_mod.reduce(inst)
-    doc = _reduction_doc(inst, reduced)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            _emit_json(fh, doc)
-        out.write(f"wrote {args.output}\n")
-    else:
-        _emit_json(out, doc)
+    _write_doc(_reduction_doc(inst, reduced), args.output, out)
     return EXIT_HOLDS
 
 
@@ -397,15 +407,6 @@ def _cmd_tiling_roundtrip(args, cfg, out):
 # -- random ------------------------------------------------------------------
 
 
-def _write_doc(doc, path, out):
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            _emit_json(fh, doc)
-        out.write(f"wrote {path}\n")
-    else:
-        _emit_json(out, doc)
-
-
 def _cmd_random_gens(args, cfg, out):
     from random import Random
 
@@ -427,8 +428,16 @@ def _cmd_random_tiling(args, cfg, out):
 # -- argument parsing --------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument errors print one stderr line, as every other error does;
+    ``--help`` still prints the usage.  Subparsers inherit the class."""
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pbsg",
         description="Decide properties of partial bijection semigroups given by generators.",
         epilog=(
@@ -481,7 +490,8 @@ def _build_parser() -> argparse.ArgumentParser:
     tsub = p.add_subparsers(dest="tiling_command", required=True)
     ps = tsub.add_parser("solve", help="decide solvability, print a grid")
     ps.add_argument("instance")
-    ps.add_argument("--max-cols", type=int, default=None)
+    ps.add_argument("--max-cols", type=int, default=None,
+                   help="column cap, at least 1; reaching it undecided exits 3")
     add_common(ps)
     pr = tsub.add_parser("reduce", help="emit the membership instance")
     pr.add_argument("instance")

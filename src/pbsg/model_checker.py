@@ -2,10 +2,10 @@
 
 Decides whether the inverse semigroup generated by a set of partial
 bijections (inverses are appended when missing) models an identity with
-optional idempotent premises.  The search enumerates boundary point tuples
-for both words and then, independently per variable, looks for a generator
-word that realizes every occurrence constraint at once; a boundary that every
-variable can serve yields a counterexample assignment.
+optional idempotent premises.  The search guesses boundary point tuples for
+both words and, independently per variable, looks for a generator word that
+realizes every occurrence constraint at once; a boundary that every variable
+can serve yields a counterexample assignment.
 
 Points live in ``{0..n-1}`` plus an absorbing sink standing for "undefined"
 (written ``_`` externally, carried internally as the integer ``n``, exactly
@@ -15,27 +15,38 @@ real endpoint is what lets the search see definedness-only disagreements.
 A guess where a real point follows a sink on the same trace is rejected
 outright: the sink is absorbing, so no run could realize it.
 
-Per-variable runs are breadth-first over tuples of tracked slot values.  An
-occurrence ``x -> y`` of ``x_i`` tracks a forward slot (start x, end y); an
-occurrence of ``x_i^-1`` tracks the reverse edge forwards (start y, end x).
-An inverse occurrence whose target is the sink requires its source to lie
-outside the image of the realized element, which no single slot can attest;
-those runs also track the image of the word's value as a bitmask component
-(updated forwards: image(s·a) = (image(s) ∩ dom(a))·a).  Premise-constrained
-variables track a second slot per occurrence pinning the behaviour of the
-idempotent power instead, and need no mask because an idempotent's domain and
-image coincide.  In the default (sink-extended) mode the accepted guesses
-coincide exactly with the semantic counterexamples, so the verdict matches
-the closure oracle; ``strict_points=True`` keeps every guessed point real,
-which can miss definedness-only counterexamples and is allowed to disagree
-with the oracle.
+Boundary positions are fixed depth first in lexicographic order (``p``, then
+``q``; real points ascending, sink last).  Each variable is queried as soon
+as every position it reads is fixed, and a variable no word can serve prunes
+every boundary that extends the prefix, so the first complete boundary found
+is still the least counterexample.
+
+A variable's occurrences become a map from start points to required end
+points.  Every word acts as a function that is injective away from the sink,
+so a start point needing two ends, or two start points needing one real end,
+has no word and is rejected without a search.  Otherwise the run is
+breadth-first over the tuple of the distinct start points' current values.
+An occurrence ``x -> y`` of ``x_i`` tracks a forward slot (start x, end y);
+an occurrence of ``x_i^-1`` tracks the reverse edge forwards (start y, end
+x).  An inverse occurrence whose target is the sink requires its source to
+lie outside the image of the realized element, which no single slot can
+attest; those runs also track the image of the word's value as a bitmask
+component (updated forwards: image(s·a) = (image(s) ∩ dom(a))·a).
+Premise-constrained variables also pin every real end point as fixed, since
+their value is the idempotent power of the realized word, and need no mask
+because an idempotent's domain and image coincide.  Searches depend only on
+the start points and queries only on start and end points, so variables and
+boundaries share both.  In the default (sink-extended) mode the accepted
+guesses coincide exactly with the semantic counterexamples, so the verdict
+matches the closure oracle; ``strict_points=True`` keeps every guessed point
+real, which can miss definedness-only counterexamples and is allowed to
+disagree with the oracle.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import product
 from typing import Optional
 
 from .closure import GeneratorSet, evaluate_word
@@ -43,6 +54,7 @@ from .identities import Identity, apply_assignment
 from .pbij import PartialBijection
 
 DEFAULT_BUDGET = 10_000_000
+_MISS = object()
 
 
 class ArityOverflow(RuntimeError):
@@ -81,63 +93,75 @@ class ModelCheckResult:
 
 
 @dataclass(frozen=True)
-class _Occ:
-    side: int  # 0 = lhs, 1 = rhs
-    pos: int
-    exponent: int
-
-
-@dataclass(frozen=True)
 class _VarPlan:
-    occs: tuple[_Occ, ...]
+    #: one (from, to, exponent) per occurrence; from/to index the flat
+    #: boundary ``p[0..l] + q[1..r]``
+    edges: tuple[tuple[int, int, int], ...]
     constrained: bool
     mask_on: bool
+    #: the last flat position the variable reads (0 when it occurs nowhere)
+    depth: int
 
 
-def _occurrences(ident: Identity, var: int) -> tuple[_Occ, ...]:
-    occs = []
-    for side, word in ((0, ident.lhs), (1, ident.rhs)):
-        for pos, lit in enumerate(word):
-            if lit.var == var:
-                occs.append(_Occ(side, pos, lit.exponent))
-    return tuple(occs)
+def _plan_variable(ident, var, strict_points):
+    l = len(ident.lhs)
+    edges = []
+    for pos, lit in enumerate(ident.lhs):
+        if lit.var == var:
+            edges.append((pos, pos + 1, lit.exponent))
+    for pos, lit in enumerate(ident.rhs):
+        if lit.var == var:
+            edges.append((l + pos if pos else 0, l + pos + 1, lit.exponent))
+    constrained = var <= ident.num_premises
+    mask_on = (
+        not strict_points
+        and not constrained
+        and any(e == -1 for _, _, e in edges)
+    )
+    depth = max((j for _, j, _ in edges), default=0)
+    return _VarPlan(tuple(edges), constrained, mask_on, depth)
 
 
-def _slot_plan(occs, constrained, p, q, bottom):
-    """Slot starts/targets and image exclusions for one variable and boundary.
+def _state_space(plan: _VarPlan, n: int) -> int:
+    slots = (2 if plan.constrained else 1) * len(plan.edges)
+    return (n + 1) ** slots * ((1 << n) if plan.mask_on else 1)
 
-    Returns None when some occurrence is unsatisfiable for every element
-    (a real point right after a sink on the same trace).
+
+def _run_spec(plan, pts, bottom):
+    """Distinct start points, the end point each must reach, and the image
+    exclusions (a bitmask) for one variable and flat boundary ``pts``.
+
+    Returns None when no word can realize the occurrences: a real point
+    right after a sink on the same trace, one start point sent to two end
+    points (a word acts as a function), or two start points sent to one real
+    point (it is injective away from the sink).
     """
-    inits: list[int] = []
-    finals: list[int] = []
-    excludes: list[int] = []
-    for occ in occs:
-        arr = p if occ.side == 0 else q
-        x, y = arr[occ.pos], arr[occ.pos + 1]
+    constrained = plan.constrained
+    ends: dict[int, int] = {}
+    forbidden = 0
+    for i, j, exponent in plan.edges:
+        x, y = pts[i], pts[j]
         if x == bottom:
             if y != bottom:
                 return None
             continue
-        if occ.exponent == 1:
-            inits.append(x)
-            finals.append(y)
-            if constrained and y != bottom:
-                inits.append(y)
-                finals.append(y)
-        elif y == bottom:
-            if constrained:
-                inits.append(x)
-                finals.append(bottom)
+        if exponent == -1:
+            if y == bottom:
+                if not constrained:
+                    forbidden |= 1 << x
+                    continue
             else:
-                excludes.append(x)
-        else:
-            inits.append(y)
-            finals.append(x)
-            if constrained:
-                inits.append(x)
-                finals.append(x)
-    return tuple(inits), tuple(finals), tuple(excludes)
+                x, y = y, x
+        if ends.setdefault(x, y) != y:
+            return None
+        if constrained and y != bottom and ends.setdefault(y, y) != y:
+            return None
+    points = tuple(sorted(ends))
+    targets = tuple(ends[x] for x in points)
+    real = [y for y in targets if y != bottom]
+    if len(set(real)) != len(real):
+        return None
+    return points, targets, forbidden
 
 
 def _mask_step(action, mask, n):
@@ -151,15 +175,15 @@ def _mask_step(action, mask, n):
     return out
 
 
-def _explore(actions, inits, mask_on, n):
+def _explore(actions, points, mask_on, n):
     """First-arrival words for every slot configuration reachable in >= 1
     letters; breadth-first with letters in index order, so each recorded word
     is the shortest and lexicographically least."""
     if mask_on:
-        start = inits + ((1 << n) - 1,)
+        start = points + ((1 << n) - 1,)
     else:
-        start = inits
-    nslots = len(inits)
+        start = points
+    nslots = len(points)
     arrived: dict = {}
     by_slots: dict = {} if mask_on else None
     queue = deque(((start, ()),))
@@ -181,32 +205,36 @@ def _explore(actions, inits, mask_on, n):
     return arrived, by_slots
 
 
-def _query(arrived, by_slots, finals, excludes, mask_on):
+def _query(arrived, by_slots, targets, forbidden, mask_on):
     if not mask_on:
-        return arrived.get(finals)
-    forbidden = 0
-    for x in excludes:
-        forbidden |= 1 << x
-    for mask, word in by_slots.get(finals, ()):
+        return arrived.get(targets)
+    for mask, word in by_slots.get(targets, ()):
         if not mask & forbidden:
             return word
     return None
 
 
-def _plan_variable(ident, var, strict_points):
-    occs = _occurrences(ident, var)
-    constrained = var <= ident.num_premises
-    mask_on = (
-        not strict_points
-        and not constrained
-        and any(o.exponent == -1 for o in occs)
-    )
-    return _VarPlan(occs, constrained, mask_on)
+def _run_word(actions, plan, pts, n, reach_cache, query_cache):
+    """The variable's least word for the flat boundary ``pts``, or None.
 
-
-def _state_space(plan: _VarPlan, n: int) -> int:
-    slots = (2 if plan.constrained else 1) * len(plan.occs)
-    return (n + 1) ** slots * ((1 << n) if plan.mask_on else 1)
+    Explores are keyed by start points alone and queries by start points and
+    targets, so variables and permuted slots share them.  Slot order is
+    immaterial to the breadth-first search, so the words are the same as for
+    the variable's own slot order.
+    """
+    spec = _run_spec(plan, pts, n)
+    if spec is None:
+        return None
+    points, targets, forbidden = spec
+    qkey = (plan.mask_on, points, targets, forbidden)
+    word = query_cache.get(qkey, _MISS)
+    if word is _MISS:
+        rkey = (plan.mask_on, points)
+        reach = reach_cache.get(rkey)
+        if reach is None:
+            reach = reach_cache[rkey] = _explore(actions, points, plan.mask_on, n)
+        word = query_cache[qkey] = _query(*reach, targets, forbidden, plan.mask_on)
+    return word
 
 
 def check_variable_run(
@@ -235,13 +263,9 @@ def check_variable_run(
         raise ArityOverflow(
             f"variable x{var} run needs {_state_space(plan, n)} states (budget {budget})"
         )
-    run_spec = _slot_plan(plan.occs, plan.constrained, boundary.p, boundary.q, n)
-    if run_spec is None:
-        return VariableRun(False, None)
-    inits, finals, excludes = run_spec
     actions = [g.embed().entries for g in gens.generators]
-    arrived, by_slots = _explore(actions, inits, plan.mask_on, n)
-    word = _query(arrived, by_slots, finals, excludes, plan.mask_on)
+    pts = tuple(boundary.p) + tuple(boundary.q[1:])
+    word = _run_word(actions, plan, pts, n, {}, {})
     return VariableRun(word is not None, word)
 
 
@@ -253,9 +277,13 @@ def models(
 ) -> ModelCheckResult:
     """Decide the identity; on failure ship the least counterexample.
 
-    Boundaries are tried in lexicographic order (real points ascending, sink
-    last), so the reported counterexample is the least one, with each
-    variable's word minimal for it.
+    Boundaries are tried in lexicographic order of ``p[0..l]`` then
+    ``q[1..r]`` (real points ascending, sink last), so the reported
+    counterexample is the least one, with each variable's word minimal for
+    it.  The positions are fixed depth first; each variable is queried once
+    the last position it reads is fixed, and a variable with no word prunes
+    every boundary below that prefix.  A real point right after a sink on the
+    same word is never tried.
     """
     gens = gens.with_inverses()
     n = gens.degree
@@ -278,36 +306,35 @@ def models(
     actions = [g.embed().entries for g in gens.generators]
     reach_cache: dict = {}
     query_cache: dict = {}
-    miss = object()
+    last = l + r
+    due = [[] for _ in range(last + 1)]
+    for vi, plan in enumerate(plans):
+        due[plan.depth].append((vi, plan))
+    pts = [0] * (last + 1)
+    words: list = [None] * len(plans)
+
+    def extend(d):
+        """Query the variables due at position d - 1, then fix pts[d:]."""
+        for vi, plan in due[d - 1]:
+            word = _run_word(actions, plan, pts, n, reach_cache, query_cache)
+            if word is None:
+                return False
+            words[vi] = word
+        if d > last:
+            return True
+        prev = 0 if d == l + 1 else d - 1
+        for v in (bottom,) if pts[prev] == bottom else values:
+            pts[d] = v
+            if (d < last or pts[l] != v) and extend(d + 1):
+                return True
+        return False
 
     for p1 in range(n):
-        for rest in product(values, repeat=l + r):
-            p = (p1,) + rest[:l]
-            q = (p1,) + rest[l:]
-            if p[l] == q[r]:
-                continue
-            words = []
-            for vi, plan in enumerate(plans):
-                run_spec = _slot_plan(plan.occs, plan.constrained, p, q, bottom)
-                if run_spec is None:
-                    break
-                inits, finals, excludes = run_spec
-                qkey = (vi, inits, finals, excludes)
-                word = query_cache.get(qkey, miss)
-                if word is miss:
-                    rkey = (vi, inits)
-                    reach = reach_cache.get(rkey)
-                    if reach is None:
-                        reach = _explore(actions, inits, plan.mask_on, n)
-                        reach_cache[rkey] = reach
-                    word = _query(reach[0], reach[1], finals, excludes, plan.mask_on)
-                    query_cache[qkey] = word
-                if word is None:
-                    break
-                words.append(word)
-            else:
-                cex = Counterexample(BoundaryGuess(p, q), tuple(words))
-                return ModelCheckResult(False, cex, gens)
+        pts[0] = p1
+        if extend(1):
+            p, q = tuple(pts[: l + 1]), (p1,) + tuple(pts[l + 1 :])
+            cex = Counterexample(BoundaryGuess(p, q), tuple(words))
+            return ModelCheckResult(False, cex, gens)
     return ModelCheckResult(True, None, gens)
 
 

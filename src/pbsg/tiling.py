@@ -146,6 +146,9 @@ def verify_proper_tiling(inst: TilingInstance, grid: TilingGrid) -> TilingCheck:
 class SolveResult:
     solvable: bool
     grid: Optional[TilingGrid] = None
+    #: ``max_cols`` stopped the search with profiles unexplored, so an
+    #: unsolvable verdict is only "no grid within max_cols columns"
+    capped: bool = False
 
 
 def solve_corridor_tiling(
@@ -161,8 +164,12 @@ def solve_corridor_tiling(
     lexicographically least among the shortest, comparing column by column,
     each column read top to bottom.  The k^width candidate columns are
     enumerated up front, so more than ``limit`` of them raise LimitExceeded
-    before any is built.
+    before any is built.  A ``max_cols`` below 1 is a ValueError; a search
+    that reaches ``max_cols`` columns with profiles still unexplored returns
+    ``capped`` set.
     """
+    if max_cols is not None and max_cols < 1:
+        raise ValueError(f"max_cols must be at least 1, got {max_cols}")
     m, k = inst.width, len(inst.tiles)
     if k**m > limit:
         message = f"tiling needs {k**m} candidate columns, over the limit of {limit}"
@@ -207,7 +214,7 @@ def solve_corridor_tiling(
                     parent[east] = (profile, combo)
                     nxt.append(east)
         frontier = nxt
-    return SolveResult(False, None)
+    return SolveResult(False, None, capped=bool(frontier))
 
 
 @dataclass(frozen=True)

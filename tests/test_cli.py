@@ -193,6 +193,22 @@ class TestTiling:
         code = main(["tiling", "solve", path, "--limit", "1"])
         assert code == 3 and "columns" in capsys.readouterr().err
 
+    def test_column_cap(self, tmp_json, capsys):
+        # two tiles of width 1 whose shortest grid has 2 columns
+        path = tmp_json("t.json", {"colors": 2, "width": 1, "tiles": [
+            {"n": 1, "e": 2, "s": 1, "w": 1}, {"n": 1, "e": 1, "s": 1, "w": 2}]})
+        code, out = run(capsys, "tiling", "solve", path, "--max-cols", "2")
+        assert code == 0 and out.splitlines() == ["SOLVABLE", "1 2"]
+        for cap, exit_code in (("1", 3), ("0", 2), ("-3", 2)):
+            code = main(["tiling", "solve", path, "--max-cols", cap])
+            captured = capsys.readouterr()
+            assert code == exit_code and captured.out == "", cap
+            assert len(captured.err.splitlines()) == 1 and "col" in captured.err
+        # a search that ends below the cap still decides
+        code, out = run(capsys, "tiling", "solve", tmp_json("t2.json", TILING_BAD),
+                        "--max-cols", "1")
+        assert code == 1 and out == "UNSOLVABLE\n"
+
 
 class TestRandom:
     def test_gens_deterministic_and_valid(self, capsys):

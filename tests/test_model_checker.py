@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -6,12 +7,13 @@ from pbsg import (
     ArityOverflow,
     BoundaryGuess,
     GeneratorSet,
+    PartialBijection,
     check_variable_run,
     models,
     oracle_models,
     parse_identity,
 )
-from pbsg.model_checker import counterexample_values
+from pbsg.model_checker import DEFAULT_BUDGET, counterexample_values
 from pbsg.sampling import random_generator_set
 
 from conftest import MODEL_CORPUS, pb, seeded_generator_sets
@@ -79,6 +81,17 @@ class TestModels:
         with pytest.raises(ArityOverflow):
             models(gset("2 _"), parse_identity("x1 x2 = x2 x1"), budget=10)
 
+    def test_three_variable_identity_at_degree_8(self):
+        # the semilattice of partial identities missing one point each;
+        # 8 * 9**6 boundaries fit the default budget, and pruning keeps it fast
+        n = 8
+        gens = GeneratorSet.from_elements([
+            PartialBijection([None if x == k else x for x in range(n)]) for k in range(n)
+        ])
+        ident = parse_identity("x1 x2 x3 = x3 x2 x1")
+        assert n * (n + 1) ** 6 <= DEFAULT_BUDGET
+        assert models(gens, ident).models
+
 
 class TestCheckVariableRun:
     def test_empty_occurrences_accept_after_one_step(self):
@@ -113,6 +126,26 @@ class TestCheckVariableRun:
         boundary = BoundaryGuess((0, n, 1), (0, 0))
         assert not check_variable_run(gens, ident, 1, boundary).ok
 
+    def test_injectivity_rejects_merging_starts(self):
+        # x1 x1 = x1 with p = 1 2 2, q = 1 2: the word must send 1 and 2 to 2
+        gens = gset("2 3 1", "1 2 _")
+        ident = parse_identity("x1 x1 = x1")
+        assert not check_variable_run(gens, ident, 1, BoundaryGuess((0, 1, 1), (0, 1))).ok
+        # distinct starts may both fall into the sink: x1 of x1 x2 = x2 x1
+        # with p = 1 _ _, q = 1 2 _ must lose 1 and 2
+        ident = parse_identity("x1 x2 = x2 x1")
+        run = check_variable_run(gset("_ _ 3"), ident, 1, BoundaryGuess((0, 3, 3), (0, 1, 3)))
+        assert run.ok and run.word == (0,)
+
+    def test_injectivity_rejects_constrained_moves(self):
+        # the idempotent power of a realized word fixes every point it keeps,
+        # so a constrained 1 -> 2 (tracked as 1 -> 2 and 2 -> 2) cannot run
+        gens = gset("2 1")
+        boundary = BoundaryGuess((0, 1), (0, 1))
+        assert check_variable_run(gens, parse_identity("x1 = x1"), 1, boundary).ok
+        for text in ("x1=x1^2 => x1 = x1", "x1=x1^2 => x1^-1 = x1^-1"):
+            assert not check_variable_run(gens, parse_identity(text), 1, boundary).ok
+
     def test_validates_boundary_shape(self):
         gens = gset("2 1")
         ident = parse_identity("x1 = x1")
@@ -133,6 +166,8 @@ class TestOracleAgreement:
         "x1=x1^2 => x2 x1 x2^-1 = x2 x2^-1",
         "x1 x2^-1 x1 = x1",
         "x1 x1 x1 = x1",
+        "x1 x2 x3 = x3 x2 x1",
+        "x1 x2 x1 = x1 x1 x2",
     )
 
     @pytest.mark.parametrize("text", MODEL_CORPUS + EXTRA)
@@ -173,6 +208,45 @@ class TestOracleAgreement:
                 if found:
                     break
             assert (found is not None) == (not models(gens, ident).models)
+
+    @pytest.mark.parametrize("strict", (False, True))
+    @pytest.mark.parametrize("text", (
+        "x1 x2 x3 = x3 x2 x1",
+        "x1=x1^2, x2=x2^2 => x1 x2 = x2 x1",
+        "x1 x1^-1 = x1^-1 x1",
+        "x1 x2^-1 x1 = x1",
+    ))
+    def test_least_counterexample_matches_naive_loop(self, text, strict):
+        # every boundary in lexicographic order, each variable run on its own:
+        # the first boundary all variables accept is the least counterexample
+        ident = parse_identity(text)
+        l = len(ident.lhs)
+        for gens in seeded_generator_sets(407, 8, degrees=(2, 3), inverse_closed=True):
+            n = gens.degree
+            values = range(n) if strict else range(n + 1)
+            expected = None
+            for p1 in range(n):
+                for rest in product(values, repeat=l + len(ident.rhs)):
+                    boundary = BoundaryGuess((p1,) + rest[:l], (p1,) + rest[l:])
+                    if boundary.p[-1] == boundary.q[-1]:
+                        continue
+                    words = []
+                    for v in range(1, ident.num_vars + 1):
+                        run = check_variable_run(gens, ident, v, boundary,
+                                                 strict_points=strict)
+                        if not run.ok:
+                            break
+                        words.append(run.word)
+                    else:
+                        expected = (boundary, tuple(words))
+                        break
+                if expected:
+                    break
+            result = models(gens, ident, strict_points=strict)
+            assert result.models == (expected is None)
+            if expected:
+                cex = result.counterexample
+                assert (cex.boundary, cex.words) == expected
 
 
 class TestStrictPoints:
