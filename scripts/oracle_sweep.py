@@ -1,6 +1,9 @@
 #!/usr/bin/env python3
 """Sweep seeded random generator sets and confront every generator-level
 checker with the closure oracle; print an agreement table and timings.
+Membership is confronted with the closure too: ``member`` must find every
+closure element with the closure's own witness word, and miss one partial
+bijection outside the closure.
 
 Example:
     python3 scripts/oracle_sweep.py --degrees 3 4 5 --count 500 --seed 1
@@ -14,8 +17,10 @@ from collections import Counter
 
 from pbsg import (
     PropertyName,
+    all_partial_bijections,
     close,
     enumerate_identities,
+    member,
     oracle_check,
     oracle_identities,
     run_generator_check,
@@ -38,14 +43,26 @@ def main(argv=None):
     disagree = Counter()
     holds = Counter()
     closure_sizes = []
+    member_checks = 0
     start = time.perf_counter()
 
     for n in args.degrees:
         rng = random.Random(args.seed + n)
+        universe = all_partial_bijections(n)
         for _ in range(args.count):
             gens = random_generator_set(rng, n, rng.randint(1, args.max_k))
             clo = close(gens, args.limit)
             closure_sizes.append(len(clo))
+            for el, word in zip(clo.elements, clo.words):
+                got = member(gens, el, args.limit)
+                if not got.found or got.witness != word:
+                    disagree["member"] += 1
+            member_checks += len(clo)
+            outside = next((b for b in universe if b not in clo), None)
+            if outside is not None:
+                member_checks += 1
+                if member(gens, outside, args.limit).found:
+                    disagree["member"] += 1
             ids = oracle_identities(clo)
             oracle_truth = {
                 PropertyName.LEFT_IDENTITY: bool(ids.left),
@@ -76,6 +93,8 @@ def main(argv=None):
     for prop in props:
         print(f"{prop.value:24} {agree[prop.value]:7} {disagree[prop.value]:9} "
               f"{holds[prop.value]:7}")
+    print(f"member: {member_checks} checks against closure words, "
+          f"{disagree['member']} disagreements")
     if disagree:
         print("DISAGREEMENTS FOUND", dict(disagree))
         return 1

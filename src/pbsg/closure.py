@@ -1,22 +1,25 @@
 """Breadth-first closure of a generating set, with witness words and Cayley edges.
 
 This is the ground-truth substrate: the closure enumerates every product of
-the generators (no empty word), keeps one shortest witness word per element,
-and records the right action of each generator as an integer Cayley table.
-The product of two closure elements is read off that table as an index, so
-composition happens only while the closure is enumerated.  Enumeration is
-breadth-first by word length with ties broken by generator index, so output
-is deterministic for a fixed input order.
+the generators (no empty word), keeps one shortest witness word per element
+as a parent pointer and a last letter, and records the right action of each
+generator as an integer Cayley table.  Composition happens only while the
+closure is enumerated, as ``bytes.translate`` on one byte per point; the
+product of two closure elements is read off the table as an index.  BFS
+order (word length, then generator index) makes the output deterministic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional, Sequence
 
 from .pbij import PartialBijection
 
 DEFAULT_LIMIT = 200_000
+
+MAX_DEGREE = 255  # elements are one byte per point, byte ``degree`` = undefined
 
 
 class LimitExceeded(RuntimeError):
@@ -122,8 +125,8 @@ class SemigroupClosure:
     ``elements[i]`` was first reached by the word ``words[i]`` (generator
     indices, length >= 1), and ``cayley[i][g]`` is the index of
     ``elements[i] * generators[g]``.  Products of closure elements are indices
-    too: ``pair_product`` reads them off ``cayley``.  Finished closures are
-    immutable and safe for concurrent reads.
+    too: ``pair_product`` reads them off ``cayley``.  ``index`` is keyed by
+    ``_key``.  Finished closures are immutable and safe for concurrent reads.
     """
 
     __slots__ = ("generators", "elements", "words", "cayley", "index", "complete")
@@ -143,16 +146,11 @@ class SemigroupClosure:
         return iter(self.elements)
 
     def __contains__(self, el):
-        return getattr(el, "entries", None) in self.index
+        return isinstance(el, PartialBijection) and self.index_of(el) is not None
 
     def index_of(self, el) -> Optional[int]:
-        return self.index.get(el.entries)
-
-    def witness_word(self, el) -> tuple[int, ...]:
-        i = self.index_of(el)
-        if i is None:
-            raise KeyError(f"{el!r} not in closure")
-        return self.words[i]
+        if el.degree == self.generators[0].degree:
+            return self.index.get(_key(el))
 
     def pair_product(self, i: int, j: int) -> int:
         """Index of ``elements[i] * elements[j]``: the walk through ``cayley``
@@ -163,58 +161,57 @@ class SemigroupClosure:
         return i
 
 
+def _key(el: PartialBijection) -> bytes:
+    return bytes(len(el.entries) if v is None else v for v in el.entries)
+
+
 def _bfs(generators, limit, target=None):
-    """Core enumeration; stops early when ``target`` is reached."""
-    gen_entries = [g.entries for g in generators]
-    target_entries = None if target is None else target.entries
+    """Core enumeration; stops early, keeping no Cayley rows, at ``target``.
 
-    elements = []
-    words = []
-    index = {}
-    for gi, g in enumerate(generators):
-        key = g.entries
-        if key in index:
-            continue
-        if len(elements) >= limit:
-            raise LimitExceeded(limit, len(elements) + 1)
-        index[key] = len(elements)
-        elements.append(g)
-        words.append((gi,))
-        if target_entries is not None and key == target_entries:
-            return elements, words, [], index, False, index[key]
-
-    cayley = []
-    scan = 0
-    while scan < len(elements):
-        cur = elements[scan].entries
-        word = words[scan]
+    Element ``keys[i]`` is ``keys[parent[i]] * generators[gen_of[i]]``, or the
+    generator alone when ``parent[i]`` is -1.  A product is one ``translate``.
+    """
+    n = generators[0].degree
+    if n > MAX_DEGREE:
+        raise ValueError(f"degree {n} exceeds the closure cap of {MAX_DEGREE} points")
+    tables = [_key(g) + bytes(range(n, 256)) for g in generators]
+    goal = None if target is None else _key(target)
+    keys, parent, gen_of, index = [], [], [], {}
+    cayley = [] if target is None else None
+    get = index.get
+    # Row -1 multiplies the identity, which is no element unless reached;
+    # iterating ``keys`` also visits the elements appended on the way.
+    for scan, cur in enumerate(chain([bytes(range(n))], keys), -1):
         row = []
-        for gi, g in enumerate(gen_entries):
-            prod = tuple(None if v is None else g[v] for v in cur)
-            idx = index.get(prod)
+        for gi, table in enumerate(tables):
+            prod = cur.translate(table)
+            idx = get(prod)
             if idx is None:
-                if len(elements) >= limit:
-                    raise LimitExceeded(limit, len(elements) + 1)
-                idx = len(elements)
+                idx = len(keys)
+                if idx >= limit:
+                    raise LimitExceeded(limit, idx + 1)
                 index[prod] = idx
-                elements.append(PartialBijection(prod))
-                words.append(word + (gi,))
-                if target_entries is not None and prod == target_entries:
-                    row.append(idx)
-                    cayley.append(row)
-                    return elements, words, cayley, index, False, idx
+                keys.append(prod)
+                parent.append(scan)
+                gen_of.append(gi)
+                if prod == goal:
+                    return keys, parent, gen_of, cayley, index, idx
             row.append(idx)
-        cayley.append(row)
-        scan += 1
-    return elements, words, cayley, index, True, None
+        if cayley is not None and scan >= 0:
+            cayley.append(row)
+    return keys, parent, gen_of, cayley, index, None
 
 
 def close(gens: GeneratorSet, limit: int = DEFAULT_LIMIT) -> SemigroupClosure:
     """Enumerate the generated semigroup exactly, or raise LimitExceeded."""
     if limit < len(gens.generators):
         raise ValueError("limit must be at least the number of generators")
-    elements, words, cayley, index, complete, _ = _bfs(gens.generators, limit)
-    assert complete
+    keys, parent, gen_of, cayley, index, _ = _bfs(gens.generators, limit)
+    n = gens.degree
+    elements = [PartialBijection([None if v == n else v for v in key]) for key in keys]
+    words = []
+    for p, gi in zip(parent, gen_of):
+        words.append((gi,) if p < 0 else words[p] + (gi,))
     return SemigroupClosure(gens.generators, elements, words, cayley, index, True)
 
 
@@ -227,11 +224,14 @@ def member(gens: GeneratorSet, b: PartialBijection, limit: int = DEFAULT_LIMIT) 
     """
     if b.degree != gens.degree:
         raise ValueError(f"degree mismatch: {b.degree} vs {gens.degree}")
-    _, words, _, _, complete, found = _bfs(gens.generators, limit, target=b)
-    if found is not None:
-        return MemberResult(True, words[found])
-    assert complete
-    return MemberResult(False, None)
+    _, parent, gen_of, _, _, i = _bfs(gens.generators, limit, target=b)
+    if i is None:
+        return MemberResult(False, None)
+    word = []
+    while i >= 0:
+        word.append(gen_of[i])
+        i = parent[i]
+    return MemberResult(True, tuple(reversed(word)))
 
 
 def evaluate_word(gens, word: Sequence[int]):

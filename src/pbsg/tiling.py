@@ -163,10 +163,10 @@ def solve_corridor_tiling(
     that), which the default ``max_cols`` covers.  The returned grid is the
     lexicographically least among the shortest, comparing column by column,
     each column read top to bottom.  The k^width candidate columns are
-    enumerated up front, so more than ``limit`` of them raise LimitExceeded
-    before any is built.  A ``max_cols`` below 1 is a ValueError; a search
-    that reaches ``max_cols`` columns with profiles still unexplored returns
-    ``capped`` set.
+    enumerated up front and bucketed by west profile, so more than ``limit``
+    of them raise LimitExceeded before any is built.  A ``max_cols`` below 1
+    is a ValueError; a search that reaches ``max_cols`` columns with profiles
+    still unexplored returns ``capped`` set.
     """
     if max_cols is not None and max_cols < 1:
         raise ValueError(f"max_cols must be at least 1, got {max_cols}")
@@ -175,7 +175,7 @@ def solve_corridor_tiling(
         message = f"tiling needs {k**m} candidate columns, over the limit of {limit}"
         raise LimitExceeded(limit, k**m, message)
     tiles = inst.tiles
-    columns = []
+    by_west: dict = {}  # west profile -> [(combo, east)], in product order
     for combo in product(range(k), repeat=m):
         if tiles[combo[0]].north != 1 or tiles[combo[-1]].south != 1:
             continue
@@ -183,7 +183,7 @@ def solve_corridor_tiling(
             continue
         west = tuple(tiles[j].west for j in combo)
         east = tuple(tiles[j].east for j in combo)
-        columns.append((combo, west, east))
+        by_west.setdefault(west, []).append((combo, east))
     if max_cols is None:
         max_cols = inst.num_colors ** m + 1
 
@@ -195,9 +195,7 @@ def solve_corridor_tiling(
         depth += 1
         nxt = []
         for profile in frontier:
-            for combo, west, east in columns:
-                if west != profile:
-                    continue
+            for combo, east in by_west.get(profile, ()):
                 if east == target:
                     chain = [combo]
                     back = profile

@@ -231,8 +231,8 @@ def test_criterion_5_tiling_reduction_iff():
     count = 0
     for c in (1, 2):
         tiles = _all_tiles(c)
-        for m in (1, 2):
-            for k in (1, 2):
+        for m in (1, 2, 3):
+            for k in (1, 2, 3):
                 for chosen in combinations_with_replacement(tiles, k):
                     count += 1
                     # the exhaustive sweep must fit the limit outright

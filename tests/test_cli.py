@@ -82,6 +82,18 @@ class TestMember:
         code, _ = run(capsys, "member", gens, elem)
         assert code == 2
 
+    def test_degree_over_cap_is_usage_error(self, tmp_json, capsys):
+        # the closure stores one byte per point plus the undefined sink
+        n = 256
+        cycle = [i % n + 1 for i in range(1, n + 1)]
+        gens = tmp_json("g.json", {"degree": n, "generators": [cycle]})
+        elem = tmp_json("b.json", {"degree": n, "map": list(range(1, n + 1))})
+        code = main(["member", gens, elem])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and "255" in captured.err
+        assert "Traceback" not in captured.err
+
 
 class TestModels:
     def test_models_true(self, tmp_json, capsys):
@@ -180,6 +192,15 @@ class TestTiling:
                 err = capsys.readouterr().err
                 assert code == 2, (field, sub)
                 assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+    def test_roundtrip_degree_over_cap_is_usage_error(self, tmp_json, capsys):
+        # width 16 and 8 colors compile to 2 * 16 * 8 = 256 points
+        path = tmp_json("t.json", {**TILING_OK, "colors": 8, "width": 16})
+        code = main(["tiling", "roundtrip", path])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and "255" in captured.err
+        assert "Traceback" not in captured.err
 
     def test_column_limit(self, tmp_json, capsys):
         # 4 tiles on 14 rows: 4**14 candidate columns, far over the default limit

@@ -3,7 +3,9 @@ import pytest
 from pbsg import (
     GeneratorSet,
     LimitExceeded,
+    MemberResult,
     PartialBijection,
+    all_partial_bijections,
     close,
     evaluate_word,
     member,
@@ -20,6 +22,10 @@ def ref_closure(gens):
         if not new:
             return current
         current |= new
+
+
+def _cycle(n):
+    return PartialBijection([(x + 1) % n for x in range(n)])
 
 
 class TestGeneratorSet:
@@ -135,6 +141,12 @@ class TestClose:
             els = set(clo)
             assert all(e.inverse() in els for e in els)
 
+    def test_standard_generators_of_i4_give_every_partial_bijection(self):
+        gens = GeneratorSet.from_elements([pb("2 3 4 1"), pb("2 1 3 4"), pb("_ 2 3 4")])
+        clo = close(gens)
+        assert len(clo) == 209
+        assert set(clo) == set(all_partial_bijections(4))
+
     def test_duplicate_generators_deduplicated(self):
         clo = close(GeneratorSet.from_elements([pb("2 1"), pb("2 1")]))
         assert len(clo) == 2
@@ -160,8 +172,6 @@ class TestMember:
             member(GeneratorSet.from_elements([pb("2 1")]), pb("1 2 3"))
 
     def test_agrees_with_closure(self):
-        from pbsg import all_partial_bijections
-
         for gens in seeded_generator_sets(108, 8, degrees=(3,)):
             els = set(close(gens))
             for b in all_partial_bijections(3):
@@ -169,6 +179,34 @@ class TestMember:
                 assert res.found == (b in els)
                 if res.found:
                     assert evaluate_word(gens, res.witness) == b
+
+    def test_witness_is_the_closure_word(self):
+        for inverse_closed in (False, True):
+            for gens in seeded_generator_sets(109, 15, degrees=(2, 3, 4),
+                                              inverse_closed=inverse_closed):
+                clo = close(gens)
+                for el in clo.elements:
+                    res = member(gens, el)
+                    assert res.found and res.witness == clo.words[clo.index_of(el)]
+
+    def test_misses_outside_the_closure(self):
+        for n in (1, 2, 3):
+            for gens in seeded_generator_sets(110 + n, 6, degrees=(n,)):
+                els = set(close(gens))
+                outside = [b for b in all_partial_bijections(n) if b not in els]
+                for b in outside:
+                    assert member(gens, b) == MemberResult(False, None)
+
+    def test_degree_cap(self):
+        # one byte per point, and the byte ``degree`` stands for "undefined"
+        gens = GeneratorSet.from_elements([_cycle(255)])
+        assert len(close(gens)) == 255
+        assert member(gens, PartialBijection.identity(255)).witness == (0,) * 255
+        gens = GeneratorSet.from_elements([_cycle(256)])
+        with pytest.raises(ValueError, match="255"):
+            close(gens)
+        with pytest.raises(ValueError, match="255"):
+            member(gens, _cycle(256))
 
     def test_positive_answer_can_beat_the_limit(self):
         gens = GeneratorSet.from_elements([pb("2 3 4 5 1"), pb("1 2 3 4 5")])
