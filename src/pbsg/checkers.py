@@ -10,7 +10,6 @@ translated back to partial bijections.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .closure import GeneratorSet
@@ -68,11 +67,16 @@ def check_right_identity_exists(gens: GeneratorSet) -> CheckReport:
     return CheckReport(PropertyName.RIGHT_IDENTITY, False, None)
 
 
-@dataclass(frozen=True)
 class IdentitySummary:
-    left: Optional[PartialBijection]
-    right: Optional[PartialBijection]
-    two_sided: Optional[PartialBijection]
+    """The left, right and two-sided identity of the closure, each or None."""
+
+    __slots__ = ("left", "right", "two_sided")
+
+    def __init__(self, left: Optional[PartialBijection], right: Optional[PartialBijection],
+                 two_sided: Optional[PartialBijection]):
+        self.left = left
+        self.right = right
+        self.two_sided = two_sided
 
 
 def enumerate_identities(gens: GeneratorSet) -> IdentitySummary:

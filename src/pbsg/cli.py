@@ -19,29 +19,19 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
-from . import tiling as tiling_mod
-from .checkers import run_generator_check
+# Only what every subcommand needs is imported here; each handler imports the
+# modules it uses, so a process loads no decider it does not run.
 from .closure import (
+    DEFAULT_BUDGET,
     DEFAULT_LIMIT,
+    ArityOverflow,
     GeneratorSet,
     LimitExceeded,
     close,
     member,
 )
-from .identities import IdentitySyntaxError, format_identity, parse_identity
-from .model_checker import (
-    ArityOverflow,
-    DEFAULT_BUDGET,
-    counterexample_values,
-    models,
-    render_point,
-)
-from .oracle import oracle_models, oracle_report
 from .pbij import PartialBijection
-from .properties import PropertyName
-from .sampling import random_generator_set, random_tiling_instance
 
 SCHEMA = "pbsg/1"
 
@@ -50,15 +40,6 @@ EXIT_DOES_NOT_HOLD = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_INCONSISTENT = 4
-
-
-@dataclass
-class RunConfig:
-    closure_limit: int = DEFAULT_LIMIT
-    model_budget: int = DEFAULT_BUDGET
-    seed: int = 0
-    output_mode: str = "human"  # human | json
-    strict_points: bool = False
 
 
 class _InputError(ValueError):
@@ -122,9 +103,14 @@ def _write_doc(doc, path, out):
         _emit_json(out, doc)
 
 
-def _parse_property(text: str) -> PropertyName:
+def _properties(text):
+    """Every property for ``all``, else the one ``text`` names."""
+    from .properties import PropertyName
+
+    if text == "all":
+        return list(PropertyName)
     try:
-        return PropertyName(text)
+        return [PropertyName(text)]
     except ValueError:
         valid = ", ".join(p.value for p in PropertyName)
         raise _InputError(f"unknown property {text!r}; one of: {valid}") from None
@@ -133,7 +119,9 @@ def _parse_property(text: str) -> PropertyName:
 # -- props / oracle ----------------------------------------------------------
 
 
-def _props_rows(gens, props, want_oracle, cfg):
+def _props_rows(gens, props, want_oracle, limit):
+    from .checkers import run_generator_check
+
     closure = None
     rows = []
     for prop in props:
@@ -141,17 +129,19 @@ def _props_rows(gens, props, want_oracle, cfg):
         oracle = None
         if want_oracle or fast is None:
             if closure is None:
-                closure = close(gens, cfg.closure_limit)
+                from .oracle import oracle_report
+
+                closure = close(gens, limit)
             oracle = oracle_report(closure, prop)
         rows.append((prop, fast, oracle))
     return rows
 
 
-def _cmd_props(args, cfg, out):
+def _cmd_props(args, out):
     gens = _load_gens(args.gens)
-    props = list(PropertyName) if args.property == "all" else [_parse_property(args.property)]
+    props = _properties(args.property)
     want_oracle = args.oracle or args.cross_check
-    rows = _props_rows(gens, props, want_oracle, cfg)
+    rows = _props_rows(gens, props, want_oracle, args.limit)
 
     disagreements = []
     results = []
@@ -169,7 +159,7 @@ def _cmd_props(args, cfg, out):
             }
         )
 
-    if cfg.output_mode == "json":
+    if args.json:
         _emit_json(out, {"schema": SCHEMA, "command": "props",
                          "results": results, "disagreements": disagreements})
     else:
@@ -187,12 +177,14 @@ def _cmd_props(args, cfg, out):
     return EXIT_HOLDS
 
 
-def _cmd_oracle(args, cfg, out):
+def _cmd_oracle(args, out):
+    from .oracle import oracle_report
+
     gens = _load_gens(args.gens)
-    props = list(PropertyName) if args.property == "all" else [_parse_property(args.property)]
-    closure = close(gens, cfg.closure_limit)
+    props = _properties(args.property)
+    closure = close(gens, args.limit)
     reports = [oracle_report(closure, prop) for prop in props]
-    if cfg.output_mode == "json":
+    if args.json:
         _emit_json(out, {
             "schema": SCHEMA, "command": "oracle", "closure_size": len(closure),
             "results": [
@@ -213,12 +205,12 @@ def _cmd_oracle(args, cfg, out):
 # -- member ------------------------------------------------------------------
 
 
-def _cmd_member(args, cfg, out):
+def _cmd_member(args, out):
     gens = _load_gens(args.gens)
     b = _load_element(args.element)
-    result = member(gens, b, cfg.closure_limit)
+    result = member(gens, b, args.limit)
     witness = None if result.witness is None else [i + 1 for i in result.witness]
-    if cfg.output_mode == "json":
+    if args.json:
         _emit_json(out, {"schema": SCHEMA, "command": "member",
                          "found": result.found, "witness": witness,
                          "element": b.to_text()})
@@ -233,6 +225,8 @@ def _cmd_member(args, cfg, out):
 
 
 def _identities_from_arg(text):
+    from .identities import IdentitySyntaxError, parse_identity
+
     if text.startswith("@"):
         try:
             with open(text[1:], "r", encoding="utf-8") as fh:
@@ -251,6 +245,8 @@ def _identities_from_arg(text):
 
 
 def _counterexample_block(gens, ident, cex):
+    from .model_checker import counterexample_values, render_point
+
     n = gens.degree
     assignment, lhs_value, rhs_value = counterexample_values(gens, ident, cex)
     return {
@@ -265,7 +261,10 @@ def _counterexample_block(gens, ident, cex):
     }
 
 
-def _cmd_models(args, cfg, out):
+def _cmd_models(args, out):
+    from .identities import format_identity
+    from .model_checker import models
+
     gens = _load_gens(args.gens)
     idents = _identities_from_arg(args.identity)
     blocks = []
@@ -275,10 +274,12 @@ def _cmd_models(args, cfg, out):
         block = {"identity": format_identity(ident)}
         fast = oracle = None
         if not args.oracle:
-            fast = models(gens, ident, budget=cfg.model_budget,
-                          strict_points=cfg.strict_points)
+            fast = models(gens, ident, budget=args.budget,
+                          strict_points=args.strict_points)
         if args.oracle or args.cross_check:
-            oracle = oracle_models(gens, ident, cfg.closure_limit)
+            from .oracle import oracle_models
+
+            oracle = oracle_models(gens, ident, args.limit)
         verdict = fast.models if fast is not None else oracle.models
         block["models"] = verdict
         if fast is not None and oracle is not None and fast.models != oracle.models:
@@ -295,7 +296,7 @@ def _cmd_models(args, cfg, out):
             any_fails = True
         blocks.append(block)
 
-    if cfg.output_mode == "json":
+    if args.json:
         _emit_json(out, {"schema": SCHEMA, "command": "models", "results": blocks})
     else:
         for block in blocks:
@@ -324,9 +325,11 @@ def _cmd_models(args, cfg, out):
 # -- tiling ------------------------------------------------------------------
 
 
-def _load_tiling(path) -> tiling_mod.TilingInstance:
+def _load_tiling(path):
+    from .tiling import TilingInstance
+
     try:
-        return tiling_mod.TilingInstance.from_json_obj(_load_json(path))
+        return TilingInstance.from_json_obj(_load_json(path))
     except ValueError as exc:
         raise _InputError(f"{path}: {exc}") from None
 
@@ -335,14 +338,16 @@ def _grid_rows(grid):
     return [[idx + 1 for idx in row] for row in grid.cells]
 
 
-def _cmd_tiling_solve(args, cfg, out):
+def _cmd_tiling_solve(args, out):
+    from .tiling import solve_corridor_tiling
+
     inst = _load_tiling(args.instance)
-    result = tiling_mod.solve_corridor_tiling(inst, args.max_cols, cfg.closure_limit)
+    result = solve_corridor_tiling(inst, args.max_cols, args.limit)
     if result.capped:
         raise LimitExceeded(args.max_cols, args.max_cols,
                             f"tiling search stopped at {args.max_cols} columns "
                             "with profiles left to explore")
-    if cfg.output_mode == "json":
+    if args.json:
         _emit_json(out, {"schema": SCHEMA, "command": "tiling-solve",
                          "solvable": result.solvable,
                          "grid": None if result.grid is None else _grid_rows(result.grid)})
@@ -376,17 +381,21 @@ def _reduction_doc(inst, reduced):
     }
 
 
-def _cmd_tiling_reduce(args, cfg, out):
+def _cmd_tiling_reduce(args, out):
+    from .tiling import reduce
+
     inst = _load_tiling(args.instance)
-    reduced = tiling_mod.reduce(inst)
+    reduced = reduce(inst)
     _write_doc(_reduction_doc(inst, reduced), args.output, out)
     return EXIT_HOLDS
 
 
-def _cmd_tiling_roundtrip(args, cfg, out):
+def _cmd_tiling_roundtrip(args, out):
+    from .tiling import roundtrip_check
+
     inst = _load_tiling(args.instance)
-    report = tiling_mod.roundtrip_check(inst, cfg.closure_limit)
-    if cfg.output_mode == "json":
+    report = roundtrip_check(inst, args.limit)
+    if args.json:
         _emit_json(out, {
             "schema": SCHEMA, "command": "tiling-roundtrip",
             "solvable": report.solvable, "member": report.member.found,
@@ -407,25 +416,40 @@ def _cmd_tiling_roundtrip(args, cfg, out):
 # -- random ------------------------------------------------------------------
 
 
-def _cmd_random_gens(args, cfg, out):
+def _cmd_random_gens(args, out):
     from random import Random
 
-    gens = random_generator_set(Random(cfg.seed), args.n, args.k, args.inverse_closed)
+    from .sampling import random_generator_set
+
+    gens = random_generator_set(Random(args.seed), args.n, args.k, args.inverse_closed)
     doc = {"schema": SCHEMA, **gens.to_json_obj()}
     _write_doc(doc, args.output, out)
     return EXIT_HOLDS
 
 
-def _cmd_random_tiling(args, cfg, out):
+def _cmd_random_tiling(args, out):
     from random import Random
 
-    inst = random_tiling_instance(Random(cfg.seed), args.m, args.c, args.k)
+    from .sampling import random_tiling_instance
+
+    inst = random_tiling_instance(Random(args.seed), args.m, args.c, args.k)
     doc = {"schema": SCHEMA, **inst.to_json_obj()}
     _write_doc(doc, args.output, out)
     return EXIT_HOLDS
 
 
 # -- argument parsing --------------------------------------------------------
+
+
+def _positive_int(text):
+    """argparse type of ``--limit`` and ``--budget``: an int of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 class _Parser(argparse.ArgumentParser):
@@ -450,11 +474,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, budget=False):
-        p.add_argument("--limit", type=int, default=DEFAULT_LIMIT,
+        p.add_argument("--limit", type=_positive_int, default=DEFAULT_LIMIT,
                        help="closure element or tiling column budget (default %(default)s)")
         p.add_argument("--json", action="store_true", help="machine-readable output")
         if budget:
-            p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+            p.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET,
                            help="model-checker configuration budget (default %(default)s)")
 
     p = sub.add_parser("props", help="generator-level property checks")
@@ -528,14 +552,6 @@ def main(argv=None, out=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_HOLDS
 
-    cfg = RunConfig(
-        closure_limit=getattr(args, "limit", DEFAULT_LIMIT),
-        model_budget=getattr(args, "budget", DEFAULT_BUDGET),
-        seed=getattr(args, "seed", 0),
-        output_mode="json" if getattr(args, "json", False) else "human",
-        strict_points=getattr(args, "strict_points", False),
-    )
-
     handlers = {
         "props": _cmd_props,
         "oracle": _cmd_oracle,
@@ -549,11 +565,11 @@ def main(argv=None, out=None) -> int:
                 "reduce": _cmd_tiling_reduce,
                 "roundtrip": _cmd_tiling_roundtrip,
             }[args.tiling_command]
-            return handler(args, cfg, out)
+            return handler(args, out)
         if args.command == "random":
             handler = {"gens": _cmd_random_gens, "tiling": _cmd_random_tiling}[args.random_command]
-            return handler(args, cfg, out)
-        return handlers[args.command](args, cfg, out)
+            return handler(args, out)
+        return handlers[args.command](args, out)
     except _InputError as exc:
         print(f"pbsg: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -11,13 +11,13 @@ order (word length, then generator index) makes the output deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 from typing import Optional, Sequence
 
-from .pbij import PartialBijection
+from .pbij import PartialBijection, ValueType
 
 DEFAULT_LIMIT = 200_000
+DEFAULT_BUDGET = 10_000_000  # the model checker's; here so the CLI need not load it
 
 MAX_DEGREE = 255  # elements are one byte per point, byte ``degree`` = undefined
 
@@ -31,40 +31,48 @@ class LimitExceeded(RuntimeError):
         self.count = count
 
 
+class ArityOverflow(RuntimeError):
+    """The model checker's configuration or boundary space exceeds its budget.
+
+    Defined here, beside LimitExceeded, and re-exported by ``model_checker``.
+    """
+
+
 class IncompleteClosure(RuntimeError):
     """An oracle was asked about a truncated closure."""
 
 
-@dataclass(frozen=True)
-class GeneratorSet:
+class GeneratorSet(ValueType):
     """An ordered list of partial bijections sharing one degree.
 
     ``inverse_closed`` asserts (and is validated to mean) that the list is
     closed under taking inverses.
     """
 
-    degree: int
-    generators: tuple[PartialBijection, ...]
-    inverse_closed: bool = False
+    __slots__ = ("degree", "generators", "inverse_closed")
 
-    def __post_init__(self):
-        if not self.generators:
+    def __init__(self, degree: int, generators: Sequence[PartialBijection],
+                 inverse_closed: bool = False):
+        generators = tuple(generators)
+        if not generators:
             raise ValueError("at least one generator required")
-        object.__setattr__(self, "generators", tuple(self.generators))
-        for g in self.generators:
+        for g in generators:
             if not isinstance(g, PartialBijection):
                 raise TypeError("generators must be PartialBijection values")
-            if g.degree != self.degree:
+            if g.degree != degree:
                 raise ValueError(
-                    f"generator degree {g.degree} != set degree {self.degree}"
+                    f"generator degree {g.degree} != set degree {degree}"
                 )
-        if self.inverse_closed:
-            have = {g.entries for g in self.generators}
-            for g in self.generators:
+        if inverse_closed:
+            have = {g.entries for g in generators}
+            for g in generators:
                 if g.inverse().entries not in have:
                     raise ValueError(
                         f"inverse_closed set but inverse of {g.to_text()!r} missing"
                     )
+        self.degree = degree
+        self.generators = generators
+        self.inverse_closed = inverse_closed
 
     @classmethod
     def from_elements(cls, generators: Sequence[PartialBijection], inverse_closed=False):
@@ -113,10 +121,14 @@ class GeneratorSet:
         }
 
 
-@dataclass(frozen=True)
-class MemberResult:
-    found: bool
-    witness: Optional[tuple[int, ...]] = None
+class MemberResult(ValueType):
+    """A membership verdict and, when found, its witness word."""
+
+    __slots__ = ("found", "witness")
+
+    def __init__(self, found: bool, witness: Optional[tuple[int, ...]] = None):
+        self.found = found
+        self.witness = witness
 
 
 class SemigroupClosure:

@@ -19,8 +19,9 @@ occurrence in the left word, then the right word.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
+
+from .pbij import ValueType
 
 
 class IdentitySyntaxError(ValueError):
@@ -43,29 +44,29 @@ class EmptyWordError(IdentitySyntaxError):
     """One side of the equation has no literals."""
 
 
-@dataclass(frozen=True)
-class Literal:
-    var: int
-    exponent: int
+class Literal(ValueType):
+    __slots__ = ("var", "exponent")
 
-    def __post_init__(self):
-        if self.var < 1:
+    def __init__(self, var: int, exponent: int):
+        if var < 1:
             raise ValueError("variable index must be positive")
-        if self.exponent not in (-1, 1):
+        if exponent not in (-1, 1):
             raise ValueError("exponent must be +1 or -1")
+        self.var = var
+        self.exponent = exponent
 
     def __str__(self):
         return f"x{self.var}" + ("^-1" if self.exponent == -1 else "")
 
 
-@dataclass(frozen=True)
-class Word:
-    literals: tuple[Literal, ...]
+class Word(ValueType):
+    __slots__ = ("literals",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "literals", tuple(self.literals))
-        if not self.literals:
+    def __init__(self, literals: Sequence[Literal]):
+        literals = tuple(literals)
+        if not literals:
             raise ValueError("words must be nonempty")
+        self.literals = literals
 
     def __len__(self):
         return len(self.literals)
@@ -80,29 +81,33 @@ class Word:
         return " ".join(str(lit) for lit in self.literals)
 
 
-@dataclass(frozen=True)
-class Identity:
+class Identity(ValueType):
     """``x1 = x1^2, ..., xe = xe^2  =>  u = v`` in canonical numbering.
 
     ``renumbering`` records how source variable names map to canonical ones;
     it is bookkeeping only and excluded from equality.
     """
 
-    num_vars: int
-    num_premises: int
-    lhs: Word
-    rhs: Word
-    renumbering: tuple[tuple[int, int], ...] = field(default=(), compare=False)
+    __slots__ = ("num_vars", "num_premises", "lhs", "rhs", "renumbering")
 
-    def __post_init__(self):
-        if self.num_vars < 1:
+    def __init__(self, num_vars: int, num_premises: int, lhs: Word, rhs: Word,
+                 renumbering: tuple[tuple[int, int], ...] = ()):
+        if num_vars < 1:
             raise ValueError("an identity mentions at least one variable")
-        if not 0 <= self.num_premises <= self.num_vars:
+        if not 0 <= num_premises <= num_vars:
             raise ValueError("premise count out of range")
-        for word in (self.lhs, self.rhs):
+        for word in (lhs, rhs):
             for lit in word:
-                if lit.var > self.num_vars:
+                if lit.var > num_vars:
                     raise ValueError(f"literal x{lit.var} exceeds num_vars")
+        self.num_vars = num_vars
+        self.num_premises = num_premises
+        self.lhs = lhs
+        self.rhs = rhs
+        self.renumbering = renumbering
+
+    def _fields(self):
+        return self.num_vars, self.num_premises, self.lhs, self.rhs
 
     def renumbering_map(self) -> dict[int, int]:
         return dict(self.renumbering)
@@ -111,12 +116,14 @@ class Identity:
         return format_identity(self)
 
 
-@dataclass(frozen=True)
 class OccurrenceSets:
     """0-based positions of one variable in the two words."""
 
-    lhs_positions: frozenset
-    rhs_positions: frozenset
+    __slots__ = ("lhs_positions", "rhs_positions")
+
+    def __init__(self, lhs_positions: frozenset, rhs_positions: frozenset):
+        self.lhs_positions = lhs_positions
+        self.rhs_positions = rhs_positions
 
 
 _TOKEN_RE = re.compile(r"x\d+|\^-1|\^2|'|=>|=|,")

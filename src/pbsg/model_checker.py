@@ -46,64 +46,66 @@ disagree with the oracle.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Optional
 
-from .closure import GeneratorSet, evaluate_word
+# ArityOverflow and DEFAULT_BUDGET live in ``closure`` so that the CLI can
+# name them without loading this module; they are re-exported from here.
+from .closure import DEFAULT_BUDGET, ArityOverflow, GeneratorSet, evaluate_word
 from .identities import Identity, apply_assignment
-from .pbij import PartialBijection
+from .pbij import PartialBijection, ValueType
 
-DEFAULT_BUDGET = 10_000_000
 _MISS = object()
 
 
-class ArityOverflow(RuntimeError):
-    """The configuration or boundary space exceeds the search budget."""
-
-
-@dataclass(frozen=True)
-class BoundaryGuess:
+class BoundaryGuess(ValueType):
     """Guessed trace points for both words; index 0 is the shared start.
 
     Values are 0-based points, with the degree itself standing for the sink.
     """
 
-    p: tuple[int, ...]
-    q: tuple[int, ...]
+    __slots__ = ("p", "q")
+
+    def __init__(self, p: tuple[int, ...], q: tuple[int, ...]):
+        self.p = p
+        self.q = q
 
 
-@dataclass(frozen=True)
 class VariableRun:
-    ok: bool
-    word: Optional[tuple[int, ...]] = None
+    __slots__ = ("ok", "word")
+
+    def __init__(self, ok: bool, word: Optional[tuple[int, ...]] = None):
+        self.ok = ok
+        self.word = word
 
 
-@dataclass(frozen=True)
-class Counterexample:
-    boundary: BoundaryGuess
-    words: tuple[tuple[int, ...], ...]
+class Counterexample(ValueType):
+    __slots__ = ("boundary", "words")
+
+    def __init__(self, boundary: BoundaryGuess, words: tuple[tuple[int, ...], ...]):
+        self.boundary = boundary
+        self.words = words
 
 
-@dataclass(frozen=True)
-class ModelCheckResult:
-    models: bool
-    counterexample: Optional[Counterexample]
-    #: the inverse-closed generator list that counterexample words index into
-    generators: GeneratorSet
+class ModelCheckResult(ValueType):
+    """The verdict, the least counterexample when there is one, and the
+    inverse-closed generator list that counterexample words index into."""
 
+    __slots__ = ("models", "counterexample", "generators")
 
-@dataclass(frozen=True)
-class _VarPlan:
-    #: one (from, to, exponent) per occurrence; from/to index the flat
-    #: boundary ``p[0..l] + q[1..r]``
-    edges: tuple[tuple[int, int, int], ...]
-    constrained: bool
-    mask_on: bool
-    #: the last flat position the variable reads (0 when it occurs nowhere)
-    depth: int
+    def __init__(self, models: bool, counterexample: Optional[Counterexample],
+                 generators: GeneratorSet):
+        self.models = models
+        self.counterexample = counterexample
+        self.generators = generators
 
 
 def _plan_variable(ident, var, strict_points):
+    """``(edges, constrained, mask_on, depth)`` for one variable.
+
+    ``edges`` holds one (from, to, exponent) per occurrence, where from/to
+    index the flat boundary ``p[0..l] + q[1..r]``; ``depth`` is the last flat
+    position the variable reads (0 when it occurs nowhere).
+    """
     l = len(ident.lhs)
     edges = []
     for pos, lit in enumerate(ident.lhs):
@@ -119,12 +121,13 @@ def _plan_variable(ident, var, strict_points):
         and any(e == -1 for _, _, e in edges)
     )
     depth = max((j for _, j, _ in edges), default=0)
-    return _VarPlan(tuple(edges), constrained, mask_on, depth)
+    return tuple(edges), constrained, mask_on, depth
 
 
-def _state_space(plan: _VarPlan, n: int) -> int:
-    slots = (2 if plan.constrained else 1) * len(plan.edges)
-    return (n + 1) ** slots * ((1 << n) if plan.mask_on else 1)
+def _state_space(plan, n: int) -> int:
+    edges, constrained, mask_on, _ = plan
+    slots = (2 if constrained else 1) * len(edges)
+    return (n + 1) ** slots * ((1 << n) if mask_on else 1)
 
 
 def _run_spec(plan, pts, bottom):
@@ -136,10 +139,10 @@ def _run_spec(plan, pts, bottom):
     points (a word acts as a function), or two start points sent to one real
     point (it is injective away from the sink).
     """
-    constrained = plan.constrained
+    edges, constrained, _, _ = plan
     ends: dict[int, int] = {}
     forbidden = 0
-    for i, j, exponent in plan.edges:
+    for i, j, exponent in edges:
         x, y = pts[i], pts[j]
         if x == bottom:
             if y != bottom:
@@ -226,14 +229,15 @@ def _run_word(actions, plan, pts, n, reach_cache, query_cache):
     if spec is None:
         return None
     points, targets, forbidden = spec
-    qkey = (plan.mask_on, points, targets, forbidden)
+    mask_on = plan[2]
+    qkey = (mask_on, points, targets, forbidden)
     word = query_cache.get(qkey, _MISS)
     if word is _MISS:
-        rkey = (plan.mask_on, points)
+        rkey = (mask_on, points)
         reach = reach_cache.get(rkey)
         if reach is None:
-            reach = reach_cache[rkey] = _explore(actions, points, plan.mask_on, n)
-        word = query_cache[qkey] = _query(*reach, targets, forbidden, plan.mask_on)
+            reach = reach_cache[rkey] = _explore(actions, points, mask_on, n)
+        word = query_cache[qkey] = _query(*reach, targets, forbidden, mask_on)
     return word
 
 
@@ -309,7 +313,7 @@ def models(
     last = l + r
     due = [[] for _ in range(last + 1)]
     for vi, plan in enumerate(plans):
-        due[plan.depth].append((vi, plan))
+        due[plan[3]].append((vi, plan))
     pts = [0] * (last + 1)
     words: list = [None] * len(plans)
 

@@ -10,9 +10,8 @@ enumeration order so output stays deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from .closure import (
     DEFAULT_LIMIT,
@@ -21,9 +20,11 @@ from .closure import (
     SemigroupClosure,
     close,
 )
-from .identities import Identity
 from .pbij import PartialBijection
 from .properties import CheckReport, PropertyName
+
+if TYPE_CHECKING:
+    from .identities import Identity
 
 
 def _show(closure, i) -> str:
@@ -35,13 +36,15 @@ def _require_complete(closure: SemigroupClosure):
         raise IncompleteClosure("oracle checks need the full element set")
 
 
-@dataclass(frozen=True)
 class IdentityLists:
     """Every left/right/two-sided identity of the closure, in discovery order."""
 
-    left: tuple
-    right: tuple
-    two_sided: tuple
+    __slots__ = ("left", "right", "two_sided")
+
+    def __init__(self, left: tuple, right: tuple, two_sided: tuple):
+        self.left = left
+        self.right = right
+        self.two_sided = two_sided
 
 
 def oracle_identities(closure: SemigroupClosure) -> IdentityLists:
@@ -222,10 +225,12 @@ def oracle_check(closure: SemigroupClosure, prop: PropertyName) -> bool:
     return oracle_report(closure, prop).holds
 
 
-@dataclass(frozen=True)
 class OracleModelResult:
-    models: bool
-    assignment: Optional[tuple[PartialBijection, ...]] = None
+    __slots__ = ("models", "assignment")
+
+    def __init__(self, models: bool, assignment: Optional[tuple[PartialBijection, ...]] = None):
+        self.models = models
+        self.assignment = assignment
 
 
 def oracle_models(

@@ -15,6 +15,29 @@ from itertools import product
 from typing import Iterable, Iterator, Optional
 
 
+class ValueType:
+    """Base of the slotted value types that are compared or hashed: equality,
+    hash and repr over the fields named in ``__slots__``.  A subclass whose
+    equality ignores a field overrides ``_fields``."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
 class PartialBijection:
     """An injective partial self-map of ``{0, ..., degree-1}``.
 

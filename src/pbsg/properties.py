@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -26,7 +25,6 @@ class PropertyName(str, Enum):
     TWO_SIDED_IDENTITY = "two-sided-identity"
 
 
-@dataclass(frozen=True)
 class CheckReport:
     """Outcome of one property decision.
 
@@ -36,10 +34,11 @@ class CheckReport:
     nothing to exhibit (existential failure, universal success).
     """
 
-    prop: PropertyName
-    holds: bool
-    witness: Optional[dict] = None
+    __slots__ = ("prop", "holds", "witness")
 
-    def __post_init__(self):
-        if self.witness is not None and not isinstance(self.witness, dict):
+    def __init__(self, prop: PropertyName, holds: bool, witness: Optional[dict] = None):
+        if witness is not None and not isinstance(witness, dict):
             raise TypeError("witness must be a dict or None")
+        self.prop = prop
+        self.holds = holds
+        self.witness = witness

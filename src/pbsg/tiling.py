@@ -14,31 +14,30 @@ grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
-from typing import Optional
+from typing import Optional, Sequence
 
 from .closure import DEFAULT_LIMIT, GeneratorSet, LimitExceeded, MemberResult, evaluate_word, member
-from .pbij import PartialBijection
+from .pbij import PartialBijection, ValueType
 
 
 class MalformedWitness(ValueError):
     """A membership word that does not factor into row-ordered columns."""
 
 
-@dataclass(frozen=True)
-class Tile:
+class Tile(ValueType):
     """Edge colors, clockwise from the top: north, east, south, west."""
 
-    north: int
-    east: int
-    south: int
-    west: int
+    __slots__ = ("north", "east", "south", "west")
 
-    def __post_init__(self):
-        for value in (self.north, self.east, self.south, self.west):
+    def __init__(self, north: int, east: int, south: int, west: int):
+        for value in (north, east, south, west):
             if not isinstance(value, int) or isinstance(value, bool) or value < 1:
                 raise ValueError(f"edge color {value!r} must be a positive integer")
+        self.north = north
+        self.east = east
+        self.south = south
+        self.west = west
 
     @classmethod
     def from_json_obj(cls, obj) -> "Tile":
@@ -50,23 +49,25 @@ class Tile:
         return {"n": self.north, "e": self.east, "s": self.south, "w": self.west}
 
 
-@dataclass(frozen=True)
-class TilingInstance:
-    tiles: tuple[Tile, ...]
-    num_colors: int
-    width: int  # rows in every grid
+class TilingInstance(ValueType):
+    """Tiles, palette size, and ``width``: the rows in every grid."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "tiles", tuple(self.tiles))
-        if not self.tiles:
+    __slots__ = ("tiles", "num_colors", "width")
+
+    def __init__(self, tiles: Sequence[Tile], num_colors: int, width: int):
+        tiles = tuple(tiles)
+        if not tiles:
             raise ValueError("at least one tile required")
-        for name, value in (("colors", self.num_colors), ("width", self.width)):
+        for name, value in (("colors", num_colors), ("width", width)):
             if not isinstance(value, int) or isinstance(value, bool) or value < 1:
                 raise ValueError(f"{name} {value!r} must be a positive integer")
-        for t in self.tiles:
+        for t in tiles:
             for value in (t.north, t.east, t.south, t.west):
-                if value > self.num_colors:
-                    raise ValueError(f"color {value} exceeds palette size {self.num_colors}")
+                if value > num_colors:
+                    raise ValueError(f"color {value} exceeds palette size {num_colors}")
+        self.tiles = tiles
+        self.num_colors = num_colors
+        self.width = width
 
     @classmethod
     def from_json_obj(cls, obj) -> "TilingInstance":
@@ -85,29 +86,30 @@ class TilingInstance:
         }
 
 
-@dataclass(frozen=True)
-class TilingGrid:
+class TilingGrid(ValueType):
     """Row-major grid of 0-based tile indices; rows = instance width."""
 
-    cells: tuple[tuple[int, ...], ...]
+    __slots__ = ("cells",)
 
-    def __post_init__(self):
-        cells = tuple(tuple(row) for row in self.cells)
-        object.__setattr__(self, "cells", cells)
+    def __init__(self, cells: Sequence[Sequence[int]]):
+        cells = tuple(tuple(row) for row in cells)
         if not cells or not cells[0]:
             raise ValueError("grid must be nonempty")
         if any(len(row) != len(cells[0]) for row in cells):
             raise ValueError("grid rows must have equal length")
+        self.cells = cells
 
     @property
     def num_cols(self) -> int:
         return len(self.cells[0])
 
 
-@dataclass(frozen=True)
 class TilingCheck:
-    proper: bool
-    violation: Optional[tuple[str, int, int]] = None  # condition, row, col (1-based)
+    __slots__ = ("proper", "violation")
+
+    def __init__(self, proper: bool, violation: Optional[tuple[str, int, int]] = None):
+        self.proper = proper
+        self.violation = violation  # condition, row, col (1-based)
 
 
 def verify_proper_tiling(inst: TilingInstance, grid: TilingGrid) -> TilingCheck:
@@ -142,13 +144,15 @@ def verify_proper_tiling(inst: TilingInstance, grid: TilingGrid) -> TilingCheck:
     return TilingCheck(True, None)
 
 
-@dataclass(frozen=True)
 class SolveResult:
-    solvable: bool
-    grid: Optional[TilingGrid] = None
-    #: ``max_cols`` stopped the search with profiles unexplored, so an
-    #: unsolvable verdict is only "no grid within max_cols columns"
-    capped: bool = False
+    __slots__ = ("solvable", "grid", "capped")
+
+    def __init__(self, solvable: bool, grid: Optional[TilingGrid] = None, capped: bool = False):
+        self.solvable = solvable
+        self.grid = grid
+        #: ``max_cols`` stopped the search with profiles unexplored, so an
+        #: unsolvable verdict is only "no grid within max_cols columns"
+        self.capped = capped
 
 
 def solve_corridor_tiling(
@@ -215,7 +219,6 @@ def solve_corridor_tiling(
     return SolveResult(False, None, capped=bool(frontier))
 
 
-@dataclass(frozen=True)
 class ReducedInstance:
     """The compiled membership question for one corridor instance.
 
@@ -223,12 +226,16 @@ class ReducedInstance:
     (i-1)·k + (j-1).  ``point_count`` is 2·width·colors.
     """
 
-    width: int
-    num_colors: int
-    num_tiles: int
-    point_count: int
-    generator_set: GeneratorSet
-    target: PartialBijection
+    __slots__ = ("width", "num_colors", "num_tiles", "point_count", "generator_set", "target")
+
+    def __init__(self, width: int, num_colors: int, num_tiles: int, point_count: int,
+                 generator_set: GeneratorSet, target: PartialBijection):
+        self.width = width
+        self.num_colors = num_colors
+        self.num_tiles = num_tiles
+        self.point_count = point_count
+        self.generator_set = generator_set
+        self.target = target
 
     def generator_index(self, row: int, tile: int) -> int:
         """0-based generator index for 1-based (row, tile)."""
@@ -328,13 +335,16 @@ def decode_witness(
     return TilingGrid(tuple(tuple(row) for row in cells))
 
 
-@dataclass(frozen=True)
 class RoundtripReport:
-    solvable: bool
-    member: MemberResult
-    consistent: bool
-    grid: Optional[TilingGrid] = None
-    decoded: Optional[TilingGrid] = None
+    __slots__ = ("solvable", "member", "consistent", "grid", "decoded")
+
+    def __init__(self, solvable: bool, member: MemberResult, consistent: bool,
+                 grid: Optional[TilingGrid] = None, decoded: Optional[TilingGrid] = None):
+        self.solvable = solvable
+        self.member = member
+        self.consistent = consistent
+        self.grid = grid
+        self.decoded = decoded
 
 
 def roundtrip_check(inst: TilingInstance, limit: int = DEFAULT_LIMIT) -> RoundtripReport:

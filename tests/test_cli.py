@@ -262,6 +262,16 @@ class TestRandom:
         _, out2 = run(capsys, "random", "gens", "-n", "4", "-k", "3", "--seed", "8")
         assert out1 != out2
 
+    def test_non_positive_sizes_name_themselves(self, capsys):
+        for argv, word in ((["tiling", "-m", "2", "-c", "0", "-k", "2"], "colors 0"),
+                           (["tiling", "-m", "2", "-c", "-1", "-k", "2"], "colors -1"),
+                           (["gens", "-n", "-1", "-k", "2"], "degree")):
+            code = main(["random", *argv])
+            captured = capsys.readouterr()
+            assert code == 2 and captured.out == "", argv
+            assert len(captured.err.splitlines()) == 1 and word in captured.err, argv
+            assert "randrange" not in captured.err
+
 
 class TestUsage:
     def test_no_command(self, capsys):
@@ -277,6 +287,22 @@ class TestUsage:
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         assert main(["props", str(path)]) == 2
+
+    def test_non_positive_budgets_are_usage_errors(self, tmp_json, capsys):
+        gens = tmp_json("g.json", GENS_SWAP)
+        elem = tmp_json("b.json", {"degree": 2, "map": [1, 2]})
+        tiling = tmp_json("t.json", TILING_OK)
+        # exit codes at the least budget, 1: it runs out, or it suffices
+        for argv, flag, at_one in ((["member", gens, elem], "--limit", 3),
+                                   (["models", gens, "x1 = x1"], "--budget", 3),
+                                   (["models", gens, "x1 = x1"], "--limit", 0),
+                                   (["tiling", "solve", tiling], "--limit", 0)):
+            for value in ("0", "-1"):
+                code = main([*argv, flag, value])
+                captured = capsys.readouterr()
+                assert code == 2 and captured.out == "", (argv, flag, value)
+                assert len(captured.err.splitlines()) == 1 and flag in captured.err
+            assert run(capsys, *argv, flag, "1")[0] == at_one, (argv, flag)
 
     def test_inverse_closed_must_be_boolean(self, tmp_json, capsys):
         for value in ("no", 1):

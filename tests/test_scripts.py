@@ -1,6 +1,8 @@
-"""Smoke runs of the two oracle sweep scripts, loaded by file path."""
+"""Runs of the scripts under scripts/, loaded by file path: the two oracle
+sweeps and the BENCH file comparison."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -22,3 +24,39 @@ def _load(name):
 def test_sweep_agrees_with_oracle(name, argv, capsys):
     assert _load(name).main(argv) == 0
     assert "agree" in capsys.readouterr().out
+
+
+def _bench_file(path, metrics, correct=True):
+    """A BENCH file with one ``cli`` run whose end-to-end metrics are ``metrics``."""
+    result = {"correct": correct, "attempted": 10, "failed": 0 if correct else 1,
+              "metrics": {k: {"value": v, "unit": "-"} for k, v in metrics.items()}}
+    path.write_text(json.dumps({"workloads": {"cli": {"facts": {}, "result": result}}}))
+    return path
+
+
+BASE = {"setup_s": 0.05, "decisions_per_s": 7.0, "decision_p50_ms": 150.0,
+        "decision_p90_ms": 180.0, "peak_rss_mb": 22.0}
+
+
+def test_bench_compare_checks_bounds(tmp_path, capsys):
+    compare = _load("bench_record").compare
+    a = _bench_file(tmp_path / "a.json", BASE)
+    faster = _bench_file(tmp_path / "b.json", {**BASE, "decision_p50_ms": 100.0,
+                                                "decisions_per_s": 10.0})
+    assert compare(a, faster) == 0
+    out = capsys.readouterr().out
+    assert "cli\tdecision_p50_ms\t150\t100\t-33.3%\t25%\tok" in out
+    assert "cli\tdecisions_per_s\t7\t10\t+42.9%\t25%\tok" in out
+    assert "FAIL" not in out
+
+    # RSS up 20% against a 10% bound; throughput down 30% against 25%
+    worse = _bench_file(tmp_path / "c.json", {**BASE, "peak_rss_mb": 26.4,
+                                               "decisions_per_s": 4.9})
+    assert compare(a, worse) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "cli\tpeak_rss_mb\t22\t26.4\t+20.0%\t10%\tFAIL" in lines
+    assert "cli\tdecisions_per_s\t7\t4.9\t-30.0%\t25%\tFAIL" in lines
+    assert "cli\tsetup_s\t0.05\t0.05\t+0.0%\t25%\tok" in lines
+
+    assert compare(a, _bench_file(tmp_path / "d.json", BASE, correct=False)) == 1
+    assert "cli\tcorrect\tTrue\tFalse\t-\t-\tFAIL" in capsys.readouterr().out
