@@ -26,7 +26,6 @@ _EXPORTS = {
         "DEFAULT_BUDGET",
         "DEFAULT_LIMIT",
         "GeneratorSet",
-        "IncompleteClosure",
         "LimitExceeded",
         "MemberResult",
         "SemigroupClosure",
@@ -64,7 +63,7 @@ _EXPORTS = {
         "oracle_models",
         "oracle_report",
     ),
-    "pbij": ("PartialBijection", "Transformation", "all_partial_bijections"),
+    "pbij": ("PartialBijection", "all_partial_bijections"),
     "properties": ("CheckReport", "PropertyName"),
 }
 

@@ -23,7 +23,7 @@ def check_left_identity_exists(gens: GeneratorSet) -> CheckReport:
     Holds iff for some i, every pair of points glued by ``a_i`` is glued by
     every ``a_j``, and gluing by ``a_i^2`` already implies gluing by ``a_i``.
     """
-    acts = [g.embed().entries for g in gens.generators]
+    acts = [g.embed() for g in gens.generators]
     points = range(gens.degree + 1)
     for i, a in enumerate(acts):
         aa = tuple(a[v] for v in a)
@@ -49,7 +49,7 @@ def check_right_identity_exists(gens: GeneratorSet) -> CheckReport:
     Holds iff for some i and all j, gluing by ``a_j a_i`` implies gluing by
     ``a_j``.
     """
-    acts = [g.embed().entries for g in gens.generators]
+    acts = [g.embed() for g in gens.generators]
     points = range(gens.degree + 1)
     for i, a in enumerate(acts):
         ok = True

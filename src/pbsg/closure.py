@@ -5,12 +5,14 @@ the generators (no empty word), keeps one shortest witness word per element
 as a parent pointer and a last letter, and records the right action of each
 generator as an integer Cayley table.  Composition happens only while the
 closure is enumerated, as ``bytes.translate`` on one byte per point; the
-product of two closure elements is read off the table as an index.  BFS
-order (word length, then generator index) makes the output deterministic.
+product of two closure elements is read off the table as an index.  Each
+element is stored only as its byte key and built on access.  BFS order (word
+length, then generator index) makes the output deterministic.
 """
 
 from __future__ import annotations
 
+import operator
 from itertools import chain
 from typing import Optional, Sequence
 
@@ -36,10 +38,6 @@ class ArityOverflow(RuntimeError):
 
     Defined here, beside LimitExceeded, and re-exported by ``model_checker``.
     """
-
-
-class IncompleteClosure(RuntimeError):
-    """An oracle was asked about a truncated closure."""
 
 
 class GeneratorSet(ValueType):
@@ -132,30 +130,39 @@ class MemberResult(ValueType):
 
 
 class SemigroupClosure:
-    """The enumerated semigroup: elements, witness words, and Cayley edges.
+    """The enumerated semigroup: element keys, witness words, and Cayley edges.
 
-    ``elements[i]`` was first reached by the word ``words[i]`` (generator
-    indices, length >= 1), and ``cayley[i][g]`` is the index of
-    ``elements[i] * generators[g]``.  Products of closure elements are indices
-    too: ``pair_product`` reads them off ``cayley``.  ``index`` is keyed by
-    ``_key``.  Finished closures are immutable and safe for concurrent reads.
+    Element ``self[i]`` is built on access from ``keys[i]``, its ``_key``; it
+    was first reached by the word ``words[i]`` (generator indices, length
+    >= 1), and ``cayley[i][g]`` is the index of ``self[i] * generators[g]``.
+    Products of closure elements are indices too: ``pair_product`` reads them
+    off ``cayley``.  ``index`` maps each key to its index.  Finished closures
+    are immutable and safe for concurrent reads.
     """
 
-    __slots__ = ("generators", "elements", "words", "cayley", "index", "complete")
+    __slots__ = ("generators", "keys", "words", "cayley", "index")
 
-    def __init__(self, generators, elements, words, cayley, index, complete):
+    def __init__(self, generators, keys, words, cayley, index):
         self.generators = generators
-        self.elements = elements
+        self.keys = keys
         self.words = words
         self.cayley = cayley
         self.index = index
-        self.complete = complete
+
+    @property
+    def elements(self) -> "SemigroupClosure":
+        """The elements as a read-only sequence: the closure itself."""
+        return self
 
     def __len__(self):
-        return len(self.elements)
+        return len(self.keys)
+
+    def __getitem__(self, i: int) -> PartialBijection:
+        # ``operator.index`` refuses slices, whose list of keys is no key
+        return PartialBijection._from_key(self.keys[operator.index(i)])
 
     def __iter__(self):
-        return iter(self.elements)
+        return map(PartialBijection._from_key, self.keys)
 
     def __contains__(self, el):
         return isinstance(el, PartialBijection) and self.index_of(el) is not None
@@ -165,7 +172,7 @@ class SemigroupClosure:
             return self.index.get(_key(el))
 
     def pair_product(self, i: int, j: int) -> int:
-        """Index of ``elements[i] * elements[j]``: the walk through ``cayley``
+        """Index of ``self[i] * self[j]``: the walk through ``cayley``
         from ``i`` along the witness word of ``j``."""
         cayley = self.cayley
         for g in self.words[j]:
@@ -174,7 +181,8 @@ class SemigroupClosure:
 
 
 def _key(el: PartialBijection) -> bytes:
-    return bytes(len(el.entries) if v is None else v for v in el.entries)
+    """The embedding without its extra point, one byte per point."""
+    return bytes(el.embed()[:-1])
 
 
 def _bfs(generators, limit, target=None):
@@ -210,7 +218,9 @@ def _bfs(generators, limit, target=None):
                     return keys, parent, gen_of, cayley, index, idx
             row.append(idx)
         if cayley is not None and scan >= 0:
-            cayley.append(row)
+            # a tuple of ints drops out of the garbage collector's tracking,
+            # so the collections that a large closure triggers skip its rows
+            cayley.append(tuple(row))
     return keys, parent, gen_of, cayley, index, None
 
 
@@ -219,12 +229,10 @@ def close(gens: GeneratorSet, limit: int = DEFAULT_LIMIT) -> SemigroupClosure:
     if limit < len(gens.generators):
         raise ValueError("limit must be at least the number of generators")
     keys, parent, gen_of, cayley, index, _ = _bfs(gens.generators, limit)
-    n = gens.degree
-    elements = [PartialBijection([None if v == n else v for v in key]) for key in keys]
     words = []
     for p, gi in zip(parent, gen_of):
         words.append((gi,) if p < 0 else words[p] + (gi,))
-    return SemigroupClosure(gens.generators, elements, words, cayley, index, True)
+    return SemigroupClosure(gens.generators, keys, words, cayley, index)
 
 
 def member(gens: GeneratorSet, b: PartialBijection, limit: int = DEFAULT_LIMIT) -> MemberResult:

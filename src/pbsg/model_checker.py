@@ -267,7 +267,7 @@ def check_variable_run(
         raise ArityOverflow(
             f"variable x{var} run needs {_state_space(plan, n)} states (budget {budget})"
         )
-    actions = [g.embed().entries for g in gens.generators]
+    actions = [g.embed() for g in gens.generators]
     pts = tuple(boundary.p) + tuple(boundary.q[1:])
     word = _run_word(actions, plan, pts, n, {}, {})
     return VariableRun(word is not None, word)
@@ -307,7 +307,7 @@ def models(
                 f"variable x{var} run needs {space} states (budget {budget})"
             )
 
-    actions = [g.embed().entries for g in gens.generators]
+    actions = [g.embed() for g in gens.generators]
     reach_cache: dict = {}
     query_cache: dict = {}
     last = l + r

@@ -4,19 +4,22 @@ Everything here scans the enumerated element set directly, by the property's
 definition, so these are the ground truth the generator-level checkers are
 tested against.  Scans work on element indices: every product is an index
 read off the closure's Cayley table by ``pair_product``, and no element is
-composed here.  Scans are order-independent; the witnesses reported follow
-enumeration order so output stays deterministic.
+composed here; what a scan needs of an element itself it reads from the
+element's byte key.  Scans are order-independent; the witnesses reported
+follow enumeration order so output stays deterministic.
 """
 
 from __future__ import annotations
 
 from itertools import product
+from math import prod
 from typing import TYPE_CHECKING, Callable, Optional
 
 from .closure import (
+    DEFAULT_BUDGET,
     DEFAULT_LIMIT,
+    ArityOverflow,
     GeneratorSet,
-    IncompleteClosure,
     SemigroupClosure,
     close,
 )
@@ -28,12 +31,7 @@ if TYPE_CHECKING:
 
 
 def _show(closure, i) -> str:
-    return closure.elements[i].to_text()
-
-
-def _require_complete(closure: SemigroupClosure):
-    if not closure.complete:
-        raise IncompleteClosure("oracle checks need the full element set")
+    return closure[i].to_text()
 
 
 class IdentityLists:
@@ -48,13 +46,12 @@ class IdentityLists:
 
 
 def oracle_identities(closure: SemigroupClosure) -> IdentityLists:
-    _require_complete(closure)
-    mul, idx, els = closure.pair_product, range(len(closure)), closure.elements
+    mul, idx = closure.pair_product, range(len(closure))
     left = [e for e in idx if all(mul(e, s) == s for s in idx)]
     right = [e for e in idx if all(mul(s, e) == s for s in idx)]
     right_set = set(right)
     two_sided = [e for e in left if e in right_set]
-    return IdentityLists(*(tuple(els[e] for e in ids) for ids in (left, right, two_sided)))
+    return IdentityLists(*(tuple(closure[e] for e in ids) for ids in (left, right, two_sided)))
 
 
 def _commutative(closure):
@@ -174,9 +171,10 @@ def _regular(closure):
 
 
 def _completely_regular(closure):
-    for s in closure.elements:
-        if s.dom() != s.image():
-            return False, {"element": s.to_text()}
+    n = closure.generators[0].degree  # the key byte of an undefined image
+    for i, key in enumerate(closure.keys):
+        if {x for x, v in enumerate(key) if v != n} != set(key) - {n}:
+            return False, {"element": _show(closure, i)}
     return True, None
 
 
@@ -216,7 +214,6 @@ _CHECKS: dict[PropertyName, Callable] = {
 
 
 def oracle_report(closure: SemigroupClosure, prop: PropertyName) -> CheckReport:
-    _require_complete(closure)
     holds, witness = _CHECKS[prop](closure)
     return CheckReport(prop, holds, witness)
 
@@ -241,19 +238,22 @@ def oracle_models(
     Inverses are appended to the generators when missing.  Variables
     1..num_premises range over the idempotents of the closure, the rest over
     everything; the first violating assignment (element-discovery order,
-    first variable slowest) is reported.
+    first variable slowest) is reported.  An assignment space larger than
+    ``DEFAULT_BUDGET`` raises ArityOverflow before any is tried.
     """
     gens = gens.with_inverses()
     clo = close(gens, limit)
-    els = clo.elements
-    n_els = len(els)
+    n_els = len(clo)
     pair = clo.pair_product
 
+    n = gens.degree  # the key byte of an undefined image
     inv_index = []
-    for el in els:
-        j = clo.index_of(el.inverse())
-        assert j is not None, "inverse-closed closure must contain inverses"
-        inv_index.append(j)
+    for key in clo.keys:
+        inv = bytearray([n]) * n
+        for x, v in enumerate(key):
+            if v != n:
+                inv[v] = x
+        inv_index.append(clo.index[bytes(inv)])
 
     def eval_side(word, assign):
         acc = None
@@ -269,7 +269,12 @@ def oracle_models(
         idem_indices if v <= ident.num_premises else range(n_els)
         for v in range(1, ident.num_vars + 1)
     ]
+    space = prod(len(r) for r in ranges)
+    if space > DEFAULT_BUDGET:
+        raise ArityOverflow(
+            f"{space} oracle assignments exceed the budget {DEFAULT_BUDGET}"
+        )
     for assign in product(*ranges):
         if eval_side(ident.lhs, assign) != eval_side(ident.rhs, assign):
-            return OracleModelResult(False, tuple(els[i] for i in assign))
+            return OracleModelResult(False, tuple(clo[i] for i in assign))
     return OracleModelResult(True, None)

@@ -1,9 +1,11 @@
-"""Partial bijections and total transformations on a finite point set.
+"""Partial bijections on a finite point set.
 
 Points are 0-indexed internally.  The text and JSON forms are 1-indexed, with
 ``"_"`` (text) or ``null`` (JSON) marking undefined points: ``"2 _ 1"`` is the
 map {1->2, 3->1} on three points.  Composition is left-to-right throughout,
-so ``x`` under ``a * b`` is ``(x a) b``.
+so ``x`` under ``a * b`` is ``(x a) b``.  ``embed`` gives the total map on
+one extra point ``n`` that stands for "undefined"; the closure keys elements
+by that encoding.
 
 All values here are immutable after construction and every operation is pure,
 so sharing across threads needs no coordination.
@@ -190,14 +192,28 @@ class PartialBijection:
 
     def idempotent_power(self) -> "PartialBijection":
         """The unique idempotent among the powers of this element."""
-        return _idempotent_power(self)
+        # The powers of an element of a finite semigroup contain exactly one
+        # idempotent, so plain iteration terminates and returns the minimal one.
+        p = self
+        while not p.is_idempotent():
+            p = p * self
+        return p
 
-    def embed(self) -> "Transformation":
-        """Total map on degree+1 points; the extra point absorbs undefined images."""
-        n = self.degree
-        return Transformation(
-            tuple(n if v is None else v for v in self.entries) + (n,)
-        )
+    def embed(self) -> tuple[int, ...]:
+        """The total map on degree+1 points: the extra point ``n`` absorbs
+        undefined images and is fixed."""
+        n = len(self.entries)
+        return tuple(n if v is None else v for v in self.entries) + (n,)
+
+    @classmethod
+    def _from_key(cls, key) -> "PartialBijection":
+        """Unchecked inverse of ``embed`` minus its extra point, for products
+        of validated elements only."""
+        n = len(key)
+        el = object.__new__(cls)
+        el.entries = tuple(None if v == n else v for v in key)
+        el._hash = hash(el.entries)
+        return el
 
     # -- value semantics ----------------------------------------------------
 
@@ -206,83 +222,11 @@ class PartialBijection:
             return self.entries == other.entries
         return NotImplemented
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
     def __hash__(self):
         return self._hash
 
     def __repr__(self):
         return f"PartialBijection({self.to_text()!r})"
-
-
-class Transformation:
-    """A total self-map of ``{0, ..., degree-1}``, immutable and hashable."""
-
-    __slots__ = ("entries", "_hash")
-
-    def __init__(self, entries: Iterable[int]):
-        entries = tuple(entries)
-        n = len(entries)
-        if n == 0:
-            raise ValueError("degree must be at least 1")
-        for v in entries:
-            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
-                raise ValueError(f"image {v!r} out of range for degree {n}")
-        self.entries = entries
-        self._hash = hash(("total", entries))
-
-    @property
-    def degree(self) -> int:
-        return len(self.entries)
-
-    @classmethod
-    def identity(cls, n: int) -> "Transformation":
-        return cls(range(n))
-
-    def apply(self, x: int) -> int:
-        if not 0 <= x < self.degree:
-            raise ValueError(f"point {x} out of range for degree {self.degree}")
-        return self.entries[x]
-
-    def __mul__(self, other):
-        if not isinstance(other, Transformation):
-            return NotImplemented
-        if other.degree != self.degree:
-            raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
-        o = other.entries
-        return Transformation(tuple(o[v] for v in self.entries))
-
-    def is_idempotent(self) -> bool:
-        return self * self == self
-
-    def idempotent_power(self) -> "Transformation":
-        return _idempotent_power(self)
-
-    def __eq__(self, other):
-        if isinstance(other, Transformation):
-            return self.entries == other.entries
-        return NotImplemented
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        return f"Transformation({' '.join(str(v + 1) for v in self.entries)!r})"
-
-
-def _idempotent_power(x):
-    # The powers of an element of a finite semigroup contain exactly one
-    # idempotent, so plain iteration terminates and returns the minimal one.
-    p = x
-    while not p.is_idempotent():
-        p = p * x
-    return p
 
 
 def all_partial_bijections(n: int) -> list[PartialBijection]:

@@ -141,6 +141,19 @@ class TestModels:
         code, _ = run(capsys, "models", gens, "x1 x2 = x2 x1", "--budget", "5")
         assert code == 3
 
+    def test_oracle_assignment_cap(self, tmp_json, capsys):
+        # the co-singleton semilattice of degree 8 has 255**3 assignments
+        n = 8
+        cosingletons = [[None if x == k else x + 1 for x in range(n)] for k in range(n)]
+        gens = tmp_json("g.json", {"degree": n, "generators": cosingletons})
+        for mode in ("--oracle", "--cross-check"):
+            start = time.perf_counter()
+            code = main(["models", gens, "x1 x2 x3 = x3 x2 x1", mode])
+            elapsed = time.perf_counter() - start
+            captured = capsys.readouterr()
+            assert code == 3 and elapsed < 2.0
+            assert len(captured.err.splitlines()) == 1 and "budget" in captured.err
+
     def test_json_counterexample(self, tmp_json, capsys):
         gens = tmp_json("g.json", GENS_SHIFT)
         code, out = run(capsys, "models", gens, "x1 x1^-1 = x1^-1 x1", "--json")

@@ -79,6 +79,9 @@ class TestClose:
         assert set(clo) == ref_closure(gens.generators)
         assert len(clo) == 2
         assert clo.words == [(0,), (0, 0)]
+        assert clo[-1] == clo.elements[1] == PartialBijection.identity(2)
+        with pytest.raises(TypeError):
+            clo[0:1]
 
     def test_shift_generates_pair(self):
         gens = GeneratorSet.from_elements([pb("2 _")])
@@ -115,6 +118,9 @@ class TestClose:
                 clo = close(gens)
                 els = clo.elements
                 for i, a in enumerate(els):
+                    # built on access from the byte key, without validation
+                    checked = PartialBijection(clo[i].entries)
+                    assert clo[i] == checked and hash(clo[i]) == hash(checked)
                     for j, b in enumerate(els):
                         assert clo.pair_product(i, j) == clo.index_of(a * b)
 
@@ -127,7 +133,8 @@ class TestClose:
     def test_deterministic(self):
         gens = seeded_generator_sets(106, 1, degrees=(4,))[0]
         a, b = close(gens), close(gens)
-        assert a.elements == b.elements and a.words == b.words and a.cayley == b.cayley
+        assert list(a.elements) == list(b.elements)
+        assert a.words == b.words and a.cayley == b.cayley
 
     def test_limit_exceeded(self):
         gens = GeneratorSet.from_elements([pb("2 1")])

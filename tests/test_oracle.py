@@ -1,8 +1,8 @@
 import pytest
 
 from pbsg import (
+    ArityOverflow,
     GeneratorSet,
-    IncompleteClosure,
     PartialBijection,
     PropertyName,
     close,
@@ -82,12 +82,6 @@ class TestPropertyChecks:
                 clo, PropertyName.COMPLETELY_REGULAR
             )
 
-    def test_incomplete_closure_rejected(self):
-        clo = clo_of("2 1")
-        clo.complete = False
-        with pytest.raises(IncompleteClosure):
-            oracle_check(clo, PropertyName.BAND)
-
 
 class TestIdentities:
     def test_identity_generator(self):
@@ -135,6 +129,14 @@ class TestOracleModels:
         assert oracle_models(
             gens, parse_identity("x1=x1^2, x2=x2^2 => x1 x2 = x2 x1")
         ).models
+
+    def test_assignment_space_over_budget_is_refused(self):
+        # the co-singleton semilattice of degree 8: 255**3 assignments
+        gens = GeneratorSet.from_elements([
+            PartialBijection([None if x == k else x for x in range(8)]) for k in range(8)
+        ])
+        with pytest.raises(ArityOverflow):
+            oracle_models(gens, parse_identity("x1 x2 x3 = x3 x2 x1"))
 
     def test_violating_assignment_replays(self):
         ident = parse_identity("x1 x2 = x2 x1")
