@@ -475,7 +475,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_common(p, budget=False):
         p.add_argument("--limit", type=_positive_int, default=DEFAULT_LIMIT,
-                       help="closure element or tiling column budget (default %(default)s)")
+                       help="closure element or built tiling column budget "
+                            "(default %(default)s)")
         p.add_argument("--json", action="store_true", help="machine-readable output")
         if budget:
             p.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET,

@@ -190,12 +190,21 @@ def _bfs(generators, limit, target=None):
 
     Element ``keys[i]`` is ``keys[parent[i]] * generators[gen_of[i]]``, or the
     generator alone when ``parent[i]`` is -1.  A product is one ``translate``.
+    With a ``target``, a product undefined at a point of dom(target) is kept
+    out of ``keys`` and marked -1 in ``index``: right multiples never gain
+    domain, so neither it nor any multiple of it is the target.
     """
     n = generators[0].degree
     if n > MAX_DEGREE:
         raise ValueError(f"degree {n} exceeds the closure cap of {MAX_DEGREE} points")
     tables = [_key(g) + bytes(range(n, 256)) for g in generators]
-    goal = None if target is None else _key(target)
+    goal = watch = None
+    if target is not None:
+        goal = _key(target)
+        dom = [p for p, b in enumerate(goal) if b != n]
+        if dom:
+            # the repeated point makes even a one-point domain read as a tuple
+            watch = operator.itemgetter(*dom, dom[0])
     keys, parent, gen_of, index = [], [], [], {}
     cayley = [] if target is None else None
     get = index.get
@@ -207,6 +216,9 @@ def _bfs(generators, limit, target=None):
             prod = cur.translate(table)
             idx = get(prod)
             if idx is None:
+                if watch is not None and n in watch(prod):
+                    index[prod] = -1
+                    continue
                 idx = len(keys)
                 if idx >= limit:
                     raise LimitExceeded(limit, idx + 1)
@@ -238,9 +250,12 @@ def close(gens: GeneratorSet, limit: int = DEFAULT_LIMIT) -> SemigroupClosure:
 def member(gens: GeneratorSet, b: PartialBijection, limit: int = DEFAULT_LIMIT) -> MemberResult:
     """Decide whether ``b`` is a product of the generators.
 
-    A positive answer (with its shortest-by-BFS witness word) may be returned
-    before the closure is fully enumerated; a negative answer requires the
-    complete closure and raises LimitExceeded when that does not fit.
+    Only elements whose domain contains dom(b) are enumerated: a product
+    undefined somewhere on dom(b) has no right multiple equal to ``b``.  A
+    positive answer (with its shortest-by-BFS witness word, the one ``close``
+    gives ``b``) may be returned before those are all found; a negative answer
+    requires all of them, not the full closure, and raises LimitExceeded when
+    they do not fit.
     """
     if b.degree != gens.degree:
         raise ValueError(f"degree mismatch: {b.degree} vs {gens.degree}")

@@ -14,7 +14,6 @@ grid.
 
 from __future__ import annotations
 
-from itertools import product
 from typing import Optional, Sequence
 
 from .closure import DEFAULT_LIMIT, GeneratorSet, LimitExceeded, MemberResult, evaluate_word, member
@@ -166,28 +165,51 @@ def solve_corridor_tiling(
     A shortest path exists within c^width columns (profiles repeat past
     that), which the default ``max_cols`` covers.  The returned grid is the
     lexicographically least among the shortest, comparing column by column,
-    each column read top to bottom.  The k^width candidate columns are
-    enumerated up front and bucketed by west profile, so more than ``limit``
-    of them raise LimitExceeded before any is built.  A ``max_cols`` below 1
+    each column read top to bottom.  A profile's columns are built when the
+    search first expands it, and counted before they are built: more than
+    ``limit`` columns in all raise LimitExceeded.  A ``max_cols`` below 1
     is a ValueError; a search that reaches ``max_cols`` columns with profiles
     still unexplored returns ``capped`` set.
     """
     if max_cols is not None and max_cols < 1:
         raise ValueError(f"max_cols must be at least 1, got {max_cols}")
-    m, k = inst.width, len(inst.tiles)
-    if k**m > limit:
-        message = f"tiling needs {k**m} candidate columns, over the limit of {limit}"
-        raise LimitExceeded(limit, k**m, message)
-    tiles = inst.tiles
-    by_west: dict = {}  # west profile -> [(combo, east)], in product order
-    for combo in product(range(k), repeat=m):
-        if tiles[combo[0]].north != 1 or tiles[combo[-1]].south != 1:
-            continue
-        if any(tiles[combo[a]].south != tiles[combo[a + 1]].north for a in range(m - 1)):
-            continue
-        west = tuple(tiles[j].west for j in combo)
-        east = tuple(tiles[j].east for j in combo)
-        by_west.setdefault(west, []).append((combo, east))
+    m = inst.width
+    souths = [t.south for t in inst.tiles]
+    easts = [t.east for t in inst.tiles]
+    by_west: dict = {}  # west color -> north color -> tile indices, ascending
+    for j, t in enumerate(inst.tiles):
+        by_west.setdefault(t.west, {}).setdefault(t.north, []).append(j)
+    built = 0
+
+    def columns(west):
+        """The columns with west profile ``west``, in product order, each
+        with its east profile."""
+        nonlocal built
+        # ways[a]: north color of row a -> count of fillings of rows a..m-1;
+        # below the last row the south border asks for color 1
+        ways = [None] * m + [{1: 1}]
+        for a in range(m - 1, -1, -1):
+            below = ways[a + 1]
+            counts = {north: sum(below.get(souths[j], 0) for j in js)
+                      for north, js in by_west.get(west[a], {}).items()}
+            ways[a] = {north: count for north, count in counts.items() if count}
+        count = ways[0].get(1, 0)
+        if built + count > limit:
+            raise LimitExceeded(limit, built + count,
+                                f"tiling needs at least {built + count} columns, "
+                                f"over the limit of {limit}")
+        built += count
+        # row by row, extending only prefixes that some filling completes;
+        # tiles in index order keep the prefixes in product order
+        prefixes = [((), 1)]
+        for a in range(m):
+            row, below = by_west.get(west[a], {}), ways[a + 1]
+            prefixes = [(combo + (j,), souths[j])
+                        for combo, north in prefixes
+                        for j in row.get(north, ())
+                        if souths[j] in below]
+        return [(combo, tuple(easts[j] for j in combo)) for combo, _ in prefixes]
+
     if max_cols is None:
         max_cols = inst.num_colors ** m + 1
 
@@ -199,7 +221,7 @@ def solve_corridor_tiling(
         depth += 1
         nxt = []
         for profile in frontier:
-            for combo, east in by_west.get(profile, ()):
+            for combo, east in columns(profile):
                 if east == target:
                     chain = [combo]
                     back = profile

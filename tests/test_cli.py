@@ -227,6 +227,21 @@ class TestTiling:
         code = main(["tiling", "solve", path, "--limit", "1"])
         assert code == 3 and "columns" in capsys.readouterr().err
 
+    def test_column_limit_counts_only_consistent_columns(self, tmp_json, capsys):
+        # 7**8 candidate columns, over the default limit, but the profiles
+        # the search reaches have 26 columns: the limit charges those alone
+        tiles = [(1, 2, 2, 1), (2, 1, 2, 1), (2, 2, 1, 1), (3, 1, 3, 1),
+                 (2, 1, 1, 2), (2, 1, 2, 2), (1, 1, 2, 2)]
+        path = tmp_json("t.json", {"colors": 3, "width": 8, "tiles": [
+            dict(zip("nesw", t)) for t in tiles]})
+        code, out = run(capsys, "tiling", "solve", path)
+        assert code == 0
+        assert out.splitlines() == ["SOLVABLE", "1 7"] + ["2 2"] * 6 + ["3 5"]
+        code, out = run(capsys, "tiling", "roundtrip", path, "--json")
+        assert code == 0 and json.loads(out)["consistent"]
+        assert run(capsys, "tiling", "solve", path, "--limit", "26")[0] == 0
+        assert run(capsys, "tiling", "solve", path, "--limit", "25")[0] == 3
+
     def test_column_cap(self, tmp_json, capsys):
         # two tiles of width 1 whose shortest grid has 2 columns
         path = tmp_json("t.json", {"colors": 2, "width": 1, "tiles": [

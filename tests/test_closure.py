@@ -197,12 +197,34 @@ class TestMember:
                     assert res.found and res.witness == clo.words[clo.index_of(el)]
 
     def test_misses_outside_the_closure(self):
+        # the empty map alone misses the identity, the one size-1 miss of degree 1
+        extra = {1: [GeneratorSet.from_elements([pb("_")])]}
         for n in (1, 2, 3):
-            for gens in seeded_generator_sets(110 + n, 6, degrees=(n,)):
+            sizes = set()
+            for gens in seeded_generator_sets(110 + n, 6, degrees=(n,)) + extra.get(n, []):
                 els = set(close(gens))
                 outside = [b for b in all_partial_bijections(n) if b not in els]
                 for b in outside:
                     assert member(gens, b) == MemberResult(False, None)
+                    sizes.add(len(b.dom()))
+            assert sizes == set(range(n + 1)), n
+
+    def test_miss_needs_only_elements_containing_the_target_domain(self):
+        # the full closure (890 elements) is over the limit, but a full-domain
+        # target is reached only through the 7 rotations
+        gens = GeneratorSet.from_elements([_cycle(7), pb("_ 2 3 4 5 6 7")])
+        with pytest.raises(LimitExceeded):
+            close(gens, limit=100)
+        assert member(gens, pb("2 1 3 4 5 6 7"), limit=100) == MemberResult(False, None)
+        assert member(gens, _cycle(7) * _cycle(7) * _cycle(7), limit=100).found
+
+    def test_small_domain_targets_keep_the_closure_word(self):
+        gens = GeneratorSet.from_elements([_cycle(4), pb("_ 2 3 4")])
+        clo = close(gens)
+        small = [el for el in clo if len(el.dom()) <= 1]
+        assert {len(el.dom()) for el in small} == {0, 1}
+        for el in small:
+            assert member(gens, el).witness == clo.words[clo.index_of(el)]
 
     def test_degree_cap(self):
         # one byte per point, and the byte ``degree`` stands for "undefined"
