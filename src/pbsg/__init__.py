@@ -11,7 +11,6 @@ import importlib
 #: Public names by the module that defines them.
 _EXPORTS = {
     "checkers": (
-        "IdentitySummary",
         "check_band_semilattice",
         "check_clifford",
         "check_commutative",
@@ -56,7 +55,6 @@ _EXPORTS = {
         "realize_assignment",
     ),
     "oracle": (
-        "IdentityLists",
         "OracleModelResult",
         "oracle_check",
         "oracle_identities",
@@ -64,7 +62,7 @@ _EXPORTS = {
         "oracle_report",
     ),
     "pbij": ("PartialBijection", "all_partial_bijections"),
-    "properties": ("CheckReport", "PropertyName"),
+    "properties": ("CheckReport", "IdentityLists", "PropertyName"),
 }
 
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -2,10 +2,10 @@
 
 These decide properties of the generated semigroup by quantifying only over
 the generators and the points, never over the elements; each is validated
-against the closure oracle by the test suite.  Identity-existence checks run
-over the embedded total maps (degree n+1, sink absorbing), with all point
-quantifiers ranging over the n+1 points including the sink, and witnesses
-translated back to partial bijections.
+against the closure oracle by the test suite.  Identity existence depends
+only on how the generators' domains and images contain one another: a left
+or right identity, when there is one, is the idempotent power of a generator
+that permutes its domain, the partial identity on that domain.
 """
 
 from __future__ import annotations
@@ -14,89 +14,59 @@ from typing import Optional
 
 from .closure import GeneratorSet
 from .pbij import PartialBijection
-from .properties import CheckReport, PropertyName
+from .properties import CheckReport, IdentityLists, PropertyName
+
+
+def _identity_from_generator(gens: GeneratorSet, prop: PropertyName, test) -> CheckReport:
+    """Holds with the partial identity on dom(a_i) for the first generator
+    a_i that passes ``test``."""
+    for i, a in enumerate(gens.generators):
+        if test(a):
+            el = PartialBijection.partial_identity(gens.degree, a.dom())
+            return CheckReport(prop, True, {"generator": i + 1, "identity": el})
+    return CheckReport(prop, False, None)
 
 
 def check_left_identity_exists(gens: GeneratorSet) -> CheckReport:
     """Does some generator's idempotent power act as a left identity?
 
-    Holds iff for some i, every pair of points glued by ``a_i`` is glued by
-    every ``a_j``, and gluing by ``a_i^2`` already implies gluing by ``a_i``.
+    Holds iff for some i, image(a_i) = dom(a_i) and dom(a_i) contains every
+    dom(a_j); the witness is the partial identity on dom(a_i).
     """
-    acts = [g.embed() for g in gens.generators]
-    points = range(gens.degree + 1)
-    for i, a in enumerate(acts):
-        aa = tuple(a[v] for v in a)
-        if any(aa[x] == aa[y] and a[x] != a[y] for x in points for y in points):
-            continue
-        if all(
-            a[x] != a[y] or b[x] == b[y]
-            for b in acts
-            for x in points
-            for y in points
-        ):
-            el = gens.generators[i].idempotent_power()
-            return CheckReport(
-                PropertyName.LEFT_IDENTITY, True,
-                {"generator": i + 1, "identity": el},
-            )
-    return CheckReport(PropertyName.LEFT_IDENTITY, False, None)
+    union = frozenset().union(*(g.dom() for g in gens.generators))
+    return _identity_from_generator(gens, PropertyName.LEFT_IDENTITY,
+                                    lambda a: union <= a.dom() and a.image() == a.dom())
 
 
 def check_right_identity_exists(gens: GeneratorSet) -> CheckReport:
     """Does some generator's idempotent power act as a right identity?
 
-    Holds iff for some i and all j, gluing by ``a_j a_i`` implies gluing by
-    ``a_j``.
+    Holds iff for some i, dom(a_i) contains every image(a_j) (so a_i, mapping
+    its domain into itself, permutes it); the witness is the partial
+    identity on dom(a_i).
     """
-    acts = [g.embed() for g in gens.generators]
-    points = range(gens.degree + 1)
-    for i, a in enumerate(acts):
-        ok = True
-        for b in acts:
-            c = tuple(a[v] for v in b)
-            if any(c[x] == c[y] and b[x] != b[y] for x in points for y in points):
-                ok = False
-                break
-        if ok:
-            el = gens.generators[i].idempotent_power()
-            return CheckReport(
-                PropertyName.RIGHT_IDENTITY, True,
-                {"generator": i + 1, "identity": el},
-            )
-    return CheckReport(PropertyName.RIGHT_IDENTITY, False, None)
+    union = frozenset().union(*(g.image() for g in gens.generators))
+    return _identity_from_generator(gens, PropertyName.RIGHT_IDENTITY, lambda a: union <= a.dom())
 
 
-class IdentitySummary:
-    """The left, right and two-sided identity of the closure, each or None."""
+def enumerate_identities(gens: GeneratorSet) -> IdentityLists:
+    """The left, right and two-sided identities, built directly.
 
-    __slots__ = ("left", "right", "two_sided")
-
-    def __init__(self, left: Optional[PartialBijection], right: Optional[PartialBijection],
-                 two_sided: Optional[PartialBijection]):
-        self.left = left
-        self.right = right
-        self.two_sided = two_sided
-
-
-def enumerate_identities(gens: GeneratorSet) -> IdentitySummary:
-    """The (at most one) left/right/two-sided identity, built directly.
-
-    When a left identity exists it is the partial identity on the union of
-    the generators' domains; the right identity lives on the union of the
-    images.  The two-sided identity exists exactly when both do (and they
-    then coincide).
+    Identities are unique, so each tuple holds at most one element: the
+    witness of the matching check.  The two-sided identity exists exactly
+    when both do and they coincide.
     """
-    n = gens.degree
-    left = right = None
-    if check_left_identity_exists(gens).holds:
-        union_dom = frozenset().union(*(g.dom() for g in gens.generators))
-        left = PartialBijection.partial_identity(n, union_dom)
-    if check_right_identity_exists(gens).holds:
-        union_img = frozenset().union(*(g.image() for g in gens.generators))
-        right = PartialBijection.partial_identity(n, union_img)
-    two = left if (left is not None and left == right) else None
-    return IdentitySummary(left, right, two)
+    left, right = (
+        (rep.witness["identity"],) if rep.holds else ()
+        for rep in (check_left_identity_exists(gens), check_right_identity_exists(gens))
+    )
+    return IdentityLists(left, right, left if left == right else ())
+
+
+def _check_two_sided_identity(gens: GeneratorSet) -> CheckReport:
+    two_sided = enumerate_identities(gens).two_sided
+    witness = {"identity": two_sided[0]} if two_sided else None
+    return CheckReport(PropertyName.TWO_SIDED_IDENTITY, bool(two_sided), witness)
 
 
 def _domain_intersection_check(gens: GeneratorSet, prop: PropertyName) -> CheckReport:
@@ -155,37 +125,23 @@ def check_commutative(gens: GeneratorSet) -> CheckReport:
     return CheckReport(PropertyName.COMMUTATIVE, True, None)
 
 
+_CHECKERS = {
+    PropertyName.COMMUTATIVE: check_commutative,
+    PropertyName.BAND: lambda gens: check_band_semilattice(gens, PropertyName.BAND),
+    PropertyName.SEMILATTICE: check_band_semilattice,
+    PropertyName.COMPLETELY_REGULAR: check_completely_regular,
+    PropertyName.CLIFFORD: check_clifford,
+    PropertyName.LEFT_IDENTITY: check_left_identity_exists,
+    PropertyName.RIGHT_IDENTITY: check_right_identity_exists,
+    PropertyName.TWO_SIDED_IDENTITY: _check_two_sided_identity,
+}
+
 #: Properties with a generator-level decision procedure.
-GENERATOR_CHECKABLE = frozenset({
-    PropertyName.COMMUTATIVE,
-    PropertyName.BAND,
-    PropertyName.SEMILATTICE,
-    PropertyName.COMPLETELY_REGULAR,
-    PropertyName.CLIFFORD,
-    PropertyName.LEFT_IDENTITY,
-    PropertyName.RIGHT_IDENTITY,
-    PropertyName.TWO_SIDED_IDENTITY,
-})
+GENERATOR_CHECKABLE = frozenset(_CHECKERS)
 
 
 def run_generator_check(gens: GeneratorSet, prop: PropertyName) -> Optional[CheckReport]:
     """Dispatch to the matching fast checker, or None when only the closure
     oracle can decide the property."""
-    if prop == PropertyName.COMMUTATIVE:
-        return check_commutative(gens)
-    if prop in (PropertyName.BAND, PropertyName.SEMILATTICE):
-        return check_band_semilattice(gens, prop)
-    if prop == PropertyName.COMPLETELY_REGULAR:
-        return check_completely_regular(gens)
-    if prop == PropertyName.CLIFFORD:
-        return check_clifford(gens)
-    if prop == PropertyName.LEFT_IDENTITY:
-        return check_left_identity_exists(gens)
-    if prop == PropertyName.RIGHT_IDENTITY:
-        return check_right_identity_exists(gens)
-    if prop == PropertyName.TWO_SIDED_IDENTITY:
-        summary = enumerate_identities(gens)
-        if summary.two_sided is not None:
-            return CheckReport(prop, True, {"identity": summary.two_sided})
-        return CheckReport(prop, False, None)
-    return None
+    checker = _CHECKERS.get(prop)
+    return None if checker is None else checker(gens)

@@ -197,7 +197,8 @@ def _bfs(generators, limit, target=None):
     n = generators[0].degree
     if n > MAX_DEGREE:
         raise ValueError(f"degree {n} exceeds the closure cap of {MAX_DEGREE} points")
-    tables = [_key(g) + bytes(range(n, 256)) for g in generators]
+    tail = bytes(range(n, 256))
+    tables = [_key(g) + tail for g in generators]
     goal = watch = None
     if target is not None:
         goal = _key(target)

@@ -24,7 +24,7 @@ from .closure import (
     close,
 )
 from .pbij import PartialBijection
-from .properties import CheckReport, PropertyName
+from .properties import CheckReport, IdentityLists, PropertyName
 
 if TYPE_CHECKING:
     from .identities import Identity
@@ -32,17 +32,6 @@ if TYPE_CHECKING:
 
 def _show(closure, i) -> str:
     return closure[i].to_text()
-
-
-class IdentityLists:
-    """Every left/right/two-sided identity of the closure, in discovery order."""
-
-    __slots__ = ("left", "right", "two_sided")
-
-    def __init__(self, left: tuple, right: tuple, two_sided: tuple):
-        self.left = left
-        self.right = right
-        self.two_sided = two_sided
 
 
 def oracle_identities(closure: SemigroupClosure) -> IdentityLists:
@@ -178,19 +167,12 @@ def _completely_regular(closure):
     return True, None
 
 
-def _left_identity(closure):
-    ids = oracle_identities(closure).left
-    return (True, {"element": ids[0].to_text()}) if ids else (False, None)
+def _identity_check(side):
+    def check(closure):
+        ids = getattr(oracle_identities(closure), side)
+        return (True, {"element": ids[0].to_text()}) if ids else (False, None)
 
-
-def _right_identity(closure):
-    ids = oracle_identities(closure).right
-    return (True, {"element": ids[0].to_text()}) if ids else (False, None)
-
-
-def _two_sided_identity(closure):
-    ids = oracle_identities(closure).two_sided
-    return (True, {"element": ids[0].to_text()}) if ids else (False, None)
+    return check
 
 
 _CHECKS: dict[PropertyName, Callable] = {
@@ -207,9 +189,9 @@ _CHECKS: dict[PropertyName, Callable] = {
     PropertyName.REGULAR: _regular,
     PropertyName.COMPLETELY_REGULAR: _completely_regular,
     PropertyName.CLIFFORD: _completely_regular,
-    PropertyName.LEFT_IDENTITY: _left_identity,
-    PropertyName.RIGHT_IDENTITY: _right_identity,
-    PropertyName.TWO_SIDED_IDENTITY: _two_sided_identity,
+    PropertyName.LEFT_IDENTITY: _identity_check("left"),
+    PropertyName.RIGHT_IDENTITY: _identity_check("right"),
+    PropertyName.TWO_SIDED_IDENTITY: _identity_check("two_sided"),
 }
 
 

@@ -191,13 +191,15 @@ class PartialBijection:
         return self * self == self
 
     def idempotent_power(self) -> "PartialBijection":
-        """The unique idempotent among the powers of this element."""
-        # The powers of an element of a finite semigroup contain exactly one
-        # idempotent, so plain iteration terminates and returns the minimal one.
+        """The unique idempotent among the powers of this element: the
+        partial identity on the points that lie on its cycles."""
+        # A point off every cycle leaves the domain within n steps, so the
+        # domain of a^(2^b), 2^b > n, is exactly the points on cycles.
+        n = self.degree
         p = self
-        while not p.is_idempotent():
-            p = p * self
-        return p
+        for _ in range(n.bit_length()):
+            p = p * p
+        return PartialBijection.partial_identity(n, p.dom())
 
     def embed(self) -> tuple[int, ...]:
         """The total map on degree+1 points: the extra point ``n`` absorbs

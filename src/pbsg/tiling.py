@@ -272,11 +272,6 @@ class ReducedInstance:
         return flat // self.num_colors + 1, flat % self.num_colors + 1
 
 
-def _encode_point(q: int, r: int, c: int) -> int:
-    # 1-based (q, r) to 0-based flat; externally this is (q-1)*c + r
-    return (q - 1) * c + (r - 1)
-
-
 def reduce(inst: TilingInstance) -> ReducedInstance:
     """Compile the instance into generators and a target idempotent.
 
@@ -285,28 +280,26 @@ def reduce(inst: TilingInstance) -> ReducedInstance:
     south edge is 1; recolors the row-checking point (m+i, west) to
     (m+i, east); and fixes every point of the other row-checking blocks.
     Domain and image sizes are (m-1)*c + 2, except (m-1)*c + 1 for last-row
-    tiles whose south edge is not 1.
+    tiles whose south edge is not 1.  The 1-based pair (q, r) is the 0-based
+    flat point (q-1)*c + r-1.
     """
     m, c, k = inst.width, inst.num_colors, len(inst.tiles)
     npts = 2 * m * c
+    # column-checking points undefined, every row-checking point fixed
+    fixed: list[Optional[int]] = [None] * (m * c) + list(range(m * c, npts))
     gens = []
-    for i in range(1, m + 1):
+    for i in range(m):
+        row = (m + i) * c  # flat point (m+i+1, 1): row i's row-checking block
         for tile in inst.tiles:
-            entries: list[Optional[int]] = [None] * npts
-            if i < m:
-                entries[_encode_point(i, tile.north, c)] = _encode_point(i + 1, tile.south, c)
+            entries = fixed.copy()
+            entries[row:row + c] = [None] * c
+            if i < m - 1:
+                entries[i * c + tile.north - 1] = (i + 1) * c + tile.south - 1
             elif tile.south == 1:
-                entries[_encode_point(m, tile.north, c)] = _encode_point(1, 1, c)
-            entries[_encode_point(m + i, tile.west, c)] = _encode_point(m + i, tile.east, c)
-            for p in range(1, m + 1):
-                if p != i:
-                    for r in range(1, c + 1):
-                        entries[_encode_point(m + p, r, c)] = _encode_point(m + p, r, c)
+                entries[i * c + tile.north - 1] = 0
+            entries[row + tile.west - 1] = row + tile.east - 1
             gens.append(PartialBijection(entries))
-    target = PartialBijection.partial_identity(
-        npts,
-        [_encode_point(1, 1, c)] + [_encode_point(m + p, 1, c) for p in range(1, m + 1)],
-    )
+    target = PartialBijection.partial_identity(npts, [0] + [(m + p) * c for p in range(m)])
     return ReducedInstance(
         width=m,
         num_colors=c,

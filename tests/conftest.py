@@ -21,6 +21,19 @@ def pb(text: str) -> PartialBijection:
     return PartialBijection.from_text(text)
 
 
+#: cycle lengths of a 77-point permutation of order 2·3·5·…·19 = 9,699,690
+PRIME_CYCLES = (2, 3, 5, 7, 11, 13, 17, 19)
+
+
+def cycle_permutation(lengths) -> PartialBijection:
+    """The permutation that cycles consecutive runs of ``lengths`` points."""
+    entries, start = [], 0
+    for length in lengths:
+        entries += [start + (j + 1) % length for j in range(length)]
+        start += length
+    return PartialBijection(entries)
+
+
 def ref_compose(a: PartialBijection, b: PartialBijection) -> dict:
     """Pointwise-evaluation composition oracle: apply a, then b, per point."""
     out = {}

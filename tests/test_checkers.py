@@ -2,6 +2,7 @@ import pytest
 
 from pbsg import (
     GeneratorSet,
+    IdentityLists,
     PartialBijection,
     PropertyName,
     all_partial_bijections,
@@ -56,27 +57,42 @@ class TestIdentityExistence:
 class TestEnumerateIdentities:
     def test_partial_identity_generator(self):
         e = PartialBijection.partial_identity(3, [0, 1])
-        summary = enumerate_identities(GeneratorSet.from_elements([e]))
-        assert summary.left == summary.right == summary.two_sided == e
+        ids = enumerate_identities(GeneratorSet.from_elements([e]))
+        assert ids == IdentityLists((e,), (e,), (e,))
 
     def test_shift_has_none(self):
-        summary = enumerate_identities(gset("2 _"))
-        assert summary.left is None and summary.right is None and summary.two_sided is None
+        assert enumerate_identities(gset("2 _")) == IdentityLists((), (), ())
 
     def test_matches_oracle(self):
         for gens in seeded_generator_sets(302, 60, degrees=(2, 3)):
-            summary = enumerate_identities(gens)
-            ids = oracle_identities(close(gens))
-            assert summary.left == (ids.left[0] if ids.left else None)
-            assert summary.right == (ids.right[0] if ids.right else None)
-            assert summary.two_sided == (ids.two_sided[0] if ids.two_sided else None)
+            assert enumerate_identities(gens) == oracle_identities(close(gens))
 
     def test_constructed_element_is_union_partial_identity(self):
         gens = gset("2 1", "1 _")
-        summary = enumerate_identities(gens)
-        assert summary.left == PartialBijection.identity(2)
-        ids = oracle_identities(close(gens))
-        assert (summary.left,) == ids.left
+        ids = enumerate_identities(gens)
+        assert ids.left == (PartialBijection.identity(2),)
+        assert ids.left == oracle_identities(close(gens)).left
+
+    def test_every_small_set_matches_oracle(self):
+        # every 1- and 2-generator set of degree <= 3: 2 + 7 + 34 one-generator
+        # sets and 2^2 + 7^2 + 34^2 ordered pairs
+        count = 0
+        for n in (1, 2, 3):
+            universe = all_partial_bijections(n)
+            sets = [(a,) for a in universe] + [(a, b) for a in universe for b in universe]
+            for generators in sets:
+                gens = GeneratorSet.from_elements(generators)
+                ids = enumerate_identities(gens)
+                assert ids == oracle_identities(close(gens))
+                for check, found in ((check_left_identity_exists, ids.left),
+                                     (check_right_identity_exists, ids.right)):
+                    rep = check(gens)
+                    assert rep.holds == bool(found)
+                    if rep.holds:
+                        a = generators[rep.witness["generator"] - 1]
+                        assert a.idempotent_power() == rep.witness["identity"] == found[0]
+                count += 1
+        assert count == 1252
 
 
 class TestCompletelyRegular:
@@ -165,9 +181,7 @@ class TestExhaustiveDegreeTwo:
                 ids = oracle_identities(clo)
                 assert check_left_identity_exists(gens).holds == bool(ids.left)
                 assert check_right_identity_exists(gens).holds == bool(ids.right)
-                summary = enumerate_identities(gens)
-                assert summary.left == (ids.left[0] if ids.left else None)
-                assert summary.right == (ids.right[0] if ids.right else None)
+                assert enumerate_identities(gens) == ids
                 assert check_completely_regular(gens).holds == oracle_check(
                     clo, PropertyName.COMPLETELY_REGULAR
                 )

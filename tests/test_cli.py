@@ -3,6 +3,8 @@ import time
 
 from pbsg.cli import main
 
+from conftest import PRIME_CYCLES, cycle_permutation
+
 GENS_SWAP = {"degree": 2, "generators": [[2, 1]], "inverse_closed": True}
 GENS_SHIFT = {"degree": 2, "generators": [[2, None]], "inverse_closed": False}
 TILING_OK = {"colors": 1, "width": 1, "tiles": [{"n": 1, "e": 1, "s": 1, "w": 1}]}
@@ -48,6 +50,23 @@ class TestProps:
         path = tmp_json("g.json", GENS_SWAP)
         code, _ = run(capsys, "props", path, "--property", "frobnicating")
         assert code == 2
+
+
+    def test_large_order_permutation_decides_fast(self, tmp_json, capsys):
+        # the 77-point permutation has order 9,699,690: no check may step
+        # through its powers
+        doc = {"degree": 77, "generators": [cycle_permutation(PRIME_CYCLES).to_json_obj()["map"]]}
+        path = tmp_json("g.json", doc)
+        for argv in (["props", path, "--property", "left-identity"],
+                     ["props", path, "--property", "two-sided-identity"],
+                     ["models", path, "x1=x1^2 => x1 = x2"]):
+            start = time.perf_counter()
+            code = main(argv)
+            elapsed = time.perf_counter() - start
+            out = capsys.readouterr().out
+            assert elapsed < 2.0, argv
+            assert code == (1 if argv[0] == "models" else 0), argv
+        assert "x1: word 1 1 -> '1 2 3 " in out
 
 
 class TestOracle:

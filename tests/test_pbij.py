@@ -3,7 +3,16 @@ from hypothesis import given, settings
 
 from pbsg import PartialBijection, all_partial_bijections
 
-from conftest import as_pairs, partial_bijections, pb, pbij_pairs, pbij_triples, ref_compose
+from conftest import (
+    PRIME_CYCLES,
+    as_pairs,
+    cycle_permutation,
+    partial_bijections,
+    pb,
+    pbij_pairs,
+    pbij_triples,
+    ref_compose,
+)
 
 
 class TestConstruction:
@@ -162,6 +171,20 @@ class TestIdempotentPower:
         assert a * a == pb("3 _ _")
         assert a * a * a == PartialBijection.empty(3)
         assert a.idempotent_power() == PartialBijection.empty(3)
+
+    def test_matches_iterated_powers_up_to_degree_four(self):
+        for n in range(1, 5):
+            for a in all_partial_bijections(n):
+                p = a
+                while not p.is_idempotent():
+                    p = p * a
+                assert a.idempotent_power() == p
+
+    def test_large_order_permutation(self):
+        # iterating powers would take up to 9,699,690 products
+        a = cycle_permutation(PRIME_CYCLES)
+        assert a.degree == 77
+        assert a.idempotent_power() == PartialBijection.identity(77)
 
     @given(partial_bijections())
     def test_is_an_idempotent_power(self, a):
