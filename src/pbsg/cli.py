@@ -359,7 +359,7 @@ def _cmd_tiling_solve(args, out):
     return EXIT_HOLDS if result.solvable else EXIT_DOES_NOT_HOLD
 
 
-def _reduction_doc(inst, reduced):
+def _reduction_doc(reduced):
     gens = reduced.generator_set
     return {
         "schema": SCHEMA,
@@ -384,9 +384,8 @@ def _reduction_doc(inst, reduced):
 def _cmd_tiling_reduce(args, out):
     from .tiling import reduce
 
-    inst = _load_tiling(args.instance)
-    reduced = reduce(inst)
-    _write_doc(_reduction_doc(inst, reduced), args.output, out)
+    reduced = reduce(_load_tiling(args.instance))
+    _write_doc(_reduction_doc(reduced), args.output, out)
     return EXIT_HOLDS
 
 
@@ -442,7 +441,7 @@ def _cmd_random_tiling(args, out):
 
 
 def _positive_int(text):
-    """argparse type of ``--limit`` and ``--budget``: an int of at least 1."""
+    """argparse type of the budget and cap flags: an int of at least 1."""
     try:
         value = int(text)
     except ValueError:
@@ -480,7 +479,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="machine-readable output")
         if budget:
             p.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET,
-                           help="model-checker configuration budget (default %(default)s)")
+                           help="model-checker budget of boundary choices plus reach "
+                                "states (default %(default)s)")
 
     p = sub.add_parser("props", help="generator-level property checks")
     p.add_argument("gens", help="generator set JSON file")
@@ -515,7 +515,7 @@ def _build_parser() -> argparse.ArgumentParser:
     tsub = p.add_subparsers(dest="tiling_command", required=True)
     ps = tsub.add_parser("solve", help="decide solvability, print a grid")
     ps.add_argument("instance")
-    ps.add_argument("--max-cols", type=int, default=None,
+    ps.add_argument("--max-cols", type=_positive_int, default=None,
                    help="column cap, at least 1; reaching it undecided exits 3")
     add_common(ps)
     pr = tsub.add_parser("reduce", help="emit the membership instance")

@@ -34,7 +34,7 @@ class LimitExceeded(RuntimeError):
 
 
 class ArityOverflow(RuntimeError):
-    """The model checker's configuration or boundary space exceeds its budget.
+    """The model checker's work or the oracle's assignment space exceeds its budget.
 
     Defined here, beside LimitExceeded, and re-exported by ``model_checker``.
     """
@@ -182,7 +182,8 @@ class SemigroupClosure:
 
 def _key(el: PartialBijection) -> bytes:
     """The embedding without its extra point, one byte per point."""
-    return bytes(el.embed()[:-1])
+    n = len(el.entries)
+    return bytes([n if v is None else v for v in el.entries])
 
 
 def _bfs(generators, limit, target=None):

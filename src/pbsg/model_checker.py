@@ -19,7 +19,9 @@ Boundary positions are fixed depth first in lexicographic order (``p``, then
 ``q``; real points ascending, sink last).  Each variable is queried as soon
 as every position it reads is fixed, and a variable no word can serve prunes
 every boundary that extends the prefix, so the first complete boundary found
-is still the least counterexample.
+is still the least counterexample.  Each expanded position adds its number of
+choices to one work count, each breadth-first search (below) the states it
+reaches; ``ArityOverflow`` is raised once the count passes ``budget``.
 
 A variable's occurrences become a map from start points to required end
 points.  Every word acts as a function that is injective away from the sink,
@@ -55,6 +57,20 @@ from .identities import Identity, apply_assignment
 from .pbij import PartialBijection, ValueType
 
 _MISS = object()
+
+
+class _Work:
+    """What is left of one call's budget of boundary choices and reach states."""
+
+    __slots__ = ("budget", "left")
+
+    def __init__(self, budget: int):
+        self.budget = self.left = budget
+
+    def charge(self, amount: int) -> None:
+        self.left -= amount
+        if self.left < 0:
+            raise ArityOverflow(f"model checking work exceeds the budget {self.budget}")
 
 
 class BoundaryGuess(ValueType):
@@ -124,12 +140,6 @@ def _plan_variable(ident, var, strict_points):
     return tuple(edges), constrained, mask_on, depth
 
 
-def _state_space(plan, n: int) -> int:
-    edges, constrained, mask_on, _ = plan
-    slots = (2 if constrained else 1) * len(edges)
-    return (n + 1) ** slots * ((1 << n) if mask_on else 1)
-
-
 def _run_spec(plan, pts, bottom):
     """Distinct start points, the end point each must reach, and the image
     exclusions (a bitmask) for one variable and flat boundary ``pts``.
@@ -178,19 +188,18 @@ def _mask_step(action, mask, n):
     return out
 
 
-def _explore(actions, points, mask_on, n):
+def _explore(actions, points, mask_on, n, work):
     """First-arrival words for every slot configuration reachable in >= 1
     letters; breadth-first with letters in index order, so each recorded word
-    is the shortest and lexicographically least."""
-    if mask_on:
-        start = points + ((1 << n) - 1,)
-    else:
-        start = points
+    is the shortest and lexicographically least.  Arrivals are charged to
+    ``work``, which stops the search at most one expansion after they pass it.
+    """
+    start = points + ((1 << n) - 1,) if mask_on else points
     nslots = len(points)
     arrived: dict = {}
     by_slots: dict = {} if mask_on else None
     queue = deque(((start, ()),))
-    while queue:
+    while queue and len(arrived) <= work.left:
         config, word = queue.popleft()
         slots = config[:nslots]
         mask = config[nslots] if mask_on else None
@@ -205,6 +214,7 @@ def _explore(actions, points, mask_on, n):
                 by_slots.setdefault(nc[:nslots], []).append((nc[nslots], w))
             if nc != start:
                 queue.append((nc, w))
+    work.charge(len(arrived))
     return arrived, by_slots
 
 
@@ -217,7 +227,7 @@ def _query(arrived, by_slots, targets, forbidden, mask_on):
     return None
 
 
-def _run_word(actions, plan, pts, n, reach_cache, query_cache):
+def _run_word(actions, plan, pts, n, reach_cache, query_cache, work):
     """The variable's least word for the flat boundary ``pts``, or None.
 
     Explores are keyed by start points alone and queries by start points and
@@ -236,7 +246,7 @@ def _run_word(actions, plan, pts, n, reach_cache, query_cache):
         rkey = (mask_on, points)
         reach = reach_cache.get(rkey)
         if reach is None:
-            reach = reach_cache[rkey] = _explore(actions, points, mask_on, n)
+            reach = reach_cache[rkey] = _explore(actions, points, mask_on, n, work)
         word = query_cache[qkey] = _query(*reach, targets, forbidden, mask_on)
     return word
 
@@ -253,7 +263,8 @@ def check_variable_run(
 
     The returned word (shortest, then lexicographically least; always nonempty)
     indexes into ``gens.generators`` as given; callers working over an inverse
-    semigroup pass the inverse-closed list.
+    semigroup pass the inverse-closed list.  Raises ``ArityOverflow`` when the
+    run's search reaches more than ``budget`` states.
     """
     n = gens.degree
     if not 1 <= var <= ident.num_vars:
@@ -263,13 +274,9 @@ def check_variable_run(
     if boundary.p[0] != boundary.q[0] or boundary.p[0] >= n:
         raise ValueError("traces must share a real start point")
     plan = _plan_variable(ident, var, strict_points)
-    if _state_space(plan, n) > budget:
-        raise ArityOverflow(
-            f"variable x{var} run needs {_state_space(plan, n)} states (budget {budget})"
-        )
     actions = [g.embed() for g in gens.generators]
     pts = tuple(boundary.p) + tuple(boundary.q[1:])
-    word = _run_word(actions, plan, pts, n, {}, {})
+    word = _run_word(actions, plan, pts, n, {}, {}, _Work(budget))
     return VariableRun(word is not None, word)
 
 
@@ -287,26 +294,14 @@ def models(
     it.  The positions are fixed depth first; each variable is queried once
     the last position it reads is fixed, and a variable with no word prunes
     every boundary below that prefix.  A real point right after a sink on the
-    same word is never tried.
+    same word is never tried.  Raises ``ArityOverflow`` once the work passes
+    ``budget``.
     """
     gens = gens.with_inverses()
     n = gens.degree
-    bottom = n
     l, r = len(ident.lhs), len(ident.rhs)
     values = tuple(range(n)) if strict_points else tuple(range(n + 1))
-    boundary_space = n * len(values) ** (l + r)
-    if boundary_space > budget:
-        raise ArityOverflow(
-            f"{boundary_space} boundary guesses exceed the budget {budget}"
-        )
     plans = [_plan_variable(ident, v, strict_points) for v in range(1, ident.num_vars + 1)]
-    for var, plan in enumerate(plans, start=1):
-        space = _state_space(plan, n)
-        if space > budget:
-            raise ArityOverflow(
-                f"variable x{var} run needs {space} states (budget {budget})"
-            )
-
     actions = [g.embed() for g in gens.generators]
     reach_cache: dict = {}
     query_cache: dict = {}
@@ -316,18 +311,21 @@ def models(
         due[plan[3]].append((vi, plan))
     pts = [0] * (last + 1)
     words: list = [None] * len(plans)
+    work = _Work(budget)
 
     def extend(d):
         """Query the variables due at position d - 1, then fix pts[d:]."""
         for vi, plan in due[d - 1]:
-            word = _run_word(actions, plan, pts, n, reach_cache, query_cache)
+            word = _run_word(actions, plan, pts, n, reach_cache, query_cache, work)
             if word is None:
                 return False
             words[vi] = word
         if d > last:
             return True
         prev = 0 if d == l + 1 else d - 1
-        for v in (bottom,) if pts[prev] == bottom else values:
+        choices = (n,) if pts[prev] == n else values
+        work.charge(len(choices))
+        for v in choices:
             pts[d] = v
             if (d < last or pts[l] != v) and extend(d + 1):
                 return True

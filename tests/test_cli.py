@@ -343,7 +343,8 @@ class TestUsage:
         for argv, flag, at_one in ((["member", gens, elem], "--limit", 3),
                                    (["models", gens, "x1 = x1"], "--budget", 3),
                                    (["models", gens, "x1 = x1"], "--limit", 0),
-                                   (["tiling", "solve", tiling], "--limit", 0)):
+                                   (["tiling", "solve", tiling], "--limit", 0),
+                                   (["tiling", "solve", tiling], "--max-cols", 0)):
             for value in ("0", "-1"):
                 code = main([*argv, flag, value])
                 captured = capsys.readouterr()

@@ -13,7 +13,8 @@ from pbsg import (
     oracle_models,
     parse_identity,
 )
-from pbsg.model_checker import DEFAULT_BUDGET, counterexample_values
+from pbsg.checkers import check_commutative
+from pbsg.model_checker import counterexample_values
 from pbsg.sampling import random_generator_set
 
 from conftest import MODEL_CORPUS, pb, seeded_generator_sets
@@ -22,6 +23,24 @@ from conftest import MODEL_CORPUS, pb, seeded_generator_sets
 def gset(*texts, closed=True):
     g = GeneratorSet.from_elements([pb(t) for t in texts])
     return g.with_inverses() if closed else g
+
+
+FOUR_REVERSAL = "x1 x2 x3 x4 = x4 x3 x2 x1"
+
+
+def cosingleton_semilattice(n):
+    """The partial identities missing one point each: a commutative semilattice."""
+    return GeneratorSet.from_elements([
+        PartialBijection([None if x == k else x for x in range(n)]) for k in range(n)
+    ])
+
+
+def symmetric_group(n):
+    """S_n, generated by the n-cycle and the transposition of the first two points."""
+    return GeneratorSet.from_elements([
+        PartialBijection([(x + 1) % n for x in range(n)]),
+        PartialBijection([1, 0, *range(2, n)]),
+    ])
 
 
 class TestModels:
@@ -82,15 +101,42 @@ class TestModels:
             models(gset("2 _"), parse_identity("x1 x2 = x2 x1"), budget=10)
 
     def test_three_variable_identity_at_degree_8(self):
-        # the semilattice of partial identities missing one point each;
-        # 8 * 9**6 boundaries fit the default budget, and pruning keeps it fast
-        n = 8
-        gens = GeneratorSet.from_elements([
-            PartialBijection([None if x == k else x for x in range(n)]) for k in range(n)
-        ])
-        ident = parse_identity("x1 x2 x3 = x3 x2 x1")
-        assert n * (n + 1) ** 6 <= DEFAULT_BUDGET
-        assert models(gens, ident).models
+        # pruning keeps the search far below its 8 * 9**6 boundaries
+        assert models(cosingleton_semilattice(8), parse_identity("x1 x2 x3 = x3 x2 x1")).models
+
+
+class TestWorkBudget:
+    """The budget counts boundary choices expanded plus reach states, so an
+    identity with a boundary space far over the budget still decides when
+    the search itself is small."""
+
+    @pytest.mark.parametrize("n", (6, 7))
+    def test_symmetric_group_fails_four_variable_reversal(self, n):
+        # n * (n+1)**8 boundaries; the least counterexample comes early
+        ident = parse_identity(FOUR_REVERSAL)
+        result = models(symmetric_group(n), ident)
+        assert not result.models
+        _, lhs, rhs = counterexample_values(result.generators, ident, result.counterexample)
+        assert lhs != rhs
+
+    def test_commutative_semilattice_models_four_variable_reversal(self):
+        gens = cosingleton_semilattice(7)
+        assert check_commutative(gens).holds
+        assert models(gens, parse_identity(FOUR_REVERSAL)).models
+
+    def test_search_past_the_budget_overflows(self):
+        with pytest.raises(ArityOverflow):
+            models(cosingleton_semilattice(7), parse_identity(FOUR_REVERSAL), budget=10_000)
+
+    def test_variable_run_is_charged_its_reach_states(self):
+        # the 3-cycle's orbit of point 1 is three states
+        gens = gset("2 3 1")
+        ident = parse_identity("x1 = x1")
+        boundary = BoundaryGuess((0, 1), (0, 1))
+        assert check_variable_run(gens, ident, 1, boundary, budget=3).ok
+        for budget in (1, 2):
+            with pytest.raises(ArityOverflow):
+                check_variable_run(gens, ident, 1, boundary, budget=budget)
 
 
 class TestCheckVariableRun:
