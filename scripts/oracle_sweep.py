@@ -22,8 +22,8 @@ from pbsg import (
     close,
     enumerate_identities,
     member,
-    oracle_check,
     oracle_identities,
+    oracle_report,
     run_generator_check,
 )
 from pbsg.checkers import GENERATOR_CHECKABLE
@@ -80,7 +80,7 @@ def main(argv=None):
                 fast = run_generator_check(gens, prop).holds
                 want = oracle_truth.get(prop)
                 if want is None:
-                    want = oracle_check(clo, prop)
+                    want = oracle_report(clo, prop).holds
                 (agree if fast == want else disagree)[prop.value] += 1
                 holds[prop.value] += fast == want == True  # noqa: E712
 

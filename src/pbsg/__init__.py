@@ -56,7 +56,6 @@ _EXPORTS = {
     ),
     "oracle": (
         "OracleModelResult",
-        "oracle_check",
         "oracle_identities",
         "oracle_models",
         "oracle_report",

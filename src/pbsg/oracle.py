@@ -1,12 +1,18 @@
 """Semantic property checks over a complete closure.
 
-Everything here scans the enumerated element set directly, by the property's
-definition, so these are the ground truth the generator-level checkers are
-tested against.  Scans work on element indices: every product is an index
-read off the closure's Cayley table by ``pair_product``, and no element is
-composed here; what a scan needs of an element itself it reads from the
-element's byte key.  Scans are order-independent; the witnesses reported
-follow enumeration order so output stays deterministic.
+Everything here scans the enumerated element set directly, so these are the
+ground truth the generator-level checkers are tested against.  Most scans
+follow the property's definition word for word.  Three stop as soon as their
+answer is fixed, each by a short exact argument stated where it is used:
+``nilpotent`` stops at the first repeated set of length-t products (the sets
+then cycle), the identity properties stop at the first identity on the side
+asked for (a left and a right identity are equal), and ``regular`` looks up
+each element's inverse (s is regular in S iff s⁻¹ is in S).  Scans work on
+element indices: every product is an index read off the closure's Cayley
+table by ``pair_product``, and no element is composed here; what a scan needs
+of an element itself it reads from the element's byte key.  Scans are
+order-independent; the witnesses reported follow enumeration order so output
+stays deterministic.
 """
 
 from __future__ import annotations
@@ -32,6 +38,15 @@ if TYPE_CHECKING:
 
 def _show(closure, i) -> str:
     return closure[i].to_text()
+
+
+def _inverse_key(key: bytes, n: int) -> bytes:
+    """The byte key of the inverse of the degree-``n`` element keyed ``key``."""
+    inv = bytearray([n]) * n
+    for x, v in enumerate(key):
+        if v != n:
+            inv[v] = x
+    return bytes(inv)
 
 
 def oracle_identities(closure: SemigroupClosure) -> IdentityLists:
@@ -105,15 +120,16 @@ def _nilpotent(closure):
     if zero is None:
         return False, {"reason": "no zero element"}
     zero_key = _show(closure, zero)
-    current = {closure.index_of(g) for g in closure.generators}
-    # Any annihilating product length is at most the closure size (along a
-    # longest non-zero word, the prefix values are pairwise distinct).
-    for length in range(1, len(closure) + 1):
+    current = frozenset(closure.index_of(g) for g in closure.generators)
+    seen = set()
+    length = 1
+    # G^(t+1) depends only on G^t, so after a repeat the sets cycle among seen ones
+    while current not in seen:
         if current == {zero}:
             return True, {"zero": zero_key, "annihilating_length": length}
-        current = {nxt for e in current for nxt in closure.cayley[e]}
-    if current == {zero}:
-        return True, {"zero": zero_key, "annihilating_length": len(closure) + 1}
+        seen.add(current)
+        current = frozenset(nxt for e in current for nxt in closure.cayley[e])
+        length += 1
     return False, {"zero": zero_key}
 
 
@@ -152,9 +168,10 @@ def _central_idempotents(closure):
 
 
 def _regular(closure):
-    mul, idx = closure.pair_product, range(len(closure))
-    for s in idx:
-        if not any(mul(mul(s, t), s) == s for t in idx):
+    n, index = closure.generators[0].degree, closure.index
+    for s, key in enumerate(closure.keys):
+        # sts = s makes tst the unique inverse of s, and s s⁻¹ s = s: regular iff s⁻¹ ∈ S
+        if _inverse_key(key, n) not in index:
             return False, {"element": _show(closure, s)}
     return True, None
 
@@ -167,10 +184,22 @@ def _completely_regular(closure):
     return True, None
 
 
+def _first_identity(closure, side) -> Optional[int]:
+    """The first left, right or two-sided identity (``side`` as in IdentityLists)."""
+    mul, idx = closure.pair_product, range(len(closure))
+    if side == "right":
+        return next((e for e in idx if all(mul(s, e) == s for s in idx)), None)
+    e = next((e for e in idx if all(mul(e, s) == s for s in idx)), None)
+    # a left identity e and a right identity f are equal (e = ef = f), so test e alone
+    if side == "two_sided" and e is not None and not all(mul(s, e) == s for s in idx):
+        return None
+    return e
+
+
 def _identity_check(side):
     def check(closure):
-        ids = getattr(oracle_identities(closure), side)
-        return (True, {"element": ids[0].to_text()}) if ids else (False, None)
+        e = _first_identity(closure, side)
+        return (False, None) if e is None else (True, {"element": _show(closure, e)})
 
     return check
 
@@ -200,10 +229,6 @@ def oracle_report(closure: SemigroupClosure, prop: PropertyName) -> CheckReport:
     return CheckReport(prop, holds, witness)
 
 
-def oracle_check(closure: SemigroupClosure, prop: PropertyName) -> bool:
-    return oracle_report(closure, prop).holds
-
-
 class OracleModelResult:
     __slots__ = ("models", "assignment")
 
@@ -229,13 +254,7 @@ def oracle_models(
     pair = clo.pair_product
 
     n = gens.degree  # the key byte of an undefined image
-    inv_index = []
-    for key in clo.keys:
-        inv = bytearray([n]) * n
-        for x, v in enumerate(key):
-            if v != n:
-                inv[v] = x
-        inv_index.append(clo.index[bytes(inv)])
+    inv_index = [clo.index[_inverse_key(key, n)] for key in clo.keys]
 
     def eval_side(word, assign):
         acc = None

@@ -6,7 +6,6 @@ from pbsg import (
     PartialBijection,
     PropertyName,
     close,
-    oracle_check,
     oracle_identities,
     oracle_models,
     oracle_report,
@@ -24,9 +23,9 @@ def clo_of(*texts):
 class TestPropertyChecks:
     def test_identity_closure_is_group_and_semilattice(self):
         clo = clo_of("1 2 3")
-        assert oracle_check(clo, PropertyName.GROUP)
-        assert oracle_check(clo, PropertyName.SEMILATTICE)
-        assert oracle_check(clo, PropertyName.COMMUTATIVE)
+        assert oracle_report(clo, PropertyName.GROUP).holds
+        assert oracle_report(clo, PropertyName.SEMILATTICE).holds
+        assert oracle_report(clo, PropertyName.COMMUTATIVE).holds
 
     def test_shift_is_not_completely_regular(self):
         clo = clo_of("2 _")
@@ -35,12 +34,12 @@ class TestPropertyChecks:
         assert report.witness == {"element": "2 _"}
 
     def test_swap_generates_a_group(self):
-        assert oracle_check(clo_of("2 1"), PropertyName.GROUP)
+        assert oracle_report(clo_of("2 1"), PropertyName.GROUP).holds
 
     def test_shift_closure_is_nilpotent_with_zero(self):
         clo = clo_of("2 _")
         for prop in (PropertyName.LEFT_ZERO, PropertyName.RIGHT_ZERO, PropertyName.ZERO):
-            assert oracle_check(clo, prop)
+            assert oracle_report(clo, prop).holds
         report = oracle_report(clo, PropertyName.NILPOTENT)
         assert report.holds
         assert report.witness["zero"] == "_ _"
@@ -48,39 +47,116 @@ class TestPropertyChecks:
 
     def test_group_is_not_nilpotent(self):
         clo = clo_of("2 1")
-        assert not oracle_check(clo, PropertyName.ZERO)
-        assert not oracle_check(clo, PropertyName.NILPOTENT)
+        assert not oracle_report(clo, PropertyName.ZERO).holds
+        assert not oracle_report(clo, PropertyName.NILPOTENT).holds
 
     def test_group_of_order_two_is_not_r_trivial(self):
-        assert not oracle_check(clo_of("2 1"), PropertyName.R_TRIVIAL)
+        assert not oracle_report(clo_of("2 1"), PropertyName.R_TRIVIAL).holds
 
     def test_semilattice_is_r_trivial(self):
-        assert oracle_check(clo_of("1 _", "_ 2"), PropertyName.R_TRIVIAL)
+        assert oracle_report(clo_of("1 _", "_ 2"), PropertyName.R_TRIVIAL).holds
 
     def test_central_idempotents(self):
-        assert oracle_check(clo_of("2 1"), PropertyName.CENTRAL_IDEMPOTENTS)
-        assert not oracle_check(clo_of("2 1", "1 _"), PropertyName.CENTRAL_IDEMPOTENTS)
+        assert oracle_report(clo_of("2 1"), PropertyName.CENTRAL_IDEMPOTENTS).holds
+        assert not oracle_report(clo_of("2 1", "1 _"), PropertyName.CENTRAL_IDEMPOTENTS).holds
 
     def test_shift_not_regular(self):
-        assert not oracle_check(clo_of("2 _"), PropertyName.REGULAR)
+        assert not oracle_report(clo_of("2 _"), PropertyName.REGULAR).holds
 
     def test_inverse_closed_sets_are_regular(self):
         for gens in seeded_generator_sets(201, 15, degrees=(2, 3, 4), inverse_closed=True):
-            assert oracle_check(close(gens), PropertyName.REGULAR)
+            assert oracle_report(close(gens), PropertyName.REGULAR).holds
 
     def test_band_iff_semilattice_on_partial_bijections(self):
         for gens in seeded_generator_sets(202, 30, degrees=(2, 3, 4)):
             clo = close(gens)
-            assert oracle_check(clo, PropertyName.BAND) == oracle_check(
+            assert oracle_report(clo, PropertyName.BAND).holds == oracle_report(
                 clo, PropertyName.SEMILATTICE
-            )
+            ).holds
 
     def test_clifford_equals_completely_regular(self):
         for gens in seeded_generator_sets(203, 20, degrees=(2, 3)):
             clo = close(gens)
-            assert oracle_check(clo, PropertyName.CLIFFORD) == oracle_check(
+            assert oracle_report(clo, PropertyName.CLIFFORD).holds == oracle_report(
                 clo, PropertyName.COMPLETELY_REGULAR
-            )
+            ).holds
+
+
+# -- the parent's definitional scans, the references for the early-stopping ones --
+
+
+def naive_nilpotent(clo):
+    """Follow the sets G^t of length-t products for up to N+1 steps."""
+    mul, idx = clo.pair_product, range(len(clo))
+    zero = next((z for z in idx if all(mul(z, s) == z == mul(s, z) for s in idx)), None)
+    if zero is None:
+        return False, {"reason": "no zero element"}
+    zero_key = clo[zero].to_text()
+    current = {clo.index_of(g) for g in clo.generators}
+    for length in range(1, len(clo) + 2):
+        if current == {zero}:
+            return True, {"zero": zero_key, "annihilating_length": length}
+        current = {nxt for e in current for nxt in clo.cayley[e]}
+    return False, {"zero": zero_key}
+
+
+def naive_identity(side):
+    def check(clo):
+        ids = getattr(oracle_identities(clo), side)
+        return (True, {"element": ids[0].to_text()}) if ids else (False, None)
+
+    return check
+
+
+def naive_regular(clo):
+    """Search every t for sts = s."""
+    mul, idx = clo.pair_product, range(len(clo))
+    for s in idx:
+        if not any(mul(mul(s, t), s) == s for t in idx):
+            return False, {"element": clo[s].to_text()}
+    return True, None
+
+
+NAIVE = {
+    PropertyName.NILPOTENT: naive_nilpotent,
+    PropertyName.LEFT_IDENTITY: naive_identity("left"),
+    PropertyName.RIGHT_IDENTITY: naive_identity("right"),
+    PropertyName.TWO_SIDED_IDENTITY: naive_identity("two_sided"),
+    PropertyName.REGULAR: naive_regular,
+}
+
+
+class TestEarlyStoppingScans:
+    @pytest.mark.parametrize("inverse_closed", [False, True])
+    def test_reports_match_the_definitional_scans(self, inverse_closed):
+        sets = seeded_generator_sets(207, 120, degrees=(1, 2, 3, 4, 5),
+                                     inverse_closed=inverse_closed)
+        sets += [GeneratorSet.from_elements([pb(t) for t in texts]) for texts in (
+            ("2 3 4 5 _",), ("1 _", "_ _"), ("2 _",), ("1 2",), ("2 1", "1 _"),
+        )]
+        for gens in sets:
+            clo = close(gens)
+            for prop, naive in NAIVE.items():
+                report = oracle_report(clo, prop)
+                assert (report.holds, report.witness) == naive(clo), (prop, gens)
+
+    def test_shift_of_degree_five_annihilates_at_length_five(self):
+        report = oracle_report(clo_of("2 3 4 5 _"), PropertyName.NILPOTENT)
+        assert report.holds
+        assert report.witness == {"zero": "_ _ _ _ _", "annihilating_length": 5}
+
+    def test_zero_without_nilpotence(self):
+        # G^t = {id_{1}, 0} for every t: the set repeats at once and never shrinks
+        clo = clo_of("1 _", "_ _")
+        assert oracle_report(clo, PropertyName.ZERO).holds
+        report = oracle_report(clo, PropertyName.NILPOTENT)
+        assert not report.holds
+        assert report.witness == {"zero": "_ _"}
+
+    def test_shift_reports_its_first_non_regular_element(self):
+        report = oracle_report(clo_of("2 _"), PropertyName.REGULAR)
+        assert not report.holds
+        assert report.witness == {"element": "2 _"}
 
 
 class TestIdentities:
