@@ -4,8 +4,8 @@ Everything here scans the enumerated element set directly, so these are the
 ground truth the generator-level checkers are tested against.  Most scans
 follow the property's definition word for word.  Three stop as soon as their
 answer is fixed, each by a short exact argument stated where it is used:
-``nilpotent`` stops at the first repeated set of length-t products (the sets
-then cycle), the identity properties stop at the first identity on the side
+``nilpotent`` rejects at once when an idempotent other than the zero exists
+(it lies in every power of the generating set), the identity properties stop at the first identity on the side
 asked for (a left and a right identity are equal), and ``regular`` looks up
 each element's inverse (s is regular in S iff s⁻¹ is in S).  Scans work on
 element indices: every product is an index read off the closure's Cayley
@@ -120,16 +120,17 @@ def _nilpotent(closure):
     if zero is None:
         return False, {"reason": "no zero element"}
     zero_key = _show(closure, zero)
-    current = frozenset(closure.index_of(g) for g in closure.generators)
-    seen = set()
-    length = 1
-    # G^(t+1) depends only on G^t, so after a repeat the sets cycle among seen ones
-    while current not in seen:
+    mul = closure.pair_product
+    # an idempotent e = g1..gk other than the zero lies in every G^(kt), so no G^t is {zero}
+    if any(mul(e, e) == e for e in range(len(closure)) if e != zero):
+        return False, {"zero": zero_key}
+    current = {closure.index_of(g) for g in closure.generators}
+    # With the zero as the only idempotent, G^(N+1) = {zero}: a product of N+1
+    # generators repeats a prefix value p = px, so p = p x^ω with x^ω the zero.
+    for length in range(1, len(closure) + 2):
         if current == {zero}:
             return True, {"zero": zero_key, "annihilating_length": length}
-        seen.add(current)
-        current = frozenset(nxt for e in current for nxt in closure.cayley[e])
-        length += 1
+        current = {nxt for e in current for nxt in closure.cayley[e]}
     return False, {"zero": zero_key}
 
 

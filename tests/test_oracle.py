@@ -44,6 +44,8 @@ class TestPropertyChecks:
         assert report.holds
         assert report.witness["zero"] == "_ _"
         assert report.witness["annihilating_length"] == 2
+        report = oracle_report(clo_of("2 3 4 5 _"), PropertyName.NILPOTENT)
+        assert report.witness == {"zero": "_ _ _ _ _", "annihilating_length": 5}
 
     def test_group_is_not_nilpotent(self):
         clo = clo_of("2 1")
@@ -61,7 +63,9 @@ class TestPropertyChecks:
         assert not oracle_report(clo_of("2 1", "1 _"), PropertyName.CENTRAL_IDEMPOTENTS).holds
 
     def test_shift_not_regular(self):
-        assert not oracle_report(clo_of("2 _"), PropertyName.REGULAR).holds
+        report = oracle_report(clo_of("2 _"), PropertyName.REGULAR)
+        assert not report.holds
+        assert report.witness == {"element": "2 _"}
 
     def test_inverse_closed_sets_are_regular(self):
         for gens in seeded_generator_sets(201, 15, degrees=(2, 3, 4), inverse_closed=True):
@@ -126,6 +130,18 @@ NAIVE = {
 }
 
 
+def block_cycles(degree, lengths):
+    """Cycles of the given lengths, each defined only on its own block of points."""
+    texts, start = [], 0
+    for length in lengths:
+        images = ["_"] * degree
+        for x in range(start, start + length):
+            images[x] = str(start + (x - start + 1) % length + 1)
+        texts.append(" ".join(images))
+        start += length
+    return texts
+
+
 class TestEarlyStoppingScans:
     @pytest.mark.parametrize("inverse_closed", [False, True])
     def test_reports_match_the_definitional_scans(self, inverse_closed):
@@ -133,6 +149,7 @@ class TestEarlyStoppingScans:
                                      inverse_closed=inverse_closed)
         sets += [GeneratorSet.from_elements([pb(t) for t in texts]) for texts in (
             ("2 3 4 5 _",), ("1 _", "_ _"), ("2 _",), ("1 2",), ("2 1", "1 _"),
+            block_cycles(17, (2, 3, 5, 7)),
         )]
         for gens in sets:
             clo = close(gens)
@@ -140,23 +157,30 @@ class TestEarlyStoppingScans:
                 report = oracle_report(clo, prop)
                 assert (report.holds, report.witness) == naive(clo), (prop, gens)
 
-    def test_shift_of_degree_five_annihilates_at_length_five(self):
-        report = oracle_report(clo_of("2 3 4 5 _"), PropertyName.NILPOTENT)
-        assert report.holds
-        assert report.witness == {"zero": "_ _ _ _ _", "annihilating_length": 5}
-
-    def test_zero_without_nilpotence(self):
-        # G^t = {id_{1}, 0} for every t: the set repeats at once and never shrinks
-        clo = clo_of("1 _", "_ _")
+    def test_block_cycles_are_rejected_without_walking_their_period(self):
+        # cycles of lengths 2, 3, 5 and 7 on disjoint blocks: G^t = {a^t, b^t, c^t, d^t, 0}
+        # first repeats after lcm = 210 steps, far beyond the N + 1 = 19 the scan may take
+        clo = clo_of(*block_cycles(17, (2, 3, 5, 7)))
+        assert len(clo) == 18
+        clo.cayley = rows = CountingRows(clo.cayley)
         assert oracle_report(clo, PropertyName.ZERO).holds
+        zero_reads = rows.reads
         report = oracle_report(clo, PropertyName.NILPOTENT)
         assert not report.holds
-        assert report.witness == {"zero": "_ _"}
+        assert report.witness == {"zero": " ".join("_" * 17)}
+        # beyond the zero scan: one square per element, then N + 1 steps of at most N rows
+        squares = sum(len(word) for word in clo.words)
+        assert rows.reads - 2 * zero_reads <= squares + (len(clo) + 1) * len(clo)
 
-    def test_shift_reports_its_first_non_regular_element(self):
-        report = oracle_report(clo_of("2 _"), PropertyName.REGULAR)
-        assert not report.holds
-        assert report.witness == {"element": "2 _"}
+
+class CountingRows(list):
+    """A Cayley table that counts the rows read from it."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
 
 
 class TestIdentities:

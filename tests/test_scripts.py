@@ -26,6 +26,16 @@ def test_sweep_agrees_with_oracle(name, argv, capsys):
     assert "agree" in capsys.readouterr().out
 
 
+def test_model_check_sweep_skips_sets_over_the_oracle_budget(capsys):
+    # the second degree-4 set of seed 1 closes to 93 elements: 93^4 assignments
+    argv = ["--degrees", "4", "--count", "2", "--seed", "1",
+            "--identities", "x1 x2 x3 x4 = x4 x3 x2 x1"]
+    assert _load("model_check_sweep").main(argv) == 0
+    first = capsys.readouterr().out.splitlines()[0]
+    assert first.startswith("1 checks in ")
+    assert ", 1 skipped (oracle assignment space over the budget)" in first
+
+
 def _bench_file(path, metrics, correct=True):
     """A BENCH file with one ``cli`` run whose end-to-end metrics are ``metrics``."""
     result = {"correct": correct, "attempted": 10, "failed": 0 if correct else 1,
