@@ -37,12 +37,10 @@ _EXPORTS = {
         "Identity",
         "IdentitySyntaxError",
         "Literal",
-        "OccurrenceSets",
         "PremiseMismatchError",
         "Word",
         "apply_assignment",
         "format_identity",
-        "occurrence_sets",
         "parse_identity",
     ),
     "model_checker": (

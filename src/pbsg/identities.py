@@ -116,16 +116,6 @@ class Identity(ValueType):
         return format_identity(self)
 
 
-class OccurrenceSets:
-    """0-based positions of one variable in the two words."""
-
-    __slots__ = ("lhs_positions", "rhs_positions")
-
-    def __init__(self, lhs_positions: frozenset, rhs_positions: frozenset):
-        self.lhs_positions = lhs_positions
-        self.rhs_positions = rhs_positions
-
-
 _TOKEN_RE = re.compile(r"x\d+|\^-1|\^2|'|=>|=|,")
 _WS_RE = re.compile(r"\s*")
 
@@ -262,16 +252,6 @@ def format_identity(ident: Identity) -> str:
         return eq
     premises = ", ".join(f"x{i}=x{i}^2" for i in range(1, ident.num_premises + 1))
     return f"{premises} => {eq}"
-
-
-def occurrence_sets(ident: Identity, var: int) -> OccurrenceSets:
-    """Positions (0-based) where ``var`` occurs, regardless of exponent."""
-    if not 1 <= var <= ident.num_vars:
-        raise ValueError(f"variable x{var} out of range")
-    return OccurrenceSets(
-        frozenset(p for p, lit in enumerate(ident.lhs) if lit.var == var),
-        frozenset(p for p, lit in enumerate(ident.rhs) if lit.var == var),
-    )
 
 
 def apply_assignment(word: Word, assignment: Sequence):

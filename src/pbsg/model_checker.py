@@ -16,18 +16,25 @@ A guess where a real point follows a sink on the same trace is rejected
 outright: the sink is absorbing, so no run could realize it.
 
 Boundary positions are fixed depth first in lexicographic order (``p``, then
-``q``; real points ascending, sink last).  Each variable is queried as soon
-as every position it reads is fixed, and a variable no word can serve prunes
-every boundary that extends the prefix, so the first complete boundary found
-is still the least counterexample.  Each expanded position adds its number of
-choices to one work count, each breadth-first search (below) the states it
-reaches; ``ArityOverflow`` is raised once the count passes ``budget``.
+``q``; real points ascending, sink last).  Fixing a position binds every
+occurrence that ends there into its variable's run spec (below), and a point
+whose binding conflicts is rejected at once; the bindings are undone on
+backtrack.  Each variable is queried as soon as every position it reads is
+fixed, and a variable no word can serve prunes every boundary that extends
+the prefix.  Every rejection rule only grows with the bound occurrences, so
+no pruned prefix has an accepted completion and the first complete boundary
+found is still the least counterexample.  Each expanded position adds its
+number of choices to one work count, each breadth-first search (below) the
+states it reaches; ``ArityOverflow`` is raised once the count passes
+``budget``.  Positions below a rejected point are never expanded, so they
+are never charged.
 
-A variable's occurrences become a map from start points to required end
-points.  Every word acts as a function that is injective away from the sink,
-so a start point needing two ends, or two start points needing one real end,
-has no word and is rejected without a search.  Otherwise the run is
-breadth-first over the tuple of the distinct start points' current values.
+A variable's occurrences build a map from start points to required end
+points, one occurrence at a time.  Every word acts as a function that is
+injective away from the sink, so a start point needing two ends, or two
+start points needing one real end, has no word and is rejected as soon as
+the occurrence that causes it is bound, without a search.  Otherwise the run
+is breadth-first over the tuple of the distinct start points' current values.
 An occurrence ``x -> y`` of ``x_i`` tracks a forward slot (start x, end y);
 an occurrence of ``x_i^-1`` tracks the reverse edge forwards (start y, end
 x).  An inverse occurrence whose target is the sink requires its source to
@@ -115,66 +122,81 @@ class ModelCheckResult(ValueType):
         self.generators = generators
 
 
-def _plan_variable(ident, var, strict_points):
-    """``(edges, constrained, mask_on, depth)`` for one variable.
+class _Occurrences:
+    """One variable's occurrence edges and the run spec bound from them so far.
 
     ``edges`` holds one (from, to, exponent) per occurrence, where from/to
-    index the flat boundary ``p[0..l] + q[1..r]``; ``depth`` is the last flat
-    position the variable reads (0 when it occurs nowhere).
+    index the flat boundary ``p[0..l] + q[1..r]`` and from < to; ``depth`` is
+    the last flat position the variable reads (0 when it occurs nowhere).  The
+    spec is ``ends`` (start point -> required end point), ``real`` (real end
+    point -> its start point) and ``forbidden`` (the image exclusions, keyed
+    by their bits ``1 << x``); ``bind`` adds one edge's constraint and logs
+    every key it adds as ``(container, key)`` so that a caller can undo it.
     """
-    l = len(ident.lhs)
-    edges = []
-    for pos, lit in enumerate(ident.lhs):
-        if lit.var == var:
-            edges.append((pos, pos + 1, lit.exponent))
-    for pos, lit in enumerate(ident.rhs):
-        if lit.var == var:
-            edges.append((l + pos if pos else 0, l + pos + 1, lit.exponent))
-    constrained = var <= ident.num_premises
-    mask_on = (
-        not strict_points
-        and not constrained
-        and any(e == -1 for _, _, e in edges)
-    )
-    depth = max((j for _, j, _ in edges), default=0)
-    return tuple(edges), constrained, mask_on, depth
 
+    __slots__ = ("edges", "constrained", "mask_on", "depth", "sink",
+                 "ends", "real", "forbidden")
 
-def _run_spec(plan, pts, bottom):
-    """Distinct start points, the end point each must reach, and the image
-    exclusions (a bitmask) for one variable and flat boundary ``pts``.
+    def __init__(self, ident, var, sink, strict_points):
+        l = len(ident.lhs)
+        edges = []
+        for pos, lit in enumerate(ident.lhs):
+            if lit.var == var:
+                edges.append((pos, pos + 1, lit.exponent))
+        for pos, lit in enumerate(ident.rhs):
+            if lit.var == var:
+                edges.append((l + pos if pos else 0, l + pos + 1, lit.exponent))
+        self.edges = tuple(edges)
+        self.constrained = var <= ident.num_premises
+        self.mask_on = (
+            not strict_points
+            and not self.constrained
+            and any(e == -1 for _, _, e in edges)
+        )
+        self.depth = max((j for _, j, _ in edges), default=0)
+        self.sink = sink
+        self.ends: dict[int, int] = {}
+        self.real: dict[int, int] = {}
+        self.forbidden: dict[int, None] = {}
 
-    Returns None when no word can realize the occurrences: a real point
-    right after a sink on the same trace, one start point sent to two end
-    points (a word acts as a function), or two start points sent to one real
-    point (it is injective away from the sink).
-    """
-    edges, constrained, _, _ = plan
-    ends: dict[int, int] = {}
-    forbidden = 0
-    for i, j, exponent in edges:
-        x, y = pts[i], pts[j]
-        if x == bottom:
-            if y != bottom:
-                return None
-            continue
+    def bind(self, x, y, exponent, log):
+        """Add the occurrence ``x -> y``; False when no word can realize the
+        spec any more: a real point right after a sink on the same trace,
+        one start point sent to two end points (a word acts as a function),
+        two start points sent to one real point (it is injective away from
+        the sink), or, for a premise variable, a real end point that is not
+        fixed (its value is idempotent).  Each rule only looks at the edges
+        bound so far, so a spec rejected here stays rejected whatever is
+        bound later.
+        """
+        sink = self.sink
+        if x == sink:
+            return y == sink
         if exponent == -1:
-            if y == bottom:
-                if not constrained:
-                    forbidden |= 1 << x
-                    continue
-            else:
+            if y != sink:
                 x, y = y, x
-        if ends.setdefault(x, y) != y:
-            return None
-        if constrained and y != bottom and ends.setdefault(y, y) != y:
-            return None
-    points = tuple(sorted(ends))
-    targets = tuple(ends[x] for x in points)
-    real = [y for y in targets if y != bottom]
-    if len(set(real)) != len(real):
-        return None
-    return points, targets, forbidden
+            elif not self.constrained:
+                bit = 1 << x
+                if bit not in self.forbidden:
+                    self.forbidden[bit] = None
+                    log.append((self.forbidden, bit))
+                return True
+        if not self._send(x, y, log):
+            return False
+        return not self.constrained or y == sink or self._send(y, y, log)
+
+    def _send(self, x, y, log):
+        end = self.ends.get(x)
+        if end is not None:
+            return end == y
+        if y != self.sink:
+            if y in self.real:
+                return False
+            self.real[y] = x
+            log.append((self.real, y))
+        self.ends[x] = y
+        log.append((self.ends, x))
+        return True
 
 
 def _mask_step(action, mask, n):
@@ -227,19 +249,19 @@ def _query(arrived, by_slots, targets, forbidden, mask_on):
     return None
 
 
-def _run_word(actions, plan, pts, n, reach_cache, query_cache, work):
-    """The variable's least word for the flat boundary ``pts``, or None.
+def _run_word(actions, occ, n, reach_cache, query_cache, work):
+    """The least word realizing the variable's bound spec, or None.
 
     Explores are keyed by start points alone and queries by start points and
     targets, so variables and permuted slots share them.  Slot order is
     immaterial to the breadth-first search, so the words are the same as for
     the variable's own slot order.
     """
-    spec = _run_spec(plan, pts, n)
-    if spec is None:
-        return None
-    points, targets, forbidden = spec
-    mask_on = plan[2]
+    ends = occ.ends
+    points = tuple(sorted(ends))
+    targets = tuple([ends[x] for x in points])
+    forbidden = sum(occ.forbidden)
+    mask_on = occ.mask_on
     qkey = (mask_on, points, targets, forbidden)
     word = query_cache.get(qkey, _MISS)
     if word is _MISS:
@@ -261,10 +283,12 @@ def check_variable_run(
 ) -> VariableRun:
     """Search one variable's run for one boundary guess.
 
-    The returned word (shortest, then lexicographically least; always nonempty)
-    indexes into ``gens.generators`` as given; callers working over an inverse
-    semigroup pass the inverse-closed list.  Raises ``ArityOverflow`` when the
-    run's search reaches more than ``budget`` states.
+    The variable's occurrences are bound in position order, as ``models``
+    binds them, and the spec is then queried.  The returned word (shortest,
+    then lexicographically least; always nonempty) indexes into
+    ``gens.generators`` as given; callers working over an inverse semigroup
+    pass the inverse-closed list.  Raises ``ArityOverflow`` when the run's
+    search reaches more than ``budget`` states.
     """
     n = gens.degree
     if not 1 <= var <= ident.num_vars:
@@ -273,10 +297,16 @@ def check_variable_run(
         raise ValueError("boundary lengths must match the identity's words")
     if boundary.p[0] != boundary.q[0] or boundary.p[0] >= n:
         raise ValueError("traces must share a real start point")
-    plan = _plan_variable(ident, var, strict_points)
-    actions = [g.embed() for g in gens.generators]
     pts = tuple(boundary.p) + tuple(boundary.q[1:])
-    word = _run_word(actions, plan, pts, n, {}, {}, _Work(budget))
+    if any(not 0 <= x <= n for x in pts):
+        raise ValueError(f"boundary points must lie in 0..{n}, the degree being the sink")
+    occ = _Occurrences(ident, var, n, strict_points)
+    log: list = []
+    for i, j, exponent in occ.edges:
+        if not occ.bind(pts[i], pts[j], exponent, log):
+            return VariableRun(False)
+    actions = [g.embed() for g in gens.generators]
+    word = _run_word(actions, occ, n, {}, {}, _Work(budget))
     return VariableRun(word is not None, word)
 
 
@@ -291,32 +321,37 @@ def models(
     Boundaries are tried in lexicographic order of ``p[0..l]`` then
     ``q[1..r]`` (real points ascending, sink last), so the reported
     counterexample is the least one, with each variable's word minimal for
-    it.  The positions are fixed depth first; each variable is queried once
-    the last position it reads is fixed, and a variable with no word prunes
-    every boundary below that prefix.  A real point right after a sink on the
-    same word is never tried.  Raises ``ArityOverflow`` once the work passes
-    ``budget``.
+    it.  The positions are fixed depth first.  Fixing a position binds every
+    occurrence ending there, and a conflict rejects the point at once; each
+    variable is queried once the last position it reads is fixed, and a
+    variable with no word prunes every boundary below that prefix.  A real
+    point right after a sink on the same word is never tried.  Raises
+    ``ArityOverflow`` once the work passes ``budget``.
     """
     gens = gens.with_inverses()
     n = gens.degree
     l, r = len(ident.lhs), len(ident.rhs)
     values = tuple(range(n)) if strict_points else tuple(range(n + 1))
-    plans = [_plan_variable(ident, v, strict_points) for v in range(1, ident.num_vars + 1)]
+    occs = [_Occurrences(ident, v, n, strict_points) for v in range(1, ident.num_vars + 1)]
     actions = [g.embed() for g in gens.generators]
     reach_cache: dict = {}
     query_cache: dict = {}
     last = l + r
     due = [[] for _ in range(last + 1)]
-    for vi, plan in enumerate(plans):
-        due[plan[3]].append((vi, plan))
+    ending = [[] for _ in range(last + 1)]
+    for vi, occ in enumerate(occs):
+        due[occ.depth].append((vi, occ))
+        for i, j, exponent in occ.edges:
+            ending[j].append((occ.bind, i, exponent))
     pts = [0] * (last + 1)
-    words: list = [None] * len(plans)
+    words: list = [None] * len(occs)
     work = _Work(budget)
+    log: list = []
 
     def extend(d):
         """Query the variables due at position d - 1, then fix pts[d:]."""
-        for vi, plan in due[d - 1]:
-            word = _run_word(actions, plan, pts, n, reach_cache, query_cache, work)
+        for vi, occ in due[d - 1]:
+            word = _run_word(actions, occ, n, reach_cache, query_cache, work)
             if word is None:
                 return False
             words[vi] = word
@@ -325,10 +360,21 @@ def models(
         prev = 0 if d == l + 1 else d - 1
         choices = (n,) if pts[prev] == n else values
         work.charge(len(choices))
+        binds = ending[d]
+        mark = len(log)
         for v in choices:
+            if d == last and pts[l] == v:
+                continue
             pts[d] = v
-            if (d < last or pts[l] != v) and extend(d + 1):
-                return True
+            for bind, i, exponent in binds:
+                if not bind(pts[i], v, exponent, log):
+                    break
+            else:
+                if extend(d + 1):
+                    return True
+            while len(log) > mark:  # unbind what this point added
+                container, key = log.pop()
+                del container[key]
         return False
 
     for p1 in range(n):

@@ -11,7 +11,6 @@ from pbsg import (
     Word,
     apply_assignment,
     format_identity,
-    occurrence_sets,
     parse_identity,
 )
 
@@ -101,39 +100,6 @@ class TestParseErrors:
     def test_missing_equation(self):
         with pytest.raises(IdentitySyntaxError):
             parse_identity("x1 x2")
-
-
-class TestOccurrenceSets:
-    def test_commutativity_positions(self):
-        ident = parse_identity("x1 x2 = x2 x1")
-        occ = occurrence_sets(ident, 1)
-        assert occ.lhs_positions == frozenset({0})
-        assert occ.rhs_positions == frozenset({1})
-
-    def test_both_exponents_count(self):
-        ident = parse_identity("x1 x1^-1 = x1^-1 x1")
-        occ = occurrence_sets(ident, 1)
-        assert occ.lhs_positions == frozenset({0, 1})
-        assert occ.rhs_positions == frozenset({0, 1})
-
-    def test_absent_side(self):
-        ident = parse_identity("x1 x2 x1 = x2")
-        occ = occurrence_sets(ident, 1)
-        assert occ.lhs_positions == frozenset({0, 2})
-        assert occ.rhs_positions == frozenset()
-
-    def test_partition(self):
-        ident = parse_identity("x1 x2 x1 x3^-1 = x3 x2")
-        lhs_all = set()
-        rhs_all = set()
-        for v in range(1, ident.num_vars + 1):
-            occ = occurrence_sets(ident, v)
-            assert not occ.lhs_positions & lhs_all
-            assert not occ.rhs_positions & rhs_all
-            lhs_all |= occ.lhs_positions
-            rhs_all |= occ.rhs_positions
-        assert lhs_all == set(range(len(ident.lhs)))
-        assert rhs_all == set(range(len(ident.rhs)))
 
 
 words = st.lists(

@@ -14,7 +14,14 @@ from pbsg import (
     parse_identity,
 )
 from pbsg.checkers import check_commutative
-from pbsg.model_checker import counterexample_values
+from pbsg.model_checker import (
+    _explore,
+    _Occurrences,
+    _query,
+    _Work,
+    VariableRun,
+    counterexample_values,
+)
 from pbsg.sampling import random_generator_set
 
 from conftest import MODEL_CORPUS, pb, seeded_generator_sets
@@ -104,6 +111,9 @@ class TestModels:
         # pruning keeps the search far below its 8 * 9**6 boundaries
         assert models(cosingleton_semilattice(8), parse_identity("x1 x2 x3 = x3 x2 x1")).models
 
+    def test_four_variable_reversal_at_degree_6(self):
+        assert models(cosingleton_semilattice(6), parse_identity(FOUR_REVERSAL)).models
+
 
 class TestWorkBudget:
     """The budget counts boundary choices expanded plus reach states, so an
@@ -127,6 +137,14 @@ class TestWorkBudget:
     def test_search_past_the_budget_overflows(self):
         with pytest.raises(ArityOverflow):
             models(cosingleton_semilattice(7), parse_identity(FOUR_REVERSAL), budget=10_000)
+
+    def test_conflicting_points_are_rejected_before_expansion(self):
+        # x1 x1^-1 x1 = x1 reads every position; binding each occurrence as
+        # its end point is fixed rejects most points before the positions
+        # below them are expanded and charged: 4,568 are charged here, while
+        # the boundaries number 8 * 9**4 = 52,488
+        gens = cosingleton_semilattice(8)
+        assert models(gens, parse_identity("x1 x1^-1 x1 = x1"), budget=10_000).models
 
     def test_variable_run_is_charged_its_reach_states(self):
         # the 3-cycle's orbit of point 1 is three states
@@ -199,6 +217,102 @@ class TestCheckVariableRun:
             check_variable_run(gens, ident, 1, BoundaryGuess((0, 0, 0), (0, 0)))
         with pytest.raises(ValueError):
             check_variable_run(gens, ident, 1, BoundaryGuess((2, 0), (2, 0)))
+
+    @pytest.mark.parametrize("p", ((0, 7, 1), (0, -1, 1), (0, 1, 4)))
+    def test_validates_every_point(self, p):
+        # points index the image bitmask and the generator actions, so each
+        # must be a real point or the sink (the degree, 3 here)
+        gens = gset("2 3 1")
+        ident = parse_identity("x1 x1 = x1 x2")
+        for var in (1, 2):
+            with pytest.raises(ValueError):
+                check_variable_run(gens, ident, var, BoundaryGuess(p, (0, 1, 2)))
+            with pytest.raises(ValueError):
+                check_variable_run(gens, ident, var, BoundaryGuess((0, 1, 2), p))
+
+
+def _run_spec(occ, pts, bottom):
+    """Definitional reference for the spec that ``check_variable_run`` binds:
+    distinct start points, the end point each must reach, and the image
+    exclusions (a bitmask) for one variable and flat boundary ``pts``, all
+    occurrences read at once; None when no word can realize them."""
+    ends = {}
+    forbidden = 0
+    for i, j, exponent in occ.edges:
+        x, y = pts[i], pts[j]
+        if x == bottom:
+            if y != bottom:
+                return None
+            continue
+        if exponent == -1:
+            if y == bottom:
+                if not occ.constrained:
+                    forbidden |= 1 << x
+                    continue
+            else:
+                x, y = y, x
+        if ends.setdefault(x, y) != y:
+            return None
+        if occ.constrained and y != bottom and ends.setdefault(y, y) != y:
+            return None
+    points = tuple(sorted(ends))
+    targets = tuple(ends[x] for x in points)
+    real = [y for y in targets if y != bottom]
+    if len(set(real)) != len(real):
+        return None
+    return points, targets, forbidden
+
+
+def reference_variable_run(gens, ident, var, boundary, strict_points):
+    n = gens.degree
+    occ = _Occurrences(ident, var, n, strict_points)
+    spec = _run_spec(occ, boundary.p + boundary.q[1:], n)
+    if spec is None:
+        return VariableRun(False), spec
+    points, targets, forbidden = spec
+    actions = [g.embed() for g in gens.generators]
+    reach = _explore(actions, points, occ.mask_on, n, _Work(10**7))
+    word = _query(*reach, targets, forbidden, occ.mask_on)
+    return VariableRun(word is not None, word), spec
+
+
+class TestSpecBinder:
+    @pytest.mark.parametrize("strict", (False, True))
+    def test_binder_matches_whole_spec_reference(self, strict):
+        # random boundaries over all points and the sink, so they include
+        # sink-then-real traces, premise variables and inverse occurrences
+        # sent to the sink (masked runs)
+        rng = random.Random(408)
+        idents = [parse_identity(t) for t in (
+            "x1=x1^2 => x1 x2 = x2 x1",
+            "x1=x1^2 => x2 x1 x2^-1 = x2 x2^-1",
+            "x1 x1^-1 = x1^-1 x1",
+            "x1 x2^-1 x1 = x1",
+            "x1 x1 x1 = x1",
+            "x1 x2 x3 = x3 x2 x1",
+        )]
+        seen = {"premise ok": 0, "masked ok": 0, "sink then real": 0, "rejected": 0}
+        for gens in seeded_generator_sets(408, 10, degrees=(2, 3), inverse_closed=True):
+            n = gens.degree
+            for ident in idents:
+                l, r = len(ident.lhs), len(ident.rhs)
+                for _ in range(25):
+                    start = rng.randrange(n)
+                    p = (start,) + tuple(rng.randrange(n + 1) for _ in range(l))
+                    q = (start,) + tuple(rng.randrange(n + 1) for _ in range(r))
+                    boundary = BoundaryGuess(p, q)
+                    broken = any(a == n != b for t in (p, q) for a, b in zip(t, t[1:]))
+                    for var in range(1, ident.num_vars + 1):
+                        run = check_variable_run(gens, ident, var, boundary,
+                                                 strict_points=strict)
+                        expected, spec = reference_variable_run(gens, ident, var,
+                                                                boundary, strict)
+                        assert (run.ok, run.word) == (expected.ok, expected.word)
+                        seen["rejected"] += spec is None
+                        seen["sink then real"] += broken and spec is None
+                        seen["premise ok"] += run.ok and var <= ident.num_premises
+                        seen["masked ok"] += run.ok and spec is not None and spec[2] != 0
+        assert all(seen.values()), seen
 
 
 class TestOracleAgreement:

@@ -10,6 +10,7 @@ import sys
 import pytest
 
 import pbsg
+from pbsg import _MODULE_OF
 
 #: The criterion-6 argv rows (tests/test_acceptance.py) and the pbsg modules
 #: each may load, beside ``pbsg``, ``pbsg.cli``, ``pbsg.closure`` and ``pbsg.pbij``.
@@ -127,6 +128,20 @@ def test_dir_and_star_import_list_every_export():
     exec("from pbsg import *", namespace)
     assert set(pbsg.__all__) <= set(namespace)
     assert all(namespace[name] is getattr(pbsg, name) for name in pbsg.__all__)
+
+
+def test_identities_exports_only_the_term_language():
+    # the model checker plans each variable's occurrences itself, so the
+    # identities module exports no occurrence analysis
+    exported = {name for name in pbsg.__all__ if _MODULE_OF[name] == "identities"}
+    assert exported == {
+        "EmptyWordError", "Identity", "IdentitySyntaxError", "Literal",
+        "PremiseMismatchError", "Word", "apply_assignment", "format_identity",
+        "parse_identity",
+    }
+    for name in ("OccurrenceSets", "occurrence_sets"):
+        with pytest.raises(AttributeError):
+            getattr(pbsg, name)
 
 
 def test_unknown_attribute_raises_attribute_error():
