@@ -261,7 +261,9 @@ def _run_word(actions, occ, n, reach_cache, query_cache, work):
     points = tuple(sorted(ends))
     targets = tuple([ends[x] for x in points])
     forbidden = sum(occ.forbidden)
-    mask_on = occ.mask_on
+    # strict mode leaves the mask off, yet a boundary that ``check_variable_run``
+    # is given may still send an inverse occurrence to the sink
+    mask_on = occ.mask_on or forbidden != 0
     qkey = (mask_on, points, targets, forbidden)
     word = query_cache.get(qkey, _MISS)
     if word is _MISS:

@@ -1,23 +1,30 @@
 """Semantic property checks over a complete closure.
 
-Everything here scans the enumerated element set directly, so these are the
-ground truth the generator-level checkers are tested against.  Most scans
-follow the property's definition word for word.  Three stop as soon as their
-answer is fixed, each by a short exact argument stated where it is used:
+Everything here is decided from the enumerated element set, so these are the
+ground truth the generator-level checkers are tested against.  Zeros,
+identities and central idempotents are tested against the generators alone:
+each of zs = z, sz = z, es = s, se = s and es = se defines a subsemigroup
+{s : ...} of S, so it holds for every s in S iff it holds for every
+generator, and S is scanned only to find a witness.  ``commutative``,
+``band``/``semilattice``, ``completely-regular``/``clifford``, ``regular``
+and ``r-trivial`` scan every element, so the oracle shares no argument with
+their generator-level checkers.  Three scans stop as soon as their answer is
+fixed, each by a short exact argument stated where it is used:
 ``nilpotent`` rejects at once when an idempotent other than the zero exists
-(it lies in every power of the generating set), the identity properties stop at the first identity on the side
-asked for (a left and a right identity are equal), and ``regular`` looks up
-each element's inverse (s is regular in S iff s⁻¹ is in S).  Scans work on
-element indices: every product is an index read off the closure's Cayley
-table by ``pair_product``, and no element is composed here; what a scan needs
-of an element itself it reads from the element's byte key.  Scans are
-order-independent; the witnesses reported follow enumeration order so output
-stays deterministic.
+(it lies in every power of the generating set), the identity properties stop
+at the first identity on the side asked for (a left and a right identity are
+equal), and ``regular`` looks up each element's inverse (s is regular in S
+iff s⁻¹ is in S).  A product of two elements is an index read off the
+closure's Cayley table by ``pair_product``, or a key computed by one
+``bytes.translate`` of two byte keys; no element is built except to be
+reported.  Candidates and witnesses are walked in enumeration order, so the
+output stays deterministic.
 """
 
 from __future__ import annotations
 
-from itertools import product
+import operator
+from itertools import islice, product
 from math import prod
 from typing import TYPE_CHECKING, Callable, Optional
 
@@ -40,6 +47,26 @@ def _show(closure, i) -> str:
     return closure[i].to_text()
 
 
+_BYTES = bytes(range(256))
+
+
+def _tail(closure) -> bytes:
+    """The bytes that extend a key into a ``translate`` table:
+    ``a.translate(b + tail)`` is the key of a*b."""
+    return _BYTES[closure.generators[0].degree:]
+
+
+def _generator_keys(closure) -> list[bytes]:
+    keys = closure.keys
+    return [keys[closure.index_of(g)] for g in closure.generators]
+
+
+def _idempotents(closure):
+    """The idempotents' indices in enumeration order, read off their keys."""
+    tail = _tail(closure)
+    return (e for e, key in enumerate(closure.keys) if key.translate(key + tail) == key)
+
+
 def _inverse_key(key: bytes, n: int) -> bytes:
     """The byte key of the inverse of the degree-``n`` element keyed ``key``."""
     inv = bytearray([n]) * n
@@ -50,9 +77,9 @@ def _inverse_key(key: bytes, n: int) -> bytes:
 
 
 def oracle_identities(closure: SemigroupClosure) -> IdentityLists:
-    mul, idx = closure.pair_product, range(len(closure))
-    left = [e for e in idx if all(mul(e, s) == s for s in idx)]
-    right = [e for e in idx if all(mul(s, e) == s for s in idx)]
+    idx = range(len(closure))
+    left = list(filter(_left_identity_test(closure), idx))
+    right = list(filter(_right_identity_test(closure), idx))
     right_set = set(right)
     two_sided = [e for e in left if e in right_set]
     return IdentityLists(*(tuple(closure[e] for e in ids) for ids in (left, right, two_sided)))
@@ -83,27 +110,35 @@ def _semilattice(closure):
 
 
 def _group(closure):
-    mul, idx = closure.pair_product, range(len(closure))
-    idems = [e for e in idx if mul(e, e) == e]
+    idems = list(islice(_idempotents(closure), 2))
     if len(idems) != 1:
-        return False, {"idempotents": [_show(closure, e) for e in idems[:2]]}
-    e = idems[0]
-    for s in idx:
-        if mul(e, s) != s or mul(s, e) != s:
-            return False, {"not_identity_on": _show(closure, s)}
-    for s in idx:
-        if not any(mul(s, t) == e and mul(t, s) == e for t in idx):
-            return False, {"no_inverse": _show(closure, s)}
-    return True, None
+        return False, {"idempotents": [_show(closure, e) for e in idems]}
+    (e,) = idems
+    if _left_identity_test(closure)(e) and _right_identity_test(closure)(e):
+        # each s has a power s^m = e, the only idempotent: s^(m-1), or e, inverts s
+        return True, None
+    keys, tail = closure.keys, _tail(closure)
+    key_e = keys[e]
+    table = key_e + tail
+    s = next(s for s, key in enumerate(keys)
+             if key_e.translate(key + tail) != key or key.translate(table) != key)
+    return False, {"not_identity_on": _show(closure, s)}
 
 
 def _first_zero(closure, left, right) -> Optional[int]:
     """The first z with z*s == z (when ``left``) and s*z == z (when ``right``)
     for every s: a left zero, a right zero or a zero."""
-    mul, idx = closure.pair_product, range(len(closure))
-    for z in idx:
-        if all((not left or mul(z, s) == z) and (not right or mul(s, z) == z) for s in idx):
-            return z
+    keys, tail = closure.keys, _tail(closure)
+    gen_keys = _generator_keys(closure)
+    for z, row in enumerate(closure.cayley):
+        if left and row.count(z) != len(row):
+            continue
+        if right:
+            key = keys[z]
+            table = key + tail
+            if any(g.translate(table) != key for g in gen_keys):
+                continue
+        return z
     return None
 
 
@@ -120,9 +155,8 @@ def _nilpotent(closure):
     if zero is None:
         return False, {"reason": "no zero element"}
     zero_key = _show(closure, zero)
-    mul = closure.pair_product
     # an idempotent e = g1..gk other than the zero lies in every G^(kt), so no G^t is {zero}
-    if any(mul(e, e) == e for e in range(len(closure)) if e != zero):
+    if any(e != zero for e in _idempotents(closure)):
         return False, {"zero": zero_key}
     current = {closure.index_of(g) for g in closure.generators}
     # With the zero as the only idempotent, G^(N+1) = {zero}: a product of N+1
@@ -158,13 +192,16 @@ def _r_trivial(closure):
 
 
 def _central_idempotents(closure):
-    mul, idx = closure.pair_product, range(len(closure))
-    for e in idx:
-        if mul(e, e) != e:
+    keys, cayley, tail = closure.keys, closure.cayley, _tail(closure)
+    gen_keys = _generator_keys(closure)
+    for e in _idempotents(closure):
+        key_e = keys[e]
+        table = key_e + tail
+        if all(g.translate(table) == keys[eg] for g, eg in zip(gen_keys, cayley[e])):
             continue
-        for s in idx:
-            if mul(e, s) != mul(s, e):
-                return False, {"idempotent": _show(closure, e), "element": _show(closure, s)}
+        s = next(s for s, key in enumerate(keys)
+                 if key_e.translate(key + tail) != key.translate(table))
+        return False, {"idempotent": _show(closure, e), "element": _show(closure, s)}
     return True, None
 
 
@@ -185,14 +222,35 @@ def _completely_regular(closure):
     return True, None
 
 
+def _left_identity_test(closure) -> Callable[[int], bool]:
+    """e*g == g for every generator g: the test that e is a left identity."""
+    gens = tuple(closure.index_of(g) for g in closure.generators)
+    cayley = closure.cayley
+    return lambda e: cayley[e] == gens
+
+
+def _right_identity_test(closure) -> Callable[[int], bool]:
+    """g*e == g for every generator g, that is, e fixes every point of every
+    generator's image: the test that e is a right identity."""
+    n = closure.generators[0].degree
+    points = sorted({v for key in _generator_keys(closure) for v in key} - {n})
+    if not points:
+        return lambda e: True
+    # the repeated point makes even one image point read as a tuple
+    fixed = operator.itemgetter(*points, points[0])
+    want = fixed(range(n))
+    keys = closure.keys
+    return lambda e: fixed(keys[e]) == want
+
+
 def _first_identity(closure, side) -> Optional[int]:
     """The first left, right or two-sided identity (``side`` as in IdentityLists)."""
-    mul, idx = closure.pair_product, range(len(closure))
+    idx = range(len(closure))
     if side == "right":
-        return next((e for e in idx if all(mul(s, e) == s for s in idx)), None)
-    e = next((e for e in idx if all(mul(e, s) == s for s in idx)), None)
+        return next(filter(_right_identity_test(closure), idx), None)
+    e = next(filter(_left_identity_test(closure), idx), None)
     # a left identity e and a right identity f are equal (e = ef = f), so test e alone
-    if side == "two_sided" and e is not None and not all(mul(s, e) == s for s in idx):
+    if side == "two_sided" and e is not None and not _right_identity_test(closure)(e):
         return None
     return e
 

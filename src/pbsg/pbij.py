@@ -164,8 +164,8 @@ class PartialBijection:
         if other.degree != self.degree:
             raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
         o = other.entries
-        return PartialBijection(
-            tuple(None if v is None else o[v] for v in self.entries)
+        return PartialBijection._trusted(
+            tuple([None if v is None else o[v] for v in self.entries])
         )
 
     def inverse(self) -> "PartialBijection":
@@ -173,7 +173,7 @@ class PartialBijection:
         for x, v in enumerate(self.entries):
             if v is not None:
                 inv[v] = x
-        return PartialBijection(inv)
+        return PartialBijection._trusted(tuple(inv))
 
     def dom(self) -> frozenset:
         return frozenset(x for x, v in enumerate(self.entries) if v is not None)
@@ -208,14 +208,20 @@ class PartialBijection:
         return tuple(n if v is None else v for v in self.entries) + (n,)
 
     @classmethod
+    def _trusted(cls, entries: tuple) -> "PartialBijection":
+        """Unchecked constructor, for products and inverses of validated
+        elements only: those are injective and in range by construction."""
+        el = object.__new__(cls)
+        el.entries = entries
+        el._hash = hash(entries)
+        return el
+
+    @classmethod
     def _from_key(cls, key) -> "PartialBijection":
         """Unchecked inverse of ``embed`` minus its extra point, for products
         of validated elements only."""
         n = len(key)
-        el = object.__new__(cls)
-        el.entries = tuple(None if v == n else v for v in key)
-        el._hash = hash(el.entries)
-        return el
+        return cls._trusted(tuple([None if v == n else v for v in key]))
 
     # -- value semantics ----------------------------------------------------
 

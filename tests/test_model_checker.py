@@ -218,6 +218,16 @@ class TestCheckVariableRun:
         with pytest.raises(ValueError):
             check_variable_run(gens, ident, 1, BoundaryGuess((2, 0), (2, 0)))
 
+    def test_strict_mode_checks_an_inverse_sent_to_the_sink(self):
+        # the swap's inverse is defined at point 1, so no value of x1 sends it
+        # to the sink; strict mode used to drop the image exclusion
+        gens = gset("2 1")
+        ident = parse_identity("x1^-1 = x1^-1")
+        boundary = BoundaryGuess((0, 2), (0, 2))
+        for strict in (False, True):
+            assert not check_variable_run(gens, ident, 1, boundary,
+                                          strict_points=strict).ok
+
     @pytest.mark.parametrize("p", ((0, 7, 1), (0, -1, 1), (0, 1, 4)))
     def test_validates_every_point(self, p):
         # points index the image bitmask and the generator actions, so each
@@ -270,9 +280,10 @@ def reference_variable_run(gens, ident, var, boundary, strict_points):
     if spec is None:
         return VariableRun(False), spec
     points, targets, forbidden = spec
+    mask_on = occ.mask_on or forbidden != 0  # every exclusion is checked
     actions = [g.embed() for g in gens.generators]
-    reach = _explore(actions, points, occ.mask_on, n, _Work(10**7))
-    word = _query(*reach, targets, forbidden, occ.mask_on)
+    reach = _explore(actions, points, mask_on, n, _Work(10**7))
+    word = _query(*reach, targets, forbidden, mask_on)
     return VariableRun(word is not None, word), spec
 
 

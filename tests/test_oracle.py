@@ -86,13 +86,29 @@ class TestPropertyChecks:
             ).holds
 
 
-# -- the parent's definitional scans, the references for the early-stopping ones --
+# -- the definitional scans, the references for the early-stopping and
+# generator-level ones --
+
+
+def naive_first_zero(clo, left, right):
+    mul, idx = clo.pair_product, range(len(clo))
+    for z in idx:
+        if all((not left or mul(z, s) == z) and (not right or mul(s, z) == z) for s in idx):
+            return z
+    return None
+
+
+def naive_zero(left, right):
+    def check(clo):
+        z = naive_first_zero(clo, left, right)
+        return (False, None) if z is None else (True, {"element": clo[z].to_text()})
+
+    return check
 
 
 def naive_nilpotent(clo):
     """Follow the sets G^t of length-t products for up to N+1 steps."""
-    mul, idx = clo.pair_product, range(len(clo))
-    zero = next((z for z in idx if all(mul(z, s) == z == mul(s, z) for s in idx)), None)
+    zero = naive_first_zero(clo, True, True)
     if zero is None:
         return False, {"reason": "no zero element"}
     zero_key = clo[zero].to_text()
@@ -104,12 +120,46 @@ def naive_nilpotent(clo):
     return False, {"zero": zero_key}
 
 
+def naive_identities(clo, side):
+    mul, idx = clo.pair_product, range(len(clo))
+    left = [e for e in idx if all(mul(e, s) == s for s in idx)]
+    right = [e for e in idx if all(mul(s, e) == s for s in idx)]
+    return {"left": left, "right": right, "two_sided": [e for e in left if e in right]}[side]
+
+
 def naive_identity(side):
     def check(clo):
-        ids = getattr(oracle_identities(clo), side)
-        return (True, {"element": ids[0].to_text()}) if ids else (False, None)
+        ids = naive_identities(clo, side)
+        return (True, {"element": clo[ids[0]].to_text()}) if ids else (False, None)
 
     return check
+
+
+def naive_group(clo):
+    """One idempotent, an identity for every element, an inverse for every element."""
+    mul, idx = clo.pair_product, range(len(clo))
+    idems = [e for e in idx if mul(e, e) == e]
+    if len(idems) != 1:
+        return False, {"idempotents": [clo[e].to_text() for e in idems[:2]]}
+    e = idems[0]
+    for s in idx:
+        if mul(e, s) != s or mul(s, e) != s:
+            return False, {"not_identity_on": clo[s].to_text()}
+    for s in idx:
+        if not any(mul(s, t) == e and mul(t, s) == e for t in idx):
+            return False, {"no_inverse": clo[s].to_text()}
+    return True, None
+
+
+def naive_central_idempotents(clo):
+    mul, idx = clo.pair_product, range(len(clo))
+    for e in idx:
+        if mul(e, e) != e:
+            continue
+        for s in idx:
+            if mul(e, s) != mul(s, e):
+                return False, {"idempotent": clo[e].to_text(), "element": clo[s].to_text()}
+    return True, None
 
 
 def naive_regular(clo):
@@ -122,7 +172,12 @@ def naive_regular(clo):
 
 
 NAIVE = {
+    PropertyName.LEFT_ZERO: naive_zero(True, False),
+    PropertyName.RIGHT_ZERO: naive_zero(False, True),
+    PropertyName.ZERO: naive_zero(True, True),
     PropertyName.NILPOTENT: naive_nilpotent,
+    PropertyName.GROUP: naive_group,
+    PropertyName.CENTRAL_IDEMPOTENTS: naive_central_idempotents,
     PropertyName.LEFT_IDENTITY: naive_identity("left"),
     PropertyName.RIGHT_IDENTITY: naive_identity("right"),
     PropertyName.TWO_SIDED_IDENTITY: naive_identity("two_sided"),
@@ -149,13 +204,20 @@ class TestEarlyStoppingScans:
                                      inverse_closed=inverse_closed)
         sets += [GeneratorSet.from_elements([pb(t) for t in texts]) for texts in (
             ("2 3 4 5 _",), ("1 _", "_ _"), ("2 _",), ("1 2",), ("2 1", "1 _"),
-            block_cycles(17, (2, 3, 5, 7)),
+            ("_ _",), ("2 3 1",), block_cycles(17, (2, 3, 5, 7)),
         )]
+        outcomes = set()
         for gens in sets:
             clo = close(gens)
             for prop, naive in NAIVE.items():
                 report = oracle_report(clo, prop)
                 assert (report.holds, report.witness) == naive(clo), (prop, gens)
+                outcomes.add((prop, report.holds))
+            ids = oracle_identities(clo)
+            for side in ("left", "right", "two_sided"):
+                got = [clo.index_of(e) for e in getattr(ids, side)]
+                assert got == naive_identities(clo, side), (side, gens)
+        assert len(outcomes) == 2 * len(NAIVE), outcomes
 
     def test_block_cycles_are_rejected_without_walking_their_period(self):
         # cycles of lengths 2, 3, 5 and 7 on disjoint blocks: G^t = {a^t, b^t, c^t, d^t, 0}
