@@ -38,7 +38,6 @@ _EXPORTS = {
         "IdentitySyntaxError",
         "Literal",
         "PremiseMismatchError",
-        "Word",
         "apply_assignment",
         "format_identity",
         "parse_identity",
@@ -47,7 +46,6 @@ _EXPORTS = {
         "BoundaryGuess",
         "Counterexample",
         "ModelCheckResult",
-        "VariableRun",
         "check_variable_run",
         "models",
         "realize_assignment",

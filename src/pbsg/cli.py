@@ -140,8 +140,7 @@ def _props_rows(gens, props, want_oracle, limit):
 def _cmd_props(args, out):
     gens = _load_gens(args.gens)
     props = _properties(args.property)
-    want_oracle = args.oracle or args.cross_check
-    rows = _props_rows(gens, props, want_oracle, args.limit)
+    rows = _props_rows(gens, props, args.cross_check, args.limit)
 
     disagreements = []
     results = []
@@ -487,20 +486,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--property", default="all",
                    help="property name or 'all' (default); properties without a "
                         "generator-level checker are decided by the oracle")
-    p.add_argument("--oracle", action="store_true", help="also run the closure oracle")
-    p.add_argument("--cross-check", action="store_true",
-                   help="run both and fail on disagreement")
+    p.add_argument("--cross-check", "--oracle", action="store_true",
+                   help="also run the closure oracle and fail on disagreement")
     add_common(p)
+    p.set_defaults(handler=_cmd_props)
 
     p = sub.add_parser("oracle", help="closure-oracle property checks")
     p.add_argument("gens")
     p.add_argument("--property", default="all")
     add_common(p)
+    p.set_defaults(handler=_cmd_oracle)
 
     p = sub.add_parser("member", help="membership with witness word")
     p.add_argument("gens")
     p.add_argument("element", help="element JSON file")
     add_common(p)
+    p.set_defaults(handler=_cmd_member)
 
     p = sub.add_parser("models", help="identity model checking")
     p.add_argument("gens")
@@ -510,6 +511,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strict-points", action="store_true",
                    help="forbid the undefined sink in boundary guesses")
     add_common(p, budget=True)
+    p.set_defaults(handler=_cmd_models)
 
     p = sub.add_parser("tiling", help="corridor tiling tools")
     tsub = p.add_subparsers(dest="tiling_command", required=True)
@@ -518,13 +520,15 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--max-cols", type=_positive_int, default=None,
                    help="column cap, at least 1; reaching it undecided exits 3")
     add_common(ps)
+    ps.set_defaults(handler=_cmd_tiling_solve)
     pr = tsub.add_parser("reduce", help="emit the membership instance")
     pr.add_argument("instance")
     pr.add_argument("-o", "--output", default=None)
-    add_common(pr)
+    pr.set_defaults(handler=_cmd_tiling_reduce)
     pt = tsub.add_parser("roundtrip", help="solver vs membership consistency check")
     pt.add_argument("instance")
     add_common(pt)
+    pt.set_defaults(handler=_cmd_tiling_roundtrip)
 
     p = sub.add_parser("random", help="seeded random instance files")
     rsub = p.add_subparsers(dest="random_command", required=True)
@@ -534,14 +538,14 @@ def _build_parser() -> argparse.ArgumentParser:
     rg.add_argument("--seed", type=int, default=0)
     rg.add_argument("--inverse-closed", action="store_true")
     rg.add_argument("-o", "--output", default=None)
-    rg.add_argument("--json", action="store_true")
+    rg.set_defaults(handler=_cmd_random_gens)
     rt = rsub.add_parser("tiling")
     rt.add_argument("-m", type=int, required=True, help="rows")
     rt.add_argument("-c", type=int, required=True, help="colors")
     rt.add_argument("-k", type=int, required=True, help="tiles")
     rt.add_argument("--seed", type=int, default=0)
     rt.add_argument("-o", "--output", default=None)
-    rt.add_argument("--json", action="store_true")
+    rt.set_defaults(handler=_cmd_random_tiling)
     return parser
 
 
@@ -552,25 +556,8 @@ def main(argv=None, out=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_HOLDS
-
-    handlers = {
-        "props": _cmd_props,
-        "oracle": _cmd_oracle,
-        "member": _cmd_member,
-        "models": _cmd_models,
-    }
     try:
-        if args.command == "tiling":
-            handler = {
-                "solve": _cmd_tiling_solve,
-                "reduce": _cmd_tiling_reduce,
-                "roundtrip": _cmd_tiling_roundtrip,
-            }[args.tiling_command]
-            return handler(args, out)
-        if args.command == "random":
-            handler = {"gens": _cmd_random_gens, "tiling": _cmd_random_tiling}[args.random_command]
-            return handler(args, out)
-        return handlers[args.command](args, out)
+        return args.handler(args, out)
     except _InputError as exc:
         print(f"pbsg: {exc}", file=sys.stderr)
         return EXIT_USAGE

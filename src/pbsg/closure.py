@@ -271,9 +271,9 @@ def member(gens: GeneratorSet, b: PartialBijection, limit: int = DEFAULT_LIMIT) 
     return MemberResult(True, tuple(reversed(word)))
 
 
-def evaluate_word(gens, word: Sequence[int]):
+def evaluate_word(gens: GeneratorSet, word: Sequence[int]) -> PartialBijection:
     """Product of the generators named by ``word`` (indices, length >= 1)."""
-    generators = gens.generators if isinstance(gens, GeneratorSet) else tuple(gens)
+    generators = gens.generators
     if not word:
         raise ValueError("words must be nonempty")
     acc = generators[word[0]]

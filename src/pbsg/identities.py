@@ -19,7 +19,7 @@ occurrence in the left word, then the right word.
 from __future__ import annotations
 
 import re
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .pbij import ValueType
 
@@ -59,44 +59,21 @@ class Literal(ValueType):
         return f"x{self.var}" + ("^-1" if self.exponent == -1 else "")
 
 
-class Word(ValueType):
-    __slots__ = ("literals",)
-
-    def __init__(self, literals: Sequence[Literal]):
-        literals = tuple(literals)
-        if not literals:
-            raise ValueError("words must be nonempty")
-        self.literals = literals
-
-    def __len__(self):
-        return len(self.literals)
-
-    def __iter__(self) -> Iterator[Literal]:
-        return iter(self.literals)
-
-    def __getitem__(self, i):
-        return self.literals[i]
-
-    def __str__(self):
-        return " ".join(str(lit) for lit in self.literals)
-
-
 class Identity(ValueType):
-    """``x1 = x1^2, ..., xe = xe^2  =>  u = v`` in canonical numbering.
+    """``x1 = x1^2, ..., xe = xe^2  =>  u = v`` in canonical numbering; each
+    word is a nonempty tuple of literals."""
 
-    ``renumbering`` records how source variable names map to canonical ones;
-    it is bookkeeping only and excluded from equality.
-    """
+    __slots__ = ("num_vars", "num_premises", "lhs", "rhs")
 
-    __slots__ = ("num_vars", "num_premises", "lhs", "rhs", "renumbering")
-
-    def __init__(self, num_vars: int, num_premises: int, lhs: Word, rhs: Word,
-                 renumbering: tuple[tuple[int, int], ...] = ()):
+    def __init__(self, num_vars: int, num_premises: int,
+                 lhs: tuple[Literal, ...], rhs: tuple[Literal, ...]):
         if num_vars < 1:
             raise ValueError("an identity mentions at least one variable")
         if not 0 <= num_premises <= num_vars:
             raise ValueError("premise count out of range")
         for word in (lhs, rhs):
+            if not word:
+                raise ValueError("words must be nonempty")
             for lit in word:
                 if lit.var > num_vars:
                     raise ValueError(f"literal x{lit.var} exceeds num_vars")
@@ -104,13 +81,6 @@ class Identity(ValueType):
         self.num_premises = num_premises
         self.lhs = lhs
         self.rhs = rhs
-        self.renumbering = renumbering
-
-    def _fields(self):
-        return self.num_vars, self.num_premises, self.lhs, self.rhs
-
-    def renumbering_map(self) -> dict[int, int]:
-        return dict(self.renumbering)
 
     def __str__(self):
         return format_identity(self)
@@ -234,27 +204,24 @@ def parse_identity(text: str) -> Identity:
         if lit.var not in renumber:
             renumber[lit.var] = len(renumber) + 1
 
-    lhs = Word(tuple(Literal(renumber[l.var], l.exponent) for l in lhs_raw))
-    rhs = Word(tuple(Literal(renumber[l.var], l.exponent) for l in rhs_raw))
     return Identity(
         num_vars=len(renumber),
         num_premises=len(premise_vars),
-        lhs=lhs,
-        rhs=rhs,
-        renumbering=tuple(sorted(renumber.items())),
+        lhs=tuple(Literal(renumber[l.var], l.exponent) for l in lhs_raw),
+        rhs=tuple(Literal(renumber[l.var], l.exponent) for l in rhs_raw),
     )
 
 
 def format_identity(ident: Identity) -> str:
     """Canonical text; ``parse_identity(format_identity(i)) == i``."""
-    eq = f"{ident.lhs} = {ident.rhs}"
+    eq = " = ".join(" ".join(map(str, word)) for word in (ident.lhs, ident.rhs))
     if ident.num_premises == 0:
         return eq
     premises = ", ".join(f"x{i}=x{i}^2" for i in range(1, ident.num_premises + 1))
     return f"{premises} => {eq}"
 
 
-def apply_assignment(word: Word, assignment: Sequence):
+def apply_assignment(word: Sequence[Literal], assignment: Sequence):
     """Evaluate a word under elements assigned to x1..xm (left-to-right)."""
     acc = None
     for lit in word:

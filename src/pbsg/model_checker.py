@@ -93,14 +93,6 @@ class BoundaryGuess(ValueType):
         self.q = q
 
 
-class VariableRun:
-    __slots__ = ("ok", "word")
-
-    def __init__(self, ok: bool, word: Optional[tuple[int, ...]] = None):
-        self.ok = ok
-        self.word = word
-
-
 class Counterexample(ValueType):
     __slots__ = ("boundary", "words")
 
@@ -282,15 +274,16 @@ def check_variable_run(
     boundary: BoundaryGuess,
     budget: int = DEFAULT_BUDGET,
     strict_points: bool = False,
-) -> VariableRun:
+) -> Optional[tuple[int, ...]]:
     """Search one variable's run for one boundary guess.
 
     The variable's occurrences are bound in position order, as ``models``
-    binds them, and the spec is then queried.  The returned word (shortest,
-    then lexicographically least; always nonempty) indexes into
-    ``gens.generators`` as given; callers working over an inverse semigroup
-    pass the inverse-closed list.  Raises ``ArityOverflow`` when the run's
-    search reaches more than ``budget`` states.
+    binds them, and the spec is then queried.  Returns the word (shortest,
+    then lexicographically least; always nonempty), or None when no word
+    realizes the run.  The word indexes into ``gens.generators`` as given;
+    callers working over an inverse semigroup pass the inverse-closed list.
+    Raises ``ArityOverflow`` when the run's search reaches more than
+    ``budget`` states.
     """
     n = gens.degree
     if not 1 <= var <= ident.num_vars:
@@ -306,10 +299,9 @@ def check_variable_run(
     log: list = []
     for i, j, exponent in occ.edges:
         if not occ.bind(pts[i], pts[j], exponent, log):
-            return VariableRun(False)
+            return None
     actions = [g.embed() for g in gens.generators]
-    word = _run_word(actions, occ, n, {}, {}, _Work(budget))
-    return VariableRun(word is not None, word)
+    return _run_word(actions, occ, n, {}, {}, _Work(budget))
 
 
 def models(
@@ -349,22 +341,22 @@ def models(
     words: list = [None] * len(occs)
     work = _Work(budget)
     log: list = []
-
-    def extend(d):
-        """Query the variables due at position d - 1, then fix pts[d:]."""
-        for vi, occ in due[d - 1]:
-            word = _run_word(actions, occ, n, reach_cache, query_cache, work)
-            if word is None:
-                return False
-            words[vi] = word
-        if d > last:
-            return True
-        prev = 0 if d == l + 1 else d - 1
-        choices = (n,) if pts[prev] == n else values
-        work.charge(len(choices))
+    # The positions are walked with an explicit stack, not by recursion, so
+    # an identity's length is not bounded by the interpreter's recursion
+    # limit.  ``pending[d]`` iterates the choices left at position d and
+    # ``marks[d]`` is the length of ``log`` before them; each point first
+    # unbinds what the previous point at d, and the positions below it, bound.
+    pending: list = [None] * (last + 1)
+    marks = [0] * (last + 1)
+    pending[0] = iter(range(n))
+    d = 0
+    while d >= 0:
+        mark = marks[d]
         binds = ending[d]
-        mark = len(log)
-        for v in choices:
+        for v in pending[d]:
+            while len(log) > mark:
+                container, key = log.pop()
+                del container[key]
             if d == last and pts[l] == v:
                 continue
             pts[d] = v
@@ -372,19 +364,25 @@ def models(
                 if not bind(pts[i], v, exponent, log):
                     break
             else:
-                if extend(d + 1):
-                    return True
-            while len(log) > mark:  # unbind what this point added
-                container, key = log.pop()
-                del container[key]
-        return False
-
-    for p1 in range(n):
-        pts[0] = p1
-        if extend(1):
-            p, q = tuple(pts[: l + 1]), (p1,) + tuple(pts[l + 1 :])
-            cex = Counterexample(BoundaryGuess(p, q), tuple(words))
-            return ModelCheckResult(False, cex, gens)
+                for vi, occ in due[d]:
+                    word = _run_word(actions, occ, n, reach_cache, query_cache, work)
+                    if word is None:
+                        break
+                    words[vi] = word
+                else:
+                    if d == last:
+                        p, q = tuple(pts[: l + 1]), (pts[0],) + tuple(pts[l + 1 :])
+                        cex = Counterexample(BoundaryGuess(p, q), tuple(words))
+                        return ModelCheckResult(False, cex, gens)
+                    d += 1
+                    prev = 0 if d == l + 1 else d - 1
+                    choices = (n,) if pts[prev] == n else values
+                    work.charge(len(choices))
+                    pending[d] = iter(choices)
+                    marks[d] = len(log)
+                    break
+        else:
+            d -= 1
     return ModelCheckResult(True, None, gens)
 
 

@@ -19,8 +19,7 @@ from typing import Iterable, Iterator, Optional
 
 class ValueType:
     """Base of the slotted value types that are compared or hashed: equality,
-    hash and repr over the fields named in ``__slots__``.  A subclass whose
-    equality ignores a field overrides ``_fields``."""
+    hash and repr over the fields named in ``__slots__``."""
 
     __slots__ = ()
 
@@ -90,16 +89,6 @@ class PartialBijection:
         return cls(entries)
 
     @classmethod
-    def from_pairs(cls, n: int, pairs) -> "PartialBijection":
-        items = pairs.items() if isinstance(pairs, dict) else pairs
-        entries: list[Optional[int]] = [None] * n
-        for x, y in items:
-            if entries[x] is not None:
-                raise ValueError(f"point {x} mapped twice")
-            entries[x] = y
-        return cls(entries)
-
-    @classmethod
     def from_text(cls, text: str) -> "PartialBijection":
         """Parse the 1-indexed text form, e.g. ``"2 _ 1"``."""
         tokens = text.split()
@@ -152,12 +141,6 @@ class PartialBijection:
 
     # -- algebra -----------------------------------------------------------
 
-    def apply(self, x: int) -> Optional[int]:
-        """Image of ``x``, or None when ``x`` is outside the domain."""
-        if not 0 <= x < self.degree:
-            raise ValueError(f"point {x} out of range for degree {self.degree}")
-        return self.entries[x]
-
     def __mul__(self, other):
         if not isinstance(other, PartialBijection):
             return NotImplemented
@@ -186,9 +169,6 @@ class PartialBijection:
         for x, v in enumerate(self.entries):
             if v is not None:
                 yield x, v
-
-    def is_idempotent(self) -> bool:
-        return self * self == self
 
     def idempotent_power(self) -> "PartialBijection":
         """The unique idempotent among the powers of this element: the

@@ -103,17 +103,10 @@ class TilingGrid(ValueType):
         return len(self.cells[0])
 
 
-class TilingCheck:
-    __slots__ = ("proper", "violation")
-
-    def __init__(self, proper: bool, violation: Optional[tuple[str, int, int]] = None):
-        self.proper = proper
-        self.violation = violation  # condition, row, col (1-based)
-
-
-def verify_proper_tiling(inst: TilingInstance, grid: TilingGrid) -> TilingCheck:
-    """Check every border and adjacency equation; first failure in row-major
-    order (within a cell: north, west, east, south)."""
+def verify_proper_tiling(inst: TilingInstance, grid: TilingGrid) -> Optional[tuple[str, int, int]]:
+    """Check every border and adjacency equation: None for a proper grid,
+    else the first failure in row-major order (within a cell: north, west,
+    east, south) as ``(condition, row, col)``, 1-based."""
     m = inst.width
     if len(grid.cells) != m:
         raise ValueError(f"grid has {len(grid.cells)} rows, instance width is {m}")
@@ -127,20 +120,20 @@ def verify_proper_tiling(inst: TilingInstance, grid: TilingGrid) -> TilingCheck:
         for j in range(ncols):
             t = tiles[grid.cells[i][j]]
             if i == 0 and t.north != 1:
-                return TilingCheck(False, ("north-border", 1, j + 1))
+                return ("north-border", 1, j + 1)
             if j == 0 and t.west != 1:
-                return TilingCheck(False, ("west-border", i + 1, 1))
+                return ("west-border", i + 1, 1)
             if j + 1 < ncols:
                 if t.east != tiles[grid.cells[i][j + 1]].west:
-                    return TilingCheck(False, ("east-adjacency", i + 1, j + 1))
+                    return ("east-adjacency", i + 1, j + 1)
             elif t.east != 1:
-                return TilingCheck(False, ("east-border", i + 1, j + 1))
+                return ("east-border", i + 1, j + 1)
             if i + 1 < m:
                 if t.south != tiles[grid.cells[i + 1][j]].north:
-                    return TilingCheck(False, ("south-adjacency", i + 1, j + 1))
+                    return ("south-adjacency", i + 1, j + 1)
             elif t.south != 1:
-                return TilingCheck(False, ("south-border", i + 1, j + 1))
-    return TilingCheck(True, None)
+                return ("south-border", i + 1, j + 1)
+    return None
 
 
 class SolveResult:
@@ -258,10 +251,6 @@ class ReducedInstance:
         self.point_count = point_count
         self.generator_set = generator_set
         self.target = target
-
-    def generator_index(self, row: int, tile: int) -> int:
-        """0-based generator index for 1-based (row, tile)."""
-        return (row - 1) * self.num_tiles + (tile - 1)
 
     def generator_label(self, index: int) -> tuple[int, int]:
         """1-based (row, tile) of a generator index."""
@@ -383,5 +372,5 @@ def roundtrip_check(inst: TilingInstance, limit: int = DEFAULT_LIMIT) -> Roundtr
             except MalformedWitness:
                 consistent = False
             else:
-                consistent = verify_proper_tiling(inst, decoded).proper
+                consistent = verify_proper_tiling(inst, decoded) is None
     return RoundtripReport(solved.solvable, got, consistent, solved.grid, decoded)

@@ -38,10 +38,10 @@ def ref_compose(a: PartialBijection, b: PartialBijection) -> dict:
     """Pointwise-evaluation composition oracle: apply a, then b, per point."""
     out = {}
     for x in range(a.degree):
-        y = a.apply(x)
+        y = a.entries[x]
         if y is None:
             continue
-        z = b.apply(y)
+        z = b.entries[y]
         if z is not None:
             out[x] = z
     return out

@@ -123,8 +123,8 @@ class TestCompletelyRegular:
             for _ in range(k):
                 size = rng.randint(0, n)
                 dom = sorted(rng.sample(range(n), size))
-                img = rng.sample(dom, size)
-                gens.append(PartialBijection.from_pairs(n, zip(dom, img)))
+                img = dict(zip(dom, rng.sample(dom, size)))
+                gens.append(PartialBijection([img.get(x) for x in range(n)]))
             gset_ = GeneratorSet.from_elements(gens)
             if not check_completely_regular(gset_).holds:
                 continue

@@ -39,6 +39,13 @@ class TestProps:
         code, out = run(capsys, "props", path, "--cross-check")
         assert code == 0 and "DISAGREE" not in out
 
+    def test_oracle_is_cross_check(self, tmp_json, capsys):
+        for doc in (GENS_SWAP, GENS_SHIFT):
+            path = tmp_json("g.json", doc)
+            for extra in ((), ("--json",), ("--property", "band")):
+                assert (run(capsys, "props", path, "--oracle", *extra)
+                        == run(capsys, "props", path, "--cross-check", *extra))
+
     def test_json_output(self, tmp_json, capsys):
         path = tmp_json("g.json", GENS_SWAP)
         code, out = run(capsys, "props", path, "--json")
@@ -172,6 +179,20 @@ class TestModels:
             captured = capsys.readouterr()
             assert code == 3 and elapsed < 2.0
             assert len(captured.err.splitlines()) == 1 and "budget" in captured.err
+
+    def test_long_identity_decides(self, tmp_json, capsys):
+        # one boundary position per literal: the search may not recurse per
+        # position, or a thousand literals exceed the interpreter's stack
+        gens = tmp_json("g.json", {"degree": 3, "generators": [[2, 3, None], [1, None, 3]]})
+        word = " ".join(["x1"] * 1000)
+        for identity, exit_code in ((f"{word} = {word}", 0), (f"{word} = x1", 1)):
+            start = time.perf_counter()
+            code = main(["models", gens, identity])
+            elapsed = time.perf_counter() - start
+            captured = capsys.readouterr()
+            assert code == exit_code and elapsed < 2.0, identity[-10:]
+            assert captured.err == ""
+        assert "NOT-MODELS" in captured.out and "boundary q: " in captured.out
 
     def test_json_counterexample(self, tmp_json, capsys):
         gens = tmp_json("g.json", GENS_SHIFT)
@@ -351,6 +372,17 @@ class TestUsage:
                 assert code == 2 and captured.out == "", (argv, flag, value)
                 assert len(captured.err.splitlines()) == 1 and flag in captured.err
             assert run(capsys, *argv, flag, "1")[0] == at_one, (argv, flag)
+
+    def test_options_a_subcommand_ignores_are_usage_errors(self, tmp_json, capsys):
+        tiling = tmp_json("t.json", TILING_OK)
+        for argv in (["tiling", "reduce", tiling, "--json"],
+                     ["tiling", "reduce", tiling, "--limit", "5"],
+                     ["random", "gens", "-n", "2", "-k", "1", "--json"],
+                     ["random", "tiling", "-m", "1", "-c", "1", "-k", "1", "--json"]):
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert code == 2 and captured.out == "", argv
+            assert len(captured.err.splitlines()) == 1, argv
 
     def test_inverse_closed_must_be_boolean(self, tmp_json, capsys):
         for value in ("no", 1):

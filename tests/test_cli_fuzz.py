@@ -73,10 +73,10 @@ COMMANDS = {
     ("models",): ([files("GENS"), identities], [],
                   ["--oracle", "--cross-check", "--strict-points", "--budget", "--limit", "--json"]),
     ("tiling", "solve"): ([files("TILING")], [], ["--max-cols", "--limit", "--json"]),
-    ("tiling", "reduce"): ([files("TILING")], [], ["-o", "--limit", "--json"]),
+    ("tiling", "reduce"): ([files("TILING")], [], ["-o"]),
     ("tiling", "roundtrip"): ([files("TILING")], [], ["--limit", "--json"]),
-    ("random", "gens"): ([], ["-n", "-k"], ["--seed", "--inverse-closed", "-o", "--json"]),
-    ("random", "tiling"): ([], ["-m", "-c", "-k"], ["--seed", "-o", "--json"]),
+    ("random", "gens"): ([], ["-n", "-k"], ["--seed", "--inverse-closed", "-o"]),
+    ("random", "tiling"): ([], ["-m", "-c", "-k"], ["--seed", "-o"]),
 }
 
 

@@ -8,7 +8,6 @@ from pbsg import (
     IdentitySyntaxError,
     Literal,
     PremiseMismatchError,
-    Word,
     apply_assignment,
     format_identity,
     parse_identity,
@@ -21,22 +20,21 @@ class TestParse:
     def test_commutativity(self):
         ident = parse_identity("x1 x2 = x2 x1")
         assert ident.num_vars == 2 and ident.num_premises == 0
-        assert ident.lhs == Word((Literal(1, 1), Literal(2, 1)))
-        assert ident.rhs == Word((Literal(2, 1), Literal(1, 1)))
+        assert ident.lhs == (Literal(1, 1), Literal(2, 1))
+        assert ident.rhs == (Literal(2, 1), Literal(1, 1))
 
     def test_inverse_literals(self):
         ident = parse_identity("x1 x1^-1 = x1^-1 x1")
         assert ident.num_vars == 1 and ident.num_premises == 0
-        assert ident.lhs == Word((Literal(1, 1), Literal(1, -1)))
-        assert ident.rhs == Word((Literal(1, -1), Literal(1, 1)))
+        assert ident.lhs == (Literal(1, 1), Literal(1, -1))
+        assert ident.rhs == (Literal(1, -1), Literal(1, 1))
 
     def test_premise_renumbering(self):
         ident = parse_identity("x2=x2^2 => x2 x1 = x1 x2")
         assert ident.num_vars == 2 and ident.num_premises == 1
         # premise variable becomes x1
-        assert ident.lhs == Word((Literal(1, 1), Literal(2, 1)))
-        assert ident.rhs == Word((Literal(2, 1), Literal(1, 1)))
-        assert ident.renumbering_map() == {2: 1, 1: 2}
+        assert ident.lhs == (Literal(1, 1), Literal(2, 1))
+        assert ident.rhs == (Literal(2, 1), Literal(1, 1))
 
     def test_whitespace_insensitive(self):
         assert parse_identity("x1x2=x2x1") == parse_identity("x1 x2 = x2 x1")
@@ -49,7 +47,7 @@ class TestParse:
     def test_sparse_variables_renumbered(self):
         ident = parse_identity("x7 x3 = x3 x7")
         assert ident.num_vars == 2
-        assert ident.renumbering_map() == {7: 1, 3: 2}
+        assert ident.lhs == (Literal(1, 1), Literal(2, 1))
 
     def test_multiple_premises(self):
         ident = parse_identity("x1=x1^2, x2=x2^2 => x1 x2 = x2 x1")
@@ -58,7 +56,7 @@ class TestParse:
     def test_premise_variable_absent_from_words(self):
         ident = parse_identity("x3=x3^2 => x1 x2 = x2 x1")
         assert ident.num_vars == 3 and ident.num_premises == 1
-        assert ident.renumbering_map() == {3: 1, 1: 2, 2: 3}
+        assert ident.lhs == (Literal(2, 1), Literal(3, 1))
 
 
 class TestParseErrors:
@@ -141,8 +139,8 @@ class TestFormat:
         ident = Identity(
             num_vars=m,
             num_premises=e,
-            lhs=Word(tuple(Literal(remap[v], f) for v, f in lhs)),
-            rhs=Word(tuple(Literal(remap[v], f) for v, f in rhs)),
+            lhs=tuple(Literal(remap[v], f) for v, f in lhs),
+            rhs=tuple(Literal(remap[v], f) for v, f in rhs),
         )
         reparsed = parse_identity(format_identity(ident))
         assert reparsed == ident
@@ -150,8 +148,10 @@ class TestFormat:
 
 class TestValidation:
     def test_word_nonempty(self):
-        with pytest.raises(ValueError):
-            Word(())
+        with pytest.raises(ValueError, match="nonempty"):
+            Identity(1, 0, (), (Literal(1, 1),))
+        with pytest.raises(ValueError, match="nonempty"):
+            Identity(1, 0, (Literal(1, 1),), ())
 
     def test_literal_exponent(self):
         with pytest.raises(ValueError):
@@ -159,9 +159,9 @@ class TestValidation:
 
     def test_identity_var_bounds(self):
         with pytest.raises(ValueError):
-            Identity(1, 0, Word((Literal(2, 1),)), Word((Literal(1, 1),)))
+            Identity(1, 0, (Literal(2, 1),), (Literal(1, 1),))
         with pytest.raises(ValueError):
-            Identity(2, 3, Word((Literal(1, 1),)), Word((Literal(1, 1),)))
+            Identity(2, 3, (Literal(1, 1),), (Literal(1, 1),))
 
 
 def test_apply_assignment():

@@ -136,10 +136,31 @@ def test_identities_exports_only_the_term_language():
     exported = {name for name in pbsg.__all__ if _MODULE_OF[name] == "identities"}
     assert exported == {
         "EmptyWordError", "Identity", "IdentitySyntaxError", "Literal",
-        "PremiseMismatchError", "Word", "apply_assignment", "format_identity",
+        "PremiseMismatchError", "apply_assignment", "format_identity",
         "parse_identity",
     }
     for name in ("OccurrenceSets", "occurrence_sets"):
+        with pytest.raises(AttributeError):
+            getattr(pbsg, name)
+
+
+def test_public_surface_is_pinned():
+    # a change to the public names must change this list too
+    assert pbsg.__all__ == [
+        "ArityOverflow", "BoundaryGuess", "CheckReport", "Counterexample",
+        "DEFAULT_BUDGET", "DEFAULT_LIMIT", "EmptyWordError", "GeneratorSet",
+        "Identity", "IdentityLists", "IdentitySyntaxError", "LimitExceeded",
+        "Literal", "MemberResult", "ModelCheckResult", "OracleModelResult",
+        "PartialBijection", "PremiseMismatchError", "PropertyName",
+        "SemigroupClosure", "all_partial_bijections", "apply_assignment",
+        "check_band_semilattice", "check_clifford", "check_commutative",
+        "check_completely_regular", "check_left_identity_exists",
+        "check_right_identity_exists", "check_variable_run", "close",
+        "enumerate_identities", "evaluate_word", "format_identity", "member",
+        "models", "oracle_identities", "oracle_models", "oracle_report",
+        "parse_identity", "realize_assignment", "run_generator_check",
+    ]
+    for name in ("Word", "VariableRun"):
         with pytest.raises(AttributeError):
             getattr(pbsg, name)
 

@@ -55,27 +55,23 @@ class TestTypes:
 class TestVerify:
     def test_all_one_tile(self):
         inst = inst_of([ALL1], 1, 1)
-        assert verify_proper_tiling(inst, TilingGrid(((0,),))).proper
+        assert verify_proper_tiling(inst, TilingGrid(((0,),))) is None
 
     def test_bad_south_border(self):
         inst = inst_of([Tile(1, 1, 2, 1)], 2, 1)
-        check = verify_proper_tiling(inst, TilingGrid(((0,),)))
-        assert not check.proper
-        assert check.violation == ("south-border", 1, 1)
+        assert verify_proper_tiling(inst, TilingGrid(((0,),))) == ("south-border", 1, 1)
 
     def test_bad_horizontal_adjacency(self):
         t_a = Tile(1, 2, 1, 1)  # east edge 2
         t_b = Tile(1, 1, 1, 1)  # west edge 1: mismatch with t_a's east
         inst = inst_of([t_a, t_b], 2, 1)
-        check = verify_proper_tiling(inst, TilingGrid(((0, 1),)))
-        assert not check.proper
-        assert check.violation == ("east-adjacency", 1, 1)
+        assert verify_proper_tiling(inst, TilingGrid(((0, 1),))) == ("east-adjacency", 1, 1)
 
     def test_row_major_first_violation(self):
         bad = Tile(2, 2, 2, 2)
         inst = inst_of([bad], 2, 2)
-        check = verify_proper_tiling(inst, TilingGrid(((0, 0), (0, 0))))
-        assert check.violation == ("north-border", 1, 1)
+        grid = TilingGrid(((0, 0), (0, 0)))
+        assert verify_proper_tiling(inst, grid) == ("north-border", 1, 1)
 
     def test_grid_height_must_match(self):
         with pytest.raises(ValueError):
@@ -97,7 +93,7 @@ class TestSolve:
         result = solve_corridor_tiling(inst_of([top, bottom], 2, 2))
         assert result.solvable
         assert result.grid == TilingGrid(((0,), (1,)))
-        assert verify_proper_tiling(inst_of([top, bottom], 2, 2), result.grid).proper
+        assert verify_proper_tiling(inst_of([top, bottom], 2, 2), result.grid) is None
 
     def test_multi_column_solution(self):
         # east/west colors force at least two columns
@@ -116,7 +112,7 @@ class TestSolve:
             result = solve_corridor_tiling(inst)
             if result.solvable:
                 solved += 1
-                assert verify_proper_tiling(inst, result.grid).proper
+                assert verify_proper_tiling(inst, result.grid) is None
         assert solved > 5
 
     def test_shortest_and_lexicographically_least(self):
@@ -141,7 +137,7 @@ class TestReduce:
     def test_target_fixes_width_plus_one_points(self):
         for m in (1, 2, 3):
             red = reduce(inst_of([ALL1], 1, m))
-            assert red.target.is_idempotent()
+            assert red.target * red.target == red.target
             assert len(red.target.dom()) == m + 1
 
     def test_domain_sizes_match_the_wrap_rule(self):
@@ -149,11 +145,12 @@ class TestReduce:
             for m in (1, 2, 3):
                 for tile in all_tiles(c):
                     red = reduce(inst_of([tile], c, m))
-                    last = red.generator_set.generators[red.generator_index(m, 1)]
+                    # one tile, so generator i is the tile in row i + 1
+                    last = red.generator_set.generators[m - 1]
                     expected = (m - 1) * c + (2 if tile.south == 1 else 1)
                     assert len(last.dom()) == len(last.image()) == expected
                     if m > 1:
-                        first = red.generator_set.generators[red.generator_index(1, 1)]
+                        first = red.generator_set.generators[0]
                         assert len(first.dom()) == (m - 1) * c + 2
 
     def test_point_encoding(self):
@@ -162,7 +159,8 @@ class TestReduce:
         assert red.point_label(0) == (1, 1)
         assert red.point_label(3) == (2, 2)
         assert red.point_count == 8
-        assert red.generator_label(red.generator_index(2, 1)) == (2, 1)
+        assert red.generator_label(2) == (2, 1)
+        assert red.generator_label(1) == (1, 2)
 
     def test_generators_are_valid_partial_bijections(self):
         rng = random.Random(502)
@@ -219,7 +217,7 @@ class TestEncodeDecode:
         red = reduce(inst)
         # right row pattern but wrong tiles: evaluates to something else
         with pytest.raises(MalformedWitness):
-            decode_witness(inst, red, (red.generator_index(1, 2), red.generator_index(2, 1)))
+            decode_witness(inst, red, (1, 2))  # row 1 tile 2, row 2 tile 1
 
 
 class TestMembershipEquivalence:
@@ -241,4 +239,4 @@ class TestMembershipEquivalence:
         res = member(red.generator_set, red.target)
         assert res.found
         grid = decode_witness(inst, red, res.witness)
-        assert verify_proper_tiling(inst, grid).proper
+        assert verify_proper_tiling(inst, grid) is None
