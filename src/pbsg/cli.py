@@ -42,32 +42,20 @@ EXIT_BUDGET = 3
 EXIT_INCONSISTENT = 4
 
 
-class _InputError(ValueError):
-    pass
-
-
-def _load_json(path):
+def _load(path, parse):
+    """``parse`` applied to the JSON document in ``path``; a failure names the
+    path once."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return parse(json.load(fh))
     except OSError as exc:
-        raise _InputError(f"cannot read {path}: {exc}") from None
+        raise ValueError(f"cannot read {path}: {exc.strerror or exc}") from None
     except json.JSONDecodeError as exc:
-        raise _InputError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from None
-
-
-def _load_gens(path) -> GeneratorSet:
-    try:
-        return GeneratorSet.from_json_obj(_load_json(path))
+        raise ValueError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None
     except ValueError as exc:
-        raise _InputError(f"{path}: {exc}") from None
-
-
-def _load_element(path) -> PartialBijection:
-    try:
-        return PartialBijection.from_json_obj(_load_json(path))
-    except ValueError as exc:
-        raise _InputError(f"{path}: {exc}") from None
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _jsonable(value):
@@ -97,7 +85,7 @@ def _write_doc(doc, path, out):
             with open(path, "w", encoding="utf-8") as fh:
                 _emit_json(fh, doc)
         except OSError as exc:
-            raise _InputError(f"cannot write {path}: {exc}") from None
+            raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from None
         out.write(f"wrote {path}\n")
     else:
         _emit_json(out, doc)
@@ -113,7 +101,7 @@ def _properties(text):
         return [PropertyName(text)]
     except ValueError:
         valid = ", ".join(p.value for p in PropertyName)
-        raise _InputError(f"unknown property {text!r}; one of: {valid}") from None
+        raise ValueError(f"unknown property {text!r}; one of: {valid}") from None
 
 
 # -- props / oracle ----------------------------------------------------------
@@ -138,7 +126,7 @@ def _props_rows(gens, props, want_oracle, limit):
 
 
 def _cmd_props(args, out):
-    gens = _load_gens(args.gens)
+    gens = _load(args.gens, GeneratorSet.from_json_obj)
     props = _properties(args.property)
     rows = _props_rows(gens, props, args.cross_check, args.limit)
 
@@ -179,7 +167,7 @@ def _cmd_props(args, out):
 def _cmd_oracle(args, out):
     from .oracle import oracle_report
 
-    gens = _load_gens(args.gens)
+    gens = _load(args.gens, GeneratorSet.from_json_obj)
     props = _properties(args.property)
     closure = close(gens, args.limit)
     reports = [oracle_report(closure, prop) for prop in props]
@@ -205,8 +193,8 @@ def _cmd_oracle(args, out):
 
 
 def _cmd_member(args, out):
-    gens = _load_gens(args.gens)
-    b = _load_element(args.element)
+    gens = _load(args.gens, GeneratorSet.from_json_obj)
+    b = _load(args.element, PartialBijection.from_json_obj)
     result = member(gens, b, args.limit)
     witness = None if result.witness is None else [i + 1 for i in result.witness]
     if args.json:
@@ -231,16 +219,16 @@ def _identities_from_arg(text):
             with open(text[1:], "r", encoding="utf-8") as fh:
                 lines = [ln.strip() for ln in fh]
         except OSError as exc:
-            raise _InputError(f"cannot read {text[1:]}: {exc}") from None
+            raise ValueError(f"cannot read {text[1:]}: {exc.strerror or exc}") from None
         sources = [ln for ln in lines if ln]
         if not sources:
-            raise _InputError(f"{text[1:]}: no identities found")
+            raise ValueError(f"{text[1:]}: no identities found")
     else:
         sources = [text]
     try:
         return [(src, parse_identity(src)) for src in sources]
     except IdentitySyntaxError as exc:
-        raise _InputError(f"bad identity: {exc}") from None
+        raise ValueError(f"bad identity: {exc}") from None
 
 
 def _counterexample_block(gens, ident, cex):
@@ -264,7 +252,7 @@ def _cmd_models(args, out):
     from .identities import format_identity
     from .model_checker import models
 
-    gens = _load_gens(args.gens)
+    gens = _load(args.gens, GeneratorSet.from_json_obj)
     idents = _identities_from_arg(args.identity)
     blocks = []
     any_fails = False
@@ -273,8 +261,7 @@ def _cmd_models(args, out):
         block = {"identity": format_identity(ident)}
         fast = oracle = None
         if not args.oracle:
-            fast = models(gens, ident, budget=args.budget,
-                          strict_points=args.strict_points)
+            fast = models(gens, ident, budget=args.budget)
         if args.oracle or args.cross_check:
             from .oracle import oracle_models
 
@@ -324,23 +311,14 @@ def _cmd_models(args, out):
 # -- tiling ------------------------------------------------------------------
 
 
-def _load_tiling(path):
-    from .tiling import TilingInstance
-
-    try:
-        return TilingInstance.from_json_obj(_load_json(path))
-    except ValueError as exc:
-        raise _InputError(f"{path}: {exc}") from None
-
-
 def _grid_rows(grid):
     return [[idx + 1 for idx in row] for row in grid.cells]
 
 
 def _cmd_tiling_solve(args, out):
-    from .tiling import solve_corridor_tiling
+    from .tiling import TilingInstance, solve_corridor_tiling
 
-    inst = _load_tiling(args.instance)
+    inst = _load(args.instance, TilingInstance.from_json_obj)
     result = solve_corridor_tiling(inst, args.max_cols, args.limit)
     if result.capped:
         raise LimitExceeded(args.max_cols, args.max_cols,
@@ -375,23 +353,23 @@ def _reduction_doc(reduced):
         ],
         "points": [
             {"index": flat + 1, "q": q, "r": r}
-            for flat, (q, r) in ((f, reduced.point_label(f)) for f in range(reduced.point_count))
+            for flat, (q, r) in ((f, reduced.point_label(f)) for f in range(gens.degree))
         ],
     }
 
 
 def _cmd_tiling_reduce(args, out):
-    from .tiling import reduce
+    from .tiling import TilingInstance, reduce
 
-    reduced = reduce(_load_tiling(args.instance))
+    reduced = reduce(_load(args.instance, TilingInstance.from_json_obj))
     _write_doc(_reduction_doc(reduced), args.output, out)
     return EXIT_HOLDS
 
 
 def _cmd_tiling_roundtrip(args, out):
-    from .tiling import roundtrip_check
+    from .tiling import TilingInstance, roundtrip_check
 
-    inst = _load_tiling(args.instance)
+    inst = _load(args.instance, TilingInstance.from_json_obj)
     report = roundtrip_check(inst, args.limit)
     if args.json:
         _emit_json(out, {
@@ -508,8 +486,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("identity", help="identity text, or @file with one per line")
     p.add_argument("--oracle", action="store_true", help="decide by the closure oracle only")
     p.add_argument("--cross-check", action="store_true")
-    p.add_argument("--strict-points", action="store_true",
-                   help="forbid the undefined sink in boundary guesses")
     add_common(p, budget=True)
     p.set_defaults(handler=_cmd_models)
 
@@ -558,9 +534,6 @@ def main(argv=None, out=None) -> int:
         return EXIT_USAGE if exc.code else EXIT_HOLDS
     try:
         return args.handler(args, out)
-    except _InputError as exc:
-        print(f"pbsg: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (LimitExceeded, ArityOverflow) as exc:
         print(f"pbsg: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -45,11 +45,9 @@ Premise-constrained variables also pin every real end point as fixed, since
 their value is the idempotent power of the realized word, and need no mask
 because an idempotent's domain and image coincide.  Searches depend only on
 the start points and queries only on start and end points, so variables and
-boundaries share both.  In the default (sink-extended) mode the accepted
+boundaries share both.  With the sink among the guessed points, the accepted
 guesses coincide exactly with the semantic counterexamples, so the verdict
-matches the closure oracle; ``strict_points=True`` keeps every guessed point
-real, which can miss definedness-only counterexamples and is allowed to
-disagree with the oracle.
+matches the closure oracle.
 """
 
 from __future__ import annotations
@@ -129,7 +127,7 @@ class _Occurrences:
     __slots__ = ("edges", "constrained", "mask_on", "depth", "sink",
                  "ends", "real", "forbidden")
 
-    def __init__(self, ident, var, sink, strict_points):
+    def __init__(self, ident, var, sink):
         l = len(ident.lhs)
         edges = []
         for pos, lit in enumerate(ident.lhs):
@@ -140,11 +138,7 @@ class _Occurrences:
                 edges.append((l + pos if pos else 0, l + pos + 1, lit.exponent))
         self.edges = tuple(edges)
         self.constrained = var <= ident.num_premises
-        self.mask_on = (
-            not strict_points
-            and not self.constrained
-            and any(e == -1 for _, _, e in edges)
-        )
+        self.mask_on = not self.constrained and any(e == -1 for _, _, e in edges)
         self.depth = max((j for _, j, _ in edges), default=0)
         self.sink = sink
         self.ends: dict[int, int] = {}
@@ -253,9 +247,7 @@ def _run_word(actions, occ, n, reach_cache, query_cache, work):
     points = tuple(sorted(ends))
     targets = tuple([ends[x] for x in points])
     forbidden = sum(occ.forbidden)
-    # strict mode leaves the mask off, yet a boundary that ``check_variable_run``
-    # is given may still send an inverse occurrence to the sink
-    mask_on = occ.mask_on or forbidden != 0
+    mask_on = occ.mask_on
     qkey = (mask_on, points, targets, forbidden)
     word = query_cache.get(qkey, _MISS)
     if word is _MISS:
@@ -273,7 +265,6 @@ def check_variable_run(
     var: int,
     boundary: BoundaryGuess,
     budget: int = DEFAULT_BUDGET,
-    strict_points: bool = False,
 ) -> Optional[tuple[int, ...]]:
     """Search one variable's run for one boundary guess.
 
@@ -295,7 +286,7 @@ def check_variable_run(
     pts = tuple(boundary.p) + tuple(boundary.q[1:])
     if any(not 0 <= x <= n for x in pts):
         raise ValueError(f"boundary points must lie in 0..{n}, the degree being the sink")
-    occ = _Occurrences(ident, var, n, strict_points)
+    occ = _Occurrences(ident, var, n)
     log: list = []
     for i, j, exponent in occ.edges:
         if not occ.bind(pts[i], pts[j], exponent, log):
@@ -308,7 +299,6 @@ def models(
     gens: GeneratorSet,
     ident: Identity,
     budget: int = DEFAULT_BUDGET,
-    strict_points: bool = False,
 ) -> ModelCheckResult:
     """Decide the identity; on failure ship the least counterexample.
 
@@ -325,8 +315,8 @@ def models(
     gens = gens.with_inverses()
     n = gens.degree
     l, r = len(ident.lhs), len(ident.rhs)
-    values = tuple(range(n)) if strict_points else tuple(range(n + 1))
-    occs = [_Occurrences(ident, v, n, strict_points) for v in range(1, ident.num_vars + 1)]
+    values = tuple(range(n + 1))
+    occs = [_Occurrences(ident, v, n) for v in range(1, ident.num_vars + 1)]
     actions = [g.embed() for g in gens.generators]
     reach_cache: dict = {}
     query_cache: dict = {}

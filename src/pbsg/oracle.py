@@ -324,7 +324,7 @@ def oracle_models(
             acc = i if acc is None else pair(acc, i)
         return acc
 
-    idem_indices = [i for i in range(n_els) if pair(i, i) == i]
+    idem_indices = list(_idempotents(clo))
     ranges = [
         idem_indices if v <= ident.num_premises else range(n_els)
         for v in range(1, ident.num_vars + 1)

@@ -238,17 +238,16 @@ class ReducedInstance:
     """The compiled membership question for one corridor instance.
 
     Generators are ordered row-major over (row i, tile j): index
-    (i-1)·k + (j-1).  ``point_count`` is 2·width·colors.
+    (i-1)·k + (j-1).  The generator set's degree is 2·width·colors.
     """
 
-    __slots__ = ("width", "num_colors", "num_tiles", "point_count", "generator_set", "target")
+    __slots__ = ("width", "num_colors", "num_tiles", "generator_set", "target")
 
-    def __init__(self, width: int, num_colors: int, num_tiles: int, point_count: int,
+    def __init__(self, width: int, num_colors: int, num_tiles: int,
                  generator_set: GeneratorSet, target: PartialBijection):
         self.width = width
         self.num_colors = num_colors
         self.num_tiles = num_tiles
-        self.point_count = point_count
         self.generator_set = generator_set
         self.target = target
 
@@ -293,7 +292,6 @@ def reduce(inst: TilingInstance) -> ReducedInstance:
         width=m,
         num_colors=c,
         num_tiles=k,
-        point_count=npts,
         generator_set=GeneratorSet(npts, tuple(gens)),
         target=target,
     )

@@ -1,6 +1,8 @@
 import json
 import time
 
+import pytest
+
 from pbsg.cli import main
 
 from conftest import PRIME_CYCLES, cycle_permutation
@@ -144,11 +146,20 @@ class TestModels:
         code, out = run(capsys, "models", gens, "x1 x1^-1 = x1^-1 x1", "--oracle")
         assert code == 1 and "oracle assignment" in out
 
-    def test_strict_points_cross_check_reports_disagreement(self, tmp_json, capsys):
+    def test_cross_check_reports_disagreement(self, tmp_json, capsys, monkeypatch):
+        # a model checker that flips its verdict is caught by the oracle
+        import pbsg.model_checker as mc
+
         gens = tmp_json("g.json", GENS_SHIFT)
-        code, out = run(capsys, "models", gens, "x1 x1^-1 = x1^-1 x1",
-                        "--cross-check", "--strict-points")
-        assert code == 4 and "DISAGREE" in out
+        argv = ("models", gens, "x1 x1^-1 = x1^-1 x1", "--cross-check")
+        assert run(capsys, *argv)[0] == 1
+        monkeypatch.setattr(mc, "models",
+                            lambda g, ident, budget: mc.ModelCheckResult(True, None, g))
+        code, out = run(capsys, *argv)
+        assert code == 4 and "DISAGREE\tfast=True\toracle=False\n" in out
+        code, out = run(capsys, *argv, "--json")
+        (block,) = json.loads(out)["results"]
+        assert code == 4 and block["disagreement"] == {"fast": True, "oracle": False}
 
     def test_identity_file(self, tmp_json, capsys, tmp_path):
         gens = tmp_json("g.json", GENS_SWAP)
@@ -356,6 +367,21 @@ class TestUsage:
         path.write_text("{not json")
         assert main(["props", str(path)]) == 2
 
+    @pytest.mark.parametrize("command", (["props"], ["member", "GENS"], ["tiling", "solve"]),
+                             ids=("gens", "element", "tiling"))
+    def test_input_file_errors_name_the_path_once(self, command, tmp_json, tmp_path, capsys):
+        gens = tmp_json("g.json", GENS_SWAP)
+        (tmp_path / "bad.json").write_text("{not json")
+        # nesting past the interpreter's recursion limit, which the decoder hits
+        (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
+        bad_schema = tmp_json("schema.json", {"degree": 2, "generators": [[3, 1]], "map": [3, 1]})
+        for path in (str(tmp_path / "missing.json"), str(tmp_path / "bad.json"),
+                     str(tmp_path / "deep.json"), bad_schema):
+            code = main([gens if arg == "GENS" else arg for arg in command] + [path])
+            err = capsys.readouterr().err
+            assert code == 2 and len(err.splitlines()) == 1, err
+            assert err.startswith("pbsg: ") and err.count(path) == 1, err
+
     def test_non_positive_budgets_are_usage_errors(self, tmp_json, capsys):
         gens = tmp_json("g.json", GENS_SWAP)
         elem = tmp_json("b.json", {"degree": 2, "map": [1, 2]})
@@ -374,8 +400,10 @@ class TestUsage:
             assert run(capsys, *argv, flag, "1")[0] == at_one, (argv, flag)
 
     def test_options_a_subcommand_ignores_are_usage_errors(self, tmp_json, capsys):
+        gens = tmp_json("g.json", GENS_SWAP)
         tiling = tmp_json("t.json", TILING_OK)
-        for argv in (["tiling", "reduce", tiling, "--json"],
+        for argv in (["models", gens, "x1 = x1", "--strict-points"],
+                     ["tiling", "reduce", tiling, "--json"],
                      ["tiling", "reduce", tiling, "--limit", "5"],
                      ["random", "gens", "-n", "2", "-k", "1", "--json"],
                      ["random", "tiling", "-m", "1", "-c", "1", "-k", "1", "--json"]):

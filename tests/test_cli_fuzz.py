@@ -71,7 +71,7 @@ COMMANDS = {
     ("oracle",): ([files("GENS")], [], ["--property", "--limit", "--json"]),
     ("member",): ([files("GENS"), files("ELEMENT")], [], ["--limit", "--json"]),
     ("models",): ([files("GENS"), identities], [],
-                  ["--oracle", "--cross-check", "--strict-points", "--budget", "--limit", "--json"]),
+                  ["--oracle", "--cross-check", "--budget", "--limit", "--json"]),
     ("tiling", "solve"): ([files("TILING")], [], ["--max-cols", "--limit", "--json"]),
     ("tiling", "reduce"): ([files("TILING")], [], ["-o"]),
     ("tiling", "roundtrip"): ([files("TILING")], [], ["--limit", "--json"]),

@@ -66,11 +66,14 @@ class TestModels:
             assert models(gens, ident).models
 
     def test_shift_fails_inverse_commutation(self):
-        result = models(gset("2 _"), parse_identity("x1 x1^-1 = x1^-1 x1"))
+        # a definedness-only disagreement: the counterexample needs the sink
+        gens = gset("2 _")
+        ident = parse_identity("x1 x1^-1 = x1^-1 x1")
+        result = models(gens, ident)
         assert not result.models
-        assignment, lhs, rhs = counterexample_values(
-            result.generators, parse_identity("x1 x1^-1 = x1^-1 x1"), result.counterexample
-        )
+        assert not oracle_models(gens, ident).models
+        assignment, lhs, rhs = counterexample_values(result.generators, ident,
+                                                     result.counterexample)
         assert lhs != rhs
         # the realized element separates its domain from its image
         (s,) = assignment
@@ -87,6 +90,8 @@ class TestModels:
 
     def test_commuting_partial_identities(self):
         assert models(gset("1 _", "_ 2"), parse_identity("x1 x2 = x2 x1")).models
+        # two non-commuting permutations disagree at a real point
+        assert not models(gset("2 3 1", "2 1 3"), parse_identity("x1 x2 = x2 x1")).models
 
     def test_deterministic(self):
         gens = gset("2 _ 1", "_ 3 _")
@@ -215,15 +220,13 @@ class TestCheckVariableRun:
         with pytest.raises(ValueError):
             check_variable_run(gens, ident, 1, BoundaryGuess((2, 0), (2, 0)))
 
-    def test_strict_mode_checks_an_inverse_sent_to_the_sink(self):
+    def test_inverse_sent_to_the_sink_excludes_the_image(self):
         # the swap's inverse is defined at point 1, so no value of x1 sends it
-        # to the sink; strict mode used to drop the image exclusion
+        # to the sink
         gens = gset("2 1")
         ident = parse_identity("x1^-1 = x1^-1")
         boundary = BoundaryGuess((0, 2), (0, 2))
-        for strict in (False, True):
-            assert check_variable_run(gens, ident, 1, boundary,
-                                      strict_points=strict) is None
+        assert check_variable_run(gens, ident, 1, boundary) is None
 
     @pytest.mark.parametrize("p", ((0, 7, 1), (0, -1, 1), (0, 1, 4)))
     def test_validates_every_point(self, p):
@@ -270,9 +273,9 @@ def _run_spec(occ, pts, bottom):
     return points, targets, forbidden
 
 
-def reference_variable_run(gens, ident, var, boundary, strict_points):
+def reference_variable_run(gens, ident, var, boundary):
     n = gens.degree
-    occ = _Occurrences(ident, var, n, strict_points)
+    occ = _Occurrences(ident, var, n)
     spec = _run_spec(occ, boundary.p + boundary.q[1:], n)
     if spec is None:
         return None, spec
@@ -284,8 +287,7 @@ def reference_variable_run(gens, ident, var, boundary, strict_points):
 
 
 class TestSpecBinder:
-    @pytest.mark.parametrize("strict", (False, True))
-    def test_binder_matches_whole_spec_reference(self, strict):
+    def test_binder_matches_whole_spec_reference(self):
         # random boundaries over all points and the sink, so they include
         # sink-then-real traces, premise variables and inverse occurrences
         # sent to the sink (masked runs)
@@ -310,10 +312,8 @@ class TestSpecBinder:
                     boundary = BoundaryGuess(p, q)
                     broken = any(a == n != b for t in (p, q) for a, b in zip(t, t[1:]))
                     for var in range(1, ident.num_vars + 1):
-                        word = check_variable_run(gens, ident, var, boundary,
-                                                  strict_points=strict)
-                        expected, spec = reference_variable_run(gens, ident, var,
-                                                                boundary, strict)
+                        word = check_variable_run(gens, ident, var, boundary)
+                        expected, spec = reference_variable_run(gens, ident, var, boundary)
                         assert word == expected
                         ok = word is not None
                         seen["rejected"] += spec is None
@@ -377,21 +377,20 @@ class TestOracleAgreement:
                     break
             assert (found is not None) == (not models(gens, ident).models)
 
-    @pytest.mark.parametrize("strict", (False, True))
     @pytest.mark.parametrize("text", (
         "x1 x2 x3 = x3 x2 x1",
         "x1=x1^2, x2=x2^2 => x1 x2 = x2 x1",
         "x1 x1^-1 = x1^-1 x1",
         "x1 x2^-1 x1 = x1",
     ))
-    def test_least_counterexample_matches_naive_loop(self, text, strict):
+    def test_least_counterexample_matches_naive_loop(self, text):
         # every boundary in lexicographic order, each variable run on its own:
         # the first boundary all variables accept is the least counterexample
         ident = parse_identity(text)
         l = len(ident.lhs)
         for gens in seeded_generator_sets(407, 8, degrees=(2, 3), inverse_closed=True):
             n = gens.degree
-            values = range(n) if strict else range(n + 1)
+            values = range(n + 1)
             expected = None
             for p1 in range(n):
                 for rest in product(values, repeat=l + len(ident.rhs)):
@@ -400,8 +399,7 @@ class TestOracleAgreement:
                         continue
                     words = []
                     for v in range(1, ident.num_vars + 1):
-                        word = check_variable_run(gens, ident, v, boundary,
-                                                  strict_points=strict)
+                        word = check_variable_run(gens, ident, v, boundary)
                         if word is None:
                             break
                         words.append(word)
@@ -410,28 +408,11 @@ class TestOracleAgreement:
                         break
                 if expected:
                     break
-            result = models(gens, ident, strict_points=strict)
+            result = models(gens, ident)
             assert result.models == (expected is None)
             if expected:
                 cex = result.counterexample
                 assert (cex.boundary, cex.words) == expected
-
-
-class TestStrictPoints:
-    def test_strict_mode_misses_definedness_counterexamples(self):
-        # known, documented divergence: with all boundary points kept real,
-        # a definedness-only disagreement is invisible
-        gens = gset("2 _")
-        ident = parse_identity("x1 x1^-1 = x1^-1 x1")
-        assert models(gens, ident, strict_points=True).models
-        assert not models(gens, ident).models
-        assert not oracle_models(gens, ident).models
-
-    def test_strict_mode_still_sees_point_disagreements(self):
-        # two non-commuting permutations disagree at a real point
-        gens = gset("2 3 1", "2 1 3")
-        ident = parse_identity("x1 x2 = x2 x1")
-        assert not models(gens, ident, strict_points=True).models
 
 
 def test_premise_constrained_counterexamples_use_idempotent_powers():

@@ -129,7 +129,7 @@ class TestSolve:
 class TestReduce:
     def test_trivial_instance(self):
         red = reduce(inst_of([ALL1], 1, 1))
-        assert red.point_count == 2
+        assert red.generator_set.degree == 2
         (gen,) = red.generator_set.generators
         assert gen == PartialBijection.partial_identity(2, [0, 1])
         assert gen == red.target
@@ -158,7 +158,7 @@ class TestReduce:
         # (q, r) -> (q-1)*c + r in 1-based terms
         assert red.point_label(0) == (1, 1)
         assert red.point_label(3) == (2, 2)
-        assert red.point_count == 8
+        assert red.generator_set.degree == 8
         assert red.generator_label(2) == (2, 1)
         assert red.generator_label(1) == (1, 2)
 
