@@ -2,7 +2,7 @@
 """Confront the boundary-search model checker with the assignment-enumeration
 oracle over random inverse-closed generator sets, reporting verdict counts
 and counterexample replay results.  A check whose oracle assignment space
-exceeds ``DEFAULT_BUDGET`` (``oracle_models`` raises ArityOverflow) is skipped
+exceeds ``DEFAULT_BUDGET`` (``oracle_models`` raises LimitExceeded) is skipped
 and counted.
 
 Example:
@@ -14,7 +14,7 @@ import random
 import sys
 import time
 
-from pbsg import ArityOverflow, models, oracle_models, parse_identity
+from pbsg import LimitExceeded, models, oracle_models, parse_identity
 from pbsg.model_checker import counterexample_values
 from pbsg.sampling import random_generator_set
 
@@ -57,7 +57,7 @@ def main(argv=None):
             for text, ident in idents:
                 try:
                     slow = oracle_models(gens, ident)
-                except ArityOverflow:
+                except LimitExceeded:
                     skipped += 1
                     continue
                 fast = models(gens, ident)

@@ -21,7 +21,6 @@ _EXPORTS = {
         "run_generator_check",
     ),
     "closure": (
-        "ArityOverflow",
         "DEFAULT_BUDGET",
         "DEFAULT_LIMIT",
         "GeneratorSet",

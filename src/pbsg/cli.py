@@ -25,7 +25,6 @@ import sys
 from .closure import (
     DEFAULT_BUDGET,
     DEFAULT_LIMIT,
-    ArityOverflow,
     GeneratorSet,
     LimitExceeded,
     close,
@@ -319,21 +318,17 @@ def _cmd_tiling_solve(args, out):
     from .tiling import TilingInstance, solve_corridor_tiling
 
     inst = _load(args.instance, TilingInstance.from_json_obj)
-    result = solve_corridor_tiling(inst, args.max_cols, args.limit)
-    if result.capped:
-        raise LimitExceeded(args.max_cols, args.max_cols,
-                            f"tiling search stopped at {args.max_cols} columns "
-                            "with profiles left to explore")
+    grid = solve_corridor_tiling(inst, args.limit)
     if args.json:
         _emit_json(out, {"schema": SCHEMA, "command": "tiling-solve",
-                         "solvable": result.solvable,
-                         "grid": None if result.grid is None else _grid_rows(result.grid)})
+                         "solvable": grid is not None,
+                         "grid": None if grid is None else _grid_rows(grid)})
     else:
-        out.write("SOLVABLE\n" if result.solvable else "UNSOLVABLE\n")
-        if result.grid is not None:
-            for row in _grid_rows(result.grid):
+        out.write("UNSOLVABLE\n" if grid is None else "SOLVABLE\n")
+        if grid is not None:
+            for row in _grid_rows(grid):
                 out.write(" ".join(map(str, row)) + "\n")
-    return EXIT_HOLDS if result.solvable else EXIT_DOES_NOT_HOLD
+    return EXIT_DOES_NOT_HOLD if grid is None else EXIT_HOLDS
 
 
 def _reduction_doc(reduced):
@@ -418,7 +413,7 @@ def _cmd_random_tiling(args, out):
 
 
 def _positive_int(text):
-    """argparse type of the budget and cap flags: an int of at least 1."""
+    """argparse type of the limit and budget flags: an int of at least 1."""
     try:
         value = int(text)
     except ValueError:
@@ -493,8 +488,6 @@ def _build_parser() -> argparse.ArgumentParser:
     tsub = p.add_subparsers(dest="tiling_command", required=True)
     ps = tsub.add_parser("solve", help="decide solvability, print a grid")
     ps.add_argument("instance")
-    ps.add_argument("--max-cols", type=_positive_int, default=None,
-                   help="column cap, at least 1; reaching it undecided exits 3")
     add_common(ps)
     ps.set_defaults(handler=_cmd_tiling_solve)
     pr = tsub.add_parser("reduce", help="emit the membership instance")
@@ -534,7 +527,7 @@ def main(argv=None, out=None) -> int:
         return EXIT_USAGE if exc.code else EXIT_HOLDS
     try:
         return args.handler(args, out)
-    except (LimitExceeded, ArityOverflow) as exc:
+    except LimitExceeded as exc:
         print(f"pbsg: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except ValueError as exc:

@@ -25,19 +25,14 @@ MAX_DEGREE = 255  # elements are one byte per point, byte ``degree`` = undefined
 
 
 class LimitExceeded(RuntimeError):
-    """A search outgrew its budget: closure elements, or what ``message`` names."""
+    """A search outgrew its budget ``limit``, having counted ``count``:
+    closure elements, or what ``message`` names (tiling columns, model
+    checking work, oracle assignments)."""
 
     def __init__(self, limit: int, count: int, message: str = ""):
         super().__init__(message or f"closure exceeds {limit} elements (stopped at {count})")
         self.limit = limit
         self.count = count
-
-
-class ArityOverflow(RuntimeError):
-    """The model checker's work or the oracle's assignment space exceeds its budget.
-
-    Defined here, beside LimitExceeded, and re-exported by ``model_checker``.
-    """
 
 
 class GeneratorSet(ValueType):

@@ -25,7 +25,7 @@ the prefix.  Every rejection rule only grows with the bound occurrences, so
 no pruned prefix has an accepted completion and the first complete boundary
 found is still the least counterexample.  Each expanded position adds its
 number of choices to one work count, each breadth-first search (below) the
-states it reaches; ``ArityOverflow`` is raised once the count passes
+states it reaches; ``LimitExceeded`` is raised once the count passes
 ``budget``.  Positions below a rejected point are never expanded, so they
 are never charged.
 
@@ -55,9 +55,9 @@ from __future__ import annotations
 from collections import deque
 from typing import Optional
 
-# ArityOverflow and DEFAULT_BUDGET live in ``closure`` so that the CLI can
-# name them without loading this module; they are re-exported from here.
-from .closure import DEFAULT_BUDGET, ArityOverflow, GeneratorSet, evaluate_word
+# DEFAULT_BUDGET lives in ``closure`` so that the CLI can name it without
+# loading this module; it is re-exported from here.
+from .closure import DEFAULT_BUDGET, GeneratorSet, LimitExceeded, evaluate_word
 from .identities import Identity, apply_assignment
 from .pbij import PartialBijection, ValueType
 
@@ -75,7 +75,8 @@ class _Work:
     def charge(self, amount: int) -> None:
         self.left -= amount
         if self.left < 0:
-            raise ArityOverflow(f"model checking work exceeds the budget {self.budget}")
+            raise LimitExceeded(self.budget, self.budget - self.left,
+                                f"model checking work exceeds the budget {self.budget}")
 
 
 class BoundaryGuess(ValueType):
@@ -273,7 +274,7 @@ def check_variable_run(
     then lexicographically least; always nonempty), or None when no word
     realizes the run.  The word indexes into ``gens.generators`` as given;
     callers working over an inverse semigroup pass the inverse-closed list.
-    Raises ``ArityOverflow`` when the run's search reaches more than
+    Raises ``LimitExceeded`` when the run's search reaches more than
     ``budget`` states.
     """
     n = gens.degree
@@ -310,7 +311,7 @@ def models(
     variable is queried once the last position it reads is fixed, and a
     variable with no word prunes every boundary below that prefix.  A real
     point right after a sink on the same word is never tried.  Raises
-    ``ArityOverflow`` once the work passes ``budget``.
+    ``LimitExceeded`` once the work passes ``budget``.
     """
     gens = gens.with_inverses()
     n = gens.degree

@@ -5,7 +5,11 @@ ground truth the generator-level checkers are tested against.  Zeros,
 identities and central idempotents are tested against the generators alone:
 each of zs = z, sz = z, es = s, se = s and es = se defines a subsemigroup
 {s : ...} of S, so it holds for every s in S iff it holds for every
-generator, and S is scanned only to find a witness.  ``commutative``,
+generator, and S is scanned only to find a witness.  ``commutative`` pairs
+only the generators with every element: the elements that commute with a
+given s form a subsemigroup, so s commutes with all of S iff it commutes
+with every generator.  That is the centraliser argument
+``check_commutative`` rests on, though it tests generator pairs alone.
 ``band``/``semilattice``, ``completely-regular``/``clifford``, ``regular``
 and ``r-trivial`` scan every element, so the oracle shares no argument with
 their generator-level checkers.  Three scans stop as soon as their answer is
@@ -31,8 +35,8 @@ from typing import TYPE_CHECKING, Callable, Optional
 from .closure import (
     DEFAULT_BUDGET,
     DEFAULT_LIMIT,
-    ArityOverflow,
     GeneratorSet,
+    LimitExceeded,
     SemigroupClosure,
     close,
 )
@@ -87,7 +91,11 @@ def oracle_identities(closure: SemigroupClosure) -> IdentityLists:
 
 def _commutative(closure):
     mul, n = closure.pair_product, len(closure)
-    for a in range(n):
+    # The k distinct generators hold indices 0..k-1.  An element commuting
+    # with every generator commutes with all of S, so when S is not
+    # commutative some generator fails with some element, and the least
+    # failing pair (a, b), a < b, has a < k.
+    for a in range(len(set(_generator_keys(closure)))):
         for b in range(a + 1, n):
             if mul(a, b) != mul(b, a):
                 return False, {"left": _show(closure, a), "right": _show(closure, b)}
@@ -305,7 +313,7 @@ def oracle_models(
     1..num_premises range over the idempotents of the closure, the rest over
     everything; the first violating assignment (element-discovery order,
     first variable slowest) is reported.  An assignment space larger than
-    ``DEFAULT_BUDGET`` raises ArityOverflow before any is tried.
+    ``DEFAULT_BUDGET`` raises LimitExceeded before any is tried.
     """
     gens = gens.with_inverses()
     clo = close(gens, limit)
@@ -331,9 +339,8 @@ def oracle_models(
     ]
     space = prod(len(r) for r in ranges)
     if space > DEFAULT_BUDGET:
-        raise ArityOverflow(
-            f"{space} oracle assignments exceed the budget {DEFAULT_BUDGET}"
-        )
+        raise LimitExceeded(DEFAULT_BUDGET, space,
+                            f"{space} oracle assignments exceed the budget {DEFAULT_BUDGET}")
     for assign in product(*ranges):
         if eval_side(ident.lhs, assign) != eval_side(ident.rhs, assign):
             return OracleModelResult(False, tuple(clo[i] for i in assign))

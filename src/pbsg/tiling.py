@@ -136,36 +136,19 @@ def verify_proper_tiling(inst: TilingInstance, grid: TilingGrid) -> Optional[tup
     return None
 
 
-class SolveResult:
-    __slots__ = ("solvable", "grid", "capped")
-
-    def __init__(self, solvable: bool, grid: Optional[TilingGrid] = None, capped: bool = False):
-        self.solvable = solvable
-        self.grid = grid
-        #: ``max_cols`` stopped the search with profiles unexplored, so an
-        #: unsolvable verdict is only "no grid within max_cols columns"
-        self.capped = capped
-
-
-def solve_corridor_tiling(
-    inst: TilingInstance, max_cols: Optional[int] = None, limit: int = DEFAULT_LIMIT
-) -> SolveResult:
+def solve_corridor_tiling(inst: TilingInstance, limit: int = DEFAULT_LIMIT) -> Optional[TilingGrid]:
     """Complete decision by reachability over east-edge color profiles.
 
     Vertically consistent columns (internal edges matching, all-1 top and
     bottom) are edges from their west profile to their east profile; the
     instance is solvable iff the all-1 profile reaches itself in >= 1 steps.
-    A shortest path exists within c^width columns (profiles repeat past
-    that), which the default ``max_cols`` covers.  The returned grid is the
-    lexicographically least among the shortest, comparing column by column,
-    each column read top to bottom.  A profile's columns are built when the
+    Returns None when it does not, else the grid that is lexicographically
+    least among the shortest, comparing column by column, each column read
+    top to bottom.  Each profile is expanded at most once, so the search
+    ends within c^width levels.  A profile's columns are built when the
     search first expands it, and counted before they are built: more than
-    ``limit`` columns in all raise LimitExceeded.  A ``max_cols`` below 1
-    is a ValueError; a search that reaches ``max_cols`` columns with profiles
-    still unexplored returns ``capped`` set.
+    ``limit`` columns in all raise LimitExceeded.
     """
-    if max_cols is not None and max_cols < 1:
-        raise ValueError(f"max_cols must be at least 1, got {max_cols}")
     m = inst.width
     souths = [t.south for t in inst.tiles]
     easts = [t.east for t in inst.tiles]
@@ -203,15 +186,10 @@ def solve_corridor_tiling(
                         if souths[j] in below]
         return [(combo, tuple(easts[j] for j in combo)) for combo, _ in prefixes]
 
-    if max_cols is None:
-        max_cols = inst.num_colors ** m + 1
-
     target = (1,) * m
     parent: dict = {target: None}
     frontier = [target]
-    depth = 0
-    while frontier and depth < max_cols:
-        depth += 1
+    while frontier:
         nxt = []
         for profile in frontier:
             for combo, east in columns(profile):
@@ -226,12 +204,12 @@ def solve_corridor_tiling(
                         tuple(chain[b][a] for b in range(len(chain)))
                         for a in range(m)
                     )
-                    return SolveResult(True, TilingGrid(cells))
+                    return TilingGrid(cells)
                 if east not in parent:
                     parent[east] = (profile, combo)
                     nxt.append(east)
         frontier = nxt
-    return SolveResult(False, None, capped=bool(frontier))
+    return None
 
 
 class ReducedInstance:
@@ -306,9 +284,7 @@ def encode_grid(reduced: ReducedInstance, grid: TilingGrid) -> tuple[int, ...]:
     return tuple(word)
 
 
-def decode_witness(
-    inst: TilingInstance, reduced: ReducedInstance, word
-) -> TilingGrid:
+def decode_witness(reduced: ReducedInstance, word) -> TilingGrid:
     """Read a membership witness back into a grid.
 
     Any word evaluating to the target factors into blocks of ``width``
@@ -356,19 +332,20 @@ def roundtrip_check(inst: TilingInstance, limit: int = DEFAULT_LIMIT) -> Roundtr
     grid's word evaluates to the target while the membership witness decodes
     to a proper grid.
     """
-    solved = solve_corridor_tiling(inst, limit=limit)
+    grid = solve_corridor_tiling(inst, limit)
+    solvable = grid is not None
     reduced = reduce(inst)
     got = member(reduced.generator_set, reduced.target, limit)
-    consistent = solved.solvable == got.found
+    consistent = solvable == got.found
     decoded = None
-    if consistent and solved.solvable:
-        if evaluate_word(reduced.generator_set, encode_grid(reduced, solved.grid)) != reduced.target:
+    if consistent and solvable:
+        if evaluate_word(reduced.generator_set, encode_grid(reduced, grid)) != reduced.target:
             consistent = False
         else:
             try:
-                decoded = decode_witness(inst, reduced, got.witness)
+                decoded = decode_witness(reduced, got.witness)
             except MalformedWitness:
                 consistent = False
             else:
                 consistent = verify_proper_tiling(inst, decoded) is None
-    return RoundtripReport(solved.solvable, got, consistent, solved.grid, decoded)
+    return RoundtripReport(solvable, got, consistent, grid, decoded)

@@ -293,21 +293,15 @@ class TestTiling:
         assert run(capsys, "tiling", "solve", path, "--limit", "26")[0] == 0
         assert run(capsys, "tiling", "solve", path, "--limit", "25")[0] == 3
 
-    def test_column_cap(self, tmp_json, capsys):
+    def test_multi_column_grid_needs_no_cap(self, tmp_json, capsys):
         # two tiles of width 1 whose shortest grid has 2 columns
         path = tmp_json("t.json", {"colors": 2, "width": 1, "tiles": [
             {"n": 1, "e": 2, "s": 1, "w": 1}, {"n": 1, "e": 1, "s": 1, "w": 2}]})
-        code, out = run(capsys, "tiling", "solve", path, "--max-cols", "2")
+        code, out = run(capsys, "tiling", "solve", path)
         assert code == 0 and out.splitlines() == ["SOLVABLE", "1 2"]
-        for cap, exit_code in (("1", 3), ("0", 2), ("-3", 2)):
-            code = main(["tiling", "solve", path, "--max-cols", cap])
-            captured = capsys.readouterr()
-            assert code == exit_code and captured.out == "", cap
-            assert len(captured.err.splitlines()) == 1 and "col" in captured.err
-        # a search that ends below the cap still decides
-        code, out = run(capsys, "tiling", "solve", tmp_json("t2.json", TILING_BAD),
-                        "--max-cols", "1")
-        assert code == 1 and out == "UNSOLVABLE\n"
+        # --limit counts the two columns built: 2 decides, 1 runs out
+        assert run(capsys, "tiling", "solve", path, "--limit", "2")[0] == 0
+        assert run(capsys, "tiling", "solve", path, "--limit", "1")[0] == 3
 
 
 class TestRandom:
@@ -390,8 +384,7 @@ class TestUsage:
         for argv, flag, at_one in ((["member", gens, elem], "--limit", 3),
                                    (["models", gens, "x1 = x1"], "--budget", 3),
                                    (["models", gens, "x1 = x1"], "--limit", 0),
-                                   (["tiling", "solve", tiling], "--limit", 0),
-                                   (["tiling", "solve", tiling], "--max-cols", 0)):
+                                   (["tiling", "solve", tiling], "--limit", 0)):
             for value in ("0", "-1"):
                 code = main([*argv, flag, value])
                 captured = capsys.readouterr()
@@ -403,6 +396,7 @@ class TestUsage:
         gens = tmp_json("g.json", GENS_SWAP)
         tiling = tmp_json("t.json", TILING_OK)
         for argv in (["models", gens, "x1 = x1", "--strict-points"],
+                     ["tiling", "solve", tiling, "--max-cols", "2"],
                      ["tiling", "reduce", tiling, "--json"],
                      ["tiling", "reduce", tiling, "--limit", "5"],
                      ["random", "gens", "-n", "2", "-k", "1", "--json"],

@@ -72,7 +72,7 @@ COMMANDS = {
     ("member",): ([files("GENS"), files("ELEMENT")], [], ["--limit", "--json"]),
     ("models",): ([files("GENS"), identities], [],
                   ["--oracle", "--cross-check", "--budget", "--limit", "--json"]),
-    ("tiling", "solve"): ([files("TILING")], [], ["--max-cols", "--limit", "--json"]),
+    ("tiling", "solve"): ([files("TILING")], [], ["--limit", "--json"]),
     ("tiling", "reduce"): ([files("TILING")], [], ["-o"]),
     ("tiling", "roundtrip"): ([files("TILING")], [], ["--limit", "--json"]),
     ("random", "gens"): ([], ["-n", "-k"], ["--seed", "--inverse-closed", "-o"]),

@@ -4,9 +4,9 @@ from itertools import product
 import pytest
 
 from pbsg import (
-    ArityOverflow,
     BoundaryGuess,
     GeneratorSet,
+    LimitExceeded,
     PartialBijection,
     check_variable_run,
     models,
@@ -108,8 +108,9 @@ class TestModels:
         assert len(result.generators.generators) == 2
 
     def test_budget_overflow(self):
-        with pytest.raises(ArityOverflow):
+        with pytest.raises(LimitExceeded) as info:
             models(gset("2 _"), parse_identity("x1 x2 = x2 x1"), budget=10)
+        assert info.value.limit == 10 and info.value.count > 10
 
     def test_three_variable_identity_at_degree_8(self):
         # pruning keeps the search far below its 8 * 9**6 boundaries
@@ -139,8 +140,10 @@ class TestWorkBudget:
         assert models(gens, parse_identity(FOUR_REVERSAL)).models
 
     def test_search_past_the_budget_overflows(self):
-        with pytest.raises(ArityOverflow):
+        with pytest.raises(LimitExceeded) as info:
             models(cosingleton_semilattice(7), parse_identity(FOUR_REVERSAL), budget=10_000)
+        assert info.value.limit == 10_000
+        assert str(info.value) == "model checking work exceeds the budget 10000"
 
     def test_conflicting_points_are_rejected_before_expansion(self):
         # x1 x1^-1 x1 = x1 reads every position; binding each occurrence as
@@ -157,8 +160,9 @@ class TestWorkBudget:
         boundary = BoundaryGuess((0, 1), (0, 1))
         assert check_variable_run(gens, ident, 1, boundary, budget=3) is not None
         for budget in (1, 2):
-            with pytest.raises(ArityOverflow):
+            with pytest.raises(LimitExceeded) as info:
                 check_variable_run(gens, ident, 1, boundary, budget=budget)
+            assert info.value.limit == budget
 
 
 class TestCheckVariableRun:

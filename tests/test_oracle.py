@@ -1,8 +1,9 @@
 import pytest
 
 from pbsg import (
-    ArityOverflow,
+    DEFAULT_BUDGET,
     GeneratorSet,
+    LimitExceeded,
     PartialBijection,
     PropertyName,
     close,
@@ -162,6 +163,24 @@ def naive_central_idempotents(clo):
     return True, None
 
 
+def naive_commutative(clo):
+    """Every pair a < b of elements."""
+    mul, n = clo.pair_product, len(clo)
+    for a in range(n):
+        for b in range(a + 1, n):
+            if mul(a, b) != mul(b, a):
+                return False, {"left": clo[a].to_text(), "right": clo[b].to_text()}
+    return True, None
+
+
+def naive_semilattice(clo):
+    mul = clo.pair_product
+    for a in range(len(clo)):
+        if mul(a, a) != a:
+            return False, {"element": clo[a].to_text()}
+    return naive_commutative(clo)
+
+
 def naive_regular(clo):
     """Search every t for sts = s."""
     mul, idx = clo.pair_product, range(len(clo))
@@ -172,6 +191,8 @@ def naive_regular(clo):
 
 
 NAIVE = {
+    PropertyName.COMMUTATIVE: naive_commutative,
+    PropertyName.SEMILATTICE: naive_semilattice,
     PropertyName.LEFT_ZERO: naive_zero(True, False),
     PropertyName.RIGHT_ZERO: naive_zero(False, True),
     PropertyName.ZERO: naive_zero(True, True),
@@ -205,6 +226,8 @@ class TestEarlyStoppingScans:
         sets += [GeneratorSet.from_elements([pb(t) for t in texts]) for texts in (
             ("2 3 4 5 _",), ("1 _", "_ _"), ("2 _",), ("1 2",), ("2 1", "1 _"),
             ("_ _",), ("2 3 1",), block_cycles(17, (2, 3, 5, 7)),
+            # a repeated generator: k = 3 listed, k' = 2 distinct
+            ("1 _", "1 _", "2 1"), ("2 1 3", "2 1 3", "1 3 2"),
         )]
         outcomes = set()
         for gens in sets:
@@ -297,8 +320,9 @@ class TestOracleModels:
         gens = GeneratorSet.from_elements([
             PartialBijection([None if x == k else x for x in range(8)]) for k in range(8)
         ])
-        with pytest.raises(ArityOverflow):
+        with pytest.raises(LimitExceeded) as info:
             oracle_models(gens, parse_identity("x1 x2 x3 = x3 x2 x1"))
+        assert (info.value.limit, info.value.count) == (DEFAULT_BUDGET, 255**3)
 
     def test_violating_assignment_replays(self):
         ident = parse_identity("x1 x2 = x2 x1")

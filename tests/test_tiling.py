@@ -3,7 +3,7 @@ from itertools import combinations_with_replacement, product
 
 import pytest
 
-from pbsg import PartialBijection, member
+from pbsg import LimitExceeded, PartialBijection, member
 from pbsg.closure import evaluate_word
 from pbsg.sampling import random_tiling_instance
 from pbsg.tiling import (
@@ -80,28 +80,23 @@ class TestVerify:
 
 class TestSolve:
     def test_single_all_one_tile(self):
-        result = solve_corridor_tiling(inst_of([ALL1], 1, 1))
-        assert result.solvable and result.grid == TilingGrid(((0,),))
+        assert solve_corridor_tiling(inst_of([ALL1], 1, 1)) == TilingGrid(((0,),))
 
     def test_unsolvable_bottom_border(self):
-        result = solve_corridor_tiling(inst_of([Tile(1, 1, 2, 1)], 2, 1))
-        assert not result.solvable and result.grid is None
+        assert solve_corridor_tiling(inst_of([Tile(1, 1, 2, 1)], 2, 1)) is None
 
     def test_vertical_pair_single_column(self):
         top = Tile(1, 1, 2, 1)
         bottom = Tile(2, 1, 1, 1)
-        result = solve_corridor_tiling(inst_of([top, bottom], 2, 2))
-        assert result.solvable
-        assert result.grid == TilingGrid(((0,), (1,)))
-        assert verify_proper_tiling(inst_of([top, bottom], 2, 2), result.grid) is None
+        grid = solve_corridor_tiling(inst_of([top, bottom], 2, 2))
+        assert grid == TilingGrid(((0,), (1,)))
+        assert verify_proper_tiling(inst_of([top, bottom], 2, 2), grid) is None
 
     def test_multi_column_solution(self):
         # east/west colors force at least two columns
         left = Tile(1, 2, 1, 1)
         right = Tile(1, 1, 1, 2)
-        result = solve_corridor_tiling(inst_of([left, right], 2, 1))
-        assert result.solvable
-        assert result.grid == TilingGrid(((0, 1),))
+        assert solve_corridor_tiling(inst_of([left, right], 2, 1)) == TilingGrid(((0, 1),))
 
     def test_solutions_verify(self):
         rng = random.Random(501)
@@ -109,21 +104,28 @@ class TestSolve:
         for _ in range(200):
             inst = random_tiling_instance(rng, rng.randint(1, 3), rng.randint(1, 3),
                                           rng.randint(1, 3))
-            result = solve_corridor_tiling(inst)
-            if result.solvable:
+            grid = solve_corridor_tiling(inst)
+            if grid is not None:
                 solved += 1
-                assert verify_proper_tiling(inst, result.grid) is None
+                assert verify_proper_tiling(inst, grid) is None
         assert solved > 5
 
     def test_shortest_and_lexicographically_least(self):
         # both tiles alone tile a 1x1 grid; the solver must pick tile 1
         inst = inst_of([ALL1, ALL1], 1, 1)
-        assert solve_corridor_tiling(inst).grid == TilingGrid(((0,),))
+        assert solve_corridor_tiling(inst) == TilingGrid(((0,),))
 
-    def test_max_cols_cap(self):
-        left = Tile(1, 2, 1, 1)
-        right = Tile(1, 1, 1, 2)
-        assert not solve_corridor_tiling(inst_of([left, right], 2, 1), max_cols=1).solvable
+    def test_shortest_grid_of_c_to_the_width_columns(self):
+        # width 1, colors 1..c chained east by tiles w=i -> e=i+1 and w=c -> e=1:
+        # the one grid visits every profile, so its c columns are the most any
+        # shortest grid can need; without the last tile every profile is
+        # expanded and the search ends unsolvable
+        c = 5
+        chain = [Tile(1, i % c + 1, 1, i) for i in range(1, c + 1)]
+        assert solve_corridor_tiling(inst_of(chain, c, 1)) == TilingGrid((tuple(range(c)),))
+        assert solve_corridor_tiling(inst_of(chain[:-1], c, 1)) is None
+        with pytest.raises(LimitExceeded):
+            solve_corridor_tiling(inst_of(chain, c, 1), limit=c - 1)
 
 
 class TestReduce:
@@ -180,7 +182,7 @@ class TestEncodeDecode:
         grid = TilingGrid(((0,),))
         word = encode_grid(red, grid)
         assert word == (0,)
-        assert decode_witness(inst, red, word) == grid
+        assert decode_witness(red, word) == grid
 
     def test_solver_grids_encode_to_the_target(self):
         rng = random.Random(503)
@@ -188,13 +190,13 @@ class TestEncodeDecode:
         for _ in range(120):
             inst = random_tiling_instance(rng, rng.randint(1, 2), rng.randint(1, 2),
                                           rng.randint(1, 2))
-            result = solve_corridor_tiling(inst)
-            if not result.solvable:
+            grid = solve_corridor_tiling(inst)
+            if grid is None:
                 continue
             red = reduce(inst)
-            word = encode_grid(red, result.grid)
+            word = encode_grid(red, grid)
             assert evaluate_word(red.generator_set, word) == red.target
-            assert decode_witness(inst, red, word) == result.grid
+            assert decode_witness(red, word) == grid
             checked += 1
         assert checked > 10
 
@@ -202,13 +204,13 @@ class TestEncodeDecode:
         inst = inst_of([ALL1], 1, 2)
         red = reduce(inst)
         with pytest.raises(MalformedWitness):
-            decode_witness(inst, red, (1, 0))  # starts with a row-2 generator
+            decode_witness(red, (1, 0))  # starts with a row-2 generator
 
     def test_malformed_wrong_length(self):
         inst = inst_of([ALL1], 1, 2)
         red = reduce(inst)
         with pytest.raises(MalformedWitness):
-            decode_witness(inst, red, (0,))
+            decode_witness(red, (0,))
 
     def test_malformed_wrong_value(self):
         top = Tile(1, 1, 2, 1)
@@ -217,7 +219,7 @@ class TestEncodeDecode:
         red = reduce(inst)
         # right row pattern but wrong tiles: evaluates to something else
         with pytest.raises(MalformedWitness):
-            decode_witness(inst, red, (1, 2))  # row 1 tile 2, row 2 tile 1
+            decode_witness(red, (1, 2))  # row 1 tile 2, row 2 tile 1
 
 
 class TestMembershipEquivalence:
@@ -238,5 +240,5 @@ class TestMembershipEquivalence:
         red = reduce(inst)
         res = member(red.generator_set, red.target)
         assert res.found
-        grid = decode_witness(inst, red, res.witness)
+        grid = decode_witness(red, res.witness)
         assert verify_proper_tiling(inst, grid) is None
