@@ -30,6 +30,7 @@ DEFAULT_IDENTITIES = [
     "x1 x2 x3 = x3 x2 x1",
     "x1 x2 x1 = x1 x1 x2",
     "x1 x2 x3 x4 = x4 x3 x2 x1",
+    "x1 x2 x1^-1 x2^-1 = x2 x1 x2^-1 x1^-1",
 ]
 
 

@@ -19,15 +19,20 @@ Boundary positions are fixed depth first in lexicographic order (``p``, then
 ``q``; real points ascending, sink last).  Fixing a position binds every
 occurrence that ends there into its variable's run spec (below), and a point
 whose binding conflicts is rejected at once; the bindings are undone on
-backtrack.  Each variable is queried as soon as every position it reads is
-fixed, and a variable no word can serve prunes every boundary that extends
-the prefix.  Every rejection rule only grows with the bound occurrences, so
-no pruned prefix has an accepted completion and the first complete boundary
-found is still the least counterexample.  Each expanded position adds its
-number of choices to one work count, each breadth-first search (below) the
-states it reaches; ``LimitExceeded`` is raised once the count passes
-``budget``.  Positions below a rejected point are never expanded, so they
-are never charged.
+backtrack.  Each variable whose occurrence ends at the fixed position is
+then queried.  At the last position it reads, the query is the full one;
+before it, the query is relaxed: it asks only for a word sending the bound
+start points to their end points, without the image exclusions, so it runs
+on the plain reach that unmasked variables share.  A word realizing the
+full spec realizes every such subset of it, so a variable no word can serve
+even in part prunes every boundary that extends the prefix.  Every
+rejection rule only grows with the bound occurrences, so no pruned prefix
+has an accepted completion and the first complete boundary found is still
+the least counterexample; its words come from the full queries.  Each
+expanded position adds its number of choices to one work count, each
+breadth-first search (below) the states it reaches; ``LimitExceeded`` is
+raised once the count passes ``budget``.  Positions below a rejected point
+are never expanded, so they are never charged.
 
 A variable's occurrences build a map from start points to required end
 points, one occurrence at a time.  Every word acts as a function that is
@@ -236,8 +241,11 @@ def _query(arrived, by_slots, targets, forbidden, mask_on):
     return None
 
 
-def _run_word(actions, occ, n, reach_cache, query_cache, work):
+def _run_word(actions, occ, n, reach_cache, query_cache, work, full=True):
     """The least word realizing the variable's bound spec, or None.
+
+    With ``full`` false the image exclusions are dropped and only the start
+    to end map is asked for, through the plain reach over the start points.
 
     Explores are keyed by start points alone and queries by start points and
     targets, so variables and permuted slots share them.  Slot order is
@@ -247,8 +255,8 @@ def _run_word(actions, occ, n, reach_cache, query_cache, work):
     ends = occ.ends
     points = tuple(sorted(ends))
     targets = tuple([ends[x] for x in points])
-    forbidden = sum(occ.forbidden)
-    mask_on = occ.mask_on
+    mask_on = full and occ.mask_on
+    forbidden = sum(occ.forbidden) if mask_on else 0
     qkey = (mask_on, points, targets, forbidden)
     word = query_cache.get(qkey, _MISS)
     if word is _MISS:
@@ -307,11 +315,14 @@ def models(
     ``q[1..r]`` (real points ascending, sink last), so the reported
     counterexample is the least one, with each variable's word minimal for
     it.  The positions are fixed depth first.  Fixing a position binds every
-    occurrence ending there, and a conflict rejects the point at once; each
-    variable is queried once the last position it reads is fixed, and a
-    variable with no word prunes every boundary below that prefix.  A real
-    point right after a sink on the same word is never tried.  Raises
-    ``LimitExceeded`` once the work passes ``budget``.
+    occurrence ending there, and a conflict rejects the point at once.  Each
+    variable with an occurrence ending there is then queried: in full at the
+    last position it reads, and before that for its bound start and end
+    points alone, without the image exclusions.  Any word for the full spec
+    serves the relaxed one, so a variable with no word for either prunes
+    every boundary below that prefix.  A real point right after a sink on
+    the same word is never tried.  Raises ``LimitExceeded`` once the work
+    passes ``budget``.
     """
     gens = gens.with_inverses()
     n = gens.degree
@@ -325,7 +336,8 @@ def models(
     due = [[] for _ in range(last + 1)]
     ending = [[] for _ in range(last + 1)]
     for vi, occ in enumerate(occs):
-        due[occ.depth].append((vi, occ))
+        for j in {j for _, j, _ in occ.edges} | {occ.depth}:
+            due[j].append((vi, occ, j == occ.depth))
         for i, j, exponent in occ.edges:
             ending[j].append((occ.bind, i, exponent))
     pts = [0] * (last + 1)
@@ -355,11 +367,12 @@ def models(
                 if not bind(pts[i], v, exponent, log):
                     break
             else:
-                for vi, occ in due[d]:
-                    word = _run_word(actions, occ, n, reach_cache, query_cache, work)
+                for vi, occ, full in due[d]:
+                    word = _run_word(actions, occ, n, reach_cache, query_cache, work, full)
                     if word is None:
                         break
-                    words[vi] = word
+                    if full:
+                        words[vi] = word
                 else:
                     if d == last:
                         p, q = tuple(pts[: l + 1]), (pts[0],) + tuple(pts[l + 1 :])

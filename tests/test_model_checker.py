@@ -123,7 +123,7 @@ class TestModels:
 class TestWorkBudget:
     """The budget counts boundary choices expanded plus reach states, so an
     identity with a boundary space far over the budget still decides when
-    the search itself is small."""
+    the search itself is small, and a search that outgrows it is stopped."""
 
     @pytest.mark.parametrize("n", (6, 7))
     def test_symmetric_group_fails_four_variable_reversal(self, n):
@@ -140,15 +140,24 @@ class TestWorkBudget:
         assert models(gens, parse_identity(FOUR_REVERSAL)).models
 
     def test_search_past_the_budget_overflows(self):
+        # the degree-7 reversal charges 1,205 units when it runs to the end
         with pytest.raises(LimitExceeded) as info:
-            models(cosingleton_semilattice(7), parse_identity(FOUR_REVERSAL), budget=10_000)
-        assert info.value.limit == 10_000
-        assert str(info.value) == "model checking work exceeds the budget 10000"
+            models(cosingleton_semilattice(7), parse_identity(FOUR_REVERSAL), budget=1_000)
+        assert info.value.limit == 1_000
+        assert str(info.value) == "model checking work exceeds the budget 1000"
+
+    def test_partial_queries_prune_before_a_variable_is_due(self):
+        # x1 is due only at the last position, but each variable's bound
+        # occurrences are queried as they are bound: 5,345 units are charged
+        # here, while querying each variable only at its last position
+        # charges more than the default 10**7
+        assert models(cosingleton_semilattice(16), parse_identity(FOUR_REVERSAL),
+                      budget=10_000).models
 
     def test_conflicting_points_are_rejected_before_expansion(self):
         # x1 x1^-1 x1 = x1 reads every position; binding each occurrence as
         # its end point is fixed rejects most points before the positions
-        # below them are expanded and charged: 4,568 are charged here, while
+        # below them are expanded and charged: 2,512 are charged here, while
         # the boundaries number 8 * 9**4 = 52,488
         gens = cosingleton_semilattice(8)
         assert models(gens, parse_identity("x1 x1^-1 x1 = x1"), budget=10_000).models
@@ -386,6 +395,9 @@ class TestOracleAgreement:
         "x1=x1^2, x2=x2^2 => x1 x2 = x2 x1",
         "x1 x1^-1 = x1^-1 x1",
         "x1 x2^-1 x1 = x1",
+        "x1^-1 = x1^-1 x1^-1",
+        "x1 x2 x1 = x1 x1 x2",
+        "x1=x1^2 => x2 x1 x2^-1 = x2 x2^-1",
     ))
     def test_least_counterexample_matches_naive_loop(self, text):
         # every boundary in lexicographic order, each variable run on its own:
