@@ -5,6 +5,10 @@ Membership is confronted with the closure too: ``member`` must find every
 closure element with the closure's own witness word, and miss one partial
 bijection outside the closure of every domain size that has one, since
 ``member`` enumerates only the elements whose domain contains the target's.
+The same closure-word check runs on the generator sets of seeded tiling
+reductions (at most 2 rows and 2 colors, 1 to 3 tiles), whose target, a hit
+or a miss, is checked too: there ``member`` skips the generators undefined at
+an element's image of the target's first point.
 
 Example:
     python3 scripts/oracle_sweep.py --degrees 3 4 5 --count 500 --seed 1
@@ -27,7 +31,21 @@ from pbsg import (
     run_generator_check,
 )
 from pbsg.checkers import GENERATOR_CHECKABLE
-from pbsg.sampling import random_generator_set
+from pbsg.sampling import random_generator_set, random_tiling_instance
+from pbsg.tiling import reduce
+
+TILING_INSTANCES = 300
+
+
+def check_member(gens, clo, targets, limit):
+    """Disagreements of ``member`` with the closure on ``targets``: a hit
+    must come with the closure's word, a miss must be outside the closure."""
+    bad = 0
+    for b in targets:
+        got = member(gens, b, limit)
+        i = clo.index_of(b)
+        bad += got.witness != (None if i is None else clo.words[i])
+    return bad
 
 
 def main(argv=None):
@@ -55,19 +73,14 @@ def main(argv=None):
             gens = random_generator_set(rng, n, rng.randint(1, args.max_k))
             clo = close(gens, args.limit)
             closure_sizes.append(len(clo))
-            for el, word in zip(clo.elements, clo.words):
-                got = member(gens, el, args.limit)
-                if not got.found or got.witness != word:
-                    disagree["member"] += 1
             member_checks += len(clo)
             outside = {}  # domain size -> first partial bijection outside
             for b in universe:
                 if b not in clo:
                     outside.setdefault(len(b.dom()), b)
             member_misses += len(outside)
-            for b in outside.values():
-                if member(gens, b, args.limit).found:
-                    disagree["member"] += 1
+            disagree["member"] += check_member(gens, clo, [*clo, *outside.values()],
+                                               args.limit)
             ids = oracle_identities(clo)
             oracle_truth = {
                 PropertyName.LEFT_IDENTITY: bool(ids.left),
@@ -84,6 +97,17 @@ def main(argv=None):
                 (agree if fast == want else disagree)[prop.value] += 1
                 holds[prop.value] += fast == want == True  # noqa: E712
 
+    rng = random.Random(args.seed)
+    tiling_checks = 0
+    for _ in range(TILING_INSTANCES):
+        inst = random_tiling_instance(rng, rng.randint(1, 2), rng.randint(1, 2),
+                                      rng.randint(1, 3))
+        red = reduce(inst)
+        clo = close(red.generator_set, args.limit)
+        tiling_checks += len(clo) + 1
+        disagree["member"] += check_member(red.generator_set, clo, [*clo, red.target],
+                                           args.limit)
+
     elapsed = time.perf_counter() - start
     total = len(args.degrees) * args.count
     print(f"{total} generator sets, degrees {args.degrees}, "
@@ -93,7 +117,9 @@ def main(argv=None):
         print(f"{prop.value:24} {agree[prop.value]:7} {disagree[prop.value]:9} "
               f"{holds[prop.value]:7}")
     print(f"member: {member_checks} checks against closure words, "
-          f"{member_misses} outside the closure, {disagree['member']} disagreements")
+          f"{member_misses} outside the closure, {tiling_checks} on "
+          f"{TILING_INSTANCES} tiling reductions, {disagree['member']} disagreements")
+    disagree = +disagree  # drop the zero counts
     if disagree:
         print("DISAGREEMENTS FOUND", dict(disagree))
         return 1

@@ -188,20 +188,26 @@ def _bfs(generators, limit, target=None):
     generator alone when ``parent[i]`` is -1.  A product is one ``translate``.
     With a ``target``, a product undefined at a point of dom(target) is kept
     out of ``keys`` and marked -1 in ``index``: right multiples never gain
-    domain, so neither it nor any multiple of it is the target.
+    domain, so neither it nor any multiple of it is the target.  With p the
+    first point of dom(target), an element s is multiplied only by the
+    generators defined at s(p), listed once per image s(p) in index order:
+    every other product is undefined at p, so skipping it changes no kept
+    element, witness or ``LimitExceeded`` count.
     """
     n = generators[0].degree
     if n > MAX_DEGREE:
         raise ValueError(f"degree {n} exceeds the closure cap of {MAX_DEGREE} points")
     tail = bytes(range(n, 256))
-    tables = [_key(g) + tail for g in generators]
-    goal = watch = None
+    tables = list(enumerate(_key(g) + tail for g in generators))
+    goal = watch = point = None
     if target is not None:
         goal = _key(target)
         dom = [p for p, b in enumerate(goal) if b != n]
         if dom:
             # the repeated point makes even a one-point domain read as a tuple
             watch = operator.itemgetter(*dom, dom[0])
+            point = dom[0]
+    live = {}  # image s(point) -> the (index, table) pairs defined there
     keys, parent, gen_of, index = [], [], [], {}
     cayley = [] if target is None else None
     get = index.get
@@ -209,7 +215,13 @@ def _bfs(generators, limit, target=None):
     # iterating ``keys`` also visits the elements appended on the way.
     for scan, cur in enumerate(chain([bytes(range(n))], keys), -1):
         row = []
-        for gi, table in enumerate(tables):
+        usable = tables
+        if point is not None:
+            at = cur[point]  # defined: every element kept is defined on dom(target)
+            usable = live.get(at)
+            if usable is None:
+                usable = live[at] = [(gi, table) for gi, table in tables if table[at] != n]
+        for gi, table in usable:
             prod = cur.translate(table)
             idx = get(prod)
             if idx is None:
@@ -248,11 +260,12 @@ def member(gens: GeneratorSet, b: PartialBijection, limit: int = DEFAULT_LIMIT) 
     """Decide whether ``b`` is a product of the generators.
 
     Only elements whose domain contains dom(b) are enumerated: a product
-    undefined somewhere on dom(b) has no right multiple equal to ``b``.  A
-    positive answer (with its shortest-by-BFS witness word, the one ``close``
-    gives ``b``) may be returned before those are all found; a negative answer
-    requires all of them, not the full closure, and raises LimitExceeded when
-    they do not fit.
+    undefined somewhere on dom(b) has no right multiple equal to ``b``, and
+    an element is multiplied only by the generators defined at its image of
+    the first point of dom(b).  A positive answer (with its shortest-by-BFS
+    witness word, the one ``close`` gives ``b``) may be returned before those
+    are all found; a negative answer requires all of them, not the full
+    closure, and raises LimitExceeded when they do not fit.
     """
     if b.degree != gens.degree:
         raise ValueError(f"degree mismatch: {b.degree} vs {gens.degree}")

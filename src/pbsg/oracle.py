@@ -10,15 +10,16 @@ only the generators with every element: the elements that commute with a
 given s form a subsemigroup, so s commutes with all of S iff it commutes
 with every generator.  That is the centraliser argument
 ``check_commutative`` rests on, though it tests generator pairs alone.
-``band``/``semilattice``, ``completely-regular``/``clifford``, ``regular``
-and ``r-trivial`` scan every element, so the oracle shares no argument with
-their generator-level checkers.  Three scans stop as soon as their answer is
+``regular`` looks up only the generators' inverses: s is regular in S iff
+s⁻¹ is in S, and S is inverse-closed iff every generator's inverse is.
+``band``/``semilattice``, ``completely-regular``/``clifford`` and
+``r-trivial`` scan every element, so the oracle shares no argument with
+their generator-level checkers.  Two scans stop as soon as their answer is
 fixed, each by a short exact argument stated where it is used:
 ``nilpotent`` rejects at once when an idempotent other than the zero exists
-(it lies in every power of the generating set), the identity properties stop
-at the first identity on the side asked for (a left and a right identity are
-equal), and ``regular`` looks up each element's inverse (s is regular in S
-iff s⁻¹ is in S).  A product of two elements is an index read off the
+(it lies in every power of the generating set), and the identity properties
+stop at the first identity on the side asked for (a left and a right
+identity are equal).  A product of two elements is an index read off the
 closure's Cayley table by ``pair_product``, or a key computed by one
 ``bytes.translate`` of two byte keys; no element is built except to be
 reported.  Candidates and witnesses are walked in enumeration order, so the
@@ -215,9 +216,12 @@ def _central_idempotents(closure):
 
 def _regular(closure):
     n, index = closure.generators[0].degree, closure.index
-    for s, key in enumerate(closure.keys):
-        # sts = s makes tst the unique inverse of s, and s s⁻¹ s = s: regular iff s⁻¹ ∈ S
-        if _inverse_key(key, n) not in index:
+    # sts = s makes tst the unique inverse of s, and s s⁻¹ s = s: regular iff
+    # s⁻¹ ∈ S.  S is inverse-closed iff every generator's inverse lies in S,
+    # so the least non-regular element, if any, is one of the k distinct
+    # generators, which hold indices 0..k-1.
+    for s in range(len(set(_generator_keys(closure)))):
+        if _inverse_key(closure.keys[s], n) not in index:
             return False, {"element": _show(closure, s)}
     return True, None
 

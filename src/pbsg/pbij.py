@@ -190,7 +190,8 @@ class PartialBijection:
     @classmethod
     def _trusted(cls, entries: tuple) -> "PartialBijection":
         """Unchecked constructor, for products and inverses of validated
-        elements only: those are injective and in range by construction."""
+        elements, and for maps injective and in range by construction (such
+        as the tiling reduction's generators, built from validated colors)."""
         el = object.__new__(cls)
         el.entries = entries
         el._hash = hash(entries)

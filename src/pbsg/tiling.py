@@ -247,7 +247,10 @@ def reduce(inst: TilingInstance) -> ReducedInstance:
     (m+i, east); and fixes every point of the other row-checking blocks.
     Domain and image sizes are (m-1)*c + 2, except (m-1)*c + 1 for last-row
     tiles whose south edge is not 1.  The 1-based pair (q, r) is the 0-based
-    flat point (q-1)*c + r-1.
+    flat point (q-1)*c + r-1.  TilingInstance bounds every color by c, and
+    each map moves one point into the next column block (or to point 0), one
+    point within its own row block and fixes the rest: it is injective and
+    in range, so it is built without re-validation.
     """
     m, c, k = inst.width, inst.num_colors, len(inst.tiles)
     npts = 2 * m * c
@@ -264,7 +267,7 @@ def reduce(inst: TilingInstance) -> ReducedInstance:
             elif tile.south == 1:
                 entries[i * c + tile.north - 1] = 0
             entries[row + tile.west - 1] = row + tile.east - 1
-            gens.append(PartialBijection(entries))
+            gens.append(PartialBijection._trusted(tuple(entries)))
     target = PartialBijection.partial_identity(npts, [0] + [(m + p) * c for p in range(m)])
     return ReducedInstance(
         width=m,

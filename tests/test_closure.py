@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from pbsg import (
@@ -10,6 +12,8 @@ from pbsg import (
     evaluate_word,
     member,
 )
+from pbsg.sampling import random_tiling_instance
+from pbsg.tiling import reduce
 
 from conftest import pb, seeded_generator_sets
 
@@ -26,6 +30,28 @@ def ref_closure(gens):
 
 def _cycle(n):
     return PartialBijection([(x + 1) % n for x in range(n)])
+
+
+def assert_member_matches_definition(gens, clo, b):
+    """``member`` against its definition over E, the closure elements whose
+    domain contains dom(b), in closure order: b is found, with its closure
+    word, iff its rank in E is below ``limit``; a miss raises iff E has more
+    than ``limit`` elements, counting ``limit + 1``."""
+    dom = b.dom()
+    rank = [i for i, el in enumerate(clo) if dom <= el.dom()]
+    i = clo.index_of(b)
+    if i is not None:
+        r = rank.index(i)
+        with pytest.raises(LimitExceeded) as exc:
+            member(gens, b, limit=r)
+        assert exc.value.count == r + 1
+        assert member(gens, b, limit=r + 1) == MemberResult(True, clo.words[i])
+    else:
+        assert member(gens, b, limit=len(rank)) == MemberResult(False, None)
+        if rank:
+            with pytest.raises(LimitExceeded) as exc:
+                member(gens, b, limit=len(rank) - 1)
+            assert exc.value.count == len(rank)
 
 
 class TestGeneratorSet:
@@ -236,6 +262,35 @@ class TestMember:
             close(gens)
         with pytest.raises(ValueError, match="255"):
             member(gens, _cycle(256))
+
+    def test_matches_its_definition_on_partial_generators(self):
+        misses = 0
+        for gens in seeded_generator_sets(111, 40, degrees=(2, 3, 4), max_k=8):
+            clo = close(gens)
+            for b in clo:
+                assert_member_matches_definition(gens, clo, b)
+            outside = {}  # domain size -> first partial bijection outside
+            for b in all_partial_bijections(gens.degree):
+                if b not in clo:
+                    outside.setdefault(len(b.dom()), b)
+            for b in outside.values():
+                assert_member_matches_definition(gens, clo, b)
+            misses += len(outside)
+        assert misses > 40
+
+    def test_matches_its_definition_on_tiling_reductions(self):
+        rng = random.Random(112)
+        found = set()
+        for _ in range(60):
+            inst = random_tiling_instance(rng, rng.randint(1, 2), rng.randint(1, 2),
+                                          rng.randint(1, 3))
+            red = reduce(inst)
+            gens = red.generator_set
+            clo = close(gens)
+            found.add(red.target in clo)
+            for b in [red.target, *clo]:
+                assert_member_matches_definition(gens, clo, b)
+        assert found == {False, True}
 
     def test_positive_answer_can_beat_the_limit(self):
         gens = GeneratorSet.from_elements([pb("2 3 4 5 1"), pb("1 2 3 4 5")])

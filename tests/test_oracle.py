@@ -228,6 +228,8 @@ class TestEarlyStoppingScans:
             ("_ _",), ("2 3 1",), block_cycles(17, (2, 3, 5, 7)),
             # a repeated generator: k = 3 listed, k' = 2 distinct
             ("1 _", "1 _", "2 1"), ("2 1 3", "2 1 3", "1 3 2"),
+            # the first generator is regular, the second is not
+            ("2 1 3", "_ _ 1"),
         )]
         outcomes = set()
         for gens in sets:

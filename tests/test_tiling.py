@@ -165,13 +165,18 @@ class TestReduce:
         assert red.generator_label(1) == (1, 2)
 
     def test_generators_are_valid_partial_bijections(self):
+        # reduce builds its maps unchecked; the validating constructor must agree
         rng = random.Random(502)
-        for _ in range(50):
-            inst = random_tiling_instance(rng, rng.randint(1, 3), rng.randint(1, 3),
-                                          rng.randint(1, 3))
+        instances = [random_tiling_instance(rng, rng.randint(1, 3), rng.randint(1, 3),
+                                            rng.randint(1, 3)) for _ in range(50)]
+        # every tile, so the last row has tiles whose south edge is not 1
+        instances += [inst_of(all_tiles(c), c, m) for c in (1, 2, 3) for m in (1, 2, 3)]
+        for inst in instances:
             red = reduce(inst)
             assert len(red.generator_set.generators) == inst.width * len(inst.tiles)
             for g in red.generator_set.generators:
+                checked = PartialBijection(g.entries)
+                assert checked == g and hash(checked) == hash(g)
                 assert len(g.dom()) == len(g.image())
 
 
