@@ -181,6 +181,15 @@ def _key(el: PartialBijection) -> bytes:
     return bytes([n if v is None else v for v in el.entries])
 
 
+def _tail(n: int) -> bytes:
+    """Bytes ``n..255``.  An element's key followed by them is the table with
+    which ``bytes.translate`` multiplies by that element on the right, the
+    sink ``n`` staying fixed; raises ``ValueError`` past ``MAX_DEGREE``."""
+    if n > MAX_DEGREE:
+        raise ValueError(f"degree {n} exceeds the closure cap of {MAX_DEGREE} points")
+    return bytes(range(n, 256))
+
+
 def _bfs(generators, limit, target=None):
     """Core enumeration; stops early, keeping no Cayley rows, at ``target``.
 
@@ -192,13 +201,22 @@ def _bfs(generators, limit, target=None):
     first point of dom(target), an element s is multiplied only by the
     generators defined at s(p), listed once per image s(p) in index order:
     every other product is undefined at p, so skipping it changes no kept
-    element, witness or ``LimitExceeded`` count.
+    element, witness or ``LimitExceeded`` count.  A generator's table is
+    built the first time such a list takes it.
     """
     n = generators[0].degree
-    if n > MAX_DEGREE:
-        raise ValueError(f"degree {n} exceeds the closure cap of {MAX_DEGREE} points")
-    tail = bytes(range(n, 256))
-    tables = list(enumerate(_key(g) + tail for g in generators))
+    tail = _tail(n)
+    tables = [None] * len(generators)
+
+    def usable(indices):
+        out = []
+        for gi in indices:
+            table = tables[gi]
+            if table is None:
+                table = tables[gi] = _key(generators[gi]) + tail
+            out.append((gi, table))
+        return out
+
     goal = watch = point = None
     if target is not None:
         goal = _key(target)
@@ -207,6 +225,7 @@ def _bfs(generators, limit, target=None):
             # the repeated point makes even a one-point domain read as a tuple
             watch = operator.itemgetter(*dom, dom[0])
             point = dom[0]
+    every = usable(range(len(generators))) if point is None else None
     live = {}  # image s(point) -> the (index, table) pairs defined there
     keys, parent, gen_of, index = [], [], [], {}
     cayley = [] if target is None else None
@@ -215,13 +234,14 @@ def _bfs(generators, limit, target=None):
     # iterating ``keys`` also visits the elements appended on the way.
     for scan, cur in enumerate(chain([bytes(range(n))], keys), -1):
         row = []
-        usable = tables
+        letters = every
         if point is not None:
             at = cur[point]  # defined: every element kept is defined on dom(target)
-            usable = live.get(at)
-            if usable is None:
-                usable = live[at] = [(gi, table) for gi, table in tables if table[at] != n]
-        for gi, table in usable:
+            letters = live.get(at)
+            if letters is None:
+                letters = live[at] = usable(
+                    [gi for gi, g in enumerate(generators) if g.entries[at] is not None])
+        for gi, table in letters:
             prod = cur.translate(table)
             idx = get(prod)
             if idx is None:

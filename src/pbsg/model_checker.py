@@ -8,10 +8,11 @@ realizes every occurrence constraint at once; a boundary that every variable
 can serve yields a counterexample assignment.
 
 Points live in ``{0..n-1}`` plus an absorbing sink standing for "undefined"
-(written ``_`` externally, carried internally as the integer ``n``, exactly
-the embedding's extra point).  The first boundary point must be a real point;
-every other position may be the sink, and a sink possibly differing from a
-real endpoint is what lets the search see definedness-only disagreements.
+(written ``_`` externally, carried internally as the integer ``n``, the sink
+byte of the closure's keys, so the degree is capped at ``MAX_DEGREE``).  The
+first boundary point must be a real point; every other position may be the
+sink, and a sink possibly differing from a real endpoint is what lets the
+search see definedness-only disagreements.
 A guess where a real point follows a sink on the same trace is rejected
 outright: the sink is absorbing, so no run could realize it.
 
@@ -39,13 +40,15 @@ points, one occurrence at a time.  Every word acts as a function that is
 injective away from the sink, so a start point needing two ends, or two
 start points needing one real end, has no word and is rejected as soon as
 the occurrence that causes it is bound, without a search.  Otherwise the run
-is breadth-first over the tuple of the distinct start points' current values.
+is breadth-first over the distinct start points' current values, one byte
+per slot, each letter stepping them with one ``bytes.translate``.
 An occurrence ``x -> y`` of ``x_i`` tracks a forward slot (start x, end y);
 an occurrence of ``x_i^-1`` tracks the reverse edge forwards (start y, end
 x).  An inverse occurrence whose target is the sink requires its source to
 lie outside the image of the realized element, which no single slot can
-attest; those runs also track the image of the word's value as a bitmask
-component (updated forwards: image(s·a) = (image(s) ∩ dom(a))·a).
+attest; those runs also track the image of the word's value as n more
+bytes, a 0/1 indicator of its points, updated forwards by one ``translate``
+of the letter's preimages: image(s·a) = (image(s) ∩ dom(a))·a.
 Premise-constrained variables also pin every real end point as fixed, since
 their value is the idempotent power of the realized word, and need no mask
 because an idempotent's domain and image coincide.  Searches depend only on
@@ -62,7 +65,7 @@ from typing import Optional
 
 # DEFAULT_BUDGET lives in ``closure`` so that the CLI can name it without
 # loading this module; it is re-exported from here.
-from .closure import DEFAULT_BUDGET, GeneratorSet, LimitExceeded, evaluate_word
+from .closure import DEFAULT_BUDGET, GeneratorSet, LimitExceeded, _key, _tail, evaluate_word
 from .identities import Identity, apply_assignment
 from .pbij import PartialBijection, ValueType
 
@@ -125,8 +128,8 @@ class _Occurrences:
     index the flat boundary ``p[0..l] + q[1..r]`` and from < to; ``depth`` is
     the last flat position the variable reads (0 when it occurs nowhere).  The
     spec is ``ends`` (start point -> required end point), ``real`` (real end
-    point -> its start point) and ``forbidden`` (the image exclusions, keyed
-    by their bits ``1 << x``); ``bind`` adds one edge's constraint and logs
+    point -> its start point) and ``forbidden`` (the points the image must
+    exclude, as dict keys); ``bind`` adds one edge's constraint and logs
     every key it adds as ``(container, key)`` so that a caller can undo it.
     """
 
@@ -168,10 +171,9 @@ class _Occurrences:
             if y != sink:
                 x, y = y, x
             elif not self.constrained:
-                bit = 1 << x
-                if bit not in self.forbidden:
-                    self.forbidden[bit] = None
-                    log.append((self.forbidden, bit))
+                if x not in self.forbidden:
+                    self.forbidden[x] = None
+                    log.append((self.forbidden, x))
                 return True
         if not self._send(x, y, log):
             return False
@@ -191,80 +193,92 @@ class _Occurrences:
         return True
 
 
-def _mask_step(action, mask, n):
-    out = 0
-    while mask:
-        bit = mask & -mask
-        mask ^= bit
-        v = action[bit.bit_length() - 1]
-        if v != n:
-            out |= 1 << v
-    return out
+def _letters(generators, n):
+    """Per generator, its translate table (key, then the fixed sink and the
+    rest of the 256 bytes) and its preimages (byte w is the point it sends
+    to w, or the sink ``n``); raises ``ValueError`` past ``MAX_DEGREE``."""
+    tail = _tail(n)
+    return [(_key(g) + tail, _key(g.inverse())) for g in generators]
 
 
-def _explore(actions, points, mask_on, n, work):
+def _explore(letters, points, mask_on, n, work):
     """First-arrival words for every slot configuration reachable in >= 1
     letters; breadth-first with letters in index order, so each recorded word
-    is the shortest and lexicographically least.  Arrivals are charged to
-    ``work``, which stops the search at most one expansion after they pass it.
+    is the shortest and lexicographically least.  ``points`` holds one byte
+    per slot; with ``mask_on`` a configuration is the slots followed by the
+    image indicator, which starts full.  Arrivals are charged to ``work``,
+    which stops the search at most one expansion after they pass it.
     """
-    start = points + ((1 << n) - 1,) if mask_on else points
-    nslots = len(points)
     arrived: dict = {}
-    by_slots: dict = {} if mask_on else None
-    queue = deque(((start, ()),))
-    while queue and len(arrived) <= work.left:
-        config, word = queue.popleft()
-        slots = config[:nslots]
-        mask = config[nslots] if mask_on else None
-        for c, act in enumerate(actions):
-            ns = tuple(act[v] for v in slots)
-            nc = ns + (_mask_step(act, mask, n),) if mask_on else ns
-            if nc in arrived:
-                continue
-            w = word + (c,)
-            arrived[nc] = w
-            if mask_on:
-                by_slots.setdefault(nc[:nslots], []).append((nc[nslots], w))
-            if nc != start:
-                queue.append((nc, w))
+    by_slots: dict = {}
+    if mask_on:
+        full = b"\x01" * n
+        pad = bytes(256 - n)  # the sink is in no image
+        start = points + full
+        queue = deque(((points, full, ()),))
+        while queue and len(arrived) <= work.left:
+            slots, img, word = queue.popleft()
+            img += pad
+            for c, (table, pre) in enumerate(letters):
+                ns = slots.translate(table)
+                ni = pre.translate(img)
+                nc = ns + ni
+                if nc in arrived:
+                    continue
+                w = word + (c,)
+                arrived[nc] = w
+                by_slots.setdefault(ns, []).append((ni, w))
+                if nc != start:
+                    queue.append((ns, ni, w))
+    else:
+        queue = deque(((points, ()),))
+        while queue and len(arrived) <= work.left:
+            slots, word = queue.popleft()
+            for c, (table, _) in enumerate(letters):
+                ns = slots.translate(table)
+                if ns in arrived:
+                    continue
+                w = word + (c,)
+                arrived[ns] = w
+                if ns != points:
+                    queue.append((ns, w))
     work.charge(len(arrived))
     return arrived, by_slots
 
 
-def _query(arrived, by_slots, targets, forbidden, mask_on):
-    if not mask_on:
-        return arrived.get(targets)
-    for mask, word in by_slots.get(targets, ()):
-        if not mask & forbidden:
-            return word
-    return None
-
-
-def _run_word(actions, occ, n, reach_cache, query_cache, work, full=True):
+def _run_word(letters, occ, n, reach_cache, query_cache, work, full=True):
     """The least word realizing the variable's bound spec, or None.
 
     With ``full`` false the image exclusions are dropped and only the start
     to end map is asked for, through the plain reach over the start points.
 
-    Explores are keyed by start points alone and queries by start points and
-    targets, so variables and permuted slots share them.  Slot order is
+    Queries are keyed by the spec as sets, so variables whose specs agree
+    share them whatever order they bound it in; explores are keyed by the
+    sorted start points alone, built on a query miss.  Slot order is
     immaterial to the breadth-first search, so the words are the same as for
     the variable's own slot order.
     """
     ends = occ.ends
-    points = tuple(sorted(ends))
-    targets = tuple([ends[x] for x in points])
     mask_on = full and occ.mask_on
-    forbidden = sum(occ.forbidden) if mask_on else 0
-    qkey = (mask_on, points, targets, forbidden)
+    qkey = frozenset(ends.items())
+    if mask_on:
+        qkey = (qkey, frozenset(occ.forbidden))
     word = query_cache.get(qkey, _MISS)
     if word is _MISS:
+        points = bytes(sorted(ends))
+        targets = bytes([ends[x] for x in points])
         rkey = (mask_on, points)
         reach = reach_cache.get(rkey)
         if reach is None:
-            reach = reach_cache[rkey] = _explore(actions, points, mask_on, n, work)
-        word = query_cache[qkey] = _query(*reach, targets, forbidden, mask_on)
+            reach = reach_cache[rkey] = _explore(letters, points, mask_on, n, work)
+        arrived, by_slots = reach
+        if mask_on:
+            forbidden = tuple(occ.forbidden)
+            word = next((w for img, w in by_slots.get(targets, ())
+                         if not any(img[x] for x in forbidden)), None)
+        else:
+            word = arrived.get(targets)
+        query_cache[qkey] = word
     return word
 
 
@@ -283,9 +297,10 @@ def check_variable_run(
     realizes the run.  The word indexes into ``gens.generators`` as given;
     callers working over an inverse semigroup pass the inverse-closed list.
     Raises ``LimitExceeded`` when the run's search reaches more than
-    ``budget`` states.
+    ``budget`` states, and ``ValueError`` past ``closure.MAX_DEGREE``.
     """
     n = gens.degree
+    letters = _letters(gens.generators, n)
     if not 1 <= var <= ident.num_vars:
         raise ValueError(f"variable x{var} out of range")
     if len(boundary.p) != len(ident.lhs) + 1 or len(boundary.q) != len(ident.rhs) + 1:
@@ -300,8 +315,7 @@ def check_variable_run(
     for i, j, exponent in occ.edges:
         if not occ.bind(pts[i], pts[j], exponent, log):
             return None
-    actions = [g.embed() for g in gens.generators]
-    return _run_word(actions, occ, n, {}, {}, _Work(budget))
+    return _run_word(letters, occ, n, {}, {}, _Work(budget))
 
 
 def models(
@@ -322,14 +336,14 @@ def models(
     serves the relaxed one, so a variable with no word for either prunes
     every boundary below that prefix.  A real point right after a sink on
     the same word is never tried.  Raises ``LimitExceeded`` once the work
-    passes ``budget``.
+    passes ``budget``, and ``ValueError`` past ``closure.MAX_DEGREE``.
     """
     gens = gens.with_inverses()
     n = gens.degree
     l, r = len(ident.lhs), len(ident.rhs)
     values = tuple(range(n + 1))
     occs = [_Occurrences(ident, v, n) for v in range(1, ident.num_vars + 1)]
-    actions = [g.embed() for g in gens.generators]
+    letters = _letters(gens.generators, n)
     reach_cache: dict = {}
     query_cache: dict = {}
     last = l + r
@@ -368,7 +382,7 @@ def models(
                     break
             else:
                 for vi, occ, full in due[d]:
-                    word = _run_word(actions, occ, n, reach_cache, query_cache, work, full)
+                    word = _run_word(letters, occ, n, reach_cache, query_cache, work, full)
                     if word is None:
                         break
                     if full:

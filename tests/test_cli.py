@@ -111,16 +111,18 @@ class TestMember:
         assert code == 2
 
     def test_degree_over_cap_is_usage_error(self, tmp_json, capsys):
-        # the closure stores one byte per point plus the undefined sink
+        # the closure and the model checker's reach store one byte per
+        # point plus the undefined sink
         n = 256
         cycle = [i % n + 1 for i in range(1, n + 1)]
         gens = tmp_json("g.json", {"degree": n, "generators": [cycle]})
         elem = tmp_json("b.json", {"degree": n, "map": list(range(1, n + 1))})
-        code = main(["member", gens, elem])
-        captured = capsys.readouterr()
-        assert code == 2 and captured.out == ""
-        assert len(captured.err.splitlines()) == 1 and "255" in captured.err
-        assert "Traceback" not in captured.err
+        for argv in (["member", gens, elem], ["models", gens, "x1 = x1 x1"]):
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert code == 2 and captured.out == ""
+            assert len(captured.err.splitlines()) == 1 and "255" in captured.err
+            assert "Traceback" not in captured.err
 
 
 class TestModels:

@@ -1,4 +1,5 @@
 import random
+from collections import deque
 from itertools import product
 
 import pytest
@@ -14,13 +15,7 @@ from pbsg import (
     parse_identity,
 )
 from pbsg.checkers import check_commutative
-from pbsg.model_checker import (
-    _explore,
-    _Occurrences,
-    _query,
-    _Work,
-    counterexample_values,
-)
+from pbsg.model_checker import _Occurrences, counterexample_values
 from pbsg.sampling import random_generator_set
 
 from conftest import MODEL_CORPUS, pb, seeded_generator_sets
@@ -143,8 +138,16 @@ class TestWorkBudget:
         # the degree-7 reversal charges 1,205 units when it runs to the end
         with pytest.raises(LimitExceeded) as info:
             models(cosingleton_semilattice(7), parse_identity(FOUR_REVERSAL), budget=1_000)
-        assert info.value.limit == 1_000
+        assert info.value.limit == 1_000 and info.value.count == 1_003
         assert str(info.value) == "model checking work exceeds the budget 1000"
+
+    def test_masked_search_past_the_budget_overflows(self):
+        # the reach that tracks the image is charged one unit per (slots,
+        # image) state; it stops one state past the budget here
+        with pytest.raises(LimitExceeded) as info:
+            models(cosingleton_semilattice(12), parse_identity("x1 x1^-1 x1 = x1"),
+                   budget=20_000)
+        assert info.value.limit == 20_000 and info.value.count == 20_001
 
     def test_partial_queries_prune_before_a_variable_is_due(self):
         # x1 is due only at the last position, but each variable's bound
@@ -172,6 +175,35 @@ class TestWorkBudget:
             with pytest.raises(LimitExceeded) as info:
                 check_variable_run(gens, ident, 1, boundary, budget=budget)
             assert info.value.limit == budget
+
+
+class TestDegreeCap:
+    """Reach states hold one byte per point, the sink being the byte n."""
+
+    def cycle(self, n):
+        return GeneratorSet.from_elements([PartialBijection([(x + 1) % n for x in range(n)])])
+
+    def test_degree_over_the_cap_is_refused(self):
+        gens = self.cycle(256)
+        ident = parse_identity("x1 = x1 x1")
+        with pytest.raises(ValueError, match="255"):
+            models(gens, ident)
+        with pytest.raises(ValueError, match="255"):
+            check_variable_run(gens, ident, 1, BoundaryGuess((0, 1, 2), (0, 1)))
+
+    def test_degree_at_the_cap_decides(self):
+        gens = self.cycle(255)
+        ident = parse_identity("x1 = x1 x1")
+        result = models(gens, ident)
+        assert not result.models
+        _, lhs, rhs = counterexample_values(result.generators, ident, result.counterexample)
+        assert lhs != rhs
+        assert check_variable_run(gens, ident, 1, BoundaryGuess((0, 1), (0, 1, 2))) == (0,)
+        # the image reach: a permutation's image is every point, so no power
+        # of the cycle sends point 1 to the sink under its inverse
+        inverse = parse_identity("x1^-1 = x1^-1")
+        assert check_variable_run(gens, inverse, 1, BoundaryGuess((0, 255), (0, 255))) is None
+        assert check_variable_run(gens, inverse, 1, BoundaryGuess((0, 1), (0, 1))) == (0,) * 254
 
 
 class TestCheckVariableRun:
@@ -243,7 +275,7 @@ class TestCheckVariableRun:
 
     @pytest.mark.parametrize("p", ((0, 7, 1), (0, -1, 1), (0, 1, 4)))
     def test_validates_every_point(self, p):
-        # points index the image bitmask and the generator actions, so each
+        # points index the image indicator and the letters' tables, so each
         # must be a real point or the sink (the degree, 3 here)
         gens = gset("2 3 1")
         ident = parse_identity("x1 x1 = x1 x2")
@@ -257,10 +289,10 @@ class TestCheckVariableRun:
 def _run_spec(occ, pts, bottom):
     """Definitional reference for the spec that ``check_variable_run`` binds:
     distinct start points, the end point each must reach, and the image
-    exclusions (a bitmask) for one variable and flat boundary ``pts``, all
-    occurrences read at once; None when no word can realize them."""
+    exclusions (a set of points) for one variable and flat boundary ``pts``,
+    all occurrences read at once; None when no word can realize them."""
     ends = {}
-    forbidden = 0
+    forbidden = set()
     for i, j, exponent in occ.edges:
         x, y = pts[i], pts[j]
         if x == bottom:
@@ -270,7 +302,7 @@ def _run_spec(occ, pts, bottom):
         if exponent == -1:
             if y == bottom:
                 if not occ.constrained:
-                    forbidden |= 1 << x
+                    forbidden.add(x)
                     continue
             else:
                 x, y = y, x
@@ -283,20 +315,37 @@ def _run_spec(occ, pts, bottom):
     real = [y for y in targets if y != bottom]
     if len(set(real)) != len(real):
         return None
-    return points, targets, forbidden
+    return points, targets, frozenset(forbidden)
+
+
+def naive_least_word(gens, points, targets, forbidden):
+    """The shortest, then lexicographically least, nonempty word sending the
+    start points to their targets whose value's image avoids ``forbidden``:
+    breadth-first over (slot tuple, image set) states, letters in index
+    order, so the first state found that satisfies the spec gives the word."""
+    n = gens.degree
+    acts = [tuple(n if v is None else v for v in g.entries) + (n,) for g in gens.generators]
+    seen = set()
+    queue = deque([(points, frozenset(range(n)), ())])
+    while queue:
+        slots, image, word = queue.popleft()
+        for c, act in enumerate(acts):
+            state = (tuple(act[x] for x in slots), frozenset(act[x] for x in image) - {n})
+            if state in seen:
+                continue
+            seen.add(state)
+            if state[0] == targets and not state[1] & forbidden:
+                return word + (c,)
+            queue.append((*state, word + (c,)))
+    return None
 
 
 def reference_variable_run(gens, ident, var, boundary):
     n = gens.degree
-    occ = _Occurrences(ident, var, n)
-    spec = _run_spec(occ, boundary.p + boundary.q[1:], n)
+    spec = _run_spec(_Occurrences(ident, var, n), boundary.p + boundary.q[1:], n)
     if spec is None:
         return None, spec
-    points, targets, forbidden = spec
-    mask_on = occ.mask_on or forbidden != 0  # every exclusion is checked
-    actions = [g.embed() for g in gens.generators]
-    reach = _explore(actions, points, mask_on, n, _Work(10**7))
-    return _query(*reach, targets, forbidden, mask_on), spec
+    return naive_least_word(gens, *spec), spec
 
 
 class TestSpecBinder:
@@ -332,7 +381,7 @@ class TestSpecBinder:
                         seen["rejected"] += spec is None
                         seen["sink then real"] += broken and spec is None
                         seen["premise ok"] += ok and var <= ident.num_premises
-                        seen["masked ok"] += ok and spec is not None and spec[2] != 0
+                        seen["masked ok"] += ok and spec is not None and bool(spec[2])
         assert all(seen.values()), seen
 
 
