@@ -7,7 +7,12 @@
 Recording runs ``perfbench/run.py --workload W --seed S --seconds T --trace 0``
 from the repository root for each workload that ``BENCHMARK.json`` lists, with
 T its ``run_seconds``, and writes the facts line and the result line of each
-run, the commit and the machine.  ``--compare A B`` prints, for every
+run, the commit and the machine.  Each run starts with no bytecode cache:
+``PYTHONPYCACHEPREFIX`` points at a fresh empty directory and
+``PYTHONDONTWRITEBYTECODE=1`` keeps it empty, so ``setup_s`` (whose imports
+compile the package and the reference copy) does not depend on whether the
+checkout holds ``__pycache__`` directories from earlier runs, just as in a
+fresh checkout.  ``--compare A B`` prints, for every
 end-to-end metric of every workload in both files, the relative change from
 A to B and whether it stays within the metric's ``BENCHMARK.json`` bound;
 it exits 1 when any metric is out of bounds or any run of B is incorrect.
@@ -17,9 +22,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -39,11 +46,13 @@ def record(seed: int, output: Path) -> int:
     workloads = {}
     for w in bench["workloads"]:
         name = w["name"]
-        proc = subprocess.run(
-            [sys.executable, "perfbench/run.py", "--workload", name, "--seed", str(seed),
-             "--seconds", str(bench["run_seconds"]), "--trace", "0"],
-            cwd=ROOT, capture_output=True, text=True,
-        )
+        with tempfile.TemporaryDirectory() as cache:
+            env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPYCACHEPREFIX=cache)
+            proc = subprocess.run(
+                [sys.executable, "perfbench/run.py", "--workload", name, "--seed", str(seed),
+                 "--seconds", str(bench["run_seconds"]), "--trace", "0"],
+                cwd=ROOT, capture_output=True, text=True, env=env,
+            )
         lines = proc.stdout.strip().splitlines()
         if len(lines) < 2:
             print(f"bench_record: {name} printed no result (exit {proc.returncode}): "

@@ -44,7 +44,7 @@ def check_member(gens, clo, targets, limit):
     for b in targets:
         got = member(gens, b, limit)
         i = clo.index_of(b)
-        bad += got.witness != (None if i is None else clo.words[i])
+        bad += got.witness != (None if i is None else clo.word(i))
     return bad
 
 

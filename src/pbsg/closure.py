@@ -2,12 +2,13 @@
 
 This is the ground-truth substrate: the closure enumerates every product of
 the generators (no empty word), keeps one shortest witness word per element
-as a parent pointer and a last letter, and records the right action of each
-generator as an integer Cayley table.  Composition happens only while the
-closure is enumerated, as ``bytes.translate`` on one byte per point; the
-product of two closure elements is read off the table as an index.  Each
-element is stored only as its byte key and built on access.  BFS order (word
-length, then generator index) makes the output deterministic.
+as a parent pointer and a last letter, spelled only when asked for, and
+records the right action of each generator as an integer Cayley table.
+Each element is stored only as its byte key, one byte per point, and built
+on access.  This module owns that codec (``_key``, ``_tail``,
+``_inverse_key``): every product, here or in the oracle and the model
+checker, is one ``bytes.translate`` of two keys.  BFS order (word length,
+then generator index) makes the output deterministic.
 """
 
 from __future__ import annotations
@@ -128,19 +129,19 @@ class SemigroupClosure:
     """The enumerated semigroup: element keys, witness words, and Cayley edges.
 
     Element ``self[i]`` is built on access from ``keys[i]``, its ``_key``; it
-    was first reached by the word ``words[i]`` (generator indices, length
+    was first reached by the word ``word(i)`` (generator indices, length
     >= 1), and ``cayley[i][g]`` is the index of ``self[i] * generators[g]``.
-    Products of closure elements are indices too: ``pair_product`` reads them
-    off ``cayley``.  ``index`` maps each key to its index.  Finished closures
-    are immutable and safe for concurrent reads.
+    ``index`` maps each key to its index.  Finished closures are immutable
+    and safe for concurrent reads.
     """
 
-    __slots__ = ("generators", "keys", "words", "cayley", "index")
+    __slots__ = ("generators", "keys", "parent", "gen_of", "cayley", "index")
 
-    def __init__(self, generators, keys, words, cayley, index):
+    def __init__(self, generators, keys, parent, gen_of, cayley, index):
         self.generators = generators
         self.keys = keys
-        self.words = words
+        self.parent = parent
+        self.gen_of = gen_of
         self.cayley = cayley
         self.index = index
 
@@ -166,13 +167,12 @@ class SemigroupClosure:
         if el.degree == self.generators[0].degree:
             return self.index.get(_key(el))
 
-    def pair_product(self, i: int, j: int) -> int:
-        """Index of ``self[i] * self[j]``: the walk through ``cayley``
-        from ``i`` along the witness word of ``j``."""
-        cayley = self.cayley
-        for g in self.words[j]:
-            i = cayley[i][g]
-        return i
+    def word(self, i: int) -> tuple[int, ...]:
+        """The witness word of ``self[i]``."""
+        return _word(self.parent, self.gen_of, range(len(self.keys))[i])
+
+
+_BYTES = bytes(range(256))
 
 
 def _key(el: PartialBijection) -> bytes:
@@ -184,10 +184,31 @@ def _key(el: PartialBijection) -> bytes:
 def _tail(n: int) -> bytes:
     """Bytes ``n..255``.  An element's key followed by them is the table with
     which ``bytes.translate`` multiplies by that element on the right, the
-    sink ``n`` staying fixed; raises ``ValueError`` past ``MAX_DEGREE``."""
+    sink ``n`` staying fixed: ``a.translate(b + tail)`` is the key of a*b.
+    Raises ``ValueError`` past ``MAX_DEGREE``."""
     if n > MAX_DEGREE:
         raise ValueError(f"degree {n} exceeds the closure cap of {MAX_DEGREE} points")
-    return bytes(range(n, 256))
+    return _BYTES[n:]
+
+
+def _inverse_key(key: bytes) -> bytes:
+    """The key of the inverse of the element keyed ``key``."""
+    n = len(key)
+    inv = bytearray([n]) * n
+    for x, v in enumerate(key):
+        if v != n:
+            inv[v] = x
+    return bytes(inv)
+
+
+def _word(parent, gen_of, i) -> tuple[int, ...]:
+    """The generators along the parent pointers from element ``i`` back to a
+    generator, first letter first."""
+    word = []
+    while i >= 0:
+        word.append(gen_of[i])
+        i = parent[i]
+    return tuple(reversed(word))
 
 
 def _bfs(generators, limit, target=None):
@@ -270,10 +291,7 @@ def close(gens: GeneratorSet, limit: int = DEFAULT_LIMIT) -> SemigroupClosure:
     if limit < len(gens.generators):
         raise ValueError("limit must be at least the number of generators")
     keys, parent, gen_of, cayley, index, _ = _bfs(gens.generators, limit)
-    words = []
-    for p, gi in zip(parent, gen_of):
-        words.append((gi,) if p < 0 else words[p] + (gi,))
-    return SemigroupClosure(gens.generators, keys, words, cayley, index)
+    return SemigroupClosure(gens.generators, keys, parent, gen_of, cayley, index)
 
 
 def member(gens: GeneratorSet, b: PartialBijection, limit: int = DEFAULT_LIMIT) -> MemberResult:
@@ -292,11 +310,7 @@ def member(gens: GeneratorSet, b: PartialBijection, limit: int = DEFAULT_LIMIT) 
     _, parent, gen_of, _, _, i = _bfs(gens.generators, limit, target=b)
     if i is None:
         return MemberResult(False, None)
-    word = []
-    while i >= 0:
-        word.append(gen_of[i])
-        i = parent[i]
-    return MemberResult(True, tuple(reversed(word)))
+    return MemberResult(True, _word(parent, gen_of, i))
 
 
 def evaluate_word(gens: GeneratorSet, word: Sequence[int]) -> PartialBijection:

@@ -46,9 +46,11 @@ An occurrence ``x -> y`` of ``x_i`` tracks a forward slot (start x, end y);
 an occurrence of ``x_i^-1`` tracks the reverse edge forwards (start y, end
 x).  An inverse occurrence whose target is the sink requires its source to
 lie outside the image of the realized element, which no single slot can
-attest; those runs also track the image of the word's value as n more
-bytes, a 0/1 indicator of its points, updated forwards by one ``translate``
-of the letter's preimages: image(s·a) = (image(s) ∩ dom(a))·a.
+attest; once such an exclusion is bound, the run also tracks the image of
+the word's value as n more bytes, a 0/1 indicator of its points, updated
+forwards by one ``translate`` of the letter's preimages:
+image(s·a) = (image(s) ∩ dom(a))·a.  Until then the plain reach serves: a
+masked search first arrives at a slot tuple with the plain search's word.
 Premise-constrained variables also pin every real end point as fixed, since
 their value is the idempotent power of the realized word, and need no mask
 because an idempotent's domain and image coincide.  Searches depend only on
@@ -65,7 +67,8 @@ from typing import Optional
 
 # DEFAULT_BUDGET lives in ``closure`` so that the CLI can name it without
 # loading this module; it is re-exported from here.
-from .closure import DEFAULT_BUDGET, GeneratorSet, LimitExceeded, _key, _tail, evaluate_word
+from .closure import (DEFAULT_BUDGET, GeneratorSet, LimitExceeded, _inverse_key, _key, _tail,
+                      evaluate_word)
 from .identities import Identity, apply_assignment
 from .pbij import PartialBijection, ValueType
 
@@ -133,8 +136,7 @@ class _Occurrences:
     every key it adds as ``(container, key)`` so that a caller can undo it.
     """
 
-    __slots__ = ("edges", "constrained", "mask_on", "depth", "sink",
-                 "ends", "real", "forbidden")
+    __slots__ = ("edges", "constrained", "depth", "sink", "ends", "real", "forbidden")
 
     def __init__(self, ident, var, sink):
         l = len(ident.lhs)
@@ -147,7 +149,6 @@ class _Occurrences:
                 edges.append((l + pos if pos else 0, l + pos + 1, lit.exponent))
         self.edges = tuple(edges)
         self.constrained = var <= ident.num_premises
-        self.mask_on = not self.constrained and any(e == -1 for _, _, e in edges)
         self.depth = max((j for _, j, _ in edges), default=0)
         self.sink = sink
         self.ends: dict[int, int] = {}
@@ -198,20 +199,20 @@ def _letters(generators, n):
     rest of the 256 bytes) and its preimages (byte w is the point it sends
     to w, or the sink ``n``); raises ``ValueError`` past ``MAX_DEGREE``."""
     tail = _tail(n)
-    return [(_key(g) + tail, _key(g.inverse())) for g in generators]
+    return [(key + tail, _inverse_key(key)) for key in map(_key, generators)]
 
 
-def _explore(letters, points, mask_on, n, work):
+def _explore(letters, points, masked, n, work):
     """First-arrival words for every slot configuration reachable in >= 1
     letters; breadth-first with letters in index order, so each recorded word
     is the shortest and lexicographically least.  ``points`` holds one byte
-    per slot; with ``mask_on`` a configuration is the slots followed by the
+    per slot; with ``masked`` a configuration is the slots followed by the
     image indicator, which starts full.  Arrivals are charged to ``work``,
     which stops the search at most one expansion after they pass it.
     """
     arrived: dict = {}
     by_slots: dict = {}
-    if mask_on:
+    if masked:
         full = b"\x01" * n
         pad = bytes(256 - n)  # the sink is in no image
         start = points + full
@@ -259,20 +260,20 @@ def _run_word(letters, occ, n, reach_cache, query_cache, work, full=True):
     the variable's own slot order.
     """
     ends = occ.ends
-    mask_on = full and occ.mask_on
+    masked = full and bool(occ.forbidden)
     qkey = frozenset(ends.items())
-    if mask_on:
+    if masked:
         qkey = (qkey, frozenset(occ.forbidden))
     word = query_cache.get(qkey, _MISS)
     if word is _MISS:
         points = bytes(sorted(ends))
         targets = bytes([ends[x] for x in points])
-        rkey = (mask_on, points)
+        rkey = (masked, points)
         reach = reach_cache.get(rkey)
         if reach is None:
-            reach = reach_cache[rkey] = _explore(letters, points, mask_on, n, work)
+            reach = reach_cache[rkey] = _explore(letters, points, masked, n, work)
         arrived, by_slots = reach
-        if mask_on:
+        if masked:
             forbidden = tuple(occ.forbidden)
             word = next((w for img, w in by_slots.get(targets, ())
                          if not any(img[x] for x in forbidden)), None)

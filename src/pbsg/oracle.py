@@ -14,14 +14,10 @@ with every generator.  That is the centraliser argument
 s⁻¹ is in S, and S is inverse-closed iff every generator's inverse is.
 ``band``/``semilattice``, ``completely-regular``/``clifford`` and
 ``r-trivial`` scan every element, so the oracle shares no argument with
-their generator-level checkers.  Two scans stop as soon as their answer is
-fixed, each by a short exact argument stated where it is used:
-``nilpotent`` rejects at once when an idempotent other than the zero exists
-(it lies in every power of the generating set), and the identity properties
-stop at the first identity on the side asked for (a left and a right
-identity are equal).  A product of two elements is an index read off the
-closure's Cayley table by ``pair_product``, or a key computed by one
-``bytes.translate`` of two byte keys; no element is built except to be
+their generator-level checkers.  ``nilpotent`` and the identity scans stop
+once their answer is fixed, by exact arguments stated where they are used.
+A product of two elements is one ``bytes.translate`` of their keys, or a
+generator's column of the Cayley table; no element is built except to be
 reported.  Candidates and witnesses are walked in enumeration order, so the
 output stays deterministic.
 """
@@ -39,6 +35,9 @@ from .closure import (
     GeneratorSet,
     LimitExceeded,
     SemigroupClosure,
+    _inverse_key,
+    _key,
+    _tail,
     close,
 )
 from .pbij import PartialBijection
@@ -52,61 +51,42 @@ def _show(closure, i) -> str:
     return closure[i].to_text()
 
 
-_BYTES = bytes(range(256))
-
-
-def _tail(closure) -> bytes:
-    """The bytes that extend a key into a ``translate`` table:
-    ``a.translate(b + tail)`` is the key of a*b."""
-    return _BYTES[closure.generators[0].degree:]
-
-
 def _generator_keys(closure) -> list[bytes]:
-    keys = closure.keys
-    return [keys[closure.index_of(g)] for g in closure.generators]
+    return [_key(g) for g in closure.generators]
 
 
 def _idempotents(closure):
     """The idempotents' indices in enumeration order, read off their keys."""
-    tail = _tail(closure)
+    tail = _tail(closure.generators[0].degree)
     return (e for e, key in enumerate(closure.keys) if key.translate(key + tail) == key)
 
 
-def _inverse_key(key: bytes, n: int) -> bytes:
-    """The byte key of the inverse of the degree-``n`` element keyed ``key``."""
-    inv = bytearray([n]) * n
-    for x, v in enumerate(key):
-        if v != n:
-            inv[v] = x
-    return bytes(inv)
-
-
 def oracle_identities(closure: SemigroupClosure) -> IdentityLists:
-    idx = range(len(closure))
-    left = list(filter(_left_identity_test(closure), idx))
-    right = list(filter(_right_identity_test(closure), idx))
-    right_set = set(right)
-    two_sided = [e for e in left if e in right_set]
-    return IdentityLists(*(tuple(closure[e] for e in ids) for ids in (left, right, two_sided)))
+    """Each list holds the closure's one identity of its kind, if any."""
+    ids = (_first_identity(closure, side) for side in ("left", "right", "two_sided"))
+    return IdentityLists(*(() if e is None else (closure[e],) for e in ids))
 
 
 def _commutative(closure):
-    mul, n = closure.pair_product, len(closure)
+    keys, tail = closure.keys, _tail(closure.generators[0].degree)
     # The k distinct generators hold indices 0..k-1.  An element commuting
     # with every generator commutes with all of S, so when S is not
     # commutative some generator fails with some element, and the least
     # failing pair (a, b), a < b, has a < k.
     for a in range(len(set(_generator_keys(closure)))):
-        for b in range(a + 1, n):
-            if mul(a, b) != mul(b, a):
+        key_a = keys[a]
+        table = key_a + tail
+        for b in range(a + 1, len(keys)):
+            key_b = keys[b]
+            if key_a.translate(key_b + tail) != key_b.translate(table):
                 return False, {"left": _show(closure, a), "right": _show(closure, b)}
     return True, None
 
 
 def _band(closure):
-    mul = closure.pair_product
-    for a in range(len(closure)):
-        if mul(a, a) != a:
+    tail = _tail(closure.generators[0].degree)
+    for a, key in enumerate(closure.keys):
+        if key.translate(key + tail) != key:
             return False, {"element": _show(closure, a)}
     return True, None
 
@@ -126,7 +106,7 @@ def _group(closure):
     if _left_identity_test(closure)(e) and _right_identity_test(closure)(e):
         # each s has a power s^m = e, the only idempotent: s^(m-1), or e, inverts s
         return True, None
-    keys, tail = closure.keys, _tail(closure)
+    keys, tail = closure.keys, _tail(closure.generators[0].degree)
     key_e = keys[e]
     table = key_e + tail
     s = next(s for s, key in enumerate(keys)
@@ -137,7 +117,7 @@ def _group(closure):
 def _first_zero(closure, left, right) -> Optional[int]:
     """The first z with z*s == z (when ``left``) and s*z == z (when ``right``)
     for every s: a left zero, a right zero or a zero."""
-    keys, tail = closure.keys, _tail(closure)
+    keys, tail = closure.keys, _tail(closure.generators[0].degree)
     gen_keys = _generator_keys(closure)
     for z, row in enumerate(closure.cayley):
         if left and row.count(z) != len(row):
@@ -201,7 +181,8 @@ def _r_trivial(closure):
 
 
 def _central_idempotents(closure):
-    keys, cayley, tail = closure.keys, closure.cayley, _tail(closure)
+    keys, cayley = closure.keys, closure.cayley
+    tail = _tail(closure.generators[0].degree)
     gen_keys = _generator_keys(closure)
     for e in _idempotents(closure):
         key_e = keys[e]
@@ -215,13 +196,12 @@ def _central_idempotents(closure):
 
 
 def _regular(closure):
-    n, index = closure.generators[0].degree, closure.index
     # sts = s makes tst the unique inverse of s, and s s⁻¹ s = s: regular iff
     # s⁻¹ ∈ S.  S is inverse-closed iff every generator's inverse lies in S,
     # so the least non-regular element, if any, is one of the k distinct
     # generators, which hold indices 0..k-1.
     for s in range(len(set(_generator_keys(closure)))):
-        if _inverse_key(closure.keys[s], n) not in index:
+        if _inverse_key(closure.keys[s]) not in closure.index:
             return False, {"element": _show(closure, s)}
     return True, None
 
@@ -322,18 +302,15 @@ def oracle_models(
     gens = gens.with_inverses()
     clo = close(gens, limit)
     n_els = len(clo)
-    pair = clo.pair_product
-
-    n = gens.degree  # the key byte of an undefined image
-    inv_index = [clo.index[_inverse_key(key, n)] for key in clo.keys]
+    keys, tail = clo.keys, _tail(gens.degree)
+    inv_keys = [_inverse_key(key) for key in keys]
 
     def eval_side(word, assign):
         acc = None
         for lit in word:
             i = assign[lit.var - 1]
-            if lit.exponent == -1:
-                i = inv_index[i]
-            acc = i if acc is None else pair(acc, i)
+            key = inv_keys[i] if lit.exponent == -1 else keys[i]
+            acc = key if acc is None else acc.translate(key + tail)
         return acc
 
     idem_indices = list(_idempotents(clo))

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given
 
 from pbsg import (
     GeneratorSet,
@@ -12,10 +13,11 @@ from pbsg import (
     evaluate_word,
     member,
 )
+from pbsg.closure import _inverse_key, _key, _tail
 from pbsg.sampling import random_tiling_instance
 from pbsg.tiling import reduce
 
-from conftest import pb, seeded_generator_sets
+from conftest import pb, pbij_pairs, seeded_generator_sets
 
 
 def ref_closure(gens):
@@ -45,7 +47,7 @@ def assert_member_matches_definition(gens, clo, b):
         with pytest.raises(LimitExceeded) as exc:
             member(gens, b, limit=r)
         assert exc.value.count == r + 1
-        assert member(gens, b, limit=r + 1) == MemberResult(True, clo.words[i])
+        assert member(gens, b, limit=r + 1) == MemberResult(True, clo.word(i))
     else:
         assert member(gens, b, limit=len(rank)) == MemberResult(False, None)
         if rank:
@@ -104,10 +106,13 @@ class TestClose:
         clo = close(gens)
         assert set(clo) == ref_closure(gens.generators)
         assert len(clo) == 2
-        assert clo.words == [(0,), (0, 0)]
+        assert [clo.word(0), clo.word(1)] == [(0,), (0, 0)]
+        assert clo.word(-1) == (0, 0)
         assert clo[-1] == clo.elements[1] == PartialBijection.identity(2)
         with pytest.raises(TypeError):
             clo[0:1]
+        with pytest.raises(IndexError):
+            clo.word(2)
 
     def test_shift_generates_pair(self):
         gens = GeneratorSet.from_elements([pb("2 _")])
@@ -122,12 +127,13 @@ class TestClose:
     def test_witnesses_evaluate_to_their_elements(self):
         for gens in seeded_generator_sets(102, 25, degrees=(2, 3, 4)):
             clo = close(gens)
-            for el, word in zip(clo.elements, clo.words):
-                assert evaluate_word(gens, word) == el
+            for i, el in enumerate(clo.elements):
+                assert evaluate_word(gens, clo.word(i)) == el
 
     def test_witness_lengths_nondecreasing(self):
         for gens in seeded_generator_sets(103, 10, degrees=(3, 4)):
-            lengths = [len(w) for w in close(gens).words]
+            clo = close(gens)
+            lengths = [len(clo.word(i)) for i in range(len(clo))]
             assert lengths == sorted(lengths)
 
     def test_cayley_edges(self):
@@ -137,18 +143,23 @@ class TestClose:
                 for gi, g in enumerate(gens.generators):
                     assert clo.elements[clo.cayley[i][gi]] == el * g
 
-    def test_pair_product_matches_composition(self):
+    def test_elements_round_trip_through_their_keys(self):
         for inverse_closed in (False, True):
             for gens in seeded_generator_sets(108, 15, degrees=(2, 3, 4),
                                               inverse_closed=inverse_closed):
                 clo = close(gens)
-                els = clo.elements
-                for i, a in enumerate(els):
+                for i, el in enumerate(clo.elements):
                     # built on access from the byte key, without validation
-                    checked = PartialBijection(clo[i].entries)
-                    assert clo[i] == checked and hash(clo[i]) == hash(checked)
-                    for j, b in enumerate(els):
-                        assert clo.pair_product(i, j) == clo.index_of(a * b)
+                    checked = PartialBijection(el.entries)
+                    assert el == checked and hash(el) == hash(checked)
+                    assert clo.index_of(checked) == i and clo.keys[i] == _key(checked)
+
+    @given(pbij_pairs(max_degree=12))
+    def test_codec_laws(self, pair):
+        a, b = pair
+        assert _key(PartialBijection._from_key(_key(a))) == _key(a)
+        assert _inverse_key(_key(a)) == _key(a.inverse())
+        assert _key(a).translate(_key(b) + _tail(a.degree)) == _key(a * b)
 
     def test_closing_the_closure_adds_nothing(self):
         for gens in seeded_generator_sets(105, 10, degrees=(2, 3)):
@@ -160,7 +171,7 @@ class TestClose:
         gens = seeded_generator_sets(106, 1, degrees=(4,))[0]
         a, b = close(gens), close(gens)
         assert list(a.elements) == list(b.elements)
-        assert a.words == b.words and a.cayley == b.cayley
+        assert a.parent == b.parent and a.gen_of == b.gen_of and a.cayley == b.cayley
 
     def test_limit_exceeded(self):
         gens = GeneratorSet.from_elements([pb("2 1")])
@@ -220,7 +231,7 @@ class TestMember:
                 clo = close(gens)
                 for el in clo.elements:
                     res = member(gens, el)
-                    assert res.found and res.witness == clo.words[clo.index_of(el)]
+                    assert res.found and res.witness == clo.word(clo.index_of(el))
 
     def test_misses_outside_the_closure(self):
         # the empty map alone misses the identity, the one size-1 miss of degree 1
@@ -250,7 +261,7 @@ class TestMember:
         small = [el for el in clo if len(el.dom()) <= 1]
         assert {len(el.dom()) for el in small} == {0, 1}
         for el in small:
-            assert member(gens, el).witness == clo.words[clo.index_of(el)]
+            assert member(gens, el).witness == clo.word(clo.index_of(el))
 
     def test_degree_cap(self):
         # one byte per point, and the byte ``degree`` stands for "undefined"

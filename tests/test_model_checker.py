@@ -176,6 +176,15 @@ class TestWorkBudget:
                 check_variable_run(gens, ident, 1, boundary, budget=budget)
             assert info.value.limit == budget
 
+    def test_spec_without_exclusions_skips_the_image(self):
+        # x1 has an inverse occurrence, but none ends at the sink here, so
+        # no point is excluded from its image: the plain reach of the start
+        # points (0, 2) serves, 13 states, where tracking the image takes 31
+        gens = gset("2 3 1", "2 _ 3")
+        ident = parse_identity("x1 x1^-1 = x1^-1 x1")
+        boundary = BoundaryGuess((0, 1, 0), (0, 2, 0))
+        assert check_variable_run(gens, ident, 1, boundary, budget=13) == (0,)
+
 
 class TestDegreeCap:
     """Reach states hold one byte per point, the sink being the byte n."""

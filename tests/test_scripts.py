@@ -1,9 +1,12 @@
 """Runs of the scripts under scripts/, loaded by file path: the two oracle
-sweeps and the BENCH file comparison."""
+sweeps, and the BENCH file recording and comparison."""
 
 import importlib.util
 import json
+import os
+import subprocess
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -70,3 +73,30 @@ def test_bench_compare_checks_bounds(tmp_path, capsys):
 
     assert compare(a, _bench_file(tmp_path / "d.json", BASE, correct=False)) == 1
     assert "cli\tcorrect\tTrue\tFalse\t-\t-\tFAIL" in capsys.readouterr().out
+
+
+def test_bench_record_runs_each_workload_without_bytecode_caches(tmp_path, monkeypatch):
+    bench_record = _load("bench_record")
+    facts = {"environment": {"cpu_model": "cpu", "nproc": 1, "python": "3"}}
+    result = {"correct": True, "metrics": {"setup_s": {"value": 0.05, "unit": "s"}}}
+    runs = []
+
+    def run(cmd, **kwargs):
+        if cmd[0] == "git":
+            return subprocess.CompletedProcess(cmd, 1, "", "")
+        env = kwargs["env"]
+        cache = env["PYTHONPYCACHEPREFIX"]
+        assert env == dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPYCACHEPREFIX=cache)
+        runs.append((cmd[cmd.index("--workload") + 1], cache, os.listdir(cache)))
+        return subprocess.CompletedProcess(cmd, 0, f"{json.dumps(facts)}\n{json.dumps(result)}\n", "")
+
+    monkeypatch.setattr(bench_record, "subprocess", SimpleNamespace(run=run))
+    assert bench_record.record(1, tmp_path / "bench.json") == 0
+    names = [w["name"] for w in bench_record._benchmark()["workloads"]]
+    assert [name for name, _, _ in runs] == names
+    # a fresh empty cache directory per run, removed after it
+    caches = [cache for _, cache, _ in runs]
+    assert len(set(caches)) == len(names)
+    assert all(listing == [] for _, _, listing in runs)
+    assert not any(os.path.exists(cache) for cache in caches)
+    assert set(json.loads((tmp_path / "bench.json").read_text())["workloads"]) == set(names)
