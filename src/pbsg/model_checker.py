@@ -13,14 +13,19 @@ byte of the closure's keys, so the degree is capped at ``MAX_DEGREE``).  The
 first boundary point must be a real point; every other position may be the
 sink, and a sink possibly differing from a real endpoint is what lets the
 search see definedness-only disagreements.
-A guess where a real point follows a sink on the same trace is rejected
-outright: the sink is absorbing, so no run could realize it.
+A guess where a real point follows a sink on the same trace is never
+tried: the sink is absorbing, so no run could realize it.
 
 Boundary positions are fixed depth first in lexicographic order (``p``, then
 ``q``; real points ascending, sink last).  Fixing a position binds every
 occurrence that ends there into its variable's run spec (below), and a point
 whose binding conflicts is rejected at once; the bindings are undone on
-backtrack.  Each variable whose occurrence ends at the fixed position is
+backtrack.  Each position ends exactly one occurrence, and when the spec
+bound so far leaves that occurrence a single end point (a sink stays the
+sink, a bound start point keeps its end, an inverse edge from a bound real
+end point goes back to that end's start), the position is offered that
+point alone: every other point would fail to bind.  Each variable whose
+occurrence ends at the fixed position is
 then queried.  At the last position it reads, the query is the full one;
 before it, the query is relaxed: it asks only for a word sending the bound
 start points to their end points, without the image exclusions, so it runs
@@ -46,16 +51,18 @@ An occurrence ``x -> y`` of ``x_i`` tracks a forward slot (start x, end y);
 an occurrence of ``x_i^-1`` tracks the reverse edge forwards (start y, end
 x).  An inverse occurrence whose target is the sink requires its source to
 lie outside the image of the realized element, which no single slot can
-attest; once such an exclusion is bound, the run also tracks the image of
-the word's value as n more bytes, a 0/1 indicator of its points, updated
-forwards by one ``translate`` of the letter's preimages:
-image(s·a) = (image(s) ∩ dom(a))·a.  Until then the plain reach serves: a
-masked search first arrives at a slot tuple with the plain search's word.
-Premise-constrained variables also pin every real end point as fixed, since
-their value is the idempotent power of the realized word, and need no mask
-because an idempotent's domain and image coincide.  Searches depend only on
-the start points and queries only on start and end points, so variables and
-boundaries share both.  With the sink among the guessed points, the accepted
+attest.  A real end point is in the image, so excluding one is rejected at
+bind; any other full query with an exclusion runs a search of its own that
+also tracks the image of the word's value as n more bytes, a 0/1 indicator
+of its points, updated forwards by one ``translate`` of the letter's
+preimages: image(s·a) = (image(s) ∩ dom(a))·a.  It stops at the first
+arrival that meets the spec, but an exclusion no word meets still walks
+every image the words reach, up to 2^n of them.  Premise-constrained
+variables also pin every real end point as fixed, since their value is the
+idempotent power of the realized word, and need no mask because an
+idempotent's domain and image coincide.  Plain reaches depend only on the
+start points and queries only on the spec, so variables and boundaries
+share both.  With the sink among the guessed points, the accepted
 guesses coincide exactly with the semantic counterexamples, so the verdict
 matches the closure oracle.
 """
@@ -133,7 +140,8 @@ class _Occurrences:
     spec is ``ends`` (start point -> required end point), ``real`` (real end
     point -> its start point) and ``forbidden`` (the points the image must
     exclude, as dict keys); ``bind`` adds one edge's constraint and logs
-    every key it adds as ``(container, key)`` so that a caller can undo it.
+    every key it adds as ``(container, key)`` so that a caller can undo it,
+    and ``forced`` names the one end point an edge could still be bound to.
     """
 
     __slots__ = ("edges", "constrained", "depth", "sink", "ends", "real", "forbidden")
@@ -160,10 +168,10 @@ class _Occurrences:
         spec any more: a real point right after a sink on the same trace,
         one start point sent to two end points (a word acts as a function),
         two start points sent to one real point (it is injective away from
-        the sink), or, for a premise variable, a real end point that is not
-        fixed (its value is idempotent).  Each rule only looks at the edges
-        bound so far, so a spec rejected here stays rejected whatever is
-        bound later.
+        the sink), a real end point that the image must exclude, or, for a
+        premise variable, a real end point that is not fixed (its value is
+        idempotent).  Each rule only looks at the edges bound so far, so a
+        spec rejected here stays rejected whatever is bound later.
         """
         sink = self.sink
         if x == sink:
@@ -173,6 +181,8 @@ class _Occurrences:
                 x, y = y, x
             elif not self.constrained:
                 if x not in self.forbidden:
+                    if x in self.real:
+                        return False
                     self.forbidden[x] = None
                     log.append((self.forbidden, x))
                 return True
@@ -180,12 +190,23 @@ class _Occurrences:
             return False
         return not self.constrained or y == sink or self._send(y, y, log)
 
+    def forced(self, x, exponent):
+        """The one end point y that ``bind(x, y, exponent)`` can still accept,
+        or None when the spec bound so far does not single one out: a sink
+        stays the sink, a bound start point keeps its end, and an inverse
+        edge from a real end point must go back to that end's start (the
+        sink would exclude x from the image, and any other point would be a
+        second start sent to x)."""
+        if x == self.sink:
+            return x
+        return (self.ends if exponent == 1 else self.real).get(x)
+
     def _send(self, x, y, log):
         end = self.ends.get(x)
         if end is not None:
             return end == y
         if y != self.sink:
-            if y in self.real:
+            if y in self.real or y in self.forbidden:
                 return False
             self.real[y] = x
             log.append((self.real, y))
@@ -202,21 +223,46 @@ def _letters(generators, n):
     return [(key + tail, _inverse_key(key)) for key in map(_key, generators)]
 
 
-def _explore(letters, points, masked, n, work):
-    """First-arrival words for every slot configuration reachable in >= 1
-    letters; breadth-first with letters in index order, so each recorded word
-    is the shortest and lexicographically least.  ``points`` holds one byte
-    per slot; with ``masked`` a configuration is the slots followed by the
-    image indicator, which starts full.  Arrivals are charged to ``work``,
-    which stops the search at most one expansion after they pass it.
+def _explore(letters, points, work):
+    """First-arrival words for every slot tuple reachable in >= 1 letters;
+    breadth-first with letters in index order, so each recorded word is the
+    shortest and lexicographically least.  ``points`` holds one byte per
+    slot.  Arrivals are charged to ``work``, which stops the search at most
+    one expansion after they pass it.
     """
     arrived: dict = {}
-    by_slots: dict = {}
-    if masked:
-        full = b"\x01" * n
-        pad = bytes(256 - n)  # the sink is in no image
-        start = points + full
-        queue = deque(((points, full, ()),))
+    queue = deque(((points, ()),))
+    while queue and len(arrived) <= work.left:
+        slots, word = queue.popleft()
+        for c, (table, _) in enumerate(letters):
+            ns = slots.translate(table)
+            if ns in arrived:
+                continue
+            w = word + (c,)
+            arrived[ns] = w
+            if ns != points:
+                queue.append((ns, w))
+    work.charge(len(arrived))
+    return arrived
+
+
+def _masked_word(letters, points, targets, forbidden, n, work):
+    """The least word sending the slots ``points`` to ``targets`` whose
+    value's image misses every point of ``forbidden``, or None.
+
+    Breadth-first over the slots followed by the image indicator (n bytes of
+    0/1, starting full), letters in index order, stopping at the first
+    arrival that satisfies the spec: arrivals come in shortlex order of
+    their first words, so that word is the least.  The states reached are
+    charged to ``work`` however the search ends, and stop it at most one
+    expansion after they pass it.
+    """
+    full = b"\x01" * n
+    pad = bytes(256 - n)  # the sink is in no image
+    start = points + full
+    arrived: set = set()
+    queue = deque(((points, full, ()),))
+    try:
         while queue and len(arrived) <= work.left:
             slots, img, word = queue.popleft()
             img += pad
@@ -226,36 +272,28 @@ def _explore(letters, points, masked, n, work):
                 nc = ns + ni
                 if nc in arrived:
                     continue
+                arrived.add(nc)
                 w = word + (c,)
-                arrived[nc] = w
-                by_slots.setdefault(ns, []).append((ni, w))
+                if ns == targets and not any(ni[x] for x in forbidden):
+                    return w
                 if nc != start:
                     queue.append((ns, ni, w))
-    else:
-        queue = deque(((points, ()),))
-        while queue and len(arrived) <= work.left:
-            slots, word = queue.popleft()
-            for c, (table, _) in enumerate(letters):
-                ns = slots.translate(table)
-                if ns in arrived:
-                    continue
-                w = word + (c,)
-                arrived[ns] = w
-                if ns != points:
-                    queue.append((ns, w))
-    work.charge(len(arrived))
-    return arrived, by_slots
+        return None
+    finally:
+        work.charge(len(arrived))
 
 
 def _run_word(letters, occ, n, reach_cache, query_cache, work, full=True):
     """The least word realizing the variable's bound spec, or None.
 
     With ``full`` false the image exclusions are dropped and only the start
-    to end map is asked for, through the plain reach over the start points.
+    to end map is asked for.  Without exclusions the answer is read from the
+    plain reach over the start points; with them it comes from a search of
+    its own that tracks the image and stops at the answer.
 
     Queries are keyed by the spec as sets, so variables whose specs agree
-    share them whatever order they bound it in; explores are keyed by the
-    sorted start points alone, built on a query miss.  Slot order is
+    share them whatever order they bound it in; plain reaches are keyed by
+    the sorted start points, built on a query miss.  Slot order is
     immaterial to the breadth-first search, so the words are the same as for
     the variable's own slot order.
     """
@@ -268,17 +306,13 @@ def _run_word(letters, occ, n, reach_cache, query_cache, work, full=True):
     if word is _MISS:
         points = bytes(sorted(ends))
         targets = bytes([ends[x] for x in points])
-        rkey = (masked, points)
-        reach = reach_cache.get(rkey)
-        if reach is None:
-            reach = reach_cache[rkey] = _explore(letters, points, masked, n, work)
-        arrived, by_slots = reach
         if masked:
-            forbidden = tuple(occ.forbidden)
-            word = next((w for img, w in by_slots.get(targets, ())
-                         if not any(img[x] for x in forbidden)), None)
+            word = _masked_word(letters, points, targets, tuple(occ.forbidden), n, work)
         else:
-            word = arrived.get(targets)
+            reach = reach_cache.get(points)
+            if reach is None:
+                reach = reach_cache[points] = _explore(letters, points, work)
+            word = reach.get(targets)
         query_cache[qkey] = word
     return word
 
@@ -335,8 +369,9 @@ def models(
     last position it reads, and before that for its bound start and end
     points alone, without the image exclusions.  Any word for the full spec
     serves the relaxed one, so a variable with no word for either prunes
-    every boundary below that prefix.  A real point right after a sink on
-    the same word is never tried.  Raises ``LimitExceeded`` once the work
+    every boundary below that prefix.  A position whose end point the bound
+    spec forces (a sink after a sink on the same word, among others) is
+    offered that point alone.  Raises ``LimitExceeded`` once the work
     passes ``budget``, and ``ValueError`` past ``closure.MAX_DEGREE``.
     """
     gens = gens.with_inverses()
@@ -349,12 +384,13 @@ def models(
     query_cache: dict = {}
     last = l + r
     due = [[] for _ in range(last + 1)]
-    ending = [[] for _ in range(last + 1)]
+    # each position past the start ends exactly one occurrence
+    ending: list = [None] * (last + 1)
     for vi, occ in enumerate(occs):
         for j in {j for _, j, _ in occ.edges} | {occ.depth}:
             due[j].append((vi, occ, j == occ.depth))
         for i, j, exponent in occ.edges:
-            ending[j].append((occ.bind, i, exponent))
+            ending[j] = (occ, i, exponent)
     pts = [0] * (last + 1)
     words: list = [None] * len(occs)
     work = _Work(budget)
@@ -370,7 +406,9 @@ def models(
     d = 0
     while d >= 0:
         mark = marks[d]
-        binds = ending[d]
+        if d:
+            occ, i, exponent = ending[d]
+            bind, start = occ.bind, pts[i]
         for v in pending[d]:
             while len(log) > mark:
                 container, key = log.pop()
@@ -378,10 +416,7 @@ def models(
             if d == last and pts[l] == v:
                 continue
             pts[d] = v
-            for bind, i, exponent in binds:
-                if not bind(pts[i], v, exponent, log):
-                    break
-            else:
+            if not d or bind(start, v, exponent, log):
                 for vi, occ, full in due[d]:
                     word = _run_word(letters, occ, n, reach_cache, query_cache, work, full)
                     if word is None:
@@ -394,8 +429,9 @@ def models(
                         cex = Counterexample(BoundaryGuess(p, q), tuple(words))
                         return ModelCheckResult(False, cex, gens)
                     d += 1
-                    prev = 0 if d == l + 1 else d - 1
-                    choices = (n,) if pts[prev] == n else values
+                    occ, i, exponent = ending[d]
+                    f = occ.forced(pts[i], exponent)
+                    choices = values if f is None else (f,)
                     work.charge(len(choices))
                     pending[d] = iter(choices)
                     marks[d] = len(log)

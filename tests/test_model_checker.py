@@ -15,7 +15,8 @@ from pbsg import (
     parse_identity,
 )
 from pbsg.checkers import check_commutative
-from pbsg.model_checker import _Occurrences, counterexample_values
+from pbsg.model_checker import (_Occurrences, _Work, _letters, _masked_word,
+                                counterexample_values)
 from pbsg.sampling import random_generator_set
 
 from conftest import MODEL_CORPUS, pb, seeded_generator_sets
@@ -29,10 +30,12 @@ def gset(*texts, closed=True):
 FOUR_REVERSAL = "x1 x2 x3 x4 = x4 x3 x2 x1"
 
 
-def cosingleton_semilattice(n):
-    """The partial identities missing one point each: a commutative semilattice."""
+def cosingleton_semilattice(n, dropped=None):
+    """The partial identities missing one point each: a commutative semilattice.
+    ``dropped`` limits the generators to those missing a point in it."""
     return GeneratorSet.from_elements([
-        PartialBijection([None if x == k else x for x in range(n)]) for k in range(n)
+        PartialBijection([None if x == k else x for x in range(n)])
+        for k in (range(n) if dropped is None else dropped)
     ])
 
 
@@ -135,23 +138,47 @@ class TestWorkBudget:
         assert models(gens, parse_identity(FOUR_REVERSAL)).models
 
     def test_search_past_the_budget_overflows(self):
-        # the degree-7 reversal charges 1,205 units when it runs to the end
+        # the degree-7 reversal charges 813 units when it runs to the end
         with pytest.raises(LimitExceeded) as info:
-            models(cosingleton_semilattice(7), parse_identity(FOUR_REVERSAL), budget=1_000)
-        assert info.value.limit == 1_000 and info.value.count == 1_003
-        assert str(info.value) == "model checking work exceeds the budget 1000"
+            models(cosingleton_semilattice(7), parse_identity(FOUR_REVERSAL), budget=800)
+        assert info.value.limit == 800 and info.value.count == 806
+        assert str(info.value) == "model checking work exceeds the budget 800"
 
     def test_masked_search_past_the_budget_overflows(self):
-        # the reach that tracks the image is charged one unit per (slots,
-        # image) state; it stops one state past the budget here
+        # every generator keeps point 1, so no word leaves point 1 out of
+        # its image, as x2 must at p = 1 1 _ _, q = 1 1.  No bind rule sees
+        # that, so the masked search walks the 2^15 images the generators
+        # reach before it could answer None: such an unsatisfiable exclusion
+        # stays exponential in the degree.  The search is charged one unit
+        # per (slots, image) state and stops one state past the budget here
+        gens = cosingleton_semilattice(16, dropped=range(1, 16))
         with pytest.raises(LimitExceeded) as info:
-            models(cosingleton_semilattice(12), parse_identity("x1 x1^-1 x1 = x1"),
-                   budget=20_000)
+            models(gens, parse_identity("x1 x2^-1 x1 = x1"), budget=20_000)
         assert info.value.limit == 20_000 and info.value.count == 20_001
+
+    def test_contradictory_exclusions_are_rejected_at_bind(self):
+        # p = a b _ asks x1 to send a to b and, through x1^-1 sent to the
+        # sink, to leave b out of its image, which the bind rule rejects
+        # without a search: 322 units are charged here, while answering each
+        # such query from its full 2^14-state masked reach charges 230,692
+        gens = cosingleton_semilattice(14)
+        assert models(gens, parse_identity("x1 x1^-1 x1 = x1"), budget=1_000).models
+
+    def test_masked_search_stops_at_the_goal(self):
+        # at p = 1 1 _ _, q = 1 1, x2 of x1 x2^-1 x1 = x1 asks only that
+        # point 1 leave its image, which one letter does: 79 units are
+        # charged here, while the whole masked reach over the 2^18 - 1
+        # images is 262,143 states
+        result = models(cosingleton_semilattice(18), parse_identity("x1 x2^-1 x1 = x1"),
+                        budget=1_000)
+        assert not result.models
+        cex = result.counterexample
+        assert cex.boundary == BoundaryGuess((0, 0, 18, 18), (0, 0))
+        assert cex.words == ((1,), (0,))
 
     def test_partial_queries_prune_before_a_variable_is_due(self):
         # x1 is due only at the last position, but each variable's bound
-        # occurrences are queried as they are bound: 5,345 units are charged
+        # occurrences are queried as they are bound: 3,297 units are charged
         # here, while querying each variable only at its last position
         # charges more than the default 10**7
         assert models(cosingleton_semilattice(16), parse_identity(FOUR_REVERSAL),
@@ -160,7 +187,7 @@ class TestWorkBudget:
     def test_conflicting_points_are_rejected_before_expansion(self):
         # x1 x1^-1 x1 = x1 reads every position; binding each occurrence as
         # its end point is fixed rejects most points before the positions
-        # below them are expanded and charged: 2,512 are charged here, while
+        # below them are expanded and charged: 136 are charged here, while
         # the boundaries number 8 * 9**4 = 52,488
         gens = cosingleton_semilattice(8)
         assert models(gens, parse_identity("x1 x1^-1 x1 = x1"), budget=10_000).models
@@ -391,6 +418,68 @@ class TestSpecBinder:
                         seen["sink then real"] += broken and spec is None
                         seen["premise ok"] += ok and var <= ident.num_premises
                         seen["masked ok"] += ok and spec is not None and bool(spec[2])
+        assert all(seen.values()), seen
+
+
+def _undo(log, mark):
+    while len(log) > mark:
+        container, key = log.pop()
+        del container[key]
+
+
+class TestExactNarrowing:
+    def test_forced_end_point_is_the_only_one_bind_accepts(self):
+        # after a random run of binds, whenever forced() names an end point
+        # for an edge, every other point of 0..n (the sink n included) fails
+        # to bind it; x1 is a premise variable, x2 a plain one
+        rng = random.Random(409)
+        ident = parse_identity("x1=x1^2 => x1 x2 = x2 x1")
+        narrowed = {1: 0, -1: 0}
+        for n in (2, 3, 4, 5):
+            for var in (1, 2):
+                for _ in range(40):
+                    occ = _Occurrences(ident, var, n)
+                    log: list = []
+                    for _ in range(rng.randrange(2 * n)):
+                        mark = len(log)
+                        if not occ.bind(rng.randrange(n + 1), rng.randrange(n + 1),
+                                        rng.choice((1, -1)), log):
+                            _undo(log, mark)
+                    for x, exponent in product(range(n + 1), (1, -1)):
+                        forced = occ.forced(x, exponent)
+                        if forced is None:
+                            continue
+                        narrowed[exponent] += x != n
+                        for y in range(n + 1):
+                            mark = len(log)
+                            if y != forced:
+                                assert not occ.bind(x, y, exponent, log), (x, y, exponent)
+                            _undo(log, mark)
+        assert all(narrowed.values()), narrowed
+
+    def test_masked_word_matches_naive_search(self):
+        # seeded masked specs, most with targets some word reaches from the
+        # start points, so both found and missing words are compared
+        rng = random.Random(410)
+        seen = {"word": 0, "none": 0}
+        for gens in seeded_generator_sets(410, 40, degrees=(2, 3, 4), inverse_closed=True):
+            n = gens.degree
+            letters = _letters(gens.generators, n)
+            acts = [tuple(n if v is None else v for v in g.entries) + (n,)
+                    for g in gens.generators]
+            for _ in range(10):
+                points = tuple(sorted(rng.sample(range(n), rng.randint(0, n))))
+                targets = points
+                for _ in range(rng.randint(1, 4)):
+                    act = rng.choice(acts)
+                    targets = tuple(act[x] for x in targets)
+                if rng.random() < 0.2:
+                    targets = tuple(rng.randrange(n + 1) for _ in points)
+                forbidden = frozenset(rng.sample(range(n), rng.randint(1, n)))
+                word = _masked_word(letters, bytes(points), bytes(targets), tuple(forbidden),
+                                    n, _Work(10**7))
+                assert word == naive_least_word(gens, points, targets, forbidden)
+                seen["none" if word is None else "word"] += 1
         assert all(seen.values()), seen
 
 
