@@ -20,12 +20,7 @@ Boundary positions are fixed depth first in lexicographic order (``p``, then
 ``q``; real points ascending, sink last).  Fixing a position binds every
 occurrence that ends there into its variable's run spec (below), and a point
 whose binding conflicts is rejected at once; the bindings are undone on
-backtrack.  Each position ends exactly one occurrence, and when the spec
-bound so far leaves that occurrence a single end point (a sink stays the
-sink, a bound start point keeps its end, an inverse edge from a bound real
-end point goes back to that end's start), the position is offered that
-point alone: every other point would fail to bind.  Each variable whose
-occurrence ends at the fixed position is
+backtrack.  Each position ends exactly one occurrence, and its variable is
 then queried.  At the last position it reads, the query is the full one;
 before it, the query is relaxed: it asks only for a word sending the bound
 start points to their end points, without the image exclusions, so it runs
@@ -34,8 +29,20 @@ full spec realizes every such subset of it, so a variable no word can serve
 even in part prunes every boundary that extends the prefix.  Every
 rejection rule only grows with the bound occurrences, so no pruned prefix
 has an accepted completion and the first complete boundary found is still
-the least counterexample; its words come from the full queries.  Each
-expanded position adds its number of choices to one work count, each
+the least counterexample; its words come from the full queries.
+
+Each position is offered, in the walk's order, points among which are all
+that can bind and pass its relaxed query.  When the spec bound so far
+leaves the occurrence a single end point (a sink stays the sink, a bound
+start point keeps its end, an inverse edge from a bound real end point goes
+back to that end's start), that point is offered alone.  An unforced
+forward edge from x of a premise variable is offered x and the sink, since
+the variable's real ends are fixed.  One of any other variable is offered
+the end points y that the plain reach over the bound start points and x
+holds at x's slot beside the bound ends: a projection of that reach,
+indexed once per slot.  It answers the relaxed query, which is therefore
+not asked there.  An inverse edge is offered every point.  Each expanded
+position adds its number of choices to one work count, each
 breadth-first search (below) the states it reaches; ``LimitExceeded`` is
 raised once the count passes ``budget``.  Positions below a rejected point
 are never expanded, so they are never charged.
@@ -283,6 +290,48 @@ def _masked_word(letters, points, targets, forbidden, n, work):
         work.charge(len(arrived))
 
 
+def _reach(letters, points, reach_cache, work):
+    """The plain reach over the start points ``points``, explored on first use."""
+    reach = reach_cache.get(points)
+    if reach is None:
+        reach = reach_cache[points] = _explore(letters, points, work)
+    return reach
+
+
+def _offer(letters, occ, x, exponent, reach_cache, index_cache, work):
+    """The end points a position ending the edge from x is offered, in walk
+    order (ascending, the sink last), and whether the relaxed query answers
+    for every one of them that binds.
+
+    Every point that binds and whose relaxed query answers is offered.  A
+    point forced by the bound spec is offered alone.  An unforced forward
+    edge of a premise variable is offered x and the sink, as its real end
+    is fixed.  One of any other variable is offered the end points y such
+    that some word sends x to y and every bound start point to its end: a
+    projection of the plain reach over those start points, which answers the
+    relaxed query.  Each reach is indexed by the rest of its tuples once per
+    slot, in ``index_cache``.  An inverse edge is offered every point.
+    """
+    n = occ.sink
+    f = occ.forced(x, exponent)
+    if f is not None:
+        return (f,), False
+    if exponent == -1:
+        return range(n + 1), False
+    if occ.constrained:
+        return (x, n), False
+    ends = occ.ends
+    points = bytes(sorted([*ends, x]))
+    slot = points.index(x)
+    index = index_cache.get((points, slot))
+    if index is None:
+        index = index_cache[points, slot] = {}
+        # tuples that agree off the slot sort by their point at the slot
+        for t in sorted(_reach(letters, points, reach_cache, work)):
+            index.setdefault(t[:slot] + t[slot + 1:], []).append(t[slot])
+    return index.get(bytes([ends[p] for p in points if p != x]), ()), True
+
+
 def _run_word(letters, occ, n, reach_cache, query_cache, work, full=True):
     """The least word realizing the variable's bound spec, or None.
 
@@ -293,7 +342,7 @@ def _run_word(letters, occ, n, reach_cache, query_cache, work, full=True):
 
     Queries are keyed by the spec as sets, so variables whose specs agree
     share them whatever order they bound it in; plain reaches are keyed by
-    the sorted start points, built on a query miss.  Slot order is
+    the sorted start points, built on first use.  Slot order is
     immaterial to the breadth-first search, so the words are the same as for
     the variable's own slot order.
     """
@@ -309,10 +358,7 @@ def _run_word(letters, occ, n, reach_cache, query_cache, work, full=True):
         if masked:
             word = _masked_word(letters, points, targets, tuple(occ.forbidden), n, work)
         else:
-            reach = reach_cache.get(points)
-            if reach is None:
-                reach = reach_cache[points] = _explore(letters, points, work)
-            word = reach.get(targets)
+            word = _reach(letters, points, reach_cache, work).get(targets)
         query_cache[qkey] = word
     return word
 
@@ -369,45 +415,47 @@ def models(
     last position it reads, and before that for its bound start and end
     points alone, without the image exclusions.  Any word for the full spec
     serves the relaxed one, so a variable with no word for either prunes
-    every boundary below that prefix.  A position whose end point the bound
-    spec forces (a sink after a sink on the same word, among others) is
-    offered that point alone.  Raises ``LimitExceeded`` once the work
-    passes ``budget``, and ``ValueError`` past ``closure.MAX_DEGREE``.
+    every boundary below that prefix.  A position is offered only the
+    points that ``_offer`` names: the one point the bound spec forces, or,
+    for a forward edge, the end points that its variable's reach admits.
+    Raises ``LimitExceeded`` once the work passes ``budget``, and
+    ``ValueError`` past ``closure.MAX_DEGREE``.
     """
     gens = gens.with_inverses()
     n = gens.degree
     l, r = len(ident.lhs), len(ident.rhs)
-    values = tuple(range(n + 1))
     occs = [_Occurrences(ident, v, n) for v in range(1, ident.num_vars + 1)]
     letters = _letters(gens.generators, n)
     reach_cache: dict = {}
+    index_cache: dict = {}
     query_cache: dict = {}
     last = l + r
-    due = [[] for _ in range(last + 1)]
-    # each position past the start ends exactly one occurrence
+    # variables that occur nowhere are queried at position 0; every other
+    # position ends exactly one occurrence, and its variable is queried there
+    unused = [occ for occ in occs if not occ.edges]
     ending: list = [None] * (last + 1)
     for vi, occ in enumerate(occs):
-        for j in {j for _, j, _ in occ.edges} | {occ.depth}:
-            due[j].append((vi, occ, j == occ.depth))
         for i, j, exponent in occ.edges:
-            ending[j] = (occ, i, exponent)
+            ending[j] = (vi, occ, i, exponent, j == occ.depth)
     pts = [0] * (last + 1)
     words: list = [None] * len(occs)
     work = _Work(budget)
     log: list = []
     # The positions are walked with an explicit stack, not by recursion, so
     # an identity's length is not bounded by the interpreter's recursion
-    # limit.  ``pending[d]`` iterates the choices left at position d and
-    # ``marks[d]`` is the length of ``log`` before them; each point first
-    # unbinds what the previous point at d, and the positions below it, bound.
+    # limit.  ``pending[d]`` iterates the choices left at position d,
+    # ``marks[d]`` is the length of ``log`` before them and ``ask[d]`` tells
+    # whether its query can still fail; each point first unbinds what the
+    # previous point at d, and the positions below it, bound.
     pending: list = [None] * (last + 1)
     marks = [0] * (last + 1)
+    ask = [True] * (last + 1)
     pending[0] = iter(range(n))
     d = 0
     while d >= 0:
         mark = marks[d]
         if d:
-            occ, i, exponent = ending[d]
+            vi, occ, i, exponent, full = ending[d]
             bind, start = occ.bind, pts[i]
         for v in pending[d]:
             while len(log) > mark:
@@ -416,26 +464,31 @@ def models(
             if d == last and pts[l] == v:
                 continue
             pts[d] = v
-            if not d or bind(start, v, exponent, log):
-                for vi, occ, full in due[d]:
+            if d:
+                if not bind(start, v, exponent, log):
+                    continue
+                if ask[d]:
                     word = _run_word(letters, occ, n, reach_cache, query_cache, work, full)
                     if word is None:
-                        break
+                        continue
                     if full:
                         words[vi] = word
-                else:
-                    if d == last:
-                        p, q = tuple(pts[: l + 1]), (pts[0],) + tuple(pts[l + 1 :])
-                        cex = Counterexample(BoundaryGuess(p, q), tuple(words))
-                        return ModelCheckResult(False, cex, gens)
-                    d += 1
-                    occ, i, exponent = ending[d]
-                    f = occ.forced(pts[i], exponent)
-                    choices = values if f is None else (f,)
-                    work.charge(len(choices))
-                    pending[d] = iter(choices)
-                    marks[d] = len(log)
-                    break
+            elif any(_run_word(letters, u, n, reach_cache, query_cache, work) is None
+                     for u in unused):
+                continue
+            if d == last:
+                p, q = tuple(pts[: l + 1]), (pts[0],) + tuple(pts[l + 1 :])
+                cex = Counterexample(BoundaryGuess(p, q), tuple(words))
+                return ModelCheckResult(False, cex, gens)
+            d += 1
+            _, occ, i, exponent, full = ending[d]
+            choices, answered = _offer(letters, occ, pts[i], exponent, reach_cache,
+                                       index_cache, work)
+            ask[d] = full or not answered
+            work.charge(len(choices))
+            pending[d] = iter(choices)
+            marks[d] = len(log)
+            break
         else:
             d -= 1
     return ModelCheckResult(True, None, gens)

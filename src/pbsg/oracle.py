@@ -14,8 +14,10 @@ with every generator.  That is the centraliser argument
 s⁻¹ is in S, and S is inverse-closed iff every generator's inverse is.
 ``band``/``semilattice``, ``completely-regular``/``clifford`` and
 ``r-trivial`` scan every element, so the oracle shares no argument with
-their generator-level checkers.  ``nilpotent`` and the identity scans stop
-once their answer is fixed, by exact arguments stated where they are used.
+their generator-level checkers; ``r-trivial`` walks each element's right
+ideal only at the element's own rank.  ``nilpotent`` and the identity scans
+stop once their answer is fixed, by exact arguments stated where they are
+used.
 A product of two elements is one ``bytes.translate`` of their keys, or a
 generator's column of the Cayley table; no element is built except to be
 reported.  Candidates and witnesses are walked in enumeration order, so the
@@ -157,22 +159,32 @@ def _nilpotent(closure):
     return False, {"zero": zero_key}
 
 
-def _right_ideal(closure, i):
+def _rank_slice(cayley, rank, i):
+    """The elements of iS¹ of i's rank: a DFS from i along the right Cayley
+    graph that follows no edge dropping the rank.  Right multiplication
+    never raises a rank, so a path that ends at i's rank keeps it
+    throughout, and the DFS still reaches every such element."""
+    r = rank[i]
     seen = {i}
     stack = [i]
     while stack:
-        cur = stack.pop()
-        for nxt in closure.cayley[cur]:
-            if nxt not in seen:
+        for nxt in cayley[stack.pop()]:
+            if nxt not in seen and rank[nxt] == r:
                 seen.add(nxt)
                 stack.append(nxt)
     return frozenset(seen)
 
 
 def _r_trivial(closure):
+    # s R t iff sS¹ = tS¹, and R-related elements share a domain, hence a
+    # rank, so s R t iff their right ideals agree on that rank: each element
+    # walks only its same-rank slice.  A large R-trivial slice of one rank
+    # still costs a walk per element, quadratic in its size.
+    n = closure.generators[0].degree  # the key byte of an undefined image
+    rank = [n - key.count(n) for key in closure.keys]
     ideals = {}
     for i in range(len(closure)):
-        ideal = _right_ideal(closure, i)
+        ideal = _rank_slice(closure.cayley, rank, i)
         other = ideals.get(ideal)
         if other is not None:
             return False, {"first": _show(closure, other), "second": _show(closure, i)}

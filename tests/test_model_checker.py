@@ -15,7 +15,7 @@ from pbsg import (
     parse_identity,
 )
 from pbsg.checkers import check_commutative
-from pbsg.model_checker import (_Occurrences, _Work, _letters, _masked_word,
+from pbsg.model_checker import (_Occurrences, _Work, _letters, _masked_word, _offer,
                                 counterexample_values)
 from pbsg.sampling import random_generator_set
 
@@ -138,11 +138,11 @@ class TestWorkBudget:
         assert models(gens, parse_identity(FOUR_REVERSAL)).models
 
     def test_search_past_the_budget_overflows(self):
-        # the degree-7 reversal charges 813 units when it runs to the end
+        # the degree-7 reversal charges 393 units when it runs to the end
         with pytest.raises(LimitExceeded) as info:
-            models(cosingleton_semilattice(7), parse_identity(FOUR_REVERSAL), budget=800)
-        assert info.value.limit == 800 and info.value.count == 806
-        assert str(info.value) == "model checking work exceeds the budget 800"
+            models(cosingleton_semilattice(7), parse_identity(FOUR_REVERSAL), budget=300)
+        assert info.value.limit == 300 and info.value.count == 302
+        assert str(info.value) == "model checking work exceeds the budget 300"
 
     def test_masked_search_past_the_budget_overflows(self):
         # every generator keeps point 1, so no word leaves point 1 out of
@@ -159,14 +159,14 @@ class TestWorkBudget:
     def test_contradictory_exclusions_are_rejected_at_bind(self):
         # p = a b _ asks x1 to send a to b and, through x1^-1 sent to the
         # sink, to leave b out of its image, which the bind rule rejects
-        # without a search: 322 units are charged here, while answering each
+        # without a search: 140 units are charged here, while answering each
         # such query from its full 2^14-state masked reach charges 230,692
         gens = cosingleton_semilattice(14)
         assert models(gens, parse_identity("x1 x1^-1 x1 = x1"), budget=1_000).models
 
     def test_masked_search_stops_at_the_goal(self):
         # at p = 1 1 _ _, q = 1 1, x2 of x1 x2^-1 x1 = x1 asks only that
-        # point 1 leave its image, which one letter does: 79 units are
+        # point 1 leave its image, which one letter does: 62 units are
         # charged here, while the whole masked reach over the 2^18 - 1
         # images is 262,143 states
         result = models(cosingleton_semilattice(18), parse_identity("x1 x2^-1 x1 = x1"),
@@ -178,16 +178,18 @@ class TestWorkBudget:
 
     def test_partial_queries_prune_before_a_variable_is_due(self):
         # x1 is due only at the last position, but each variable's bound
-        # occurrences are queried as they are bound: 3,297 units are charged
-        # here, while querying each variable only at its last position
-        # charges more than the default 10**7
+        # occurrences are checked as they are bound, and as every edge is
+        # forward, each unforced position is offered only the end points its
+        # variable's reach admits: 897 units are charged here, while
+        # offering every point and querying each one charges 3,297, and
+        # querying each variable only at its last position more than 10**7
         assert models(cosingleton_semilattice(16), parse_identity(FOUR_REVERSAL),
-                      budget=10_000).models
+                      budget=1_000).models
 
     def test_conflicting_points_are_rejected_before_expansion(self):
         # x1 x1^-1 x1 = x1 reads every position; binding each occurrence as
         # its end point is fixed rejects most points before the positions
-        # below them are expanded and charged: 136 are charged here, while
+        # below them are expanded and charged: 80 are charged here, while
         # the boundaries number 8 * 9**4 = 52,488
         gens = cosingleton_semilattice(8)
         assert models(gens, parse_identity("x1 x1^-1 x1 = x1"), budget=10_000).models
@@ -480,6 +482,60 @@ class TestExactNarrowing:
                                     n, _Work(10**7))
                 assert word == naive_least_word(gens, points, targets, forbidden)
                 seen["none" if word is None else "word"] += 1
+        assert all(seen.values()), seen
+
+
+class TestReachChoices:
+    def test_offered_points_are_those_that_bind_and_answer(self):
+        # after a random run of binds, each unforced forward edge from a real
+        # point x is offered distinct points in ascending order, and those of
+        # them that bind are exactly the points y of 0..n that bind and whose
+        # relaxed query (the naive search, without the image exclusions)
+        # finds a word; x1 is a premise variable, x2 a plain one
+        rng = random.Random(411)
+        ident = parse_identity("x1=x1^2 => x1 x2 = x2 x1")
+        seen = {"premise": 0, "projected": 0, "sink offered": 0, "none offered": 0}
+        for gens in seeded_generator_sets(411, 30, degrees=(2, 3, 4, 5), inverse_closed=True):
+            n = gens.degree
+            letters = _letters(gens.generators, n)
+            reach_cache: dict = {}
+            index_cache: dict = {}
+            for var in (1, 2):
+                for _ in range(8):
+                    occ = _Occurrences(ident, var, n)
+                    log: list = []
+                    for _ in range(rng.randrange(n + 1)):
+                        mark = len(log)
+                        if not occ.bind(rng.randrange(n), rng.randrange(n + 1),
+                                        rng.choice((1, -1)), log):
+                            _undo(log, mark)
+                    for x in range(n):
+                        if occ.forced(x, 1) is not None:
+                            continue
+                        offered, answered = _offer(letters, occ, x, 1, reach_cache,
+                                                   index_cache, _Work(10**7))
+                        expected, passed = [], []
+                        for y in range(n + 1):
+                            mark = len(log)
+                            if occ.bind(x, y, 1, log):
+                                points = tuple(sorted(occ.ends))
+                                targets = tuple(occ.ends[p] for p in points)
+                                if naive_least_word(gens, points, targets, frozenset()):
+                                    expected.append(y)
+                                if y in offered:
+                                    passed.append(y)
+                            _undo(log, mark)
+                        assert list(offered) == sorted(set(offered)), (x, offered)
+                        if answered:
+                            assert passed == expected, (var, x, offered)
+                            seen["projected"] += 1
+                        else:
+                            # a premise variable's offer needs the query still
+                            assert var == 1 and tuple(offered) == (x, n)
+                            assert [y for y in passed if y in expected] == expected
+                            seen["premise"] += 1
+                        seen["sink offered"] += n in offered
+                        seen["none offered"] += not offered
         assert all(seen.values()), seen
 
 

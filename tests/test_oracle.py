@@ -197,6 +197,27 @@ def naive_regular(clo):
     return True, None
 
 
+def naive_r_trivial(clo):
+    """Each element's whole right ideal sS¹, by a DFS over its products with
+    the generators; two elements with one ideal are R-related."""
+    mul = composition(clo)
+    gens = [clo.index_of(g) for g in clo.generators]
+    ideals = {}
+    for i in range(len(clo)):
+        seen, stack = {i}, [i]
+        while stack:
+            cur = stack.pop()
+            for g in gens:
+                nxt = mul(cur, g)
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        first = ideals.setdefault(frozenset(seen), i)
+        if first != i:
+            return False, {"first": clo[first].to_text(), "second": clo[i].to_text()}
+    return True, None
+
+
 NAIVE = {
     PropertyName.COMMUTATIVE: naive_commutative,
     PropertyName.SEMILATTICE: naive_semilattice,
@@ -210,6 +231,7 @@ NAIVE = {
     PropertyName.RIGHT_IDENTITY: naive_identity("right"),
     PropertyName.TWO_SIDED_IDENTITY: naive_identity("two_sided"),
     PropertyName.REGULAR: naive_regular,
+    PropertyName.R_TRIVIAL: naive_r_trivial,
 }
 
 
@@ -264,6 +286,20 @@ class TestEarlyStoppingScans:
         assert report.witness == {"zero": " ".join("_" * 17)}
         # beyond the zero scan: N + 1 steps of at most N rows
         assert rows.reads - 2 * zero_reads <= (len(clo) + 1) * len(clo)
+
+    def test_r_trivial_walks_each_ideal_at_its_own_rank(self):
+        # every product with a co-singleton generator drops the rank or
+        # fixes the element, so each element's same-rank slice is itself:
+        # one row read per element, where walking every whole right ideal
+        # reads 3^12 - 2^12 = 527,345 rows
+        n = 12
+        clo = close(GeneratorSet.from_elements([
+            PartialBijection([None if x == k else x for x in range(n)]) for k in range(n)
+        ]))
+        assert len(clo) == 2**n - 1
+        clo.cayley = rows = CountingRows(clo.cayley)
+        assert oracle_report(clo, PropertyName.R_TRIVIAL).holds
+        assert rows.reads <= len(clo) * n
 
 
 class CountingRows(list):
