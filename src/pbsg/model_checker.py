@@ -20,8 +20,10 @@ Boundary positions are fixed depth first in lexicographic order (``p``, then
 ``q``; real points ascending, sink last).  Fixing a position binds every
 occurrence that ends there into its variable's run spec (below), and a point
 whose binding conflicts is rejected at once; the bindings are undone on
-backtrack.  Each position ends exactly one occurrence, and its variable is
-then queried.  At the last position it reads, the query is the full one;
+backtrack.  Each position past the start ends exactly one occurrence, and
+its variable is then queried (a variable that occurs in neither word, which
+only a premise can leave, has an empty spec, and the first letter is its
+word).  At the last position it reads, the query is the full one;
 before it, the query is relaxed: it asks only for a word sending the bound
 start points to their end points, without the image exclusions, so it runs
 on the plain reach that unmasked variables share.  A word realizing the
@@ -430,16 +432,18 @@ def models(
     index_cache: dict = {}
     query_cache: dict = {}
     last = l + r
-    # variables that occur nowhere are queried at position 0; every other
-    # position ends exactly one occurrence, and its variable is queried there
-    unused = [occ for occ in occs if not occ.edges]
+    work = _Work(budget)
+    words: list = [None] * len(occs)
+    # each position past the start ends exactly one occurrence, and its
+    # variable is queried there; a variable that occurs nowhere has an empty
+    # spec, which every one-letter word realizes, so its word is set here
     ending: list = [None] * (last + 1)
     for vi, occ in enumerate(occs):
+        if not occ.edges:
+            words[vi] = _run_word(letters, occ, n, reach_cache, query_cache, work)
         for i, j, exponent in occ.edges:
             ending[j] = (vi, occ, i, exponent, j == occ.depth)
     pts = [0] * (last + 1)
-    words: list = [None] * len(occs)
-    work = _Work(budget)
     log: list = []
     # The positions are walked with an explicit stack, not by recursion, so
     # an identity's length is not bounded by the interpreter's recursion
@@ -473,9 +477,6 @@ def models(
                         continue
                     if full:
                         words[vi] = word
-            elif any(_run_word(letters, u, n, reach_cache, query_cache, work) is None
-                     for u in unused):
-                continue
             if d == last:
                 p, q = tuple(pts[: l + 1]), (pts[0],) + tuple(pts[l + 1 :])
                 cex = Counterexample(BoundaryGuess(p, q), tuple(words))

@@ -110,6 +110,18 @@ class TestModels:
             models(gset("2 _"), parse_identity("x1 x2 = x2 x1"), budget=10)
         assert info.value.limit == 10 and info.value.count > 10
 
+    def test_variable_absent_from_both_words_gets_a_word(self):
+        # x1 is a premise variable that neither word reads; its empty spec
+        # is met by the first letter, and the counterexample must carry it
+        ident = parse_identity("x3=x3^2 => x1 x2 = x2 x1")
+        result = models(gset("2 3 1", "2 1 3"), ident)
+        assert not result.models
+        words = result.counterexample.words
+        assert len(words) == 3 and all(words)
+        assert words[0] == (0,)
+        _, lhs, rhs = counterexample_values(result.generators, ident, result.counterexample)
+        assert lhs != rhs
+
     def test_three_variable_identity_at_degree_8(self):
         # pruning keeps the search far below its 8 * 9**6 boundaries
         assert models(cosingleton_semilattice(8), parse_identity("x1 x2 x3 = x3 x2 x1")).models
@@ -601,6 +613,7 @@ class TestOracleAgreement:
         "x1^-1 = x1^-1 x1^-1",
         "x1 x2 x1 = x1 x1 x2",
         "x1=x1^2 => x2 x1 x2^-1 = x2 x2^-1",
+        "x3=x3^2 => x1 x2 = x2 x1",
     ))
     def test_least_counterexample_matches_naive_loop(self, text):
         # every boundary in lexicographic order, each variable run on its own:
