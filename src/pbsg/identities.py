@@ -171,7 +171,8 @@ def parse_identity(text: str) -> Identity:
 
     premise_vars: list[int] = []
     if implies:
-        head = _Parser(tokens[: implies[0]], len(text))
+        # a premise list cut short is reported at its "=>"
+        head = _Parser(tokens[: implies[0]], tokens[implies[0]][1])
         while True:
             start = head.pos()
             v1 = head.var()

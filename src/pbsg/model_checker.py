@@ -21,33 +21,38 @@ Boundary positions are fixed depth first in lexicographic order (``p``, then
 occurrence that ends there into its variable's run spec (below), and a point
 whose binding conflicts is rejected at once; the bindings are undone on
 backtrack.  Each position past the start ends exactly one occurrence, and
-its variable is then queried (a variable that occurs in neither word, which
-only a premise can leave, has an empty spec, and the first letter is its
-word).  At the last position it reads, the query is the full one;
-before it, the query is relaxed: it asks only for a word sending the bound
-start points to their end points, without the image exclusions, so it runs
-on the plain reach that unmasked variables share.  A word realizing the
-full spec realizes every such subset of it, so a variable no word can serve
-even in part prunes every boundary that extends the prefix.  Every
-rejection rule only grows with the bound occurrences, so no pruned prefix
-has an accepted completion and the first complete boundary found is still
-the least counterexample; its words come from the full queries.
+its variable is queried there when the answer can still be no.  At the last
+position it reads, the query is the full one; before it, the query is
+relaxed: it asks only for a word sending the bound start points to their
+end points, without the image exclusions, so it runs on the plain reach
+that unmasked variables share.  A word realizing the full spec realizes
+every such subset of it, so a variable no word can serve even in part
+prunes every boundary that extends the prefix.  A point whose binding adds
+nothing to the spec leaves one that already passed (the empty spec passes
+with any letter), so it is queried only when its query is the full one
+and the spec excludes points from the image, which the relaxed queries
+did not ask.  Every rejection rule only grows with the bound occurrences,
+so no pruned prefix has an accepted completion and the first complete
+boundary found is still the least counterexample.  Its words are spelled
+then, one full query per variable, answered from the caches that the walk
+filled (a variable that occurs in neither word, which only a premise can
+leave, has an empty spec, and the first letter is its word).
 
 Each position is offered, in the walk's order, points among which are all
 that can bind and pass its relaxed query.  When the spec bound so far
 leaves the occurrence a single end point (a sink stays the sink, a bound
 start point keeps its end, an inverse edge from a bound real end point goes
-back to that end's start), that point is offered alone.  An unforced
-forward edge from x of a premise variable is offered x and the sink, since
-the variable's real ends are fixed.  One of any other variable is offered
-the end points y that the plain reach over the bound start points and x
-holds at x's slot beside the bound ends: a projection of that reach,
-indexed once per slot.  It answers the relaxed query, which is therefore
-not asked there.  An inverse edge is offered every point.  Each expanded
-position adds its number of choices to one work count, each
-breadth-first search (below) the states it reaches; ``LimitExceeded`` is
-raised once the count passes ``budget``.  Positions below a rejected point
-are never expanded, so they are never charged.
+back to that end's start), that point is offered alone, and binding it adds
+nothing to the spec.  An unforced forward edge from x of a premise variable
+is offered x and the sink, since the variable's real ends are fixed.  One
+of any other variable is offered the end points y that the plain reach
+over the bound start points and x holds at x's slot beside the bound ends:
+a projection of that reach, indexed once per slot.  It answers the relaxed
+query, which is therefore not asked there.  An inverse edge is offered
+every point.  Each expanded position adds its number of choices to one
+work count, each breadth-first search (below) the states it reaches;
+``LimitExceeded`` is raised once the count passes ``budget``.  Positions
+below a rejected point are never expanded, so they are never charged.
 
 A variable's occurrences build a map from start points to required end
 points, one occurrence at a time.  Every word acts as a function that is
@@ -64,9 +69,10 @@ attest.  A real end point is in the image, so excluding one is rejected at
 bind; any other full query with an exclusion runs a search of its own that
 also tracks the image of the word's value as n more bytes, a 0/1 indicator
 of its points, updated forwards by one ``translate`` of the letter's
-preimages: image(s·a) = (image(s) ∩ dom(a))·a.  It stops at the first
-arrival that meets the spec, but an exclusion no word meets still walks
-every image the words reach, up to 2^n of them.  Premise-constrained
+preimages (built for the first such search of a call): image(s·a) =
+(image(s) ∩ dom(a))·a.  It stops at the first arrival that meets the
+spec, but an exclusion no word meets still walks every image the words
+reach, up to 2^n of them.  Premise-constrained
 variables also pin every real end point as fixed, since their value is the
 idempotent power of the realized word, and need no mask because an
 idempotent's domain and image coincide.  Plain reaches depend only on the
@@ -226,10 +232,12 @@ class _Occurrences:
 
 def _letters(generators, n):
     """Per generator, its translate table (key, then the fixed sink and the
-    rest of the 256 bytes) and its preimages (byte w is the point it sends
-    to w, or the sink ``n``); raises ``ValueError`` past ``MAX_DEGREE``."""
+    rest of the 256 bytes) and a slot for its preimages (byte w is the point
+    it sends to w, or the sink ``n``), which ``_masked_word`` fills in for
+    every letter the first time it needs them, as most searches never do;
+    raises ``ValueError`` past ``MAX_DEGREE``."""
     tail = _tail(n)
-    return [(key + tail, _inverse_key(key)) for key in map(_key, generators)]
+    return [(key + tail, None) for key in map(_key, generators)]
 
 
 def _explore(letters, points, work):
@@ -264,8 +272,11 @@ def _masked_word(letters, points, targets, forbidden, n, work):
     arrival that satisfies the spec: arrivals come in shortlex order of
     their first words, so that word is the least.  The states reached are
     charged to ``work`` however the search ends, and stop it at most one
-    expansion after they pass it.
+    expansion after they pass it.  The first call fills in the preimages of
+    every letter, in place.
     """
+    if letters[0][1] is None:
+        letters[:] = [(table, _inverse_key(table[:n])) for table, _ in letters]
     full = b"\x01" * n
     pad = bytes(256 - n)  # the sink is in no image
     start = points + full
@@ -303,21 +314,18 @@ def _reach(letters, points, reach_cache, work):
 def _offer(letters, occ, x, exponent, reach_cache, index_cache, work):
     """The end points a position ending the edge from x is offered, in walk
     order (ascending, the sink last), and whether the relaxed query answers
-    for every one of them that binds.
+    for every one of them that binds; the bound spec forces no end point.
 
-    Every point that binds and whose relaxed query answers is offered.  A
-    point forced by the bound spec is offered alone.  An unforced forward
-    edge of a premise variable is offered x and the sink, as its real end
-    is fixed.  One of any other variable is offered the end points y such
-    that some word sends x to y and every bound start point to its end: a
-    projection of the plain reach over those start points, which answers the
-    relaxed query.  Each reach is indexed by the rest of its tuples once per
-    slot, in ``index_cache``.  An inverse edge is offered every point.
+    Every point that binds and whose relaxed query answers is offered.  An
+    unforced forward edge of a premise variable is offered x and the sink,
+    as its real end is fixed.  One of any other variable is offered the end
+    points y such that some word sends x to y and every bound start point to
+    its end: a projection of the plain reach over those start points, which
+    answers the relaxed query.  Each reach is indexed by the rest of its
+    tuples once per slot, in ``index_cache``.  An inverse edge is offered
+    every point.
     """
     n = occ.sink
-    f = occ.forced(x, exponent)
-    if f is not None:
-        return (f,), False
     if exponent == -1:
         return range(n + 1), False
     if occ.constrained:
@@ -412,16 +420,19 @@ def models(
     ``q[1..r]`` (real points ascending, sink last), so the reported
     counterexample is the least one, with each variable's word minimal for
     it.  The positions are fixed depth first.  Fixing a position binds every
-    occurrence ending there, and a conflict rejects the point at once.  Each
-    variable with an occurrence ending there is then queried: in full at the
-    last position it reads, and before that for its bound start and end
-    points alone, without the image exclusions.  Any word for the full spec
+    occurrence ending there, and a conflict rejects the point at once.  A
+    position is offered the one point the bound spec forces, when it forces
+    one, or else the points that ``_offer`` names: for a forward edge, the
+    end points that its variable's reach admits.  The variable with an
+    occurrence ending there is then queried, in full at the last position
+    it reads and before that for its bound start and end points alone,
+    without the image exclusions, unless the answer is known to be yes: the
+    reach admitted the point, or the bind left the spec as it was, and the
+    query is not a full one with exclusions.  Any word for the full spec
     serves the relaxed one, so a variable with no word for either prunes
-    every boundary below that prefix.  A position is offered only the
-    points that ``_offer`` names: the one point the bound spec forces, or,
-    for a forward edge, the end points that its variable's reach admits.
-    Raises ``LimitExceeded`` once the work passes ``budget``, and
-    ``ValueError`` past ``closure.MAX_DEGREE``.
+    every boundary below that prefix.  The words are spelled once a
+    counterexample is found.  Raises ``LimitExceeded`` once the work passes
+    ``budget``, and ``ValueError`` past ``closure.MAX_DEGREE``.
     """
     gens = gens.with_inverses()
     n = gens.degree
@@ -433,24 +444,20 @@ def models(
     query_cache: dict = {}
     last = l + r
     work = _Work(budget)
-    words: list = [None] * len(occs)
-    # each position past the start ends exactly one occurrence, and its
-    # variable is queried there; a variable that occurs nowhere has an empty
-    # spec, which every one-letter word realizes, so its word is set here
+    # each position past the start ends exactly one occurrence
     ending: list = [None] * (last + 1)
-    for vi, occ in enumerate(occs):
-        if not occ.edges:
-            words[vi] = _run_word(letters, occ, n, reach_cache, query_cache, work)
+    for occ in occs:
         for i, j, exponent in occ.edges:
-            ending[j] = (vi, occ, i, exponent, j == occ.depth)
+            ending[j] = (occ, i, exponent, j == occ.depth)
     pts = [0] * (last + 1)
     log: list = []
     # The positions are walked with an explicit stack, not by recursion, so
     # an identity's length is not bounded by the interpreter's recursion
     # limit.  ``pending[d]`` iterates the choices left at position d,
     # ``marks[d]`` is the length of ``log`` before them and ``ask[d]`` tells
-    # whether its query can still fail; each point first unbinds what the
-    # previous point at d, and the positions below it, bound.
+    # whether a point that grows the spec can fail its relaxed query; each
+    # point first unbinds what the previous point at d, and the positions
+    # below it, bound.
     pending: list = [None] * (last + 1)
     marks = [0] * (last + 1)
     ask = [True] * (last + 1)
@@ -459,7 +466,7 @@ def models(
     while d >= 0:
         mark = marks[d]
         if d:
-            vi, occ, i, exponent, full = ending[d]
+            occ, i, exponent, full = ending[d]
             bind, start = occ.bind, pts[i]
         for v in pending[d]:
             while len(log) > mark:
@@ -471,21 +478,29 @@ def models(
             if d:
                 if not bind(start, v, exponent, log):
                     continue
-                if ask[d]:
-                    word = _run_word(letters, occ, n, reach_cache, query_cache, work, full)
-                    if word is None:
-                        continue
-                    if full:
-                        words[vi] = word
+                # a bind that logs nothing leaves a spec that passed above
+                # (the empty spec passes with any letter); only a full query
+                # with exclusions asks more than the relaxed one did
+                if ((full and occ.forbidden or ask[d] and len(log) > mark)
+                        and _run_word(letters, occ, n, reach_cache, query_cache, work,
+                                      full) is None):
+                    continue
             if d == last:
                 p, q = tuple(pts[: l + 1]), (pts[0],) + tuple(pts[l + 1 :])
-                cex = Counterexample(BoundaryGuess(p, q), tuple(words))
+                words = tuple(_run_word(letters, o, n, reach_cache, query_cache, work)
+                              for o in occs)
+                cex = Counterexample(BoundaryGuess(p, q), words)
                 return ModelCheckResult(False, cex, gens)
             d += 1
-            _, occ, i, exponent, full = ending[d]
-            choices, answered = _offer(letters, occ, pts[i], exponent, reach_cache,
-                                       index_cache, work)
-            ask[d] = full or not answered
+            occ, i, exponent, _ = ending[d]
+            x = pts[i]
+            f = occ.forced(x, exponent)
+            if f is None:
+                choices, answered = _offer(letters, occ, x, exponent, reach_cache, index_cache,
+                                           work)
+                ask[d] = not answered
+            else:
+                choices = (f,)  # which binds nothing new
             work.charge(len(choices))
             pending[d] = iter(choices)
             marks[d] = len(log)

@@ -95,6 +95,17 @@ class TestParseErrors:
         with pytest.raises(IdentitySyntaxError):
             parse_identity("x0 = x0")
 
+    @pytest.mark.parametrize("text, position", (
+        ("=> x1 = x1", 0),
+        ("x1=x1^2, => x1 = x1", 9),
+        ("x1 => x1 = x1", 3),
+    ))
+    def test_premise_list_cut_short_points_at_implies(self, text, position):
+        with pytest.raises(IdentitySyntaxError) as err:
+            parse_identity(text)
+        assert err.value.position == position
+        assert "unexpected end of input" in str(err.value)
+
     def test_missing_equation(self):
         with pytest.raises(IdentitySyntaxError):
             parse_identity("x1 x2")
