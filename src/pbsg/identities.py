@@ -140,8 +140,9 @@ class _Parser:
                 expected=what,
             )
         text, pos = self.take()
-        v = int(text[1:])
-        if v < 1:
+        # keyed by its digits, not their value, so an index of any length parses
+        v = text[1:].lstrip("0")
+        if not v:
             raise IdentitySyntaxError(f"variable index must be positive, got {text}", pos)
         return v
 
@@ -154,9 +155,9 @@ class _Parser:
             v = self.var()
             if self.peek() in ("^-1", "'"):
                 self.take()
-                lits.append(Literal(v, -1))
+                lits.append((v, -1))
             else:
-                lits.append(Literal(v, 1))
+                lits.append((v, 1))
         if not lits:
             raise EmptyWordError(f"{side} side has no literals", self.pos())
         return lits
@@ -169,7 +170,7 @@ def parse_identity(text: str) -> Identity:
     if len(implies) > 1:
         raise IdentitySyntaxError("more than one '=>'", tokens[implies[1]][1])
 
-    premise_vars: list[int] = []
+    premise_vars: list[str] = []
     if implies:
         # a premise list cut short is reported at its "=>"
         head = _Parser(tokens[: implies[0]], tokens[implies[0]][1])
@@ -198,18 +199,18 @@ def parse_identity(text: str) -> Identity:
     if body.peek() is not None:
         raise IdentitySyntaxError(f"trailing {body.peek()!r}", body.pos())
 
-    renumber: dict[int, int] = {}
+    renumber: dict[str, int] = {}
     for v in premise_vars:
         renumber[v] = len(renumber) + 1
-    for lit in lhs_raw + rhs_raw:
-        if lit.var not in renumber:
-            renumber[lit.var] = len(renumber) + 1
+    for v, _ in lhs_raw + rhs_raw:
+        if v not in renumber:
+            renumber[v] = len(renumber) + 1
 
     return Identity(
         num_vars=len(renumber),
         num_premises=len(premise_vars),
-        lhs=tuple(Literal(renumber[l.var], l.exponent) for l in lhs_raw),
-        rhs=tuple(Literal(renumber[l.var], l.exponent) for l in rhs_raw),
+        lhs=tuple(Literal(renumber[v], exponent) for v, exponent in lhs_raw),
+        rhs=tuple(Literal(renumber[v], exponent) for v, exponent in rhs_raw),
     )
 
 

@@ -17,42 +17,41 @@ A guess where a real point follows a sink on the same trace is never
 tried: the sink is absorbing, so no run could realize it.
 
 Boundary positions are fixed depth first in lexicographic order (``p``, then
-``q``; real points ascending, sink last).  Fixing a position binds every
-occurrence that ends there into its variable's run spec (below), and a point
-whose binding conflicts is rejected at once; the bindings are undone on
-backtrack.  Each position past the start ends exactly one occurrence, and
-its variable is queried there when the answer can still be no.  At the last
-position it reads, the query is the full one; before it, the query is
-relaxed: it asks only for a word sending the bound start points to their
-end points, without the image exclusions, so it runs on the plain reach
-that unmasked variables share.  A word realizing the full spec realizes
-every such subset of it, so a variable no word can serve even in part
-prunes every boundary that extends the prefix.  A point whose binding adds
-nothing to the spec leaves one that already passed (the empty spec passes
-with any letter), so it is queried only when its query is the full one
-and the spec excludes points from the image, which the relaxed queries
-did not ask.  Every rejection rule only grows with the bound occurrences,
-so no pruned prefix has an accepted completion and the first complete
-boundary found is still the least counterexample.  Its words are spelled
-then, one full query per variable, answered from the caches that the walk
-filled (a variable that occurs in neither word, which only a premise can
-leave, has an empty spec, and the first letter is its word).
+``q``; real points ascending, sink last).  Each position past the start ends
+exactly one occurrence, and fixing it binds that occurrence into the run
+spec (below) that its variable's previous occurrence left.  Specs are
+values, one kept per position, so backtracking undoes nothing; a point whose
+binding conflicts is rejected at once.
 
-Each position is offered, in the walk's order, points among which are all
-that can bind and pass its relaxed query.  When the spec bound so far
-leaves the occurrence a single end point (a sink stays the sink, a bound
-start point keeps its end, an inverse edge from a bound real end point goes
-back to that end's start), that point is offered alone, and binding it adds
-nothing to the spec.  An unforced forward edge from x of a premise variable
-is offered x and the sink, since the variable's real ends are fixed.  One
-of any other variable is offered the end points y that the plain reach
-over the bound start points and x holds at x's slot beside the bound ends:
-a projection of that reach, indexed once per slot.  It answers the relaxed
-query, which is therefore not asked there.  An inverse edge is offered
-every point.  Each expanded position adds its number of choices to one
-work count, each breadth-first search (below) the states it reaches;
-``LimitExceeded`` is raised once the count passes ``budget``.  Positions
-below a rejected point are never expanded, so they are never charged.
+One rule names a position's choices, in the walk's order, and they include
+every point that binds and whose relaxed query answers: a word sending the
+bound start points to their end points, without the image exclusions, so
+that it runs on the plain reach that unmasked variables share.  When the
+spec leaves the occurrence a single end point (a sink stays the sink, a
+bound start point keeps its end, an inverse edge from a bound real end
+point goes back to that end's start), that point is offered alone, and
+binding it adds nothing to the spec.  Any other inverse edge is offered
+every point.  Any other forward edge from x is offered the end points y
+that the plain reach over the bound start points and x holds at x's slot
+beside the bound ends: a projection of that reach, indexed once per slot,
+which answers the relaxed query; a premise variable keeps only x and the
+sink among them, since its real ends are fixed.
+
+So a query is asked only where its answer can still be no: on an inverse
+edge whose bind grew the spec, and at the last position a variable reads
+when its spec excludes points from the image, where the query is the full
+one and asks what no relaxed query did.  A word realizing the full spec
+realizes every subset of it, so a variable no word can serve even in part
+prunes every boundary that extends the prefix.  Every rejection rule only
+grows with the bound occurrences, so no pruned prefix has an accepted
+completion and the first complete boundary found is still the least
+counterexample.  Its words are spelled then, one full query per variable
+(a variable that occurs in neither word, which only a premise can leave,
+has the empty spec, and the first letter is its word).  Each expanded
+position adds its number of choices to one work count, each breadth-first
+search (below) the states it reaches; ``LimitExceeded`` is raised once the
+count passes ``budget``.  Positions below a rejected point are never
+expanded, so they are never charged.
 
 A variable's occurrences build a map from start points to required end
 points, one occurrence at a time.  Every word acts as a function that is
@@ -76,8 +75,8 @@ reach, up to 2^n of them.  Premise-constrained
 variables also pin every real end point as fixed, since their value is the
 idempotent power of the realized word, and need no mask because an
 idempotent's domain and image coincide.  Plain reaches depend only on the
-start points and queries only on the spec, so variables and boundaries
-share both.  With the sink among the guessed points, the accepted
+start points and masked searches only on the spec, so variables and
+boundaries share both.  With the sink among the guessed points, the accepted
 guesses coincide exactly with the semantic counterexamples, so the verdict
 matches the closure oracle.
 """
@@ -93,9 +92,6 @@ from .closure import (DEFAULT_BUDGET, GeneratorSet, LimitExceeded, _inverse_key,
                       evaluate_word)
 from .identities import Identity, apply_assignment
 from .pbij import PartialBijection, ValueType
-
-_MISS = object()
-
 
 class _Work:
     """What is left of one call's budget of boundary choices and reach states."""
@@ -146,20 +142,24 @@ class ModelCheckResult(ValueType):
         self.generators = generators
 
 
+#: the spec of a variable with no occurrence bound: any letter realizes it
+_EMPTY = ({}, {}, frozenset())
+
+
 class _Occurrences:
-    """One variable's occurrence edges and the run spec bound from them so far.
+    """One variable's occurrence edges, and the rule binding them into its run
+    spec.
 
     ``edges`` holds one (from, to, exponent) per occurrence, where from/to
     index the flat boundary ``p[0..l] + q[1..r]`` and from < to; ``depth`` is
-    the last flat position the variable reads (0 when it occurs nowhere).  The
-    spec is ``ends`` (start point -> required end point), ``real`` (real end
-    point -> its start point) and ``forbidden`` (the points the image must
-    exclude, as dict keys); ``bind`` adds one edge's constraint and logs
-    every key it adds as ``(container, key)`` so that a caller can undo it,
-    and ``forced`` names the one end point an edge could still be bound to.
+    the last flat position the variable reads (0 when it occurs nowhere).  A
+    spec is the tuple ``(ends, real, forbidden)``: start point -> required end
+    point, real end point -> its start point, and the frozenset of points the
+    image must exclude.  Specs are values: ``bind`` builds a new one and never
+    changes the one it is given.
     """
 
-    __slots__ = ("edges", "constrained", "depth", "sink", "ends", "real", "forbidden")
+    __slots__ = ("edges", "constrained", "depth", "sink")
 
     def __init__(self, ident, var, sink):
         l = len(ident.lhs)
@@ -174,60 +174,37 @@ class _Occurrences:
         self.constrained = var <= ident.num_premises
         self.depth = max((j for _, j, _ in edges), default=0)
         self.sink = sink
-        self.ends: dict[int, int] = {}
-        self.real: dict[int, int] = {}
-        self.forbidden: dict[int, None] = {}
 
-    def bind(self, x, y, exponent, log):
-        """Add the occurrence ``x -> y``; False when no word can realize the
-        spec any more: a real point right after a sink on the same trace,
-        one start point sent to two end points (a word acts as a function),
-        two start points sent to one real point (it is injective away from
-        the sink), a real end point that the image must exclude, or, for a
-        premise variable, a real end point that is not fixed (its value is
+    def bind(self, spec, x, y, exponent):
+        """``spec`` with the occurrence ``x -> y`` added; the same object when
+        the edge adds nothing, and None when no word can realize the spec any
+        more: a real point right after a sink on the same trace, one start
+        point sent to two end points (a word acts as a function), two start
+        points sent to one real point (it is injective away from the sink), a
+        real end point that the image must exclude, or, for a premise
+        variable, a real end point that is not fixed (its value is
         idempotent).  Each rule only looks at the edges bound so far, so a
         spec rejected here stays rejected whatever is bound later.
         """
         sink = self.sink
         if x == sink:
-            return y == sink
+            return spec if y == sink else None
+        ends, real, forbidden = spec
         if exponent == -1:
             if y != sink:
                 x, y = y, x
             elif not self.constrained:
-                if x not in self.forbidden:
-                    if x in self.real:
-                        return False
-                    self.forbidden[x] = None
-                    log.append((self.forbidden, x))
-                return True
-        if not self._send(x, y, log):
-            return False
-        return not self.constrained or y == sink or self._send(y, y, log)
-
-    def forced(self, x, exponent):
-        """The one end point y that ``bind(x, y, exponent)`` can still accept,
-        or None when the spec bound so far does not single one out: a sink
-        stays the sink, a bound start point keeps its end, and an inverse
-        edge from a real end point must go back to that end's start (the
-        sink would exclude x from the image, and any other point would be a
-        second start sent to x)."""
-        if x == self.sink:
-            return x
-        return (self.ends if exponent == 1 else self.real).get(x)
-
-    def _send(self, x, y, log):
-        end = self.ends.get(x)
+                if x in forbidden:
+                    return spec
+                return None if x in real else (ends, real, forbidden | {x})
+        end = ends.get(x)
         if end is not None:
-            return end == y
-        if y != self.sink:
-            if y in self.real or y in self.forbidden:
-                return False
-            self.real[y] = x
-            log.append((self.real, y))
-        self.ends[x] = y
-        log.append((self.ends, x))
-        return True
+            return spec if end == y else None
+        if y != sink:
+            if y in real or y in forbidden or self.constrained and y != x:
+                return None
+            real = {**real, y: x}
+        return {**ends, x: y}, real, forbidden
 
 
 def _letters(generators, n):
@@ -311,26 +288,31 @@ def _reach(letters, points, reach_cache, work):
     return reach
 
 
-def _offer(letters, occ, x, exponent, reach_cache, index_cache, work):
-    """The end points a position ending the edge from x is offered, in walk
-    order (ascending, the sink last), and whether the relaxed query answers
-    for every one of them that binds; the bound spec forces no end point.
+def _offer(letters, occ, spec, x, exponent, reach_cache, index_cache, work):
+    """The end points offered to a position ending the edge from x, in walk
+    order (ascending, the sink last): among them is every point that binds
+    into ``spec`` and whose relaxed query answers.
 
-    Every point that binds and whose relaxed query answers is offered.  An
-    unforced forward edge of a premise variable is offered x and the sink,
-    as its real end is fixed.  One of any other variable is offered the end
+    A point the spec forces is offered alone: a sink stays the sink, a bound
+    start point keeps its end, and an inverse edge from a real end point goes
+    back to that end's start (the sink would exclude x from the image, and
+    any other point would be a second start sent to x).  Any other inverse
+    edge is offered every point.  Any other forward edge is offered the end
     points y such that some word sends x to y and every bound start point to
     its end: a projection of the plain reach over those start points, which
     answers the relaxed query.  Each reach is indexed by the rest of its
-    tuples once per slot, in ``index_cache``.  An inverse edge is offered
-    every point.
+    tuples once per slot, in ``index_cache``.  A premise variable keeps only
+    x and the sink among them, as its real ends are fixed.
     """
     n = occ.sink
+    if x == n:
+        return (n,)
+    ends, real, _ = spec
+    end = (ends if exponent == 1 else real).get(x)
+    if end is not None:
+        return (end,)
     if exponent == -1:
-        return range(n + 1), False
-    if occ.constrained:
-        return (x, n), False
-    ends = occ.ends
+        return range(n + 1)
     points = bytes(sorted([*ends, x]))
     slot = points.index(x)
     index = index_cache.get((points, slot))
@@ -339,38 +321,33 @@ def _offer(letters, occ, x, exponent, reach_cache, index_cache, work):
         # tuples that agree off the slot sort by their point at the slot
         for t in sorted(_reach(letters, points, reach_cache, work)):
             index.setdefault(t[:slot] + t[slot + 1:], []).append(t[slot])
-    return index.get(bytes([ends[p] for p in points if p != x]), ()), True
+    choices = index.get(bytes([ends[p] for p in points if p != x]), ())
+    if occ.constrained:
+        return [y for y in choices if y == x or y == n]
+    return choices
 
 
-def _run_word(letters, occ, n, reach_cache, query_cache, work, full=True):
-    """The least word realizing the variable's bound spec, or None.
+def _run_word(letters, spec, n, reach_cache, masked_cache, work, full=True):
+    """The least word realizing ``spec``, or None.
 
     With ``full`` false the image exclusions are dropped and only the start
     to end map is asked for.  Without exclusions the answer is read from the
-    plain reach over the start points; with them it comes from a search of
-    its own that tracks the image and stops at the answer.
-
-    Queries are keyed by the spec as sets, so variables whose specs agree
-    share them whatever order they bound it in; plain reaches are keyed by
-    the sorted start points, built on first use.  Slot order is
-    immaterial to the breadth-first search, so the words are the same as for
-    the variable's own slot order.
+    plain reach over the sorted start points, explored on first use; with
+    them it comes from a search of its own that tracks the image and stops
+    at the answer, kept in ``masked_cache`` under (start points, targets,
+    exclusions).  Slot order is immaterial to the breadth-first search, so
+    variables whose specs agree share both whatever order they bound them
+    in, and the words are the same as for the variable's own slot order.
     """
-    ends = occ.ends
-    masked = full and bool(occ.forbidden)
-    qkey = frozenset(ends.items())
-    if masked:
-        qkey = (qkey, frozenset(occ.forbidden))
-    word = query_cache.get(qkey, _MISS)
-    if word is _MISS:
-        points = bytes(sorted(ends))
-        targets = bytes([ends[x] for x in points])
-        if masked:
-            word = _masked_word(letters, points, targets, tuple(occ.forbidden), n, work)
-        else:
-            word = _reach(letters, points, reach_cache, work).get(targets)
-        query_cache[qkey] = word
-    return word
+    ends, _, forbidden = spec
+    points = bytes(sorted(ends))
+    targets = bytes([ends[x] for x in points])
+    if not (full and forbidden):
+        return _reach(letters, points, reach_cache, work).get(targets)
+    key = points, targets, forbidden
+    if key not in masked_cache:
+        masked_cache[key] = _masked_word(letters, points, targets, forbidden, n, work)
+    return masked_cache[key]
 
 
 def check_variable_run(
@@ -402,11 +379,12 @@ def check_variable_run(
     if any(not 0 <= x <= n for x in pts):
         raise ValueError(f"boundary points must lie in 0..{n}, the degree being the sink")
     occ = _Occurrences(ident, var, n)
-    log: list = []
+    spec = _EMPTY
     for i, j, exponent in occ.edges:
-        if not occ.bind(pts[i], pts[j], exponent, log):
+        spec = occ.bind(spec, pts[i], pts[j], exponent)
+        if spec is None:
             return None
-    return _run_word(letters, occ, n, {}, {}, _Work(budget))
+    return _run_word(letters, spec, n, {}, {}, _Work(budget))
 
 
 def models(
@@ -419,20 +397,19 @@ def models(
     Boundaries are tried in lexicographic order of ``p[0..l]`` then
     ``q[1..r]`` (real points ascending, sink last), so the reported
     counterexample is the least one, with each variable's word minimal for
-    it.  The positions are fixed depth first.  Fixing a position binds every
-    occurrence ending there, and a conflict rejects the point at once.  A
-    position is offered the one point the bound spec forces, when it forces
-    one, or else the points that ``_offer`` names: for a forward edge, the
-    end points that its variable's reach admits.  The variable with an
-    occurrence ending there is then queried, in full at the last position
-    it reads and before that for its bound start and end points alone,
-    without the image exclusions, unless the answer is known to be yes: the
-    reach admitted the point, or the bind left the spec as it was, and the
-    query is not a full one with exclusions.  Any word for the full spec
-    serves the relaxed one, so a variable with no word for either prunes
-    every boundary below that prefix.  The words are spelled once a
-    counterexample is found.  Raises ``LimitExceeded`` once the work passes
-    ``budget``, and ``ValueError`` past ``closure.MAX_DEGREE``.
+    it.  The positions are fixed depth first.  Each position ends one
+    occurrence and is offered the points that ``_offer`` names.  A point
+    binds that occurrence into the spec its variable's previous occurrence
+    left, and a conflict rejects it at once.  The point is queried only
+    where the answer can still be no: when the query is the full one, at the
+    last position the variable reads, and the spec excludes image points; or
+    when the edge is an inverse one and the bind grew the spec, in which
+    case the query before that last position is relaxed, without the image
+    exclusions.  Any word for the full spec serves the relaxed one, so a
+    variable with no word for either prunes every boundary below that
+    prefix.  The words are spelled once a counterexample is found.  Raises
+    ``LimitExceeded`` once the work passes ``budget``, and ``ValueError``
+    past ``closure.MAX_DEGREE``.
     """
     gens = gens.with_inverses()
     n = gens.degree
@@ -441,69 +418,58 @@ def models(
     letters = _letters(gens.generators, n)
     reach_cache: dict = {}
     index_cache: dict = {}
-    query_cache: dict = {}
+    masked_cache: dict = {}
     last = l + r
     work = _Work(budget)
-    # each position past the start ends exactly one occurrence
+    # each position past the start ends exactly one occurrence, which extends
+    # the spec left at its variable's previous one (at position 0, the empty
+    # spec)
     ending: list = [None] * (last + 1)
     for occ in occs:
+        prev = 0
         for i, j, exponent in occ.edges:
-            ending[j] = (occ, i, exponent, j == occ.depth)
+            ending[j] = (occ, i, exponent, j == occ.depth, prev)
+            prev = j
     pts = [0] * (last + 1)
-    log: list = []
     # The positions are walked with an explicit stack, not by recursion, so
     # an identity's length is not bounded by the interpreter's recursion
-    # limit.  ``pending[d]`` iterates the choices left at position d,
-    # ``marks[d]`` is the length of ``log`` before them and ``ask[d]`` tells
-    # whether a point that grows the spec can fail its relaxed query; each
-    # point first unbinds what the previous point at d, and the positions
-    # below it, bound.
+    # limit.  ``pending[d]`` iterates the choices left at position d and
+    # ``specs[d]`` is the spec its current point left; specs are values, so
+    # backtracking undoes nothing.
     pending: list = [None] * (last + 1)
-    marks = [0] * (last + 1)
-    ask = [True] * (last + 1)
+    specs: list = [_EMPTY] * (last + 1)
     pending[0] = iter(range(n))
     d = 0
     while d >= 0:
-        mark = marks[d]
         if d:
-            occ, i, exponent, full = ending[d]
-            bind, start = occ.bind, pts[i]
+            occ, i, exponent, full, prev = ending[d]
+            bind, start, base = occ.bind, pts[i], specs[prev]
         for v in pending[d]:
-            while len(log) > mark:
-                container, key = log.pop()
-                del container[key]
             if d == last and pts[l] == v:
                 continue
             pts[d] = v
             if d:
-                if not bind(start, v, exponent, log):
+                spec = bind(base, start, v, exponent)
+                if spec is None:
                     continue
-                # a bind that logs nothing leaves a spec that passed above
-                # (the empty spec passes with any letter); only a full query
-                # with exclusions asks more than the relaxed one did
-                if ((full and occ.forbidden or ask[d] and len(log) > mark)
-                        and _run_word(letters, occ, n, reach_cache, query_cache, work,
+                # every other spec passed the offer or an earlier query
+                if ((full and spec[2] or exponent == -1 and spec is not base)
+                        and _run_word(letters, spec, n, reach_cache, masked_cache, work,
                                       full) is None):
                     continue
+                specs[d] = spec
             if d == last:
                 p, q = tuple(pts[: l + 1]), (pts[0],) + tuple(pts[l + 1 :])
-                words = tuple(_run_word(letters, o, n, reach_cache, query_cache, work)
-                              for o in occs)
+                words = tuple(_run_word(letters, specs[o.depth], n, reach_cache, masked_cache,
+                                        work) for o in occs)
                 cex = Counterexample(BoundaryGuess(p, q), words)
                 return ModelCheckResult(False, cex, gens)
             d += 1
-            occ, i, exponent, _ = ending[d]
-            x = pts[i]
-            f = occ.forced(x, exponent)
-            if f is None:
-                choices, answered = _offer(letters, occ, x, exponent, reach_cache, index_cache,
-                                           work)
-                ask[d] = not answered
-            else:
-                choices = (f,)  # which binds nothing new
+            occ, i, exponent, _, prev = ending[d]
+            choices = _offer(letters, occ, specs[prev], pts[i], exponent, reach_cache,
+                             index_cache, work)
             work.charge(len(choices))
             pending[d] = iter(choices)
-            marks[d] = len(log)
             break
         else:
             d -= 1

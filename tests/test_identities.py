@@ -49,6 +49,16 @@ class TestParse:
         assert ident.num_vars == 2
         assert ident.lhs == (Literal(1, 1), Literal(2, 1))
 
+    def test_long_variable_index(self):
+        # an index is keyed by its digits, so one past the interpreter's
+        # int-string limit parses, and leading zeros name the same variable
+        ident = parse_identity("x" + "1" * 5000 + " = x1")
+        assert ident.num_vars == 2
+        assert (ident.lhs, ident.rhs) == ((Literal(1, 1),), (Literal(2, 1),))
+        assert parse_identity("x" + "0" * 5000 + "1 x2 = x2 x1") == parse_identity("x1 x2 = x2 x1")
+        with pytest.raises(IdentitySyntaxError):
+            parse_identity("x" + "0" * 5000 + " = x1")
+
     def test_multiple_premises(self):
         ident = parse_identity("x1=x1^2, x2=x2^2 => x1 x2 = x2 x1")
         assert ident.num_premises == 2

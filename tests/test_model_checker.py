@@ -16,7 +16,7 @@ from pbsg import (
     parse_identity,
 )
 from pbsg.checkers import check_commutative
-from pbsg.model_checker import (_Occurrences, _Work, _letters, _masked_word, _offer,
+from pbsg.model_checker import (_EMPTY, _Occurrences, _Work, _letters, _masked_word, _offer,
                                 counterexample_values)
 from pbsg.sampling import random_generator_set
 
@@ -209,10 +209,14 @@ class TestWorkBudget:
 
     def test_holding_forward_identity_asks_no_query(self, monkeypatch):
         # every edge is forward: each unforced position is offered only the
-        # end points its variable's reach admits, which answers its relaxed
-        # query, and each forced one binds nothing new.  The identity holds,
-        # so no word is spelled either, and no query is asked at all (a walk
-        # that queried every forced position and every full one asks 944)
+        # end points its variable's reach admits (a premise variable keeps
+        # its start point and the sink among them), which answers its
+        # relaxed query, and each forced one binds nothing new.  The
+        # identities hold, so no word is spelled either, and no query is
+        # asked at all (a walk that queried every forced position and every
+        # full one asks 944 for the reversal, and one that offered a premise
+        # variable its start point and the sink and queried both asks 30
+        # and 34 for the premise identities)
         asked = []
         run_word = model_checker._run_word
 
@@ -223,8 +227,10 @@ class TestWorkBudget:
         monkeypatch.setattr(model_checker, "_run_word", counting_run_word)
         gens = gset("3 1 5 4 2", "_ _ _ _ _", "2 5 1 4 3")
         assert len(gens.generators) == 3  # already inverse-closed
-        assert models(gens, parse_identity("x1 x2 x3 = x3 x2 x1")).models
-        assert len(asked) == 0
+        for text in ("x1 x2 x3 = x3 x2 x1", "x1=x1^2, x2=x2^2 => x1 x2 = x2 x1",
+                     "x1=x1^2 => x1 x2 = x2 x1"):
+            assert models(gens, parse_identity(text)).models, text
+            assert len(asked) == 0, text
 
     def test_variable_run_is_charged_its_reach_states(self):
         # the 3-cycle's orbit of point 1 is three states
@@ -455,43 +461,51 @@ class TestSpecBinder:
         assert all(seen.values()), seen
 
 
-def _undo(log, mark):
-    while len(log) > mark:
-        container, key = log.pop()
-        del container[key]
+def _bind(occ, spec, x, y, exponent):
+    """``occ.bind``, checking that it leaves ``spec`` as it was and returns
+    ``spec`` itself, not an equal copy, when the edge adds nothing."""
+    ends, real, forbidden = spec
+    before = (dict(ends), dict(real), forbidden)
+    bound = occ.bind(spec, x, y, exponent)
+    assert spec == before
+    assert (bound == spec) == (bound is spec)
+    return bound
 
 
 class TestExactNarrowing:
     def test_forced_end_point_is_the_only_one_bind_accepts(self):
-        # after a random run of binds, whenever forced() names an end point
-        # for an edge, every other point of 0..n (the sink n included) fails
-        # to bind it; x1 is a premise variable, x2 a plain one
+        # after a random run of binds, whenever the spec forces an edge's end
+        # point (a sink stays the sink, a bound start point keeps its end, an
+        # inverse edge from a real end point goes back to that end's start),
+        # it is the one point offered, every other point of 0..n (the sink n
+        # included) fails to bind, and binding it returns the spec itself;
+        # x1 is a premise variable, x2 a plain one
         rng = random.Random(409)
         ident = parse_identity("x1=x1^2 => x1 x2 = x2 x1")
         narrowed = {1: 0, -1: 0}
         for n in (2, 3, 4, 5):
+            letters = _letters(symmetric_group(n).generators, n)
             for var in (1, 2):
                 for _ in range(40):
                     occ = _Occurrences(ident, var, n)
-                    log: list = []
+                    spec = _EMPTY
                     for _ in range(rng.randrange(2 * n)):
-                        mark = len(log)
-                        if not occ.bind(rng.randrange(n + 1), rng.randrange(n + 1),
-                                        rng.choice((1, -1)), log):
-                            _undo(log, mark)
+                        spec = _bind(occ, spec, rng.randrange(n + 1), rng.randrange(n + 1),
+                                     rng.choice((1, -1))) or spec
+                    ends, real, _ = spec
                     for x, exponent in product(range(n + 1), (1, -1)):
-                        forced = occ.forced(x, exponent)
+                        forced = n if x == n else (ends if exponent == 1 else real).get(x)
                         if forced is None:
                             continue
                         narrowed[exponent] += x != n
+                        offered = _offer(letters, occ, spec, x, exponent, {}, {}, _Work(10**7))
+                        assert tuple(offered) == (forced,), (x, exponent, offered)
                         for y in range(n + 1):
-                            mark = len(log)
+                            bound = _bind(occ, spec, x, y, exponent)
                             if y != forced:
-                                assert not occ.bind(x, y, exponent, log), (x, y, exponent)
+                                assert bound is None, (x, y, exponent)
                             else:
-                                # and binding it leaves the spec as it was
-                                assert occ.bind(x, y, exponent, log) and len(log) == mark
-                            _undo(log, mark)
+                                assert bound is spec, (x, y, exponent)
         assert all(narrowed.values()), narrowed
 
     def test_masked_word_matches_naive_search(self):
@@ -526,7 +540,8 @@ class TestReachChoices:
         # point x is offered distinct points in ascending order, and those of
         # them that bind are exactly the points y of 0..n that bind and whose
         # relaxed query (the naive search, without the image exclusions)
-        # finds a word; x1 is a premise variable, x2 a plain one
+        # finds a word; x1 is a premise variable, offered only x and the
+        # sink among them, x2 a plain one
         rng = random.Random(411)
         ident = parse_identity("x1=x1^2 => x1 x2 = x2 x1")
         seen = {"premise": 0, "projected": 0, "sink offered": 0, "none offered": 0}
@@ -538,37 +553,32 @@ class TestReachChoices:
             for var in (1, 2):
                 for _ in range(8):
                     occ = _Occurrences(ident, var, n)
-                    log: list = []
+                    spec = _EMPTY
                     for _ in range(rng.randrange(n + 1)):
-                        mark = len(log)
-                        if not occ.bind(rng.randrange(n), rng.randrange(n + 1),
-                                        rng.choice((1, -1)), log):
-                            _undo(log, mark)
+                        spec = _bind(occ, spec, rng.randrange(n), rng.randrange(n + 1),
+                                     rng.choice((1, -1))) or spec
                     for x in range(n):
-                        if occ.forced(x, 1) is not None:
-                            continue
-                        offered, answered = _offer(letters, occ, x, 1, reach_cache,
-                                                   index_cache, _Work(10**7))
+                        if x in spec[0]:
+                            continue  # the bound end is forced
+                        offered = _offer(letters, occ, spec, x, 1, reach_cache, index_cache,
+                                         _Work(10**7))
                         expected, passed = [], []
                         for y in range(n + 1):
-                            mark = len(log)
-                            if occ.bind(x, y, 1, log):
-                                points = tuple(sorted(occ.ends))
-                                targets = tuple(occ.ends[p] for p in points)
+                            bound = _bind(occ, spec, x, y, 1)
+                            if bound is not None:
+                                points = tuple(sorted(bound[0]))
+                                targets = tuple(bound[0][p] for p in points)
                                 if naive_least_word(gens, points, targets, frozenset()):
                                     expected.append(y)
                                 if y in offered:
                                     passed.append(y)
-                            _undo(log, mark)
                         assert list(offered) == sorted(set(offered)), (x, offered)
-                        if answered:
-                            assert passed == expected, (var, x, offered)
-                            seen["projected"] += 1
-                        else:
-                            # a premise variable's offer needs the query still
-                            assert var == 1 and tuple(offered) == (x, n)
-                            assert [y for y in passed if y in expected] == expected
+                        assert passed == expected, (var, x, offered)
+                        if var == 1:
+                            assert set(offered) <= {x, n}, (x, offered)
                             seen["premise"] += 1
+                        else:
+                            seen["projected"] += 1
                         seen["sink offered"] += n in offered
                         seen["none offered"] += not offered
         assert all(seen.values()), seen
