@@ -5,7 +5,10 @@ the generators and the points, never over the elements; each is validated
 against the closure oracle by the test suite.  Identity existence depends
 only on how the generators' domains and images contain one another: a left
 or right identity, when there is one, is the idempotent power of a generator
-that permutes its domain, the partial identity on that domain.
+that permutes its domain, the partial identity on that domain.  No check
+multiplies elements: each computes a generator's domain or image at most
+once and reads its entries where it needs more; an identity witness is
+built from its generator's entries without being validated again.
 """
 
 from __future__ import annotations
@@ -19,10 +22,11 @@ from .properties import CheckReport, IdentityLists, PropertyName
 
 def _identity_from_generator(gens: GeneratorSet, prop: PropertyName, test) -> CheckReport:
     """Holds with the partial identity on dom(a_i) for the first generator
-    a_i that passes ``test``."""
+    a_i whose index i passes ``test``."""
     for i, a in enumerate(gens.generators):
-        if test(a):
-            el = PartialBijection.partial_identity(gens.degree, a.dom())
+        if test(i):
+            el = PartialBijection._trusted(
+                tuple([None if v is None else x for x, v in enumerate(a.entries)]))
             return CheckReport(prop, True, {"generator": i + 1, "identity": el})
     return CheckReport(prop, False, None)
 
@@ -33,9 +37,12 @@ def check_left_identity_exists(gens: GeneratorSet) -> CheckReport:
     Holds iff for some i, image(a_i) = dom(a_i) and dom(a_i) contains every
     dom(a_j); the witness is the partial identity on dom(a_i).
     """
-    union = frozenset().union(*(g.dom() for g in gens.generators))
-    return _identity_from_generator(gens, PropertyName.LEFT_IDENTITY,
-                                    lambda a: union <= a.dom() and a.image() == a.dom())
+    gs = gens.generators
+    doms = [g.dom() for g in gs]
+    union = frozenset().union(*doms)
+    return _identity_from_generator(
+        gens, PropertyName.LEFT_IDENTITY,
+        lambda i: union <= doms[i] and gs[i].image() == doms[i])
 
 
 def check_right_identity_exists(gens: GeneratorSet) -> CheckReport:
@@ -45,8 +52,10 @@ def check_right_identity_exists(gens: GeneratorSet) -> CheckReport:
     its domain into itself, permutes it); the witness is the partial
     identity on dom(a_i).
     """
-    union = frozenset().union(*(g.image() for g in gens.generators))
-    return _identity_from_generator(gens, PropertyName.RIGHT_IDENTITY, lambda a: union <= a.dom())
+    gs = gens.generators
+    union = frozenset().union(*(g.image() for g in gs))
+    return _identity_from_generator(gens, PropertyName.RIGHT_IDENTITY,
+                                    lambda i: union <= gs[i].dom())
 
 
 def enumerate_identities(gens: GeneratorSet) -> IdentityLists:
@@ -70,11 +79,12 @@ def _check_two_sided_identity(gens: GeneratorSet) -> CheckReport:
 
 
 def _domain_intersection_check(gens: GeneratorSet, prop: PropertyName) -> CheckReport:
+    doms = [g.dom() for g in gens.generators]
     for i, a in enumerate(gens.generators):
-        da = a.dom()
-        for j, b in enumerate(gens.generators):
-            got = (a * b).dom()
-            want = da & b.dom()
+        da, ea = doms[i], a.entries
+        for j, db in enumerate(doms):
+            got = {x for x in da if ea[x] in db}  # dom(a_i a_j), read off a_i
+            want = da & db
             if got != want:
                 point = min(got ^ want)
                 return CheckReport(
@@ -110,14 +120,14 @@ def check_band_semilattice(
 
 def check_commutative(gens: GeneratorSet) -> CheckReport:
     """Holds iff the generators pairwise commute (which the closure inherits)."""
-    gs = gens.generators
-    for i in range(len(gs)):
-        for j in range(i + 1, len(gs)):
-            ab = gs[i] * gs[j]
-            ba = gs[j] * gs[i]
+    es = [g.entries for g in gens.generators]
+    for i, ea in enumerate(es):
+        for j in range(i + 1, len(es)):
+            eb = es[j]
+            ab = [None if v is None else eb[v] for v in ea]
+            ba = [None if v is None else ea[v] for v in eb]
             if ab != ba:
-                point = min(x for x in range(gens.degree)
-                            if ab.entries[x] != ba.entries[x])
+                point = min(x for x in range(gens.degree) if ab[x] != ba[x])
                 return CheckReport(
                     PropertyName.COMMUTATIVE, False,
                     {"i": i + 1, "j": j + 1, "point": point + 1},

@@ -14,14 +14,17 @@ with every generator.  That is the centraliser argument
 s⁻¹ is in S, and S is inverse-closed iff every generator's inverse is.
 ``band``/``semilattice``, ``completely-regular``/``clifford`` and
 ``r-trivial`` scan every element, so the oracle shares no argument with
-their generator-level checkers; ``r-trivial`` walks each element's right
-ideal only at the element's own rank.  ``nilpotent`` and the identity scans
-stop once their answer is fixed, by exact arguments stated where they are
-used.
+their generator-level checkers; ``completely-regular`` compares the sink
+bytes of each key and of its square (dom(s²) = dom(s) iff s lies in a
+subgroup), and ``r-trivial`` walks each element's right ideal only at the
+element's own rank.  ``nilpotent`` and the identity scans stop once their
+answer is fixed, by exact arguments stated where they are used.
 A product of two elements is one ``bytes.translate`` of their keys, or a
-generator's column of the Cayley table; no element is built except to be
-reported.  Candidates and witnesses are walked in enumeration order, so the
-output stays deterministic.
+generator's column of the Cayley table, and the right-zero test multiplies
+every generator by z in one ``translate`` of their joined keys.  The scans
+build no element: a witness is written from its key.  Candidates and
+witnesses are walked in enumeration order, so the output stays
+deterministic.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 from .closure import (
     DEFAULT_BUDGET,
     DEFAULT_LIMIT,
+    MAX_DEGREE,
     GeneratorSet,
     LimitExceeded,
     SemigroupClosure,
@@ -49,8 +53,15 @@ if TYPE_CHECKING:
     from .identities import Identity
 
 
+#: The text form of each point, 1-indexed.
+_POINT_TEXT = tuple(str(v + 1) for v in range(MAX_DEGREE))
+
+
 def _show(closure, i) -> str:
-    return closure[i].to_text()
+    """Element i's text form, read off its key: the sink byte is ``_``."""
+    key = closure.keys[i]
+    names = _POINT_TEXT[:len(key)] + ("_",)
+    return " ".join([names[v] for v in key])
 
 
 def _generator_keys(closure) -> list[bytes]:
@@ -120,15 +131,14 @@ def _first_zero(closure, left, right) -> Optional[int]:
     """The first z with z*s == z (when ``left``) and s*z == z (when ``right``)
     for every s: a left zero, a right zero or a zero."""
     keys, tail = closure.keys, _tail(closure.generators[0].degree)
+    # every generator times z at once, repeated generators included
     gen_keys = _generator_keys(closure)
+    joined, k = b"".join(gen_keys), len(gen_keys)
     for z, row in enumerate(closure.cayley):
         if left and row.count(z) != len(row):
             continue
-        if right:
-            key = keys[z]
-            table = key + tail
-            if any(g.translate(table) != key for g in gen_keys):
-                continue
+        if right and joined.translate(keys[z] + tail) != keys[z] * k:
+            continue
         return z
     return None
 
@@ -219,9 +229,13 @@ def _regular(closure):
 
 
 def _completely_regular(closure):
+    # s lies in a subgroup iff it permutes its domain, iff s maps dom(s) into
+    # itself, iff dom(s²) = dom(s): as dom(s²) ⊆ dom(s), iff the key of s²
+    # has no more sink bytes than the key of s
     n = closure.generators[0].degree  # the key byte of an undefined image
+    tail = _tail(n)
     for i, key in enumerate(closure.keys):
-        if {x for x, v in enumerate(key) if v != n} != set(key) - {n}:
+        if key.translate(key + tail).count(n) != key.count(n):
             return False, {"element": _show(closure, i)}
     return True, None
 

@@ -145,9 +145,10 @@ def solve_corridor_tiling(inst: TilingInstance, limit: int = DEFAULT_LIMIT) -> O
     Returns None when it does not, else the grid that is lexicographically
     least among the shortest, comparing column by column, each column read
     top to bottom.  Each profile is expanded at most once, so the search
-    ends within c^width levels.  A profile's columns are built when the
-    search first expands it, and counted before they are built: more than
-    ``limit`` columns in all raise LimitExceeded.
+    ends within c^width levels.  A profile's columns are counted when the
+    search first expands it, then built one at a time, each in O(width), as
+    the search takes them: more than ``limit`` columns counted in all raise
+    LimitExceeded.
     """
     m = inst.width
     souths = [t.south for t in inst.tiles]
@@ -159,32 +160,47 @@ def solve_corridor_tiling(inst: TilingInstance, limit: int = DEFAULT_LIMIT) -> O
 
     def columns(west):
         """The columns with west profile ``west``, in product order, each
-        with its east profile."""
+        with its east profile, built as they are taken."""
         nonlocal built
-        # ways[a]: north color of row a -> count of fillings of rows a..m-1;
-        # below the last row the south border asks for color 1
+        # fits[a]: north color of row a -> the tiles, ascending, that fit row
+        # a there and leave rows a+1..m-1 some filling; ways[a]: north color
+        # of row a -> count of fillings of rows a..m-1.  Below the last row
+        # the south border asks for color 1
+        fits = [None] * m
         ways = [None] * m + [{1: 1}]
         for a in range(m - 1, -1, -1):
             below = ways[a + 1]
-            counts = {north: sum(below.get(souths[j], 0) for j in js)
-                      for north, js in by_west.get(west[a], {}).items()}
-            ways[a] = {north: count for north, count in counts.items() if count}
+            fit, way = {}, {}
+            for north, js in by_west.get(west[a], {}).items():
+                ok = [j for j in js if souths[j] in below]
+                if ok:
+                    fit[north] = ok
+                    way[north] = sum([below[souths[j]] for j in ok])
+            fits[a], ways[a] = fit, way
         count = ways[0].get(1, 0)
         if built + count > limit:
             raise LimitExceeded(limit, built + count,
                                 f"tiling needs at least {built + count} columns, "
                                 f"over the limit of {limit}")
         built += count
-        # row by row, extending only prefixes that some filling completes;
-        # tiles in index order keep the prefixes in product order
-        prefixes = [((), 1)]
-        for a in range(m):
-            row, below = by_west.get(west[a], {}), ways[a + 1]
-            prefixes = [(combo + (j,), souths[j])
-                        for combo, north in prefixes
-                        for j in row.get(north, ())
-                        if souths[j] in below]
-        return [(combo, tuple(easts[j] for j in combo)) for combo, _ in prefixes]
+        # depth first, tiles in index order, so columns come in product order;
+        # every tile taken has a filling below it, so each step down leads to
+        # a column, and a column costs O(m): at most m steps, and its two
+        # tuples built once, when it is complete
+        combo, pending = [], [iter(fits[0].get(1, ()))]
+        while pending:
+            j = next(pending[-1], None)
+            if j is None:  # row len(pending) - 1 is done: back up one row
+                pending.pop()
+                if combo:
+                    combo.pop()
+                continue
+            combo.append(j)
+            if len(combo) == m:
+                yield tuple(combo), tuple(map(easts.__getitem__, combo))
+                combo.pop()
+            else:
+                pending.append(iter(fits[len(combo)][souths[j]]))
 
     target = (1,) * m
     parent: dict = {target: None}

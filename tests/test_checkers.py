@@ -221,3 +221,85 @@ class TestDispatcher:
     def test_band_prop_validation(self):
         with pytest.raises(ValueError):
             check_band_semilattice(gset("2 1"), PropertyName.GROUP)
+
+
+# -- the generator-level checks written with PartialBijection products, the
+# references that pin the checkers' witnesses --
+
+
+def product_domain_intersection(gens):
+    for i, a in enumerate(gens.generators):
+        for j, b in enumerate(gens.generators):
+            got, want = (a * b).dom(), a.dom() & b.dom()
+            if got != want:
+                return False, {"i": i + 1, "j": j + 1, "point": min(got ^ want) + 1}
+    return True, None
+
+
+def product_commutative(gens):
+    gs = gens.generators
+    for i in range(len(gs)):
+        for j in range(i + 1, len(gs)):
+            ab, ba = gs[i] * gs[j], gs[j] * gs[i]
+            if ab != ba:
+                point = min(x for x in range(gens.degree) if ab.entries[x] != ba.entries[x])
+                return False, {"i": i + 1, "j": j + 1, "point": point + 1}
+    return True, None
+
+
+def product_band(gens):
+    """An idempotent partial bijection a = a*a fixes its domain, and a*a
+    differs from a exactly at the points of dom(a) that a moves."""
+    for i, a in enumerate(gens.generators):
+        aa = a * a
+        if aa != a:
+            point = min(x for x in range(gens.degree) if aa.entries[x] != a.entries[x])
+            return False, {"generator": i + 1, "point": point + 1}
+    return True, None
+
+
+def product_identity(gens, side):
+    """The first generator whose idempotent power (found by squaring) fixes
+    every generator on that side."""
+    gs = gens.generators
+    for i, a in enumerate(gs):
+        e = a.idempotent_power()
+        if all((e * g if side == "left" else g * e) == g for g in gs):
+            return True, {"generator": i + 1, "identity": e}
+    return False, None
+
+
+def product_two_sided(gens):
+    left, right = product_identity(gens, "left"), product_identity(gens, "right")
+    if left[0] and right[0] and left[1]["identity"] == right[1]["identity"]:
+        return True, {"identity": left[1]["identity"]}
+    return False, None
+
+
+PRODUCT_CHECKS = {
+    PropertyName.COMPLETELY_REGULAR: product_domain_intersection,
+    PropertyName.CLIFFORD: product_domain_intersection,
+    PropertyName.COMMUTATIVE: product_commutative,
+    PropertyName.BAND: product_band,
+    PropertyName.SEMILATTICE: product_band,
+    PropertyName.LEFT_IDENTITY: lambda gens: product_identity(gens, "left"),
+    PropertyName.RIGHT_IDENTITY: lambda gens: product_identity(gens, "right"),
+    PropertyName.TWO_SIDED_IDENTITY: product_two_sided,
+}
+
+
+class TestWitnessesMatchProducts:
+    @pytest.mark.parametrize("inverse_closed", [False, True])
+    def test_reports_match_the_product_references(self, inverse_closed):
+        sets = seeded_generator_sets(307, 300, degrees=(1, 2, 3, 4, 5, 6), max_k=4,
+                                     inverse_closed=inverse_closed)
+        # repeated generators: the pair (i, j) with i = j of a repeat
+        sets += [gset("2 1 _", "2 1 _", "1 _ 3"), gset("2 3 1", "2 3 1"),
+                 gset("1 _", "1 _"), gset("_ 1", "_ 1", "1 2")]
+        outcomes = set()
+        for gens in sets:
+            for prop, reference in PRODUCT_CHECKS.items():
+                rep = run_generator_check(gens, prop)
+                assert (rep.holds, rep.witness) == reference(gens), (prop, gens)
+                outcomes.add((prop, rep.holds))
+        assert len(outcomes) == 2 * len(PRODUCT_CHECKS), outcomes

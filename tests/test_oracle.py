@@ -180,12 +180,36 @@ def naive_commutative(clo):
     return True, None
 
 
-def naive_semilattice(clo):
+def naive_band(clo):
     mul = composition(clo)
     for a in range(len(clo)):
         if mul(a, a) != a:
             return False, {"element": clo[a].to_text()}
-    return naive_commutative(clo)
+    return True, None
+
+
+def naive_semilattice(clo):
+    ok, witness = naive_band(clo)
+    return naive_commutative(clo) if ok else (ok, witness)
+
+
+def naive_completely_regular(clo):
+    """Each s lies in a subgroup of I_n iff ss⁻¹ = s⁻¹s, that is, dom(s) =
+    image(s), read off the composed elements; that subgroup is generated by
+    s, so it lies in S."""
+    for s in clo:
+        inv = s.inverse()
+        if s * inv != inv * s:
+            return False, {"element": s.to_text()}
+    return True, None
+
+
+def naive_clifford(clo):
+    """Completely regular with central idempotents.  Here S is then inverse
+    (each s⁻¹ lies in the subgroup of s), and a completely regular inverse
+    semigroup has central idempotents, so the second test must pass."""
+    ok, witness = naive_completely_regular(clo)
+    return naive_central_idempotents(clo) if ok else (ok, witness)
 
 
 def naive_regular(clo):
@@ -221,6 +245,9 @@ def naive_r_trivial(clo):
 NAIVE = {
     PropertyName.COMMUTATIVE: naive_commutative,
     PropertyName.SEMILATTICE: naive_semilattice,
+    PropertyName.BAND: naive_band,
+    PropertyName.COMPLETELY_REGULAR: naive_completely_regular,
+    PropertyName.CLIFFORD: naive_clifford,
     PropertyName.LEFT_ZERO: naive_zero(True, False),
     PropertyName.RIGHT_ZERO: naive_zero(False, True),
     PropertyName.ZERO: naive_zero(True, True),

@@ -98,6 +98,17 @@ class TestSolve:
         right = Tile(1, 1, 1, 2)
         assert solve_corridor_tiling(inst_of([left, right], 2, 1)) == TilingGrid(((0, 1),))
 
+    def test_wide_single_tile_corridor(self):
+        # one column of 5,000 rows, and under limit 1 no room for a second;
+        # each row is one step of the column's build, not a copy of the
+        # rows above it
+        width = 5000
+        grid = solve_corridor_tiling(inst_of([ALL1], 1, width), limit=1)
+        assert grid == TilingGrid(((0,),) * width)
+        left, right = Tile(1, 2, 1, 1), Tile(1, 1, 1, 2)
+        grid = solve_corridor_tiling(inst_of([left, right], 2, width), limit=2)
+        assert grid == TilingGrid(((0, 1),) * width)
+
     def test_solutions_verify(self):
         rng = random.Random(501)
         solved = 0
