@@ -8,7 +8,9 @@ bijection outside the closure of every domain size that has one, since
 The same closure-word check runs on the generator sets of seeded tiling
 reductions (at most 2 rows and 2 colors, 1 to 3 tiles), whose target, a hit
 or a miss, is checked too: there ``member`` skips the generators undefined at
-an element's image of the target's first point.
+an element's image of the target's first point.  Each of those instances
+also runs through ``roundtrip_check``, which searches on the reduction's own
+byte keys: its verdict and witness must be ``member``'s.
 
 Example:
     python3 scripts/oracle_sweep.py --degrees 3 4 5 --count 500 --seed 1
@@ -32,7 +34,7 @@ from pbsg import (
 )
 from pbsg.checkers import GENERATOR_CHECKABLE
 from pbsg.sampling import random_generator_set, random_tiling_instance
-from pbsg.tiling import reduce
+from pbsg.tiling import reduce, roundtrip_check
 
 TILING_INSTANCES = 300
 
@@ -107,6 +109,8 @@ def main(argv=None):
         tiling_checks += len(clo) + 1
         disagree["member"] += check_member(red.generator_set, clo, [*clo, red.target],
                                            args.limit)
+        got = member(red.generator_set, red.target, args.limit)
+        disagree["roundtrip"] += roundtrip_check(inst, args.limit).member != got
 
     elapsed = time.perf_counter() - start
     total = len(args.degrees) * args.count
@@ -119,6 +123,8 @@ def main(argv=None):
     print(f"member: {member_checks} checks against closure words, "
           f"{member_misses} outside the closure, {tiling_checks} on "
           f"{TILING_INSTANCES} tiling reductions, {disagree['member']} disagreements")
+    print(f"roundtrip: {TILING_INSTANCES} tiling instances against member, "
+          f"{disagree['roundtrip']} disagreements")
     disagree = +disagree  # drop the zero counts
     if disagree:
         print("DISAGREEMENTS FOUND", dict(disagree))

@@ -6,9 +6,11 @@ as a parent pointer and a last letter, spelled only when asked for, and
 records the right action of each generator as an integer Cayley table.
 Each element is stored only as its byte key, one byte per point, and built
 on access.  This module owns that codec (``_key``, ``_tail``,
-``_inverse_key``): every product, here or in the oracle and the model
-checker, is one ``bytes.translate`` of two keys.  BFS order (word length,
-then generator index) makes the output deterministic.
+``_inverse_key``): every product, here or in the oracle, the model checker
+and the tiling round trip, is one ``bytes.translate`` of two keys.  One BFS
+(``_bfs``, over generator keys) serves ``close`` and ``member``, and one
+evaluator (``_evaluate``) serves every word.  BFS order (word length, then
+generator index) makes the output deterministic.
 """
 
 from __future__ import annotations
@@ -131,14 +133,16 @@ class SemigroupClosure:
     Element ``self[i]`` is built on access from ``keys[i]``, its ``_key``; it
     was first reached by the word ``word(i)`` (generator indices, length
     >= 1), and ``cayley[i][g]`` is the index of ``self[i] * generators[g]``.
-    ``index`` maps each key to its index.  Finished closures are immutable
-    and safe for concurrent reads.
+    ``index`` maps each key to its index, and ``generator_keys[g]`` is the
+    key of ``generators[g]``, repeats included.  Finished closures are
+    immutable and safe for concurrent reads.
     """
 
-    __slots__ = ("generators", "keys", "parent", "gen_of", "cayley", "index")
+    __slots__ = ("generators", "generator_keys", "keys", "parent", "gen_of", "cayley", "index")
 
-    def __init__(self, generators, keys, parent, gen_of, cayley, index):
+    def __init__(self, generators, generator_keys, keys, parent, gen_of, cayley, index):
         self.generators = generators
+        self.generator_keys = generator_keys
         self.keys = keys
         self.parent = parent
         self.gen_of = gen_of
@@ -211,45 +215,34 @@ def _word(parent, gen_of, i) -> tuple[int, ...]:
     return tuple(reversed(word))
 
 
-def _bfs(generators, limit, target=None):
-    """Core enumeration; stops early, keeping no Cayley rows, at ``target``.
+def _bfs(generators, limit, goal=None):
+    """Core enumeration over the generator keys ``generators``; stops early,
+    keeping no Cayley rows, at the element keyed ``goal``.
 
     Element ``keys[i]`` is ``keys[parent[i]] * generators[gen_of[i]]``, or the
     generator alone when ``parent[i]`` is -1.  A product is one ``translate``.
-    With a ``target``, a product undefined at a point of dom(target) is kept
+    With a ``goal``, a product undefined at a point of dom(goal) is kept
     out of ``keys`` and marked -1 in ``index``: right multiples never gain
-    domain, so neither it nor any multiple of it is the target.  With p the
-    first point of dom(target), an element s is multiplied only by the
+    domain, so neither it nor any multiple of it is the goal.  With p the
+    first point of dom(goal), an element s is multiplied only by the
     generators defined at s(p), listed once per image s(p) in index order:
     every other product is undefined at p, so skipping it changes no kept
-    element, witness or ``LimitExceeded`` count.  A generator's table is
-    built the first time such a list takes it.
+    element, witness or ``LimitExceeded`` count.
     """
-    n = generators[0].degree
+    n = len(generators[0])
     tail = _tail(n)
-    tables = [None] * len(generators)
-
-    def usable(indices):
-        out = []
-        for gi in indices:
-            table = tables[gi]
-            if table is None:
-                table = tables[gi] = _key(generators[gi]) + tail
-            out.append((gi, table))
-        return out
-
-    goal = watch = point = None
-    if target is not None:
-        goal = _key(target)
+    tables = [key + tail for key in generators]
+    watch = point = None
+    if goal is not None:
         dom = [p for p, b in enumerate(goal) if b != n]
         if dom:
             # the repeated point makes even a one-point domain read as a tuple
             watch = operator.itemgetter(*dom, dom[0])
             point = dom[0]
-    every = usable(range(len(generators))) if point is None else None
+    every = list(enumerate(tables)) if point is None else None
     live = {}  # image s(point) -> the (index, table) pairs defined there
     keys, parent, gen_of, index = [], [], [], {}
-    cayley = [] if target is None else None
+    cayley = [] if goal is None else None
     get = index.get
     # Row -1 multiplies the identity, which is no element unless reached;
     # iterating ``keys`` also visits the elements appended on the way.
@@ -257,11 +250,11 @@ def _bfs(generators, limit, target=None):
         row = []
         letters = every
         if point is not None:
-            at = cur[point]  # defined: every element kept is defined on dom(target)
+            at = cur[point]  # defined: every element kept is defined on dom(goal)
             letters = live.get(at)
             if letters is None:
-                letters = live[at] = usable(
-                    [gi for gi, g in enumerate(generators) if g.entries[at] is not None])
+                letters = live[at] = [(gi, tables[gi])
+                                      for gi, key in enumerate(generators) if key[at] != n]
         for gi, table in letters:
             prod = cur.translate(table)
             idx = get(prod)
@@ -286,12 +279,41 @@ def _bfs(generators, limit, target=None):
     return keys, parent, gen_of, cayley, index, None
 
 
+def _keys(gens: GeneratorSet) -> list[bytes]:
+    """The generators' keys, repeats included.  Raises ``ValueError`` past
+    ``MAX_DEGREE``."""
+    _tail(gens.degree)
+    return [_key(g) for g in gens.generators]
+
+
+def _member(generators, goal, limit) -> MemberResult:
+    """``member`` for the generators keyed ``generators`` and the element
+    keyed ``goal``."""
+    _, parent, gen_of, _, _, i = _bfs(generators, limit, goal)
+    if i is None:
+        return MemberResult(False, None)
+    return MemberResult(True, _word(parent, gen_of, i))
+
+
+def _evaluate(generators, word) -> bytes:
+    """The key of the product of the generators keyed ``generators`` that
+    ``word`` names (indices, length >= 1)."""
+    if not word:
+        raise ValueError("words must be nonempty")
+    tail = _tail(len(generators[0]))
+    acc = generators[word[0]]
+    for gi in word[1:]:
+        acc = acc.translate(generators[gi] + tail)
+    return acc
+
+
 def close(gens: GeneratorSet, limit: int = DEFAULT_LIMIT) -> SemigroupClosure:
     """Enumerate the generated semigroup exactly, or raise LimitExceeded."""
     if limit < len(gens.generators):
         raise ValueError("limit must be at least the number of generators")
-    keys, parent, gen_of, cayley, index, _ = _bfs(gens.generators, limit)
-    return SemigroupClosure(gens.generators, keys, parent, gen_of, cayley, index)
+    generator_keys = _keys(gens)
+    keys, parent, gen_of, cayley, index, _ = _bfs(generator_keys, limit)
+    return SemigroupClosure(gens.generators, generator_keys, keys, parent, gen_of, cayley, index)
 
 
 def member(gens: GeneratorSet, b: PartialBijection, limit: int = DEFAULT_LIMIT) -> MemberResult:
@@ -307,18 +329,10 @@ def member(gens: GeneratorSet, b: PartialBijection, limit: int = DEFAULT_LIMIT) 
     """
     if b.degree != gens.degree:
         raise ValueError(f"degree mismatch: {b.degree} vs {gens.degree}")
-    _, parent, gen_of, _, _, i = _bfs(gens.generators, limit, target=b)
-    if i is None:
-        return MemberResult(False, None)
-    return MemberResult(True, _word(parent, gen_of, i))
+    return _member(_keys(gens), _key(b), limit)
 
 
 def evaluate_word(gens: GeneratorSet, word: Sequence[int]) -> PartialBijection:
-    """Product of the generators named by ``word`` (indices, length >= 1)."""
-    generators = gens.generators
-    if not word:
-        raise ValueError("words must be nonempty")
-    acc = generators[word[0]]
-    for gi in word[1:]:
-        acc = acc * generators[gi]
-    return acc
+    """Product of the generators named by ``word`` (indices, length >= 1),
+    computed on their keys: degrees above ``MAX_DEGREE`` raise ValueError."""
+    return PartialBijection._from_key(_evaluate(_keys(gens), word))

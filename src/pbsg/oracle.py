@@ -42,7 +42,6 @@ from .closure import (
     LimitExceeded,
     SemigroupClosure,
     _inverse_key,
-    _key,
     _tail,
     close,
 )
@@ -64,10 +63,6 @@ def _show(closure, i) -> str:
     return " ".join([names[v] for v in key])
 
 
-def _generator_keys(closure) -> list[bytes]:
-    return [_key(g) for g in closure.generators]
-
-
 def _idempotents(closure):
     """The idempotents' indices in enumeration order, read off their keys."""
     tail = _tail(closure.generators[0].degree)
@@ -86,7 +81,7 @@ def _commutative(closure):
     # with every generator commutes with all of S, so when S is not
     # commutative some generator fails with some element, and the least
     # failing pair (a, b), a < b, has a < k.
-    for a in range(len(set(_generator_keys(closure)))):
+    for a in range(len(set(closure.generator_keys))):
         key_a = keys[a]
         table = key_a + tail
         for b in range(a + 1, len(keys)):
@@ -132,7 +127,7 @@ def _first_zero(closure, left, right) -> Optional[int]:
     for every s: a left zero, a right zero or a zero."""
     keys, tail = closure.keys, _tail(closure.generators[0].degree)
     # every generator times z at once, repeated generators included
-    gen_keys = _generator_keys(closure)
+    gen_keys = closure.generator_keys
     joined, k = b"".join(gen_keys), len(gen_keys)
     for z, row in enumerate(closure.cayley):
         if left and row.count(z) != len(row):
@@ -159,7 +154,7 @@ def _nilpotent(closure):
     # an idempotent e = g1..gk other than the zero lies in every G^(kt), so no G^t is {zero}
     if any(e != zero for e in _idempotents(closure)):
         return False, {"zero": zero_key}
-    current = {closure.index_of(g) for g in closure.generators}
+    current = set(map(closure.index.__getitem__, closure.generator_keys))
     # With the zero as the only idempotent, G^(N+1) = {zero}: a product of N+1
     # generators repeats a prefix value p = px, so p = p x^ω with x^ω the zero.
     for length in range(1, len(closure) + 2):
@@ -205,7 +200,7 @@ def _r_trivial(closure):
 def _central_idempotents(closure):
     keys, cayley = closure.keys, closure.cayley
     tail = _tail(closure.generators[0].degree)
-    gen_keys = _generator_keys(closure)
+    gen_keys = closure.generator_keys
     for e in _idempotents(closure):
         key_e = keys[e]
         table = key_e + tail
@@ -222,7 +217,7 @@ def _regular(closure):
     # s⁻¹ ∈ S.  S is inverse-closed iff every generator's inverse lies in S,
     # so the least non-regular element, if any, is one of the k distinct
     # generators, which hold indices 0..k-1.
-    for s in range(len(set(_generator_keys(closure)))):
+    for s in range(len(set(closure.generator_keys))):
         if _inverse_key(closure.keys[s]) not in closure.index:
             return False, {"element": _show(closure, s)}
     return True, None
@@ -242,7 +237,7 @@ def _completely_regular(closure):
 
 def _left_identity_test(closure) -> Callable[[int], bool]:
     """e*g == g for every generator g: the test that e is a left identity."""
-    gens = tuple(closure.index_of(g) for g in closure.generators)
+    gens = tuple(map(closure.index.__getitem__, closure.generator_keys))
     cayley = closure.cayley
     return lambda e: cayley[e] == gens
 
@@ -251,7 +246,7 @@ def _right_identity_test(closure) -> Callable[[int], bool]:
     """g*e == g for every generator g, that is, e fixes every point of every
     generator's image: the test that e is a right identity."""
     n = closure.generators[0].degree
-    points = sorted({v for key in _generator_keys(closure) for v in key} - {n})
+    points = sorted({v for key in closure.generator_keys for v in key} - {n})
     if not points:
         return lambda e: True
     # the repeated point makes even one image point read as a tuple

@@ -159,10 +159,10 @@ class PartialBijection:
         return PartialBijection._trusted(tuple(inv))
 
     def dom(self) -> frozenset:
-        return frozenset(x for x, v in enumerate(self.entries) if v is not None)
+        return frozenset([x for x, v in enumerate(self.entries) if v is not None])
 
     def image(self) -> frozenset:
-        return frozenset(v for v in self.entries if v is not None)
+        return frozenset([v for v in self.entries if v is not None])
 
     def graph(self) -> Iterator[tuple[int, int]]:
         """Defined (point, image) pairs in point order."""
@@ -199,8 +199,10 @@ class PartialBijection:
 
     @classmethod
     def _from_key(cls, key) -> "PartialBijection":
-        """Unchecked inverse of ``embed`` minus its extra point, for products
-        of validated elements only."""
+        """Unchecked inverse of ``embed`` minus its extra point (a key, or any
+        sequence of images with the degree for "undefined"), for products of
+        validated elements and maps injective and in range by construction
+        only."""
         n = len(key)
         return cls._trusted(tuple([None if v == n else v for v in key]))
 

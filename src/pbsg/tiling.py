@@ -9,14 +9,17 @@ one partial bijection per (row, tile) pair acting on 2*m*c points (pairs
 terms) plus a target idempotent fixing {(1,1)} and {(m+p, 1) : p in [m]}.
 The instance is tilable exactly when the target is a product of the
 generators, and a membership witness decodes column by column back into a
-grid.
+grid.  The reduction keeps each map as its list of images; the round trip
+searches, evaluates words and decodes on the closure's byte keys made from
+those lists, and builds no PartialBijection.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .closure import DEFAULT_LIMIT, GeneratorSet, LimitExceeded, MemberResult, evaluate_word, member
+from .closure import (DEFAULT_LIMIT, MAX_DEGREE, GeneratorSet, LimitExceeded, MemberResult,
+                      _evaluate, _member, _tail)
 from .pbij import PartialBijection, ValueType
 
 
@@ -232,18 +235,45 @@ class ReducedInstance:
     """The compiled membership question for one corridor instance.
 
     Generators are ordered row-major over (row i, tile j): index
-    (i-1)·k + (j-1).  The generator set's degree is 2·width·colors.
+    (i-1)·k + (j-1).  The degree is 2·width·colors.  Each generator is kept
+    as ``maps[i]``, and the target as ``target_map``: its images, the degree
+    standing for "undefined" (``embed`` without its extra point); a
+    generator's are a bytearray when they fit a byte.  ``generator_set``
+    and ``target``, at any degree, and ``keys``, up to the closure's cap,
+    are made from these when asked for.
     """
 
-    __slots__ = ("width", "num_colors", "num_tiles", "generator_set", "target")
+    __slots__ = ("width", "num_colors", "num_tiles", "maps", "target_map", "_keys")
 
     def __init__(self, width: int, num_colors: int, num_tiles: int,
-                 generator_set: GeneratorSet, target: PartialBijection):
+                 maps: list[Sequence[int]], target_map: Sequence[int]):
         self.width = width
         self.num_colors = num_colors
         self.num_tiles = num_tiles
-        self.generator_set = generator_set
-        self.target = target
+        self.maps = maps
+        self.target_map = target_map
+        self._keys = None
+
+    @property
+    def degree(self) -> int:
+        return len(self.target_map)
+
+    @property
+    def generator_set(self) -> GeneratorSet:
+        return GeneratorSet(self.degree, [PartialBijection._from_key(e) for e in self.maps])
+
+    @property
+    def target(self) -> PartialBijection:
+        return PartialBijection._from_key(self.target_map)
+
+    @property
+    def keys(self) -> tuple[list[bytes], bytes]:
+        """The generators' byte keys and the target's, made once; degrees
+        above the closure's cap raise its ValueError."""
+        if self._keys is None:
+            _tail(self.degree)
+            self._keys = [bytes(e) for e in self.maps], bytes(self.target_map)
+        return self._keys
 
     def generator_label(self, index: int) -> tuple[int, int]:
         """1-based (row, tile) of a generator index."""
@@ -266,32 +296,33 @@ def reduce(inst: TilingInstance) -> ReducedInstance:
     flat point (q-1)*c + r-1.  TilingInstance bounds every color by c, and
     each map moves one point into the next column block (or to point 0), one
     point within its own row block and fixes the rest: it is injective and
-    in range, so it is built without re-validation.
+    in range, so it is built without re-validation, as a copy of its row's
+    template with at most two images set.
     """
     m, c, k = inst.width, inst.num_colors, len(inst.tiles)
-    npts = 2 * m * c
-    # column-checking points undefined, every row-checking point fixed
-    fixed: list[Optional[int]] = [None] * (m * c) + list(range(m * c, npts))
-    gens = []
+    npts = 2 * m * c  # also the image of an undefined point
+    # column-checking points undefined, every row-checking point fixed; a
+    # bytearray copies, and becomes a key, faster than a list
+    fixed = [npts] * (m * c) + list(range(m * c, npts))
+    if npts <= MAX_DEGREE:
+        fixed = bytearray(fixed)
+    maps = []
     for i in range(m):
         row = (m + i) * c  # flat point (m+i+1, 1): row i's row-checking block
+        template = fixed.copy()
+        template[row:row + c] = [npts] * c
         for tile in inst.tiles:
-            entries = fixed.copy()
-            entries[row:row + c] = [None] * c
+            images = template.copy()
             if i < m - 1:
-                entries[i * c + tile.north - 1] = (i + 1) * c + tile.south - 1
+                images[i * c + tile.north - 1] = (i + 1) * c + tile.south - 1
             elif tile.south == 1:
-                entries[i * c + tile.north - 1] = 0
-            entries[row + tile.west - 1] = row + tile.east - 1
-            gens.append(PartialBijection._trusted(tuple(entries)))
-    target = PartialBijection.partial_identity(npts, [0] + [(m + p) * c for p in range(m)])
-    return ReducedInstance(
-        width=m,
-        num_colors=c,
-        num_tiles=k,
-        generator_set=GeneratorSet(npts, tuple(gens)),
-        target=target,
-    )
+                images[i * c + tile.north - 1] = 0
+            images[row + tile.west - 1] = row + tile.east - 1
+            maps.append(images)
+    target = [npts] * npts
+    for q in [0] + [(m + i) * c for i in range(m)]:
+        target[q] = q
+    return ReducedInstance(m, c, k, maps, target)
 
 
 def encode_grid(reduced: ReducedInstance, grid: TilingGrid) -> tuple[int, ...]:
@@ -308,7 +339,8 @@ def decode_witness(reduced: ReducedInstance, word) -> TilingGrid:
 
     Any word evaluating to the target factors into blocks of ``width``
     letters, the t-th letter of each block using row t; anything else raises
-    MalformedWitness.
+    MalformedWitness.  The value is compared on the reduction's byte keys,
+    so degrees above the closure's cap raise its ValueError.
     """
     m, k = reduced.width, reduced.num_tiles
     word = tuple(word)
@@ -327,7 +359,8 @@ def decode_witness(reduced: ReducedInstance, word) -> TilingGrid:
                 f"letter {t + 1} uses row {row + 1}, expected row {t % m + 1}"
             )
         cells[row][t // m] = tile
-    if evaluate_word(reduced.generator_set, word) != reduced.target:
+    keys, target = reduced.keys
+    if _evaluate(keys, word) != target:
         raise MalformedWitness("word does not evaluate to the target idempotent")
     return TilingGrid(tuple(tuple(row) for row in cells))
 
@@ -349,16 +382,19 @@ def roundtrip_check(inst: TilingInstance, limit: int = DEFAULT_LIMIT) -> Roundtr
 
     Consistency means: equal verdicts; and on solvable instances the solver
     grid's word evaluates to the target while the membership witness decodes
-    to a proper grid.
+    to a proper grid.  ``report.member`` is what ``member`` gives the
+    reduction's views, found here on its byte keys: degrees above the
+    closure's cap raise its ValueError.
     """
     grid = solve_corridor_tiling(inst, limit)
     solvable = grid is not None
     reduced = reduce(inst)
-    got = member(reduced.generator_set, reduced.target, limit)
+    keys, target = reduced.keys
+    got = _member(keys, target, limit)
     consistent = solvable == got.found
     decoded = None
     if consistent and solvable:
-        if evaluate_word(reduced.generator_set, encode_grid(reduced, grid)) != reduced.target:
+        if _evaluate(keys, encode_grid(reduced, grid)) != target:
             consistent = False
         else:
             try:

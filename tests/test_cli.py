@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 
@@ -258,6 +259,21 @@ class TestTiling:
                 err = capsys.readouterr().err
                 assert code == 2, (field, sub)
                 assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+    def test_reduce_past_the_closure_cap(self, tmp_json, capsys):
+        # 2 * 16 * 8 = 256 points, one past the closure's byte keys: the
+        # reduction itself has no cap, and prints the bytes it always has
+        from pbsg import GeneratorSet
+
+        path = tmp_json("t.json", {**TILING_OK, "colors": 8, "width": 16})
+        code, out = run(capsys, "tiling", "reduce", path)
+        assert code == 0
+        doc = json.loads(out)
+        gens = GeneratorSet.from_json_obj(doc)
+        assert gens.degree == 256 and len(gens.generators) == 16
+        assert sum(v is not None for v in doc["target"]["map"]) == 17
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "7bd14dbac4c1ff3e20dfcbdc8a0334c3a1703c9caceb434b40cb8c967d0e451e")
 
     def test_roundtrip_degree_over_cap_is_usage_error(self, tmp_json, capsys):
         # width 16 and 8 colors compile to 2 * 16 * 8 = 256 points

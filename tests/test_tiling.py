@@ -1,10 +1,13 @@
+import operator
 import random
+from collections import Counter
+from functools import reduce as fold
 from itertools import combinations_with_replacement, product
 
 import pytest
 
 from pbsg import LimitExceeded, PartialBijection, member
-from pbsg.closure import evaluate_word
+from pbsg.closure import DEFAULT_LIMIT, _key, evaluate_word
 from pbsg.sampling import random_tiling_instance
 from pbsg.tiling import (
     MalformedWitness,
@@ -190,6 +193,23 @@ class TestReduce:
                 assert checked == g and hash(checked) == hash(g)
                 assert len(g.dom()) == len(g.image())
 
+    def test_keys_are_the_views_keys(self):
+        rng = random.Random(504)
+        instances = [random_tiling_instance(rng, rng.randint(1, 4), rng.randint(1, 3),
+                                            rng.randint(1, 6)) for _ in range(50)]
+        instances += [inst_of(all_tiles(c), c, m) for c in (1, 2) for m in (1, 2, 3)]
+        for inst in instances:
+            red = reduce(inst)
+            keys, target = red.keys
+            assert keys == [_key(g) for g in red.generator_set.generators]
+            assert target == _key(red.target)
+
+    def test_keys_refuse_degrees_past_the_closure_cap(self):
+        red = reduce(inst_of([ALL1], 8, 16))  # 2 * 16 * 8 = 256 points
+        assert red.generator_set.degree == red.target.degree == 256
+        with pytest.raises(ValueError, match="255"):
+            red.keys
+
 
 class TestEncodeDecode:
     def test_trivial_word_round_trip(self):
@@ -258,3 +278,52 @@ class TestMembershipEquivalence:
         assert res.found
         grid = decode_witness(red, res.witness)
         assert verify_proper_tiling(inst, grid) is None
+
+
+def reference_roundtrip(inst, limit):
+    """``roundtrip_check``'s fields composed from the public pieces, each
+    word's value also checked against the product of the generators."""
+    grid = solve_corridor_tiling(inst, limit)
+    red = reduce(inst)
+    gens, target = red.generator_set, red.target
+    got = member(gens, target, limit)
+    consistent = (grid is not None) == got.found
+    decoded = None
+    if consistent and grid is not None:
+        word = encode_grid(red, grid)
+        value = evaluate_word(gens, word)
+        assert value == fold(operator.mul, [gens.generators[g] for g in word])
+        if value != target:
+            consistent = False
+        else:
+            try:
+                decoded = decode_witness(red, got.witness)
+            except MalformedWitness:
+                consistent = False
+            else:
+                consistent = verify_proper_tiling(inst, decoded) is None
+    return grid is not None, got, consistent, grid, decoded
+
+
+def test_roundtrip_matches_the_public_pieces():
+    # seeded instances under several limits, some of which the solver or the
+    # membership search outgrows: the same report, or the same overflow
+    rng = random.Random(505)
+    seen = Counter()
+    for _ in range(1000):
+        inst = random_tiling_instance(rng, rng.randint(1, 4), rng.randint(1, 3),
+                                      rng.randint(1, 6))
+        limit = rng.choice([5, 50, 500, DEFAULT_LIMIT])
+        try:
+            want = reference_roundtrip(inst, limit)
+        except LimitExceeded as exc:
+            with pytest.raises(LimitExceeded) as info:
+                roundtrip_check(inst, limit)
+            assert (info.value.limit, info.value.count) == (exc.limit, exc.count)
+            seen["limit"] += 1
+            continue
+        rep = roundtrip_check(inst, limit)
+        assert (rep.solvable, rep.member, rep.consistent, rep.grid, rep.decoded) == want
+        assert rep.consistent
+        seen[rep.solvable] += 1
+    assert min(seen[True], seen[False], seen["limit"]) > 50, seen
