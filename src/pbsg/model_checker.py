@@ -7,6 +7,20 @@ both words and, independently per variable, looks for a generator word that
 realizes every occurrence constraint at once; a boundary that every variable
 can serve yields a counterexample assignment.
 
+Laws are decided first, from the identity alone.  If the two words are equal
+in the free inverse semigroup on the variables, the identity holds in every
+inverse semigroup whatever the generators, so ``models`` answers that it
+holds without a walk and charges nothing.  Munn's solution of the word
+problem decides the equality in linear time: two words are equal there iff
+they have the same Munn tree, the set of free-group-reduced prefixes, and
+the same reduced value.  A premise variable ``x_i = x_i^2`` is read as
+``y_i y_i^-1`` whatever its exponent: in an inverse semigroup every
+idempotent e equals e·e⁻¹ and its own inverse, so under an assignment that
+meets the premises each word takes the value of its substituted form with
+``y_i`` set to the value of ``x_i``, and a law of the substituted words
+holds there.  The test only ever answers "holds"; any other identity,
+including one that holds on some sets only, falls through to the walk.
+
 Points live in ``{0..n-1}`` plus an absorbing sink standing for "undefined"
 (written ``_`` externally, carried internally as the integer ``n``, the sink
 byte of the closure's keys, so the degree is capped at ``MAX_DEGREE``).  The
@@ -387,6 +401,44 @@ def check_variable_run(
     return _run_word(letters, spec, n, {}, {}, _Work(budget))
 
 
+def _is_law(ident: Identity) -> bool:
+    """Whether the two words, with each premise variable read as
+    ``y_i y_i^-1``, are equal in the free inverse semigroup: the same Munn
+    tree and the same reduced value.
+
+    Both words walk one shared trie of free-group-reduced words, whose
+    vertices are integer ids (0 the empty word), so equal reduced words get
+    one id.  A letter is ``2·var``, or ``2·var + 1`` for an inverse, so
+    ``a ^ 1`` is its inverse.  A letter that cancels the last letter of the
+    current vertex steps back to its parent, which is already in the tree;
+    any other steps to (and adds) the child.  The reduced values are
+    compared before the trees.  O(|u| + |v|).
+    """
+    e = ident.num_premises
+    child: dict = {}
+    parent = [0]
+    via = [-1]
+    trees = []
+    for word in (ident.lhs, ident.rhs):
+        node = 0
+        tree = {0}
+        for lit in word:
+            a = 2 * lit.var
+            for b in ((a, a + 1) if lit.var <= e else (a + (lit.exponent < 0),)):
+                if via[node] == b ^ 1:
+                    node = parent[node]
+                    continue
+                step = child.get((node, b))
+                if step is None:
+                    step = child[node, b] = len(parent)
+                    parent.append(node)
+                    via.append(b)
+                node = step
+                tree.add(node)
+        trees.append((node, tree))
+    return trees[0] == trees[1]
+
+
 def models(
     gens: GeneratorSet,
     ident: Identity,
@@ -394,10 +446,34 @@ def models(
 ) -> ModelCheckResult:
     """Decide the identity; on failure ship the least counterexample.
 
+    A law of every inverse semigroup (``_is_law``: the two words, with each
+    premise variable ``x_i`` read as ``y_i y_i^-1``, are equal in the free
+    inverse semigroup) holds whatever the generators, so it is answered
+    first, before any walk: it charges nothing and never raises
+    ``LimitExceeded``.  The substitution is sound because every idempotent
+    e of an inverse semigroup equals e·e⁻¹.  Any other identity is decided
+    by the boundary walk (``_walk``), with the same verdict, least
+    counterexample and charges as without the test.
+
     Boundaries are tried in lexicographic order of ``p[0..l]`` then
     ``q[1..r]`` (real points ascending, sink last), so the reported
     counterexample is the least one, with each variable's word minimal for
-    it.  The positions are fixed depth first.  Each position ends one
+    it.  Raises ``ValueError`` past ``closure.MAX_DEGREE``, laws included,
+    and for any other identity ``LimitExceeded`` once the work passes
+    ``budget``.
+    """
+    gens = gens.with_inverses()
+    letters = _letters(gens.generators, gens.degree)
+    if _is_law(ident):
+        return ModelCheckResult(True, None, gens)
+    return _walk(gens, letters, ident, budget)
+
+
+def _walk(gens, letters, ident, budget):
+    """The boundary walk behind ``models``, over the inverse-closed ``gens``
+    and their ``_letters``.
+
+    The positions are fixed depth first.  Each position ends one
     occurrence and is offered the points that ``_offer`` names.  A point
     binds that occurrence into the spec its variable's previous occurrence
     left, and a conflict rejects it at once.  The point is queried only
@@ -407,15 +483,11 @@ def models(
     case the query before that last position is relaxed, without the image
     exclusions.  Any word for the full spec serves the relaxed one, so a
     variable with no word for either prunes every boundary below that
-    prefix.  The words are spelled once a counterexample is found.  Raises
-    ``LimitExceeded`` once the work passes ``budget``, and ``ValueError``
-    past ``closure.MAX_DEGREE``.
+    prefix.  The words are spelled once a counterexample is found.
     """
-    gens = gens.with_inverses()
     n = gens.degree
     l, r = len(ident.lhs), len(ident.rhs)
     occs = [_Occurrences(ident, v, n) for v in range(1, ident.num_vars + 1)]
-    letters = _letters(gens.generators, n)
     reach_cache: dict = {}
     index_cache: dict = {}
     masked_cache: dict = {}

@@ -399,8 +399,9 @@ class TestUsage:
         elem = tmp_json("b.json", {"degree": 2, "map": [1, 2]})
         tiling = tmp_json("t.json", TILING_OK)
         # exit codes at the least budget, 1: it runs out, or it suffices
+        # (x1 = x1 x1 is no law, so its walk runs and is charged)
         for argv, flag, at_one in ((["member", gens, elem], "--limit", 3),
-                                   (["models", gens, "x1 = x1"], "--budget", 3),
+                                   (["models", gens, "x1 = x1 x1"], "--budget", 3),
                                    (["models", gens, "x1 = x1"], "--limit", 0),
                                    (["tiling", "solve", tiling], "--limit", 0)):
             for value in ("0", "-1"):

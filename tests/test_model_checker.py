@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 
 from pbsg import (
+    DEFAULT_BUDGET,
     BoundaryGuess,
     GeneratorSet,
     LimitExceeded,
@@ -16,8 +17,8 @@ from pbsg import (
     parse_identity,
 )
 from pbsg.checkers import check_commutative
-from pbsg.model_checker import (_EMPTY, _Occurrences, _Work, _letters, _masked_word, _offer,
-                                counterexample_values)
+from pbsg.model_checker import (_EMPTY, _Occurrences, _Work, _is_law, _letters, _masked_word,
+                                _offer, counterexample_values)
 from pbsg.sampling import random_generator_set
 
 from conftest import MODEL_CORPUS, pb, seeded_generator_sets
@@ -29,6 +30,13 @@ def gset(*texts, closed=True):
 
 
 FOUR_REVERSAL = "x1 x2 x3 x4 = x4 x3 x2 x1"
+
+
+def walk(gens, ident, budget=DEFAULT_BUDGET):
+    """The boundary walk alone, without the law test that ``models`` runs
+    before it, so that laws exercise the walk too."""
+    gens = gens.with_inverses()
+    return model_checker._walk(gens, _letters(gens.generators, gens.degree), ident, budget)
 
 
 def cosingleton_semilattice(n, dropped=None):
@@ -49,20 +57,21 @@ def symmetric_group(n):
 
 
 class TestModels:
+    # laws: models answers them before any walk, and the walk agrees
     def test_reflexive_identity(self):
         ident = parse_identity("x1 = x1")
         for gens in seeded_generator_sets(401, 10, degrees=(2, 3), inverse_closed=True):
-            assert models(gens, ident).models
+            assert models(gens, ident).models and walk(gens, ident).models
 
     def test_inverse_law_models_everywhere(self):
         ident = parse_identity("x1 x1^-1 x1 = x1")
         for gens in seeded_generator_sets(402, 25, degrees=(2, 3, 4), inverse_closed=True):
-            assert models(gens, ident).models
+            assert models(gens, ident).models and walk(gens, ident).models
 
     def test_idempotent_premise_identity_models_everywhere(self):
         ident = parse_identity("x1=x1^2 => x1 x1 = x1")
         for gens in seeded_generator_sets(403, 25, degrees=(2, 3), inverse_closed=True):
-            assert models(gens, ident).models
+            assert models(gens, ident).models and walk(gens, ident).models
 
     def test_shift_fails_inverse_commutation(self):
         # a definedness-only disagreement: the counterexample needs the sink
@@ -172,10 +181,13 @@ class TestWorkBudget:
     def test_contradictory_exclusions_are_rejected_at_bind(self):
         # p = a b _ asks x1 to send a to b and, through x1^-1 sent to the
         # sink, to leave b out of its image, which the bind rule rejects
-        # without a search: 140 units are charged here, while answering each
-        # such query from its full 2^14-state masked reach charges 230,692
+        # without a search: the walk charges 140 units here, while answering
+        # each such query from its full 2^14-state masked reach charges
+        # 230,692.  The identity is a law, so models itself charges nothing
         gens = cosingleton_semilattice(14)
-        assert models(gens, parse_identity("x1 x1^-1 x1 = x1"), budget=1_000).models
+        assert walk(gens, parse_identity("x1 x1^-1 x1 = x1"), budget=140).models
+        with pytest.raises(LimitExceeded):
+            walk(gens, parse_identity("x1 x1^-1 x1 = x1"), budget=139)
 
     def test_masked_search_stops_at_the_goal(self):
         # at p = 1 1 _ _, q = 1 1, x2 of x1 x2^-1 x1 = x1 asks only that
@@ -202,10 +214,12 @@ class TestWorkBudget:
     def test_conflicting_points_are_rejected_before_expansion(self):
         # x1 x1^-1 x1 = x1 reads every position; binding each occurrence as
         # its end point is fixed rejects most points before the positions
-        # below them are expanded and charged: 80 are charged here, while
-        # the boundaries number 8 * 9**4 = 52,488
+        # below them are expanded and charged: the walk charges 80 here,
+        # while the boundaries number 8 * 9**4 = 52,488
         gens = cosingleton_semilattice(8)
-        assert models(gens, parse_identity("x1 x1^-1 x1 = x1"), budget=10_000).models
+        assert walk(gens, parse_identity("x1 x1^-1 x1 = x1"), budget=80).models
+        with pytest.raises(LimitExceeded):
+            walk(gens, parse_identity("x1 x1^-1 x1 = x1"), budget=79)
 
     def test_holding_forward_identity_asks_no_query(self, monkeypatch):
         # every edge is forward: each unforced position is offered only the
@@ -227,9 +241,10 @@ class TestWorkBudget:
         monkeypatch.setattr(model_checker, "_run_word", counting_run_word)
         gens = gset("3 1 5 4 2", "_ _ _ _ _", "2 5 1 4 3")
         assert len(gens.generators) == 3  # already inverse-closed
+        # (the second is a law, which models decides without a walk)
         for text in ("x1 x2 x3 = x3 x2 x1", "x1=x1^2, x2=x2^2 => x1 x2 = x2 x1",
                      "x1=x1^2 => x1 x2 = x2 x1"):
-            assert models(gens, parse_identity(text)).models, text
+            assert walk(gens, parse_identity(text)).models, text
             assert len(asked) == 0, text
 
     def test_variable_run_is_charged_its_reach_states(self):
@@ -262,8 +277,10 @@ class TestDegreeCap:
     def test_degree_over_the_cap_is_refused(self):
         gens = self.cycle(256)
         ident = parse_identity("x1 = x1 x1")
-        with pytest.raises(ValueError, match="255"):
-            models(gens, ident)
+        # a law too, although it needs no walk
+        for text in ("x1 = x1 x1", "x1 x1^-1 x1 = x1"):
+            with pytest.raises(ValueError, match="255"):
+                models(gens, parse_identity(text))
         with pytest.raises(ValueError, match="255"):
             check_variable_run(gens, ident, 1, BoundaryGuess((0, 1, 2), (0, 1)))
 
@@ -280,6 +297,105 @@ class TestDegreeCap:
         inverse = parse_identity("x1^-1 = x1^-1")
         assert check_variable_run(gens, inverse, 1, BoundaryGuess((0, 255), (0, 255))) is None
         assert check_variable_run(gens, inverse, 1, BoundaryGuess((0, 1), (0, 1))) == (0,) * 254
+
+
+def munn_tree(word, premises):
+    """Reference Munn tree: the set of free-group-reduced prefixes as tuples
+    of (var, exponent), and the reduced value; a premise variable is read as
+    ``y y^-1``."""
+    reduced = ()
+    prefixes = {reduced}
+    for lit in word:
+        for letter in (((lit.var, 1), (lit.var, -1)) if lit.var <= premises
+                       else ((lit.var, lit.exponent),)):
+            if reduced and reduced[-1] == (letter[0], -letter[1]):
+                reduced = reduced[:-1]
+            else:
+                reduced += (letter,)
+                prefixes.add(reduced)
+    return reduced, prefixes
+
+
+def random_identity(rng):
+    """Up to three variables, words of one to six literals, and for half of
+    them a random number of premises."""
+    m = rng.randint(1, 3)
+
+    def word():
+        return " ".join(f"x{rng.randint(1, m)}" + ("^-1" if rng.random() < 0.5 else "")
+                        for _ in range(rng.randint(1, 6)))
+
+    premises = rng.randint(0, m) if rng.random() < 0.5 else 0
+    head = ", ".join(f"x{i}=x{i}^2" for i in range(1, premises + 1))
+    return parse_identity((head + " => " if head else "") + word() + " = " + word())
+
+
+class TestLawCheck:
+    """``models`` answers laws of every inverse semigroup before the walk."""
+
+    LAWS = (
+        "x1 x1^-1 x1 = x1",
+        "x1=x1^2, x2=x2^2 => x1 x2 = x2 x1",
+        "x1 x1^-1 x2 x2^-1 = x2 x2^-1 x1 x1^-1",
+        "x1 x2 x2^-1 x1^-1 x1 x2 = x1 x2",
+        "x1=x1^2 => x1^-1 = x1",
+    )
+
+    @pytest.mark.parametrize("text", LAWS)
+    def test_laws_decide_without_work(self, text):
+        # degree 120: a walk would charge far more than the budget of 1
+        gens = GeneratorSet.from_elements([
+            PartialBijection([(x + 1) % 120 for x in range(120)]),
+            PartialBijection([None if x < 60 else x for x in range(120)]),
+            PartialBijection([x + 1 if x < 119 else None for x in range(120)]),
+        ])
+        ident = parse_identity(text)
+        assert _is_law(ident)
+        result = models(gens, ident, budget=1)
+        assert result == model_checker.ModelCheckResult(True, None, gens.with_inverses())
+
+    @pytest.mark.parametrize("text", (
+        "x1 x1^-1 = x1^-1 x1",  # the same reduced value, different trees
+        "x1=x1^2 => x1 x2 = x2 x1",
+        "x1 = x1 x1",
+        "x1 x1^-1 x1 = x1 x1",
+    ))
+    def test_non_laws_still_walk(self, text):
+        ident = parse_identity(text)
+        assert not _is_law(ident)
+        with pytest.raises(LimitExceeded):
+            models(cosingleton_semilattice(6), ident, budget=1)
+
+    def test_matches_reference_trees(self):
+        rng = random.Random(408)
+        laws = 0
+        for _ in range(3_000):
+            ident = random_identity(rng)
+            e = ident.num_premises
+            expected = munn_tree(ident.lhs, e) == munn_tree(ident.rhs, e)
+            assert _is_law(ident) == expected, str(ident)
+            laws += expected
+        assert laws > 200
+
+    def test_laws_hold_on_random_sets(self):
+        # soundness against the oracle, which knows nothing of the law test
+        rng = random.Random(409)
+        checked = {False: 0, True: 0}  # by whether the law has no premise
+        for _ in range(3_000):
+            ident = random_identity(rng)
+            if not _is_law(ident):
+                continue
+            for _ in range(3):
+                gens = random_generator_set(rng, rng.randint(1, 4), rng.randint(1, 3),
+                                            inverse_closed=True)
+                try:
+                    slow = oracle_models(gens, ident)
+                except LimitExceeded:
+                    continue
+                assert slow.models, (str(ident), gens.to_json_obj())
+                assert models(gens, ident).models
+                checked[ident.num_premises == 0] += 1
+        assert checked[False] > 500 and checked[True] > 100, checked
 
 
 class TestCheckVariableRun:
@@ -676,11 +792,12 @@ class TestOracleAgreement:
                         break
                 if expected:
                     break
-            result = models(gens, ident)
-            assert result.models == (expected is None)
-            if expected:
-                cex = result.counterexample
-                assert (cex.boundary, cex.words) == expected
+            # the walk too, for the laws among these, which models answers first
+            for result in (models(gens, ident), walk(gens, ident)):
+                assert result.models == (expected is None)
+                if expected:
+                    cex = result.counterexample
+                    assert (cex.boundary, cex.words) == expected
 
 
 def test_premise_constrained_counterexamples_use_idempotent_powers():
