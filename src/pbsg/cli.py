@@ -219,6 +219,8 @@ def _identities_from_arg(text):
                 lines = [ln.strip() for ln in fh]
         except OSError as exc:
             raise ValueError(f"cannot read {text[1:]}: {exc.strerror or exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{text[1:]}: {exc}") from None
         sources = [ln for ln in lines if ln]
         if not sources:
             raise ValueError(f"{text[1:]}: no identities found")

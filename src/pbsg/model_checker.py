@@ -89,10 +89,11 @@ reach, up to 2^n of them.  Premise-constrained
 variables also pin every real end point as fixed, since their value is the
 idempotent power of the realized word, and need no mask because an
 idempotent's domain and image coincide.  Plain reaches depend only on the
-start points and masked searches only on the spec, so variables and
-boundaries share both.  With the sink among the guessed points, the accepted
-guesses coincide exactly with the semantic counterexamples, so the verdict
-matches the closure oracle.
+start points, so variables and boundaries share them; a masked search runs
+for each query that needs one, and again when its word is spelled.  With
+the sink among the guessed points, the accepted guesses coincide exactly
+with the semantic counterexamples, so the verdict matches the closure
+oracle.
 """
 
 from __future__ import annotations
@@ -341,27 +342,24 @@ def _offer(letters, occ, spec, x, exponent, reach_cache, index_cache, work):
     return choices
 
 
-def _run_word(letters, spec, n, reach_cache, masked_cache, work, full=True):
+def _run_word(letters, spec, n, reach_cache, work, full=True):
     """The least word realizing ``spec``, or None.
 
     With ``full`` false the image exclusions are dropped and only the start
     to end map is asked for.  Without exclusions the answer is read from the
     plain reach over the sorted start points, explored on first use; with
     them it comes from a search of its own that tracks the image and stops
-    at the answer, kept in ``masked_cache`` under (start points, targets,
-    exclusions).  Slot order is immaterial to the breadth-first search, so
-    variables whose specs agree share both whatever order they bound them
-    in, and the words are the same as for the variable's own slot order.
+    at the answer, run and charged on every such query.  Slot order is
+    immaterial to the breadth-first search, so variables whose start points
+    agree share a reach whatever order they bound them in, and the words
+    are the same as for the variable's own slot order.
     """
     ends, _, forbidden = spec
     points = bytes(sorted(ends))
     targets = bytes([ends[x] for x in points])
     if not (full and forbidden):
         return _reach(letters, points, reach_cache, work).get(targets)
-    key = points, targets, forbidden
-    if key not in masked_cache:
-        masked_cache[key] = _masked_word(letters, points, targets, forbidden, n, work)
-    return masked_cache[key]
+    return _masked_word(letters, points, targets, forbidden, n, work)
 
 
 def check_variable_run(
@@ -398,7 +396,7 @@ def check_variable_run(
         spec = occ.bind(spec, pts[i], pts[j], exponent)
         if spec is None:
             return None
-    return _run_word(letters, spec, n, {}, {}, _Work(budget))
+    return _run_word(letters, spec, n, {}, _Work(budget))
 
 
 def _is_law(ident: Identity) -> bool:
@@ -490,7 +488,6 @@ def _walk(gens, letters, ident, budget):
     occs = [_Occurrences(ident, v, n) for v in range(1, ident.num_vars + 1)]
     reach_cache: dict = {}
     index_cache: dict = {}
-    masked_cache: dict = {}
     last = l + r
     work = _Work(budget)
     # each position past the start ends exactly one occurrence, which extends
@@ -526,14 +523,13 @@ def _walk(gens, letters, ident, budget):
                     continue
                 # every other spec passed the offer or an earlier query
                 if ((full and spec[2] or exponent == -1 and spec is not base)
-                        and _run_word(letters, spec, n, reach_cache, masked_cache, work,
-                                      full) is None):
+                        and _run_word(letters, spec, n, reach_cache, work, full) is None):
                     continue
                 specs[d] = spec
             if d == last:
                 p, q = tuple(pts[: l + 1]), (pts[0],) + tuple(pts[l + 1 :])
-                words = tuple(_run_word(letters, specs[o.depth], n, reach_cache, masked_cache,
-                                        work) for o in occs)
+                words = tuple(_run_word(letters, specs[o.depth], n, reach_cache, work)
+                              for o in occs)
                 cex = Counterexample(BoundaryGuess(p, q), words)
                 return ModelCheckResult(False, cex, gens)
             d += 1

@@ -3,12 +3,14 @@
 Everything here is decided from the enumerated element set, so these are the
 ground truth the generator-level checkers are tested against.  Zeros,
 identities and central idempotents are tested against the generators alone:
-each of zs = z, sz = z, es = s, se = s and es = se defines a subsemigroup
-{s : ...} of S, so it holds for every s in S iff it holds for every
-generator, and S is scanned only to find a witness.  ``commutative`` pairs
-only the generators with every element: the elements that commute with a
-given s form a subsemigroup, so s commutes with all of S iff it commutes
-with every generator.  That is the centraliser argument
+each of zs = z, es = s, se = s and es = se defines a subsemigroup {s : ...}
+of S, so it holds for every s in S iff it holds for every generator, and S
+is scanned only to find a witness.  A left zero and a right zero are both
+the partial identity on the points every generator fixes, so ``left-zero``,
+``right-zero``, ``zero`` and ``nilpotent`` share one scan.  ``commutative``
+pairs only the generators with every element: the elements that commute
+with a given s form a subsemigroup, so s commutes with all of S iff it
+commutes with every generator.  That is the centraliser argument
 ``check_commutative`` rests on, though it tests generator pairs alone.
 ``regular`` looks up only the generators' inverses: s is regular in S iff
 s⁻¹ is in S, and S is inverse-closed iff every generator's inverse is.
@@ -20,11 +22,9 @@ subgroup), and ``r-trivial`` walks each element's right ideal only at the
 element's own rank.  ``nilpotent`` and the identity scans stop once their
 answer is fixed, by exact arguments stated where they are used.
 A product of two elements is one ``bytes.translate`` of their keys, or a
-generator's column of the Cayley table, and the right-zero test multiplies
-every generator by z in one ``translate`` of their joined keys.  The scans
-build no element: a witness is written from its key.  Candidates and
-witnesses are walked in enumeration order, so the output stays
-deterministic.
+generator's column of the Cayley table.  The scans build no element: a
+witness is written from its key.  Candidates and witnesses are walked in
+enumeration order, so the output stays deterministic.
 """
 
 from __future__ import annotations
@@ -122,32 +122,20 @@ def _group(closure):
     return False, {"not_identity_on": _show(closure, s)}
 
 
-def _first_zero(closure, left, right) -> Optional[int]:
-    """The first z with z*s == z (when ``left``) and s*z == z (when ``right``)
-    for every s: a left zero, a right zero or a zero."""
-    keys, tail = closure.keys, _tail(closure.generators[0].degree)
-    # every generator times z at once, repeated generators included
-    gen_keys = closure.generator_keys
-    joined, k = b"".join(gen_keys), len(gen_keys)
-    for z, row in enumerate(closure.cayley):
-        if left and row.count(z) != len(row):
-            continue
-        if right and joined.translate(keys[z] + tail) != keys[z] * k:
-            continue
-        return z
-    return None
+def _first_zero(closure) -> Optional[int]:
+    """The first z whose Cayley row is z for every generator: the zero.
 
-
-def _zero_check(left, right):
-    def check(closure):
-        z = _first_zero(closure, left, right)
-        return (False, None) if z is None else (True, {"element": _show(closure, z)})
-
-    return check
+    A left or right zero z is idempotent, so z = id_D.  Every element fixes
+    the points Fix that every generator fixes, so D ⊇ Fix; read at x ∈ D,
+    z·g = z and g·z = z each say g(x) = x, so D ⊆ Fix.  And id_Fix ∈ S is
+    both, as each g fixes Fix and sends no x ∉ Fix into it (g(x) = g(y) = y
+    for y ∈ Fix forces x = y): a left zero, a right zero and a zero are one.
+    """
+    return next((z for z, row in enumerate(closure.cayley) if row.count(z) == len(row)), None)
 
 
 def _nilpotent(closure):
-    zero = _first_zero(closure, True, True)
+    zero = _first_zero(closure)
     if zero is None:
         return False, {"reason": "no zero element"}
     zero_key = _show(closure, zero)
@@ -268,9 +256,10 @@ def _first_identity(closure, side) -> Optional[int]:
     return e
 
 
-def _identity_check(side):
+def _found(first, *args):
+    """The check that holds iff ``first(closure, *args)`` names a witness."""
     def check(closure):
-        e = _first_identity(closure, side)
+        e = first(closure, *args)
         return (False, None) if e is None else (True, {"element": _show(closure, e)})
 
     return check
@@ -281,18 +270,18 @@ _CHECKS: dict[PropertyName, Callable] = {
     PropertyName.SEMILATTICE: _semilattice,
     PropertyName.BAND: _band,
     PropertyName.GROUP: _group,
-    PropertyName.LEFT_ZERO: _zero_check(True, False),
-    PropertyName.RIGHT_ZERO: _zero_check(False, True),
-    PropertyName.ZERO: _zero_check(True, True),
+    PropertyName.LEFT_ZERO: _found(_first_zero),
+    PropertyName.RIGHT_ZERO: _found(_first_zero),
+    PropertyName.ZERO: _found(_first_zero),
     PropertyName.NILPOTENT: _nilpotent,
     PropertyName.R_TRIVIAL: _r_trivial,
     PropertyName.CENTRAL_IDEMPOTENTS: _central_idempotents,
     PropertyName.REGULAR: _regular,
     PropertyName.COMPLETELY_REGULAR: _completely_regular,
     PropertyName.CLIFFORD: _completely_regular,
-    PropertyName.LEFT_IDENTITY: _identity_check("left"),
-    PropertyName.RIGHT_IDENTITY: _identity_check("right"),
-    PropertyName.TWO_SIDED_IDENTITY: _identity_check("two_sided"),
+    PropertyName.LEFT_IDENTITY: _found(_first_identity, "left"),
+    PropertyName.RIGHT_IDENTITY: _found(_first_identity, "right"),
+    PropertyName.TWO_SIDED_IDENTITY: _found(_first_identity, "two_sided"),
 }
 
 

@@ -39,15 +39,15 @@ class ValueType:
         return f"{type(self).__name__}({fields})"
 
 
-class PartialBijection:
+class PartialBijection(ValueType):
     """An injective partial self-map of ``{0, ..., degree-1}``.
 
     ``entries[x]`` is the image of point ``x``, or ``None`` where the map is
-    undefined.  The degree is part of the value: equal graphs on different
-    degrees compare unequal.
+    undefined.  Values compare by ``entries`` (``ValueType``), so equal
+    graphs on different degrees compare unequal.
     """
 
-    __slots__ = ("entries", "_hash")
+    __slots__ = ("entries",)
 
     def __init__(self, entries: Iterable[Optional[int]]):
         entries = tuple(entries)
@@ -64,7 +64,6 @@ class PartialBijection:
                 raise ValueError(f"not injective: image {v} repeated")
             seen.add(v)
         self.entries = entries
-        self._hash = hash(entries)
 
     @property
     def degree(self) -> int:
@@ -96,6 +95,7 @@ class PartialBijection:
             raise ValueError("empty text form")
         n = len(tokens)
         entries: list[Optional[int]] = []
+        seen = set()  # a repeated point is named as the text wrote it
         for tok in tokens:
             if tok == "_":
                 entries.append(None)
@@ -106,6 +106,9 @@ class PartialBijection:
                 raise ValueError(f"bad token {tok!r} in text form") from None
             if not 1 <= v <= n:
                 raise ValueError(f"point {v} out of range 1..{n}")
+            if v in seen:
+                raise ValueError(f"not injective: image {v} repeated")
+            seen.add(v)
             entries.append(v - 1)
         return cls(entries)
 
@@ -124,10 +127,14 @@ class PartialBijection:
         if not isinstance(raw, list) or len(raw) != n:
             raise ValueError("map length must equal degree")
         entries: list[Optional[int]] = []
+        seen = set()  # a repeated point is named as the map wrote it
         for v in raw:
             if v is None:
                 entries.append(None)
             elif isinstance(v, int) and not isinstance(v, bool) and 1 <= v <= n:
+                if v in seen:
+                    raise ValueError(f"not injective: image {v} repeated")
+                seen.add(v)
                 entries.append(v - 1)
             else:
                 raise ValueError(f"map entry {v!r} must be null or a point in 1..{n}")
@@ -194,7 +201,6 @@ class PartialBijection:
         as the tiling reduction's generators, built from validated colors)."""
         el = object.__new__(cls)
         el.entries = entries
-        el._hash = hash(entries)
         return el
 
     @classmethod
@@ -205,16 +211,6 @@ class PartialBijection:
         only."""
         n = len(key)
         return cls._trusted(tuple([None if v == n else v for v in key]))
-
-    # -- value semantics ----------------------------------------------------
-
-    def __eq__(self, other):
-        if isinstance(other, PartialBijection):
-            return self.entries == other.entries
-        return NotImplemented
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         return f"PartialBijection({self.to_text()!r})"

@@ -243,7 +243,7 @@ class ReducedInstance:
     are made from these when asked for.
     """
 
-    __slots__ = ("width", "num_colors", "num_tiles", "maps", "target_map", "_keys")
+    __slots__ = ("width", "num_colors", "num_tiles", "maps", "target_map")
 
     def __init__(self, width: int, num_colors: int, num_tiles: int,
                  maps: list[Sequence[int]], target_map: Sequence[int]):
@@ -252,7 +252,6 @@ class ReducedInstance:
         self.num_tiles = num_tiles
         self.maps = maps
         self.target_map = target_map
-        self._keys = None
 
     @property
     def degree(self) -> int:
@@ -268,12 +267,10 @@ class ReducedInstance:
 
     @property
     def keys(self) -> tuple[list[bytes], bytes]:
-        """The generators' byte keys and the target's, made once; degrees
-        above the closure's cap raise its ValueError."""
-        if self._keys is None:
-            _tail(self.degree)
-            self._keys = [bytes(e) for e in self.maps], bytes(self.target_map)
-        return self._keys
+        """The generators' byte keys and the target's, made on each access;
+        degrees above the closure's cap raise its ValueError."""
+        _tail(self.degree)
+        return [bytes(e) for e in self.maps], bytes(self.target_map)
 
     def generator_label(self, index: int) -> tuple[int, int]:
         """1-based (row, tile) of a generator index."""

@@ -171,6 +171,17 @@ class TestModels:
         code, out = run(capsys, "models", gens, "@" + str(idents))
         assert code == 0 and out.count("MODELS") == 2
 
+    def test_identity_file_errors_name_the_path_once(self, tmp_json, tmp_path, capsys):
+        gens = tmp_json("g.json", GENS_SWAP)
+        (tmp_path / "latin1.txt").write_bytes(b"x1 = x1\xff\n")
+        (tmp_path / "blank.txt").write_text("\n  \n")
+        for name in ("missing.txt", "latin1.txt", "blank.txt"):
+            path = str(tmp_path / name)
+            code = main(["models", gens, "@" + path])
+            err = capsys.readouterr().err
+            assert code == 2 and len(err.splitlines()) == 1, err
+            assert err.startswith("pbsg: ") and err.count(path) == 1, err
+
     def test_bad_identity_is_usage_error(self, tmp_json, capsys):
         gens = tmp_json("g.json", GENS_SWAP)
         code, _ = run(capsys, "models", gens, "x1 = ")
@@ -379,6 +390,11 @@ class TestUsage:
         path.write_text("{not json")
         assert main(["props", str(path)]) == 2
 
+    def test_repeated_image_is_named_one_based(self, tmp_json, capsys):
+        gens = tmp_json("dup.json", {"degree": 3, "generators": [[2, 2, None]]})
+        assert main(["props", gens]) == 2
+        assert capsys.readouterr().err == f"pbsg: {gens}: not injective: image 2 repeated\n"
+
     @pytest.mark.parametrize("command", (["props"], ["member", "GENS"], ["tiling", "solve"]),
                              ids=("gens", "element", "tiling"))
     def test_input_file_errors_name_the_path_once(self, command, tmp_json, tmp_path, capsys):
@@ -386,9 +402,10 @@ class TestUsage:
         (tmp_path / "bad.json").write_text("{not json")
         # nesting past the interpreter's recursion limit, which the decoder hits
         (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
+        (tmp_path / "latin1.json").write_bytes(b'{"degree": 2, "map": [1, "\xff"]}')
         bad_schema = tmp_json("schema.json", {"degree": 2, "generators": [[3, 1]], "map": [3, 1]})
         for path in (str(tmp_path / "missing.json"), str(tmp_path / "bad.json"),
-                     str(tmp_path / "deep.json"), bad_schema):
+                     str(tmp_path / "deep.json"), str(tmp_path / "latin1.json"), bad_schema):
             code = main([gens if arg == "GENS" else arg for arg in command] + [path])
             err = capsys.readouterr().err
             assert code == 2 and len(err.splitlines()) == 1, err

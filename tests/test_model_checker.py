@@ -191,15 +191,18 @@ class TestWorkBudget:
 
     def test_masked_search_stops_at_the_goal(self):
         # at p = 1 1 _ _, q = 1 1, x2 of x1 x2^-1 x1 = x1 asks only that
-        # point 1 leave its image, which one letter does: 62 units are
-        # charged here, while the whole masked reach over the 2^18 - 1
-        # images is 262,143 states
-        result = models(cosingleton_semilattice(18), parse_identity("x1 x2^-1 x1 = x1"),
-                        budget=1_000)
+        # point 1 leave its image, which one letter does: 63 units are
+        # charged here, the one-state masked search counted once in the
+        # walk and once more when x2's word is spelled, while the whole
+        # masked reach over the 2^18 - 1 images is 262,143 states
+        gens, ident = cosingleton_semilattice(18), parse_identity("x1 x2^-1 x1 = x1")
+        result = models(gens, ident, budget=63)
         assert not result.models
         cex = result.counterexample
         assert cex.boundary == BoundaryGuess((0, 0, 18, 18), (0, 0))
         assert cex.words == ((1,), (0,))
+        with pytest.raises(LimitExceeded):
+            models(gens, ident, budget=62)
 
     def test_partial_queries_prune_before_a_variable_is_due(self):
         # x1 is due only at the last position, but each variable's bound

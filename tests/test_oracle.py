@@ -286,6 +286,8 @@ class TestEarlyStoppingScans:
             ("1 _", "1 _", "2 1"), ("2 1 3", "2 1 3", "1 3 2"),
             # the first generator is regular, the second is not
             ("2 1 3", "_ _ 1"),
+            # the zero, 1 _ _, is neither a generator nor the empty map
+            ("1 2 _", "1 _ 3"),
         )]
         outcomes = set()
         for gens in sets:

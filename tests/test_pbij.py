@@ -21,8 +21,17 @@ class TestConstruction:
             PartialBijection((2, None))
 
     def test_rejects_duplicate_image(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^not injective: image 1 repeated$"):
             PartialBijection((1, 1, None))
+
+    def test_parsers_name_a_repeated_image_one_based(self):
+        # the forms are 1-indexed, so their errors name points as written
+        with pytest.raises(ValueError, match="^not injective: image 2 repeated$"):
+            PartialBijection.from_text("2 2 _")
+        with pytest.raises(ValueError, match="^not injective: image 2 repeated$"):
+            PartialBijection.from_json_obj({"degree": 3, "map": [2, 2, None]})
+        with pytest.raises(ValueError, match="^not injective: image 3 repeated$"):
+            PartialBijection.from_text("3 _ 3")
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -58,6 +67,32 @@ class TestConstruction:
             PartialBijection.from_json_obj({"degree": 2, "map": [0, None]})
         with pytest.raises(ValueError):
             PartialBijection.from_json_obj([1, 2])
+
+
+class TestValueSemantics:
+    def test_equal_entries_are_equal_values_with_equal_hashes(self):
+        a, b = PartialBijection((1, None, 0)), pb("2 _ 1")
+        assert a is not b and a == b and not a != b
+        assert hash(a) == hash(b)
+        assert a != pb("1 _ 2")
+
+    def test_values_key_sets_and_dicts(self):
+        a, b = PartialBijection((1, None, 0)), pb("2 _ 1")
+        assert {a, b, pb("_ _ _")} == {b, PartialBijection.empty(3)}
+        table = {a: "first"}
+        table[b] = "second"
+        assert table == {pb("2 _ 1"): "second"}
+        assert pb("1 _ 2") not in table
+
+    def test_unequal_to_its_entries_and_to_other_degrees(self):
+        a = pb("2 _ 1")
+        assert a != a.entries and a.entries != a
+        assert a != pb("2 _ 1 4") and a != PartialBijection((1, None))
+        assert a not in {a.entries: None}
+
+    def test_repr_is_the_text_form(self):
+        assert repr(pb("2 _ 1")) == "PartialBijection('2 _ 1')"
+        assert repr(PartialBijection.empty(2)) == "PartialBijection('_ _')"
 
 
 class TestCompose:
