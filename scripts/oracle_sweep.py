@@ -23,6 +23,7 @@ import time
 from collections import Counter
 
 from pbsg import (
+    DEFAULT_LIMIT,
     PropertyName,
     all_partial_bijections,
     close,
@@ -56,7 +57,7 @@ def main(argv=None):
     parser.add_argument("--count", type=int, default=500, help="sets per degree")
     parser.add_argument("--max-k", type=int, default=3)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--limit", type=int, default=200_000)
+    parser.add_argument("--limit", type=int, default=DEFAULT_LIMIT)
     args = parser.parse_args(argv)
 
     props = sorted(GENERATOR_CHECKABLE, key=lambda p: p.value)

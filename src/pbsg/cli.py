@@ -41,12 +41,12 @@ EXIT_BUDGET = 3
 EXIT_INCONSISTENT = 4
 
 
-def _load(path, parse):
-    """``parse`` applied to the JSON document in ``path``; a failure names the
-    path once."""
+def _load(path, parse, read=json.load):
+    """``parse`` applied to what ``read`` takes from the open file ``path``,
+    by default its JSON document; a failure names the path once."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return parse(json.load(fh))
+            return parse(read(fh))
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc.strerror or exc}") from None
     except json.JSONDecodeError as exc:
@@ -210,26 +210,30 @@ def _cmd_member(args, out):
 # -- models ------------------------------------------------------------------
 
 
-def _identities_from_arg(text):
+def _identity(text, where=""):
+    """``text`` parsed as one identity; ``where`` prefixes a syntax error."""
     from .identities import IdentitySyntaxError, parse_identity
 
-    if text.startswith("@"):
-        try:
-            with open(text[1:], "r", encoding="utf-8") as fh:
-                lines = [ln.strip() for ln in fh]
-        except OSError as exc:
-            raise ValueError(f"cannot read {text[1:]}: {exc.strerror or exc}") from None
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"{text[1:]}: {exc}") from None
-        sources = [ln for ln in lines if ln]
-        if not sources:
-            raise ValueError(f"{text[1:]}: no identities found")
-    else:
-        sources = [text]
     try:
-        return [(src, parse_identity(src)) for src in sources]
+        return parse_identity(text)
     except IdentitySyntaxError as exc:
-        raise ValueError(f"bad identity: {exc}") from None
+        raise ValueError(f"{where}bad identity: {exc}") from None
+
+
+def _identity_file(text):
+    """The identity on each nonblank line of ``text``, parsed as written."""
+    idents = [_identity(line, f"line {number}: ")
+              for number, line in enumerate(text.split("\n"), 1) if line.strip()]
+    if not idents:
+        raise ValueError("no identities found")
+    return idents
+
+
+def _identities_from_arg(text):
+    """The identity ``text``, or those in the file ``@PATH``, one per line."""
+    if text.startswith("@"):
+        return _load(text[1:], _identity_file, read=lambda fh: fh.read())
+    return [_identity(text)]
 
 
 def _counterexample_block(gens, ident, cex):
@@ -258,7 +262,7 @@ def _cmd_models(args, out):
     blocks = []
     any_fails = False
     disagree = False
-    for src, ident in idents:
+    for ident in idents:
         block = {"identity": format_identity(ident)}
         fast = oracle = None
         if not args.oracle:

@@ -5,7 +5,7 @@ the generators (no empty word), keeps one shortest witness word per element
 as a parent pointer and a last letter, spelled only when asked for, and
 records the right action of each generator as an integer Cayley table.
 Each element is stored only as its byte key, one byte per point, and built
-on access.  This module owns that codec (``_key``, ``_tail``,
+on access.  This module owns that codec (``_key``, ``_tail``, ``_tables``,
 ``_inverse_key``): every product, here or in the oracle, the model checker
 and the tiling round trip, is one ``bytes.translate`` of two keys.  One BFS
 (``_bfs``, over generator keys) serves ``close`` and ``member``, and one
@@ -72,10 +72,8 @@ class GeneratorSet(ValueType):
 
     @classmethod
     def from_elements(cls, generators: Sequence[PartialBijection], inverse_closed=False):
-        gens = tuple(generators)
-        if not gens:
-            raise ValueError("at least one generator required")
-        return cls(gens[0].degree, gens, inverse_closed)
+        gens = tuple(generators)  # ``__init__`` refuses an empty list
+        return cls(gens[0].degree if gens else 0, gens, inverse_closed)
 
     def with_inverses(self) -> "GeneratorSet":
         """Append each missing inverse; already-closed sets come back as-is."""
@@ -195,6 +193,13 @@ def _tail(n: int) -> bytes:
     return _BYTES[n:]
 
 
+def _tables(keys) -> list[bytes]:
+    """Each key followed by ``_tail``: the table with which ``translate``
+    multiplies by that element.  Raises ``ValueError`` past ``MAX_DEGREE``."""
+    tail = _tail(len(keys[0]))
+    return [key + tail for key in keys]
+
+
 def _inverse_key(key: bytes) -> bytes:
     """The key of the inverse of the element keyed ``key``."""
     n = len(key)
@@ -230,8 +235,7 @@ def _bfs(generators, limit, goal=None):
     element, witness or ``LimitExceeded`` count.
     """
     n = len(generators[0])
-    tail = _tail(n)
-    tables = [key + tail for key in generators]
+    tables = _tables(generators)
     watch = point = None
     if goal is not None:
         dom = [p for p, b in enumerate(goal) if b != n]
@@ -334,5 +338,10 @@ def member(gens: GeneratorSet, b: PartialBijection, limit: int = DEFAULT_LIMIT) 
 
 def evaluate_word(gens: GeneratorSet, word: Sequence[int]) -> PartialBijection:
     """Product of the generators named by ``word`` (indices, length >= 1),
-    computed on their keys: degrees above ``MAX_DEGREE`` raise ValueError."""
+    computed on their keys.  A letter outside ``0..k-1``, for k generators,
+    raises ValueError naming it, and so do degrees above ``MAX_DEGREE``."""
+    k = len(gens.generators)
+    for c in word:
+        if not 0 <= c < k:
+            raise ValueError(f"letter {c} out of range 0..{k - 1}")
     return PartialBijection._from_key(_evaluate(_keys(gens), word))

@@ -82,7 +82,7 @@ attest.  A real end point is in the image, so excluding one is rejected at
 bind; any other full query with an exclusion runs a search of its own that
 also tracks the image of the word's value as n more bytes, a 0/1 indicator
 of its points, updated forwards by one ``translate`` of the letter's
-preimages (built for the first such search of a call): image(s·a) =
+preimages (which each such search builds when it starts): image(s·a) =
 (image(s) ∩ dom(a))·a.  It stops at the first arrival that meets the
 spec, but an exclusion no word meets still walks every image the words
 reach, up to 2^n of them.  Premise-constrained
@@ -103,7 +103,7 @@ from typing import Optional
 
 # DEFAULT_BUDGET lives in ``closure`` so that the CLI can name it without
 # loading this module; it is re-exported from here.
-from .closure import (DEFAULT_BUDGET, GeneratorSet, LimitExceeded, _inverse_key, _key, _tail,
+from .closure import (DEFAULT_BUDGET, GeneratorSet, LimitExceeded, _inverse_key, _keys, _tables,
                       evaluate_word)
 from .identities import Identity, apply_assignment
 from .pbij import PartialBijection, ValueType
@@ -222,16 +222,6 @@ class _Occurrences:
         return {**ends, x: y}, real, forbidden
 
 
-def _letters(generators, n):
-    """Per generator, its translate table (key, then the fixed sink and the
-    rest of the 256 bytes) and a slot for its preimages (byte w is the point
-    it sends to w, or the sink ``n``), which ``_masked_word`` fills in for
-    every letter the first time it needs them, as most searches never do;
-    raises ``ValueError`` past ``MAX_DEGREE``."""
-    tail = _tail(n)
-    return [(key + tail, None) for key in map(_key, generators)]
-
-
 def _explore(letters, points, work):
     """First-arrival words for every slot tuple reachable in >= 1 letters;
     breadth-first with letters in index order, so each recorded word is the
@@ -243,7 +233,7 @@ def _explore(letters, points, work):
     queue = deque(((points, ()),))
     while queue and len(arrived) <= work.left:
         slots, word = queue.popleft()
-        for c, (table, _) in enumerate(letters):
+        for c, table in enumerate(letters):
             ns = slots.translate(table)
             if ns in arrived:
                 continue
@@ -264,11 +254,10 @@ def _masked_word(letters, points, targets, forbidden, n, work):
     arrival that satisfies the spec: arrivals come in shortlex order of
     their first words, so that word is the least.  The states reached are
     charged to ``work`` however the search ends, and stop it at most one
-    expansion after they pass it.  The first call fills in the preimages of
-    every letter, in place.
+    expansion after they pass it.  Each call builds its own preimage of
+    every letter: byte w is the point the letter sends to w, or the sink.
     """
-    if letters[0][1] is None:
-        letters[:] = [(table, _inverse_key(table[:n])) for table, _ in letters]
+    pairs = [(table, _inverse_key(table[:n])) for table in letters]
     full = b"\x01" * n
     pad = bytes(256 - n)  # the sink is in no image
     start = points + full
@@ -278,7 +267,7 @@ def _masked_word(letters, points, targets, forbidden, n, work):
         while queue and len(arrived) <= work.left:
             slots, img, word = queue.popleft()
             img += pad
-            for c, (table, pre) in enumerate(letters):
+            for c, (table, pre) in enumerate(pairs):
                 ns = slots.translate(table)
                 ni = pre.translate(img)
                 nc = ns + ni
@@ -380,7 +369,7 @@ def check_variable_run(
     ``budget`` states, and ``ValueError`` past ``closure.MAX_DEGREE``.
     """
     n = gens.degree
-    letters = _letters(gens.generators, n)
+    letters = _tables(_keys(gens))
     if not 1 <= var <= ident.num_vars:
         raise ValueError(f"variable x{var} out of range")
     if len(boundary.p) != len(ident.lhs) + 1 or len(boundary.q) != len(ident.rhs) + 1:
@@ -461,7 +450,7 @@ def models(
     ``budget``.
     """
     gens = gens.with_inverses()
-    letters = _letters(gens.generators, gens.degree)
+    letters = _tables(_keys(gens))
     if _is_law(ident):
         return ModelCheckResult(True, None, gens)
     return _walk(gens, letters, ident, budget)
@@ -469,7 +458,7 @@ def models(
 
 def _walk(gens, letters, ident, budget):
     """The boundary walk behind ``models``, over the inverse-closed ``gens``
-    and their ``_letters``.
+    and their translate tables (``closure._tables``).
 
     The positions are fixed depth first.  Each position ends one
     occurrence and is offered the points that ``_offer`` names.  A point

@@ -93,24 +93,16 @@ class PartialBijection(ValueType):
         tokens = text.split()
         if not tokens:
             raise ValueError("empty text form")
-        n = len(tokens)
-        entries: list[Optional[int]] = []
-        seen = set()  # a repeated point is named as the text wrote it
-        for tok in tokens:
+
+        def point(tok):
             if tok == "_":
-                entries.append(None)
-                continue
+                return None
             try:
-                v = int(tok)
+                return int(tok)
             except ValueError:
                 raise ValueError(f"bad token {tok!r} in text form") from None
-            if not 1 <= v <= n:
-                raise ValueError(f"point {v} out of range 1..{n}")
-            if v in seen:
-                raise ValueError(f"not injective: image {v} repeated")
-            seen.add(v)
-            entries.append(v - 1)
-        return cls(entries)
+
+        return cls._from_points(map(point, tokens), len(tokens), "point {!r} out of range 1..{}")
 
     def to_text(self) -> str:
         return " ".join("_" if v is None else str(v + 1) for v in self.entries)
@@ -126,19 +118,25 @@ class PartialBijection(ValueType):
             raise ValueError("degree must be a positive integer")
         if not isinstance(raw, list) or len(raw) != n:
             raise ValueError("map length must equal degree")
+        return cls._from_points(raw, n, "map entry {!r} must be null or a point in 1..{}")
+
+    @classmethod
+    def _from_points(cls, points, n, out_of_range) -> "PartialBijection":
+        """The map with the 1-based images ``points`` (None: undefined), checked
+        once: an entry v that is no point of 1..n raises ``out_of_range``
+        formatted with v and n, and a repeated one is named as written."""
         entries: list[Optional[int]] = []
-        seen = set()  # a repeated point is named as the map wrote it
-        for v in raw:
-            if v is None:
-                entries.append(None)
-            elif isinstance(v, int) and not isinstance(v, bool) and 1 <= v <= n:
+        seen = set()
+        for v in points:
+            if v is not None:
+                if not isinstance(v, int) or isinstance(v, bool) or not 1 <= v <= n:
+                    raise ValueError(out_of_range.format(v, n))
                 if v in seen:
                     raise ValueError(f"not injective: image {v} repeated")
                 seen.add(v)
-                entries.append(v - 1)
-            else:
-                raise ValueError(f"map entry {v!r} must be null or a point in 1..{n}")
-        return cls(entries)
+                v -= 1
+            entries.append(v)
+        return cls._trusted(tuple(entries))
 
     def to_json_obj(self) -> dict:
         return {
@@ -196,9 +194,9 @@ class PartialBijection(ValueType):
 
     @classmethod
     def _trusted(cls, entries: tuple) -> "PartialBijection":
-        """Unchecked constructor, for products and inverses of validated
-        elements, and for maps injective and in range by construction (such
-        as the tiling reduction's generators, built from validated colors)."""
+        """Unchecked constructor, for maps the parsers have checked, products
+        and inverses of validated elements, and maps injective and in range
+        by construction (the tiling reduction's, built from checked colors)."""
         el = object.__new__(cls)
         el.entries = entries
         return el
@@ -226,5 +224,5 @@ def all_partial_bijections(n: int) -> list[PartialBijection]:
     for entries in product((None, *range(n)), repeat=n):
         defined = [v for v in entries if v is not None]
         if len(set(defined)) == len(defined):
-            out.append(PartialBijection(entries))
+            out.append(PartialBijection._trusted(entries))
     return out

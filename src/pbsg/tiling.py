@@ -106,19 +106,22 @@ class TilingGrid(ValueType):
         return len(self.cells[0])
 
 
+def _check_grid(grid: TilingGrid, width: int, num_tiles: int) -> None:
+    """Raise ``ValueError`` unless ``grid`` has ``width`` rows of tiles 0..num_tiles-1."""
+    if len(grid.cells) != width:
+        raise ValueError(f"grid has {len(grid.cells)} rows, instance width is {width}")
+    for row in grid.cells:
+        for idx in row:
+            if not 0 <= idx < num_tiles:
+                raise ValueError(f"tile index {idx} out of range")
+
+
 def verify_proper_tiling(inst: TilingInstance, grid: TilingGrid) -> Optional[tuple[str, int, int]]:
     """Check every border and adjacency equation: None for a proper grid,
     else the first failure in row-major order (within a cell: north, west,
     east, south) as ``(condition, row, col)``, 1-based."""
-    m = inst.width
-    if len(grid.cells) != m:
-        raise ValueError(f"grid has {len(grid.cells)} rows, instance width is {m}")
-    ncols = grid.num_cols
-    tiles = inst.tiles
-    for row in grid.cells:
-        for idx in row:
-            if not 0 <= idx < len(tiles):
-                raise ValueError(f"tile index {idx} out of range")
+    _check_grid(grid, inst.width, len(inst.tiles))
+    m, tiles, ncols = inst.width, inst.tiles, grid.num_cols
     for i in range(m):
         for j in range(ncols):
             t = tiles[grid.cells[i][j]]
@@ -219,11 +222,7 @@ def solve_corridor_tiling(inst: TilingInstance, limit: int = DEFAULT_LIMIT) -> O
                         back, combo_prev = parent[back]
                         chain.append(combo_prev)
                     chain.reverse()
-                    cells = tuple(
-                        tuple(chain[b][a] for b in range(len(chain)))
-                        for a in range(m)
-                    )
-                    return TilingGrid(cells)
+                    return TilingGrid(zip(*chain))  # the columns, transposed into rows
                 if east not in parent:
                     parent[east] = (profile, combo)
                     nxt.append(east)
@@ -323,12 +322,11 @@ def reduce(inst: TilingInstance) -> ReducedInstance:
 
 
 def encode_grid(reduced: ReducedInstance, grid: TilingGrid) -> tuple[int, ...]:
-    """The column-major word whose value is the target, for a proper grid."""
-    word = []
-    for col in range(grid.num_cols):
-        for row in range(reduced.width):
-            word.append(row * reduced.num_tiles + grid.cells[row][col])
-    return tuple(word)
+    """The column-major word whose value is the target, for a proper grid; a
+    grid ``verify_proper_tiling`` cannot read raises its ``ValueError``."""
+    _check_grid(grid, reduced.width, reduced.num_tiles)
+    k = reduced.num_tiles
+    return tuple(row * k + idx for column in zip(*grid.cells) for row, idx in enumerate(column))
 
 
 def decode_witness(reduced: ReducedInstance, word) -> TilingGrid:
@@ -359,7 +357,7 @@ def decode_witness(reduced: ReducedInstance, word) -> TilingGrid:
     keys, target = reduced.keys
     if _evaluate(keys, word) != target:
         raise MalformedWitness("word does not evaluate to the target idempotent")
-    return TilingGrid(tuple(tuple(row) for row in cells))
+    return TilingGrid(cells)
 
 
 class RoundtripReport:

@@ -175,12 +175,17 @@ class TestModels:
         gens = tmp_json("g.json", GENS_SWAP)
         (tmp_path / "latin1.txt").write_bytes(b"x1 = x1\xff\n")
         (tmp_path / "blank.txt").write_text("\n  \n")
-        for name in ("missing.txt", "latin1.txt", "blank.txt"):
+        (tmp_path / "bad.txt").write_text("x1 = x1\n\nx1 = \nx1 = x1\n")
+        for name in ("missing.txt", "latin1.txt", "blank.txt", "bad.txt"):
             path = str(tmp_path / name)
             code = main(["models", gens, "@" + path])
             err = capsys.readouterr().err
             assert code == 2 and len(err.splitlines()) == 1, err
             assert err.startswith("pbsg: ") and err.count(path) == 1, err
+        # the line is counted from 1, blank lines included, and the position
+        # within it as written
+        assert err == (f"pbsg: {path}: line 3: bad identity: "
+                       "right side has no literals at position 5\n")
 
     def test_bad_identity_is_usage_error(self, tmp_json, capsys):
         gens = tmp_json("g.json", GENS_SWAP)

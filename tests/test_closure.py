@@ -311,3 +311,13 @@ class TestMember:
 def test_evaluate_word_rejects_empty():
     with pytest.raises(ValueError):
         evaluate_word(GeneratorSet.from_elements([pb("1")]), ())
+
+
+def test_evaluate_word_rejects_letters_out_of_range():
+    # negative letters used to wrap to the last generators, and one past the
+    # end raised a bare IndexError
+    gens = GeneratorSet.from_elements([pb("2 1"), pb("1 _")])
+    assert evaluate_word(gens, (0, 1)) == pb("_ 1")
+    for word, letter in (((-1,), "-1"), ((0, -2), "-2"), ((2,), "2")):
+        with pytest.raises(ValueError, match=f"letter {letter} out of range 0..1"):
+            evaluate_word(gens, word)

@@ -17,8 +17,9 @@ from pbsg import (
     parse_identity,
 )
 from pbsg.checkers import check_commutative
-from pbsg.model_checker import (_EMPTY, _Occurrences, _Work, _is_law, _letters, _masked_word,
-                                _offer, counterexample_values)
+from pbsg.closure import _keys, _tables
+from pbsg.model_checker import (_EMPTY, _Occurrences, _Work, _is_law, _masked_word, _offer,
+                                counterexample_values)
 from pbsg.sampling import random_generator_set
 
 from conftest import MODEL_CORPUS, pb, seeded_generator_sets
@@ -36,7 +37,7 @@ def walk(gens, ident, budget=DEFAULT_BUDGET):
     """The boundary walk alone, without the law test that ``models`` runs
     before it, so that laws exercise the walk too."""
     gens = gens.with_inverses()
-    return model_checker._walk(gens, _letters(gens.generators, gens.degree), ident, budget)
+    return model_checker._walk(gens, _tables(_keys(gens)), ident, budget)
 
 
 def cosingleton_semilattice(n, dropped=None):
@@ -603,7 +604,7 @@ class TestExactNarrowing:
         ident = parse_identity("x1=x1^2 => x1 x2 = x2 x1")
         narrowed = {1: 0, -1: 0}
         for n in (2, 3, 4, 5):
-            letters = _letters(symmetric_group(n).generators, n)
+            letters = _tables(_keys(symmetric_group(n)))
             for var in (1, 2):
                 for _ in range(40):
                     occ = _Occurrences(ident, var, n)
@@ -634,7 +635,7 @@ class TestExactNarrowing:
         seen = {"word": 0, "none": 0}
         for gens in seeded_generator_sets(410, 40, degrees=(2, 3, 4), inverse_closed=True):
             n = gens.degree
-            letters = _letters(gens.generators, n)
+            letters = _tables(_keys(gens))
             acts = [tuple(n if v is None else v for v in g.entries) + (n,)
                     for g in gens.generators]
             for _ in range(10):
@@ -652,6 +653,14 @@ class TestExactNarrowing:
                 seen["none" if word is None else "word"] += 1
         assert all(seen.values()), seen
 
+    def test_masked_word_leaves_its_letters_unchanged(self):
+        # the preimages are the search's own: the caller's tables stay as given
+        gens = cosingleton_semilattice(4)
+        letters = _tables(_keys(gens))
+        given = list(letters)
+        word = _masked_word(letters, b"\x00", b"\x00", (1,), 4, _Work(10**7))
+        assert word is not None and letters == given
+
 
 class TestReachChoices:
     def test_offered_points_are_those_that_bind_and_answer(self):
@@ -666,7 +675,7 @@ class TestReachChoices:
         seen = {"premise": 0, "projected": 0, "sink offered": 0, "none offered": 0}
         for gens in seeded_generator_sets(411, 30, degrees=(2, 3, 4, 5), inverse_closed=True):
             n = gens.degree
-            letters = _letters(gens.generators, n)
+            letters = _tables(_keys(gens))
             reach_cache: dict = {}
             index_cache: dict = {}
             for var in (1, 2):

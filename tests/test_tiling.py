@@ -236,6 +236,17 @@ class TestEncodeDecode:
             checked += 1
         assert checked > 10
 
+    def test_encode_refuses_what_verify_refuses(self):
+        # two all-1 tiles, width 2: a tile index out of range, or a row count
+        # other than the width, raises instead of encoding some other word
+        red = reduce(inst_of([ALL1, ALL1], 1, 2))
+        assert encode_grid(red, TilingGrid(((1,), (0,)))) == (1, 2)
+        for cells, message in ((((5,), (0,)), "tile index 5"), (((-1,), (0,)), "tile index -1"),
+                               (((0,), (0,), (0,)), "grid has 3 rows"),
+                               (((0,),), "grid has 1 rows")):
+            with pytest.raises(ValueError, match=message):
+                encode_grid(red, TilingGrid(cells))
+
     def test_malformed_wrong_row_order(self):
         inst = inst_of([ALL1], 1, 2)
         red = reduce(inst)
