@@ -14,8 +14,10 @@ compile the package and the reference copy) does not depend on whether the
 checkout holds ``__pycache__`` directories from earlier runs, just as in a
 fresh checkout.  ``--compare A B`` prints, for every
 end-to-end metric of every workload in both files, the relative change from
-A to B and whether it stays within the metric's ``BENCHMARK.json`` bound;
-it exits 1 when any metric is out of bounds or any run of B is incorrect.
+A to B and whether it stays within the metric's ``BENCHMARK.json`` bound,
+and a ``FAIL`` line for each workload of A that B lacks; it exits 1 when
+any metric is out of bounds, any run of B is incorrect or any workload of A
+is missing from B.
 """
 
 from __future__ import annotations
@@ -82,14 +84,19 @@ def record(seed: int, output: Path) -> int:
 
 
 def compare(path_a: Path, path_b: Path) -> int:
-    """Print each end-to-end metric's change from A to B; 0 when every
-    metric stays within its bound and every run of B is correct."""
+    """Print each end-to-end metric's change from A to B; 0 when B has
+    every workload of A, every metric stays within its bound and every run
+    of B is correct."""
     metrics = _benchmark()["end_to_end"]
     a = json.loads(path_a.read_text(encoding="utf-8"))["workloads"]
     b = json.loads(path_b.read_text(encoding="utf-8"))["workloads"]
     ok = True
     print("workload\tmetric\tA\tB\tchange\tbound\tverdict")
-    for name in (w for w in a if w in b):
+    for name in a:
+        if name not in b:
+            ok = False
+            print(f"{name}\tworkload\tpresent\tmissing\t-\t-\tFAIL")
+            continue
         ra, rb = a[name]["result"], b[name]["result"]
         if not rb["correct"]:
             ok = False

@@ -35,7 +35,6 @@ _EXPORTS = {
         "EmptyWordError",
         "Identity",
         "IdentitySyntaxError",
-        "Literal",
         "PremiseMismatchError",
         "apply_assignment",
         "format_identity",

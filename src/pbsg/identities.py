@@ -11,9 +11,12 @@ Concrete syntax::
     var      := "x" positive-integer
 
 Whitespace is insignificant.  ``x1'`` is accepted as a synonym for ``x1^-1``;
-the canonical printer always emits ``^-1``.  Variables are renumbered so the
-premise-constrained ones come first (1..e), then the rest in order of first
-occurrence in the left word, then the right word.
+the canonical printer always emits ``^-1``.  A variable index is written in
+ASCII digits, and leading zeros name the same variable.  Variables are
+numbered as they are read, so the premise-constrained ones come first
+(1..e), then the rest in order of first occurrence in the left word, then
+the right word.  A word is a tuple of nonzero ints: ``v`` stands for
+``x_v`` and ``-v`` for ``x_v^-1``.
 """
 
 from __future__ import annotations
@@ -44,29 +47,15 @@ class EmptyWordError(IdentitySyntaxError):
     """One side of the equation has no literals."""
 
 
-class Literal(ValueType):
-    __slots__ = ("var", "exponent")
-
-    def __init__(self, var: int, exponent: int):
-        if var < 1:
-            raise ValueError("variable index must be positive")
-        if exponent not in (-1, 1):
-            raise ValueError("exponent must be +1 or -1")
-        self.var = var
-        self.exponent = exponent
-
-    def __str__(self):
-        return f"x{self.var}" + ("^-1" if self.exponent == -1 else "")
-
-
 class Identity(ValueType):
     """``x1 = x1^2, ..., xe = xe^2  =>  u = v`` in canonical numbering; each
-    word is a nonempty tuple of literals."""
+    word is a nonempty tuple of literals, ``v`` for ``x_v`` and ``-v`` for
+    ``x_v^-1``, with 1 <= |v| <= ``num_vars``."""
 
     __slots__ = ("num_vars", "num_premises", "lhs", "rhs")
 
     def __init__(self, num_vars: int, num_premises: int,
-                 lhs: tuple[Literal, ...], rhs: tuple[Literal, ...]):
+                 lhs: tuple[int, ...], rhs: tuple[int, ...]):
         if num_vars < 1:
             raise ValueError("an identity mentions at least one variable")
         if not 0 <= num_premises <= num_vars:
@@ -75,8 +64,9 @@ class Identity(ValueType):
             if not word:
                 raise ValueError("words must be nonempty")
             for lit in word:
-                if lit.var > num_vars:
-                    raise ValueError(f"literal x{lit.var} exceeds num_vars")
+                if type(lit) is not int or not 0 < abs(lit) <= num_vars:
+                    raise ValueError(f"literal {lit!r} is not a nonzero int "
+                                     f"of absolute value at most {num_vars}")
         self.num_vars = num_vars
         self.num_premises = num_premises
         self.lhs = lhs
@@ -86,7 +76,7 @@ class Identity(ValueType):
         return format_identity(self)
 
 
-_TOKEN_RE = re.compile(r"x\d+|\^-1|\^2|'|=>|=|,")
+_TOKEN_RE = re.compile(r"x[0-9]+|\^-1|\^2|'|=>|=|,")
 _WS_RE = re.compile(r"\s*")
 
 
@@ -146,21 +136,22 @@ class _Parser:
             raise IdentitySyntaxError(f"variable index must be positive, got {text}", pos)
         return v
 
-    def word(self, side):
+    def word(self, side, numbers):
+        """One side's literals; a variable not in ``numbers`` (digits ->
+        canonical number) gets the next number there."""
         lits = []
         while True:
             tok = self.peek()
             if tok is None or not tok.startswith("x"):
                 break
-            v = self.var()
+            v = numbers.setdefault(self.var(), len(numbers) + 1)
             if self.peek() in ("^-1", "'"):
                 self.take()
-                lits.append((v, -1))
-            else:
-                lits.append((v, 1))
+                v = -v
+            lits.append(v)
         if not lits:
             raise EmptyWordError(f"{side} side has no literals", self.pos())
-        return lits
+        return tuple(lits)
 
 
 def parse_identity(text: str) -> Identity:
@@ -170,7 +161,7 @@ def parse_identity(text: str) -> Identity:
     if len(implies) > 1:
         raise IdentitySyntaxError("more than one '=>'", tokens[implies[1]][1])
 
-    premise_vars: list[str] = []
+    numbers: dict[str, int] = {}
     if implies:
         # a premise list cut short is reported at its "=>"
         head = _Parser(tokens[: implies[0]], tokens[implies[0]][1])
@@ -184,8 +175,7 @@ def parse_identity(text: str) -> Identity:
                     f"premise must have the shape x{v1} = x{v1}^2", start
                 )
             head.take()
-            if v1 not in premise_vars:
-                premise_vars.append(v1)
+            numbers.setdefault(v1, len(numbers) + 1)
             if head.peek() is None:
                 break
             head.expect(",", "',' between premises")
@@ -193,42 +183,31 @@ def parse_identity(text: str) -> Identity:
     else:
         body = _Parser(tokens, len(text))
 
-    lhs_raw = body.word("left")
+    num_premises = len(numbers)
+    lhs = body.word("left", numbers)
     body.expect("=", "'=' between the two words")
-    rhs_raw = body.word("right")
+    rhs = body.word("right", numbers)
     if body.peek() is not None:
         raise IdentitySyntaxError(f"trailing {body.peek()!r}", body.pos())
-
-    renumber: dict[str, int] = {}
-    for v in premise_vars:
-        renumber[v] = len(renumber) + 1
-    for v, _ in lhs_raw + rhs_raw:
-        if v not in renumber:
-            renumber[v] = len(renumber) + 1
-
-    return Identity(
-        num_vars=len(renumber),
-        num_premises=len(premise_vars),
-        lhs=tuple(Literal(renumber[v], exponent) for v, exponent in lhs_raw),
-        rhs=tuple(Literal(renumber[v], exponent) for v, exponent in rhs_raw),
-    )
+    return Identity(len(numbers), num_premises, lhs, rhs)
 
 
 def format_identity(ident: Identity) -> str:
     """Canonical text; ``parse_identity(format_identity(i)) == i``."""
-    eq = " = ".join(" ".join(map(str, word)) for word in (ident.lhs, ident.rhs))
+    eq = " = ".join(" ".join(f"x{v}" if v > 0 else f"x{-v}^-1" for v in word)
+                    for word in (ident.lhs, ident.rhs))
     if ident.num_premises == 0:
         return eq
     premises = ", ".join(f"x{i}=x{i}^2" for i in range(1, ident.num_premises + 1))
     return f"{premises} => {eq}"
 
 
-def apply_assignment(word: Sequence[Literal], assignment: Sequence):
+def apply_assignment(word: Sequence[int], assignment: Sequence):
     """Evaluate a word under elements assigned to x1..xm (left-to-right)."""
     acc = None
-    for lit in word:
-        el = assignment[lit.var - 1]
-        if lit.exponent == -1:
+    for v in word:
+        el = assignment[abs(v) - 1]
+        if v < 0:
             el = el.inverse()
         acc = el if acc is None else acc * el
     return acc

@@ -179,12 +179,13 @@ class _Occurrences:
     def __init__(self, ident, var, sink):
         l = len(ident.lhs)
         edges = []
+        # a literal of this variable is ``var`` or ``-var``: exponent ``lit // var``
         for pos, lit in enumerate(ident.lhs):
-            if lit.var == var:
-                edges.append((pos, pos + 1, lit.exponent))
+            if abs(lit) == var:
+                edges.append((pos, pos + 1, lit // var))
         for pos, lit in enumerate(ident.rhs):
-            if lit.var == var:
-                edges.append((l + pos if pos else 0, l + pos + 1, lit.exponent))
+            if abs(lit) == var:
+                edges.append((l + pos if pos else 0, l + pos + 1, lit // var))
         self.edges = tuple(edges)
         self.constrained = var <= ident.num_premises
         self.depth = max((j for _, j, _ in edges), default=0)
@@ -395,24 +396,24 @@ def _is_law(ident: Identity) -> bool:
 
     Both words walk one shared trie of free-group-reduced words, whose
     vertices are integer ids (0 the empty word), so equal reduced words get
-    one id.  A letter is ``2·var``, or ``2·var + 1`` for an inverse, so
-    ``a ^ 1`` is its inverse.  A letter that cancels the last letter of the
-    current vertex steps back to its parent, which is already in the tree;
-    any other steps to (and adds) the child.  The reduced values are
-    compared before the trees.  O(|u| + |v|).
+    one id.  A letter is a literal, so ``-b`` is the inverse of ``b``, and a
+    premise variable ``v`` is the two letters ``v, -v``.  A letter that
+    cancels the last letter of the current vertex steps back to its parent,
+    which is already in the tree; any other steps to (and adds) the child.
+    The reduced values are compared before the trees.  O(|u| + |v|).
     """
     e = ident.num_premises
     child: dict = {}
     parent = [0]
-    via = [-1]
+    via = [0]
     trees = []
     for word in (ident.lhs, ident.rhs):
         node = 0
         tree = {0}
         for lit in word:
-            a = 2 * lit.var
-            for b in ((a, a + 1) if lit.var <= e else (a + (lit.exponent < 0),)):
-                if via[node] == b ^ 1:
+            v = abs(lit)
+            for b in ((v, -v) if v <= e else (lit,)):
+                if via[node] == -b:
                     node = parent[node]
                     continue
                 step = child.get((node, b))

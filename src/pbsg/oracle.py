@@ -317,9 +317,9 @@ def oracle_models(
 
     def eval_side(word, assign):
         acc = None
-        for lit in word:
-            i = assign[lit.var - 1]
-            key = inv_keys[i] if lit.exponent == -1 else keys[i]
+        for v in word:
+            i = assign[abs(v) - 1]
+            key = keys[i] if v > 0 else inv_keys[i]
             acc = key if acc is None else acc.translate(key + tail)
         return acc
 

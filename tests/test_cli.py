@@ -42,6 +42,24 @@ class TestProps:
         code, out = run(capsys, "props", path, "--cross-check")
         assert code == 0 and "DISAGREE" not in out
 
+    def test_cross_check_reports_disagreement(self, tmp_json, capsys, monkeypatch):
+        # a generator-level checker that flips its verdict is caught by the oracle
+        from pbsg.checkers import _CHECKERS
+        from pbsg.properties import CheckReport, PropertyName
+
+        path = tmp_json("g.json", GENS_SWAP)
+        argv = ("props", path, "--property", "commutative", "--cross-check")
+        assert run(capsys, *argv)[0] == 0
+        monkeypatch.setitem(_CHECKERS, PropertyName.COMMUTATIVE,
+                            lambda gens: CheckReport(PropertyName.COMMUTATIVE, False, None))
+        code, out = run(capsys, *argv)
+        assert code == 4 and "commutative\tfalse\ttrue\t" in out
+        assert out.endswith("DISAGREE\tcommutative\n")
+        code, out = run(capsys, *argv, "--json")
+        doc = json.loads(out)
+        assert code == 4 and doc["disagreements"] == ["commutative"]
+        assert doc["results"][0]["fast"] is False and doc["results"][0]["oracle"] is True
+
     def test_oracle_is_cross_check(self, tmp_json, capsys):
         for doc in (GENS_SWAP, GENS_SHIFT):
             path = tmp_json("g.json", doc)

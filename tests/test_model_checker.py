@@ -305,14 +305,13 @@ class TestDegreeCap:
 
 def munn_tree(word, premises):
     """Reference Munn tree: the set of free-group-reduced prefixes as tuples
-    of (var, exponent), and the reduced value; a premise variable is read as
-    ``y y^-1``."""
+    of literals (``-v`` the inverse of ``v``), and the reduced value; a
+    premise variable is read as ``y y^-1``."""
     reduced = ()
     prefixes = {reduced}
     for lit in word:
-        for letter in (((lit.var, 1), (lit.var, -1)) if lit.var <= premises
-                       else ((lit.var, lit.exponent),)):
-            if reduced and reduced[-1] == (letter[0], -letter[1]):
+        for letter in ((abs(lit), -abs(lit)) if abs(lit) <= premises else (lit,)):
+            if reduced and reduced[-1] == -letter:
                 reduced = reduced[:-1]
             else:
                 reduced += (letter,)

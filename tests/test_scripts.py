@@ -74,6 +74,12 @@ def test_bench_compare_checks_bounds(tmp_path, capsys):
     assert compare(a, _bench_file(tmp_path / "d.json", BASE, correct=False)) == 1
     assert "cli\tcorrect\tTrue\tFalse\t-\t-\tFAIL" in capsys.readouterr().out
 
+    # a workload of A that B lacks fails, whatever B's other workloads read
+    e = tmp_path / "e.json"
+    e.write_text(json.dumps({"workloads": {}}))
+    assert compare(a, e) == 1
+    assert "cli\tworkload\tpresent\tmissing\t-\t-\tFAIL" in capsys.readouterr().out
+
 
 def test_bench_record_runs_each_workload_without_bytecode_caches(tmp_path, monkeypatch):
     bench_record = _load("bench_record")

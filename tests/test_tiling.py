@@ -55,26 +55,30 @@ class TestTypes:
             TilingGrid(((0,), (0, 1)))
 
 
+#: (tiles, width, cells, first violation): one grid per verdict; tiles are
+#: (north, east, south, west)
+VIOLATIONS = [
+    # every border of the grid is wrong: the first in row-major order
+    ([Tile(2, 2, 2, 2)], 2, ((0, 0), (0, 0)), ("north-border", 1, 1)),
+    ([Tile(1, 1, 1, 2)], 1, ((0,),), ("west-border", 1, 1)),
+    # east edge 2 beside west edge 1
+    ([Tile(1, 2, 1, 1), ALL1], 1, ((0, 1),), ("east-adjacency", 1, 1)),
+    ([ALL1, Tile(1, 2, 1, 1)], 1, ((0, 1),), ("east-border", 1, 2)),
+    ([ALL1, Tile(1, 1, 2, 1)], 3, ((0,), (1,), (0,)), ("south-adjacency", 2, 1)),
+    ([Tile(1, 1, 2, 1)], 1, ((0,),), ("south-border", 1, 1)),
+]
+
+
 class TestVerify:
     def test_all_one_tile(self):
         inst = inst_of([ALL1], 1, 1)
         assert verify_proper_tiling(inst, TilingGrid(((0,),))) is None
 
-    def test_bad_south_border(self):
-        inst = inst_of([Tile(1, 1, 2, 1)], 2, 1)
-        assert verify_proper_tiling(inst, TilingGrid(((0,),))) == ("south-border", 1, 1)
-
-    def test_bad_horizontal_adjacency(self):
-        t_a = Tile(1, 2, 1, 1)  # east edge 2
-        t_b = Tile(1, 1, 1, 1)  # west edge 1: mismatch with t_a's east
-        inst = inst_of([t_a, t_b], 2, 1)
-        assert verify_proper_tiling(inst, TilingGrid(((0, 1),))) == ("east-adjacency", 1, 1)
-
-    def test_row_major_first_violation(self):
-        bad = Tile(2, 2, 2, 2)
-        inst = inst_of([bad], 2, 2)
-        grid = TilingGrid(((0, 0), (0, 0)))
-        assert verify_proper_tiling(inst, grid) == ("north-border", 1, 1)
+    @pytest.mark.parametrize("tiles, width, cells, verdict", VIOLATIONS,
+                             ids=[verdict[0] for *_, verdict in VIOLATIONS])
+    def test_first_violation(self, tiles, width, cells, verdict):
+        inst = inst_of(tiles, 2, width)
+        assert verify_proper_tiling(inst, TilingGrid(cells)) == verdict
 
     def test_grid_height_must_match(self):
         with pytest.raises(ValueError):
@@ -252,6 +256,9 @@ class TestEncodeDecode:
         red = reduce(inst)
         with pytest.raises(MalformedWitness):
             decode_witness(red, (1, 0))  # starts with a row-2 generator
+        for letter in (2, -1):  # two generators, 0 and 1
+            with pytest.raises(MalformedWitness, match=f"letter {letter} out of range"):
+                decode_witness(red, (0, letter))
 
     def test_malformed_wrong_length(self):
         inst = inst_of([ALL1], 1, 2)
