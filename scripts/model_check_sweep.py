@@ -5,8 +5,14 @@ and counterexample replay results.  A check whose oracle assignment space
 exceeds ``DEFAULT_BUDGET`` (``oracle_models`` raises LimitExceeded) is skipped
 and counted.
 
+``--sets class`` draws the sets from the classes that ``models`` decides
+identities for before its walk, in turn: groups on a random domain, abelian
+groups (powers of one permutation), semilattices, commutative sets and
+Clifford sets whose domains are nested.  Random sets rarely lie in one.
+
 Example:
     python3 scripts/model_check_sweep.py --degrees 2 3 4 --count 200
+    python3 scripts/model_check_sweep.py --degrees 5 6 --count 50 --sets class
 """
 
 import argparse
@@ -14,7 +20,8 @@ import random
 import sys
 import time
 
-from pbsg import LimitExceeded, models, oracle_models, parse_identity
+from pbsg import (GeneratorSet, LimitExceeded, PartialBijection, models, oracle_models,
+                  parse_identity)
 from pbsg.model_checker import counterexample_values
 from pbsg.sampling import random_generator_set
 
@@ -33,6 +40,54 @@ DEFAULT_IDENTITIES = [
     "x1 x2 x1^-1 x2^-1 = x2 x1 x2^-1 x1^-1",
 ]
 
+CLASSES = ("group", "abelian", "semilattice", "commutative", "clifford")
+
+
+def _restricted(perm, dom):
+    """The permutation ``perm`` (a list) restricted to the points ``dom``."""
+    return PartialBijection([y if x in dom else None for x, y in enumerate(perm)])
+
+
+def class_generator_set(rng, n, k, kind):
+    """``k`` generators of degree ``n`` whose inverse hull lies in the class
+    ``kind`` (one of ``CLASSES``).
+
+    A group permutes one random domain; an abelian group is powers of one
+    such permutation; a semilattice is partial identities.  The commutative
+    and Clifford sets restrict permutations to the domains of a random chain
+    D1 ⊇ D2 ⊇ ..., each permutation keeping every Di: powers of one such
+    permutation (so they commute), or a fresh one per generator.
+    """
+    if kind == "semilattice":
+        return GeneratorSet(n, [_restricted(range(n), rng.sample(range(n), rng.randint(0, n)))
+                                for _ in range(k)])
+    order = rng.sample(range(n), n)
+    cuts = sorted(rng.sample(range(1, n + 1), rng.randint(1, n)), reverse=True)
+    if kind in ("group", "abelian"):
+        cuts = cuts[:1]
+    chain = [order[:c] for c in cuts]
+
+    def keeping():
+        # a permutation of the points that shuffles each layer Di - Di+1 in itself
+        perm = list(range(n))
+        for hi, lo in zip(cuts, cuts[1:] + [0]):
+            layer = order[lo:hi]
+            for x, y in zip(layer, rng.sample(layer, len(layer))):
+                perm[x] = y
+        return perm
+
+    base = keeping() if kind in ("abelian", "commutative") else None
+    gens = []
+    for _ in range(k):
+        if base is None:
+            perm = keeping()
+        else:
+            perm = base
+            for _ in range(rng.randrange(n)):
+                perm = [base[y] for y in perm]
+        gens.append(_restricted(perm, rng.choice(chain)))
+    return GeneratorSet(n, gens)
+
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
@@ -41,6 +96,8 @@ def main(argv=None):
     parser.add_argument("--max-k", type=int, default=3)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--identities", nargs="*", default=DEFAULT_IDENTITIES)
+    parser.add_argument("--sets", choices=("random", "class"), default="random",
+                        help="random sets, or members of the classes in turn")
     args = parser.parse_args(argv)
 
     idents = [(text, parse_identity(text)) for text in args.identities]
@@ -52,9 +109,12 @@ def main(argv=None):
 
     for n in args.degrees:
         rng = random.Random(args.seed + 100 * n)
-        for _ in range(args.count):
-            gens = random_generator_set(rng, n, rng.randint(1, args.max_k),
-                                        inverse_closed=True)
+        for i in range(args.count):
+            k = rng.randint(1, args.max_k)
+            if args.sets == "class":
+                gens = class_generator_set(rng, n, k, CLASSES[i % len(CLASSES)]).with_inverses()
+            else:
+                gens = random_generator_set(rng, n, k, inverse_closed=True)
             for text, ident in idents:
                 try:
                     slow = oracle_models(gens, ident)

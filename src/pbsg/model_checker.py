@@ -18,8 +18,23 @@ the same reduced value.  A premise variable ``x_i = x_i^2`` is read as
 idempotent e equals e·e⁻¹ and its own inverse, so under an assignment that
 meets the premises each word takes the value of its substituted form with
 ``y_i`` set to the value of ``x_i``, and a law of the substituted words
-holds there.  The test only ever answers "holds"; any other identity,
-including one that holds on some sets only, falls through to the walk.
+holds there.
+
+Identities of the generators' class come next, read the same way.  If the
+inverse hull of the generators lies in a class of inverse semigroups where
+the two words are equal, the identity holds in the semigroup they generate,
+again without a walk and without charge.  Each class is tested on the
+hull's keys, and its word problem is the standard one for its free object:
+a semilattice (every key idempotent) needs the same content, the set of
+variables read; a group (every key undefined at the same points) the same
+reduced value; an abelian group (a group whose keys commute) the same
+exponent sum per non-premise variable; a commutative inverse semigroup (the
+keys commute) the same content and sums; a Clifford semigroup (dom(ab) =
+dom(ba) for all keys, which on an inverse-closed set means dom(ab) = dom a ∩
+dom b) the same content and reduced value.  A class is tested only when
+its word test passed.  Both tests only ever answer "holds"; any other
+identity falls through to the walk, whose verdicts, least counterexamples
+and charges they leave as they were.
 
 Points live in ``{0..n-1}`` plus an absorbing sink standing for "undefined"
 (written ``_`` externally, carried internally as the integer ``n``, the sink
@@ -99,6 +114,7 @@ oracle.
 from __future__ import annotations
 
 from collections import deque
+from itertools import combinations
 from typing import Optional
 
 # DEFAULT_BUDGET lives in ``closure`` so that the CLI can name it without
@@ -389,18 +405,18 @@ def check_variable_run(
     return _run_word(letters, spec, n, {}, _Work(budget))
 
 
-def _is_law(ident: Identity) -> bool:
-    """Whether the two words, with each premise variable read as
-    ``y_i y_i^-1``, are equal in the free inverse semigroup: the same Munn
-    tree and the same reduced value.
+def _reduce(ident: Identity):
+    """Each word's free-group-reduced value and Munn tree, with each premise
+    variable read as ``y_i y_i^-1``: a pair ``(value, tree)`` per word.
 
     Both words walk one shared trie of free-group-reduced words, whose
     vertices are integer ids (0 the empty word), so equal reduced words get
-    one id.  A letter is a literal, so ``-b`` is the inverse of ``b``, and a
-    premise variable ``v`` is the two letters ``v, -v``.  A letter that
-    cancels the last letter of the current vertex steps back to its parent,
-    which is already in the tree; any other steps to (and adds) the child.
-    The reduced values are compared before the trees.  O(|u| + |v|).
+    one id: a value is the vertex a word ends at, a tree the set of vertices
+    it visits.  A letter is a literal, so ``-b`` is the inverse of ``b``,
+    and a premise variable ``v`` is the two letters ``v, -v``.  A letter
+    that cancels the last letter of the current vertex steps back to its
+    parent, which is already in the tree; any other steps to (and adds) the
+    child.  O(|u| + |v|).
     """
     e = ident.num_premises
     child: dict = {}
@@ -424,7 +440,71 @@ def _is_law(ident: Identity) -> bool:
                 node = step
                 tree.add(node)
         trees.append((node, tree))
-    return trees[0] == trees[1]
+    return trees
+
+
+def _is_law(ident: Identity) -> bool:
+    """Whether the two words, with each premise variable read as
+    ``y_i y_i^-1``, are equal in the free inverse semigroup: the same Munn
+    tree and the same reduced value (``_reduce``)."""
+    lhs, rhs = _reduce(ident)
+    return lhs == rhs
+
+
+def _in_class(keys, letters, ident, same_value):
+    """Whether the inverse hull keyed ``keys`` (``letters`` their
+    ``closure._tables``) lies in a class of inverse semigroups where the two
+    words, read as ``_reduce`` reads them, are equal; ``same_value`` says
+    whether their reduced values are.
+
+    Each class's free object has a standard word problem (Petrich, *Inverse
+    Semigroups*, 1984; Howie, *Fundamentals of Semigroup Theory*, 1995).  It
+    is decided by the words' content (the set of variables they read),
+    their exponent sum per non-premise variable (a premise variable's is
+    0), and their reduced value:
+
+    - semilattice, every key idempotent: the same content;
+    - group, every key undefined at the same points (so, the hull being
+      inverse-closed, each permutes one domain): the same reduced value;
+    - abelian group, a group whose keys commute: the same exponent sums;
+    - commutative inverse, the keys commute: the same content and sums;
+    - Clifford, dom(ab) = dom(ba) for all keys a, b: the same content and
+      reduced value.  With b = a⁻¹ this makes dom a = im a, and then
+      dom(ab) = a⁻¹(X) and dom(ba) = b⁻¹(X) for X = dom a ∩ dom b, so both
+      are X.  Each key thus permutes its domain and keeps every other
+      key's, and every element lies in a subgroup.
+
+    A class is tested only when its word test passed, the cheaper ones
+    first.  The same reduced value implies the same exponent sums, and the
+    Clifford class contains the commutative one, so with the same reduced
+    value the commutative class is not tested.
+    """
+    same_content = set(map(abs, ident.lhs)) == set(map(abs, ident.rhs))
+    if same_content and all(k.translate(t) == k for k, t in zip(keys, letters)):
+        return True  # a semilattice
+    if not same_value:
+        sums = [0] * (ident.num_vars + 1)
+        for lit in ident.lhs:
+            sums[abs(lit)] += 1 if lit > 0 else -1
+        for lit in ident.rhs:
+            sums[abs(lit)] -= 1 if lit > 0 else -1
+        if any(sums[ident.num_premises + 1:]):
+            return False
+    n = len(keys[0])
+    undefined = bytes(n) + b"\x01" * (256 - n)  # a point reads 0, the sink 1
+
+    def group():
+        return len({k.translate(undefined) for k in keys}) == 1
+
+    pairs = combinations(zip(keys, letters), 2)
+    if not same_value:
+        # the same exponent sums: an abelian group, or commutative inverse
+        return (same_content or group()) and all(
+            a.translate(tb) == b.translate(ta) for (a, ta), (b, tb) in pairs)
+    # the same reduced value: a group, or Clifford
+    return group() or same_content and all(
+        a.translate(tb).translate(undefined) == b.translate(ta).translate(undefined)
+        for (a, ta), (b, tb) in pairs)
 
 
 def models(
@@ -439,20 +519,26 @@ def models(
     inverse semigroup) holds whatever the generators, so it is answered
     first, before any walk: it charges nothing and never raises
     ``LimitExceeded``.  The substitution is sound because every idempotent
-    e of an inverse semigroup equals e·e⁻¹.  Any other identity is decided
-    by the boundary walk (``_walk``), with the same verdict, least
-    counterexample and charges as without the test.
+    e of an inverse semigroup equals e·e⁻¹.  So is an identity whose words,
+    read the same way, are equal in a class the inverse hull lies in
+    (``_in_class``: semilattices, groups, abelian groups, commutative
+    inverse and Clifford semigroups).  Any other identity is decided by the
+    boundary walk (``_walk``), with the same verdict, least counterexample
+    and charges as without the tests.
 
     Boundaries are tried in lexicographic order of ``p[0..l]`` then
     ``q[1..r]`` (real points ascending, sink last), so the reported
     counterexample is the least one, with each variable's word minimal for
     it.  Raises ``ValueError`` past ``closure.MAX_DEGREE``, laws included,
-    and for any other identity ``LimitExceeded`` once the work passes
-    ``budget``.
+    and for an identity that reaches the walk ``LimitExceeded`` once the
+    work passes ``budget``.
     """
     gens = gens.with_inverses()
-    letters = _tables(_keys(gens))
-    if _is_law(ident):
+    keys = _keys(gens)
+    letters = _tables(keys)
+    (lhs_value, lhs_tree), (rhs_value, rhs_tree) = _reduce(ident)
+    same_value = lhs_value == rhs_value
+    if same_value and lhs_tree == rhs_tree or _in_class(keys, letters, ident, same_value):
         return ModelCheckResult(True, None, gens)
     return _walk(gens, letters, ident, budget)
 

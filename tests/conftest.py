@@ -1,4 +1,6 @@
+import importlib.util
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
@@ -15,6 +17,17 @@ MODEL_CORPUS = (
     "x1=x1^2 => x1 x2 = x2 x1",
     "x1=x1^2, x2=x2^2 => x1 x2 = x2 x1",
 )
+
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load_script(name):
+    """The module ``scripts/<name>.py``, loaded by file path."""
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def pb(text: str) -> PartialBijection:

@@ -18,11 +18,11 @@ from pbsg import (
 )
 from pbsg.checkers import check_commutative
 from pbsg.closure import _keys, _tables
-from pbsg.model_checker import (_EMPTY, _Occurrences, _Work, _is_law, _masked_word, _offer,
-                                counterexample_values)
+from pbsg.model_checker import (_EMPTY, _Occurrences, _Work, _in_class, _is_law, _masked_word,
+                                _offer, _reduce, counterexample_values)
 from pbsg.sampling import random_generator_set
 
-from conftest import MODEL_CORPUS, pb, seeded_generator_sets
+from conftest import MODEL_CORPUS, load_script, pb, seeded_generator_sets
 
 
 def gset(*texts, closed=True):
@@ -49,12 +49,29 @@ def cosingleton_semilattice(n, dropped=None):
     ])
 
 
+def unclassed_semilattice(n):
+    """The co-singleton semilattice and the map sending only the last point to
+    the one before it.  That map's square is undefined everywhere, so the
+    inverse hull lies in none of the classes (semilattice, groups,
+    commutative, Clifford) whose identities ``models`` decides before its
+    walk."""
+    extra = [None] * n
+    extra[n - 1] = n - 2
+    return GeneratorSet.from_elements([*cosingleton_semilattice(n).generators,
+                                       PartialBijection(extra)])
+
+
 def symmetric_group(n):
     """S_n, generated by the n-cycle and the transposition of the first two points."""
     return GeneratorSet.from_elements([
         PartialBijection([(x + 1) % n for x in range(n)]),
         PartialBijection([1, 0, *range(2, n)]),
     ])
+
+
+def cycle(n):
+    """The n-cycle."""
+    return GeneratorSet.from_elements([PartialBijection([(x + 1) % n for x in range(n)])])
 
 
 class TestModels:
@@ -161,10 +178,11 @@ class TestWorkBudget:
         assert models(gens, parse_identity(FOUR_REVERSAL)).models
 
     def test_search_past_the_budget_overflows(self):
-        # the degree-7 reversal charges 392 units when it runs to the end
+        # the degree-7 reversal charges 312 units up to its least
+        # counterexample, which starts at the second-to-last point
         with pytest.raises(LimitExceeded) as info:
-            models(cosingleton_semilattice(7), parse_identity(FOUR_REVERSAL), budget=300)
-        assert info.value.limit == 300 and info.value.count == 301
+            models(unclassed_semilattice(7), parse_identity(FOUR_REVERSAL), budget=300)
+        assert info.value.limit == 300 and info.value.count == 305
         assert str(info.value) == "model checking work exceeds the budget 300"
 
     def test_masked_search_past_the_budget_overflows(self):
@@ -275,11 +293,8 @@ class TestWorkBudget:
 class TestDegreeCap:
     """Reach states hold one byte per point, the sink being the byte n."""
 
-    def cycle(self, n):
-        return GeneratorSet.from_elements([PartialBijection([(x + 1) % n for x in range(n)])])
-
     def test_degree_over_the_cap_is_refused(self):
-        gens = self.cycle(256)
+        gens = cycle(256)
         ident = parse_identity("x1 = x1 x1")
         # a law too, although it needs no walk
         for text in ("x1 = x1 x1", "x1 x1^-1 x1 = x1"):
@@ -289,7 +304,7 @@ class TestDegreeCap:
             check_variable_run(gens, ident, 1, BoundaryGuess((0, 1, 2), (0, 1)))
 
     def test_degree_at_the_cap_decides(self):
-        gens = self.cycle(255)
+        gens = cycle(255)
         ident = parse_identity("x1 = x1 x1")
         result = models(gens, ident)
         assert not result.models
@@ -367,7 +382,7 @@ class TestLawCheck:
         ident = parse_identity(text)
         assert not _is_law(ident)
         with pytest.raises(LimitExceeded):
-            models(cosingleton_semilattice(6), ident, budget=1)
+            models(unclassed_semilattice(6), ident, budget=1)
 
     def test_matches_reference_trees(self):
         rng = random.Random(408)
@@ -399,6 +414,63 @@ class TestLawCheck:
                 assert models(gens, ident).models
                 checked[ident.num_premises == 0] += 1
         assert checked[False] > 500 and checked[True] > 100, checked
+
+
+class TestClassCheck:
+    """``models`` answers an identity that holds in a class the inverse hull
+    lies in (semilattice, group, abelian group, commutative inverse or
+    Clifford) before the walk, and hands every other one to the walk."""
+
+    def test_class_answers_match_walk_and_oracle(self):
+        # the sweep's class members and random sets, at degrees up to 6 (a
+        # random set lies in a class now and then, and tests a class check
+        # that admits too much), and random identities
+        sweep = load_script("model_check_sweep")
+        rng = random.Random(431)
+        kinds = (*sweep.CLASSES, "random")
+        answered = dict.fromkeys(kinds, 0)
+        for i in range(4_800):
+            kind, n, k = kinds[i % len(kinds)], rng.randint(1, 6), rng.randint(1, 3)
+            if kind == "random":
+                gens = random_generator_set(rng, n, k, inverse_closed=True)
+            else:
+                gens = sweep.class_generator_set(rng, n, k, kind).with_inverses()
+            ident = random_identity(rng)
+            keys = _keys(gens)
+            (lhs_value, _), (rhs_value, _) = _reduce(ident)
+            if _is_law(ident) or not _in_class(keys, _tables(keys), ident,
+                                               lhs_value == rhs_value):
+                continue
+            assert models(gens, ident, budget=1) == model_checker.ModelCheckResult(
+                True, None, gens)
+            try:
+                slow = oracle_models(gens, ident)
+                fast = walk(gens, ident, budget=200_000)
+            except LimitExceeded:
+                continue
+            assert slow.models and fast.models, (str(ident), gens.to_json_obj())
+            answered[kind] += 1
+        assert min(answered.values()) > 100, answered
+
+    @pytest.mark.parametrize("text", ("x1 x2 x3 = x3 x2 x1", "x1 x2 x1^-1 = x2"))
+    def test_abelian_group_identities_decide_without_work(self, text):
+        # the walk would exhaust every boundary of these, far past the budget
+        gens, ident = cycle(48), parse_identity(text)
+        result = models(gens, ident, budget=1)
+        assert result == model_checker.ModelCheckResult(True, None, gens.with_inverses())
+        with pytest.raises(LimitExceeded):
+            walk(gens, ident, budget=10_000)
+
+    def test_identity_outside_the_class_still_walks(self):
+        # S_3 is a group but not abelian: commutativity goes to the walk, which
+        # ships the same least counterexample as without the class check
+        ident = parse_identity("x1 x2 = x2 x1")
+        result = models(symmetric_group(3), ident)
+        assert result == walk(symmetric_group(3), ident)
+        assert result.counterexample == model_checker.Counterexample(
+            BoundaryGuess((0, 0, 1), (0, 1, 2)), ((0, 1), (0,)))
+        with pytest.raises(LimitExceeded):
+            models(symmetric_group(3), ident, budget=1)
 
 
 class TestCheckVariableRun:

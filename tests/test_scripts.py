@@ -1,31 +1,23 @@
 """Runs of the scripts under scripts/, loaded by file path: the two oracle
 sweeps, and the BENCH file recording and comparison."""
 
-import importlib.util
 import json
 import os
 import subprocess
-from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
-
-
-def _load(name):
-    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from conftest import load_script
 
 
 @pytest.mark.parametrize("name, argv", [
     ("oracle_sweep", ["--count", "100"]),
     ("model_check_sweep", ["--degrees", "2", "3", "--count", "20"]),
+    ("model_check_sweep", ["--degrees", "2", "3", "--count", "20", "--sets", "class"]),
 ])
 def test_sweep_agrees_with_oracle(name, argv, capsys):
-    assert _load(name).main(argv) == 0
+    assert load_script(name).main(argv) == 0
     assert "agree" in capsys.readouterr().out
 
 
@@ -33,7 +25,7 @@ def test_model_check_sweep_skips_sets_over_the_oracle_budget(capsys):
     # the second degree-4 set of seed 1 closes to 93 elements: 93^4 assignments
     argv = ["--degrees", "4", "--count", "2", "--seed", "1",
             "--identities", "x1 x2 x3 x4 = x4 x3 x2 x1"]
-    assert _load("model_check_sweep").main(argv) == 0
+    assert load_script("model_check_sweep").main(argv) == 0
     first = capsys.readouterr().out.splitlines()[0]
     assert first.startswith("1 checks in ")
     assert ", 1 skipped (oracle assignment space over the budget)" in first
@@ -52,7 +44,7 @@ BASE = {"setup_s": 0.05, "decisions_per_s": 7.0, "decision_p50_ms": 150.0,
 
 
 def test_bench_compare_checks_bounds(tmp_path, capsys):
-    compare = _load("bench_record").compare
+    compare = load_script("bench_record").compare
     a = _bench_file(tmp_path / "a.json", BASE)
     faster = _bench_file(tmp_path / "b.json", {**BASE, "decision_p50_ms": 100.0,
                                                 "decisions_per_s": 10.0})
@@ -82,7 +74,7 @@ def test_bench_compare_checks_bounds(tmp_path, capsys):
 
 
 def test_bench_record_runs_each_workload_without_bytecode_caches(tmp_path, monkeypatch):
-    bench_record = _load("bench_record")
+    bench_record = load_script("bench_record")
     facts = {"environment": {"cpu_model": "cpu", "nproc": 1, "python": "3"}}
     result = {"correct": True, "metrics": {"setup_s": {"value": 0.05, "unit": "s"}}}
     runs = []
