@@ -7,8 +7,9 @@ and counted.
 
 ``--sets class`` draws the sets from the classes that ``models`` decides
 identities for before its walk, in turn: groups on a random domain, abelian
-groups (powers of one permutation), semilattices, commutative sets and
-Clifford sets whose domains are nested.  Random sets rarely lie in one.
+groups (powers of one permutation), semilattices (which are commutative and
+Clifford), commutative sets and Clifford sets whose domains are nested.
+Random sets rarely lie in one.
 
 Example:
     python3 scripts/model_check_sweep.py --degrees 2 3 4 --count 200

@@ -25,16 +25,17 @@ inverse hull of the generators lies in a class of inverse semigroups where
 the two words are equal, the identity holds in the semigroup they generate,
 again without a walk and without charge.  Each class is tested on the
 hull's keys, and its word problem is the standard one for its free object:
-a semilattice (every key idempotent) needs the same content, the set of
-variables read; a group (every key undefined at the same points) the same
-reduced value; an abelian group (a group whose keys commute) the same
-exponent sum per non-premise variable; a commutative inverse semigroup (the
-keys commute) the same content and sums; a Clifford semigroup (dom(ab) =
-dom(ba) for all keys, which on an inverse-closed set means dom(ab) = dom a ∩
-dom b) the same content and reduced value.  A class is tested only when
-its word test passed.  Both tests only ever answer "holds"; any other
-identity falls through to the walk, whose verdicts, least counterexamples
-and charges they leave as they were.
+a group (every key undefined at the same points) needs the same reduced
+value; an abelian group (a group whose keys commute) the same exponent sum
+per non-premise variable; a commutative inverse semigroup (the keys
+commute) the same content, the set of variables read, and the same sums; a
+Clifford semigroup (dom(ab) = dom(ba) for all keys, which on an
+inverse-closed set means dom(ab) = dom a ∩ dom b) the same content and
+reduced value.  A semilattice is commutative and Clifford, so it has no
+test of its own.  A class is tested only when its word test passed.  Both
+tests only ever answer "holds"; any other identity falls through to the
+walk, whose verdicts, least counterexamples and charges they leave as they
+were.
 
 Points live in ``{0..n-1}`` plus an absorbing sink standing for "undefined"
 (written ``_`` externally, carried internally as the integer ``n``, the sink
@@ -443,14 +444,6 @@ def _reduce(ident: Identity):
     return trees
 
 
-def _is_law(ident: Identity) -> bool:
-    """Whether the two words, with each premise variable read as
-    ``y_i y_i^-1``, are equal in the free inverse semigroup: the same Munn
-    tree and the same reduced value (``_reduce``)."""
-    lhs, rhs = _reduce(ident)
-    return lhs == rhs
-
-
 def _in_class(keys, letters, ident, same_value):
     """Whether the inverse hull keyed ``keys`` (``letters`` their
     ``closure._tables``) lies in a class of inverse semigroups where the two
@@ -463,7 +456,6 @@ def _in_class(keys, letters, ident, same_value):
     their exponent sum per non-premise variable (a premise variable's is
     0), and their reduced value:
 
-    - semilattice, every key idempotent: the same content;
     - group, every key undefined at the same points (so, the hull being
       inverse-closed, each permutes one domain): the same reduced value;
     - abelian group, a group whose keys commute: the same exponent sums;
@@ -477,11 +469,10 @@ def _in_class(keys, letters, ident, same_value):
     A class is tested only when its word test passed, the cheaper ones
     first.  The same reduced value implies the same exponent sums, and the
     Clifford class contains the commutative one, so with the same reduced
-    value the commutative class is not tested.
+    value the commutative class is not tested.  A semilattice is
+    commutative and Clifford, so it needs no test of its own.
     """
     same_content = set(map(abs, ident.lhs)) == set(map(abs, ident.rhs))
-    if same_content and all(k.translate(t) == k for k, t in zip(keys, letters)):
-        return True  # a semilattice
     if not same_value:
         sums = [0] * (ident.num_vars + 1)
         for lit in ident.lhs:
@@ -514,17 +505,17 @@ def models(
 ) -> ModelCheckResult:
     """Decide the identity; on failure ship the least counterexample.
 
-    A law of every inverse semigroup (``_is_law``: the two words, with each
-    premise variable ``x_i`` read as ``y_i y_i^-1``, are equal in the free
-    inverse semigroup) holds whatever the generators, so it is answered
-    first, before any walk: it charges nothing and never raises
-    ``LimitExceeded``.  The substitution is sound because every idempotent
+    A law of every inverse semigroup (the two words, with each premise
+    variable ``x_i`` read as ``y_i y_i^-1``, are equal in the free inverse
+    semigroup: ``_reduce`` gives them the same Munn tree and value) holds
+    whatever the generators, so it is answered first, before any walk: it
+    charges nothing and never raises ``LimitExceeded``.  The substitution is sound because every idempotent
     e of an inverse semigroup equals e·e⁻¹.  So is an identity whose words,
     read the same way, are equal in a class the inverse hull lies in
-    (``_in_class``: semilattices, groups, abelian groups, commutative
-    inverse and Clifford semigroups).  Any other identity is decided by the
-    boundary walk (``_walk``), with the same verdict, least counterexample
-    and charges as without the tests.
+    (``_in_class``: groups, abelian groups, commutative inverse and
+    Clifford semigroups).  Any other identity is decided by the boundary
+    walk (``_walk``), with the same verdict, least counterexample and
+    charges as without the tests.
 
     Boundaries are tried in lexicographic order of ``p[0..l]`` then
     ``q[1..r]`` (real points ascending, sink last), so the reported
@@ -536,9 +527,8 @@ def models(
     gens = gens.with_inverses()
     keys = _keys(gens)
     letters = _tables(keys)
-    (lhs_value, lhs_tree), (rhs_value, rhs_tree) = _reduce(ident)
-    same_value = lhs_value == rhs_value
-    if same_value and lhs_tree == rhs_tree or _in_class(keys, letters, ident, same_value):
+    lhs, rhs = _reduce(ident)
+    if lhs == rhs or _in_class(keys, letters, ident, lhs[0] == rhs[0]):
         return ModelCheckResult(True, None, gens)
     return _walk(gens, letters, ident, budget)
 

@@ -18,8 +18,8 @@ from pbsg import (
 )
 from pbsg.checkers import check_commutative
 from pbsg.closure import _keys, _tables
-from pbsg.model_checker import (_EMPTY, _Occurrences, _Work, _in_class, _is_law, _masked_word,
-                                _offer, _reduce, counterexample_values)
+from pbsg.model_checker import (_EMPTY, _Occurrences, _Work, _in_class, _masked_word, _offer,
+                                _reduce, counterexample_values)
 from pbsg.sampling import random_generator_set
 
 from conftest import MODEL_CORPUS, load_script, pb, seeded_generator_sets
@@ -34,8 +34,9 @@ FOUR_REVERSAL = "x1 x2 x3 x4 = x4 x3 x2 x1"
 
 
 def walk(gens, ident, budget=DEFAULT_BUDGET):
-    """The boundary walk alone, without the law test that ``models`` runs
-    before it, so that laws exercise the walk too."""
+    """The boundary walk alone, without the law and class tests that
+    ``models`` runs before it, so that identities they decide exercise the
+    walk too."""
     gens = gens.with_inverses()
     return model_checker._walk(gens, _tables(_keys(gens)), ident, budget)
 
@@ -152,10 +153,10 @@ class TestModels:
 
     def test_three_variable_identity_at_degree_8(self):
         # pruning keeps the search far below its 8 * 9**6 boundaries
-        assert models(cosingleton_semilattice(8), parse_identity("x1 x2 x3 = x3 x2 x1")).models
+        assert walk(cosingleton_semilattice(8), parse_identity("x1 x2 x3 = x3 x2 x1")).models
 
     def test_four_variable_reversal_at_degree_6(self):
-        assert models(cosingleton_semilattice(6), parse_identity(FOUR_REVERSAL)).models
+        assert walk(cosingleton_semilattice(6), parse_identity(FOUR_REVERSAL)).models
 
 
 class TestWorkBudget:
@@ -173,9 +174,11 @@ class TestWorkBudget:
         assert lhs != rhs
 
     def test_commutative_semilattice_models_four_variable_reversal(self):
-        gens = cosingleton_semilattice(7)
+        # the walk decides it; models answers it from the commutative class
+        gens, ident = cosingleton_semilattice(7), parse_identity(FOUR_REVERSAL)
         assert check_commutative(gens).holds
-        assert models(gens, parse_identity(FOUR_REVERSAL)).models
+        assert walk(gens, ident).models
+        assert models(gens, ident, budget=1).models
 
     def test_search_past_the_budget_overflows(self):
         # the degree-7 reversal charges 312 units up to its least
@@ -230,8 +233,10 @@ class TestWorkBudget:
         # variable's reach admits: 896 units are charged here, while
         # offering every point and querying each one charges 3,297, and
         # querying each variable only at its last position more than 10**7
-        assert models(cosingleton_semilattice(16), parse_identity(FOUR_REVERSAL),
-                      budget=1_000).models
+        gens, ident = cosingleton_semilattice(16), parse_identity(FOUR_REVERSAL)
+        assert walk(gens, ident, budget=896).models
+        with pytest.raises(LimitExceeded):
+            walk(gens, ident, budget=895)
 
     def test_conflicting_points_are_rejected_before_expansion(self):
         # x1 x1^-1 x1 = x1 reads every position; binding each occurrence as
@@ -368,7 +373,8 @@ class TestLawCheck:
             PartialBijection([x + 1 if x < 119 else None for x in range(120)]),
         ])
         ident = parse_identity(text)
-        assert _is_law(ident)
+        lhs, rhs = _reduce(ident)
+        assert lhs == rhs
         result = models(gens, ident, budget=1)
         assert result == model_checker.ModelCheckResult(True, None, gens.with_inverses())
 
@@ -380,7 +386,8 @@ class TestLawCheck:
     ))
     def test_non_laws_still_walk(self, text):
         ident = parse_identity(text)
-        assert not _is_law(ident)
+        lhs, rhs = _reduce(ident)
+        assert lhs != rhs
         with pytest.raises(LimitExceeded):
             models(unclassed_semilattice(6), ident, budget=1)
 
@@ -391,7 +398,8 @@ class TestLawCheck:
             ident = random_identity(rng)
             e = ident.num_premises
             expected = munn_tree(ident.lhs, e) == munn_tree(ident.rhs, e)
-            assert _is_law(ident) == expected, str(ident)
+            lhs, rhs = _reduce(ident)
+            assert (lhs == rhs) == expected, str(ident)
             laws += expected
         assert laws > 200
 
@@ -401,7 +409,8 @@ class TestLawCheck:
         checked = {False: 0, True: 0}  # by whether the law has no premise
         for _ in range(3_000):
             ident = random_identity(rng)
-            if not _is_law(ident):
+            lhs, rhs = _reduce(ident)
+            if lhs != rhs:
                 continue
             for _ in range(3):
                 gens = random_generator_set(rng, rng.randint(1, 4), rng.randint(1, 3),
@@ -429,7 +438,7 @@ class TestClassCheck:
         rng = random.Random(431)
         kinds = (*sweep.CLASSES, "random")
         answered = dict.fromkeys(kinds, 0)
-        for i in range(4_800):
+        for i in range(19_200):
             kind, n, k = kinds[i % len(kinds)], rng.randint(1, 6), rng.randint(1, 3)
             if kind == "random":
                 gens = random_generator_set(rng, n, k, inverse_closed=True)
@@ -437,9 +446,8 @@ class TestClassCheck:
                 gens = sweep.class_generator_set(rng, n, k, kind).with_inverses()
             ident = random_identity(rng)
             keys = _keys(gens)
-            (lhs_value, _), (rhs_value, _) = _reduce(ident)
-            if _is_law(ident) or not _in_class(keys, _tables(keys), ident,
-                                               lhs_value == rhs_value):
+            lhs, rhs = _reduce(ident)
+            if lhs == rhs or not _in_class(keys, _tables(keys), ident, lhs[0] == rhs[0]):
                 continue
             assert models(gens, ident, budget=1) == model_checker.ModelCheckResult(
                 True, None, gens)
