@@ -59,29 +59,41 @@ bound start points to their end points, without the image exclusions, so
 that it runs on the plain reach that unmasked variables share.  When the
 spec leaves the occurrence a single end point (a sink stays the sink, a
 bound start point keeps its end, an inverse edge from a bound real end
-point goes back to that end's start), that point is offered alone, and
-binding it adds nothing to the spec.  Any other inverse edge is offered
-every point.  Any other forward edge from x is offered the end points y
-that the plain reach over the bound start points and x holds at x's slot
-beside the bound ends: a projection of that reach, indexed once per slot,
-which answers the relaxed query; a premise variable keeps only x and the
-sink among them, since its real ends are fixed.
+point goes back to that end's start, and one from a point the image
+excludes goes to the sink), that point is offered alone, and binding it
+adds nothing to the spec.  Any other forward edge from x is offered the end
+points y that the plain reach over the bound start points and x holds at
+x's slot beside the bound ends: a projection of that reach, indexed once
+per slot, which answers the relaxed query; a premise variable keeps only x
+and the sink among them, since its real ends are fixed.  A premise
+variable's inverse literals are forward edges, since its value is an
+idempotent and so its own inverse.  Any other inverse edge from x is
+offered the same projection of the plain reach over the bound real end
+points and x, beside their starts, then the sink.  The generators are
+inverse-closed, so the inverse of a word is a word: a word sends y to x
+and each bound start point to its real end iff its inverse sends x to y
+and each real end back to its start.  So when every bound end is real the
+offer answers the relaxed query, and otherwise it holds every point that
+answers it.  The sink asks only that x leave the image, which the relaxed
+query leaves out.
 
 So a query is asked only where its answer can still be no: on an inverse
-edge whose bind grew the spec, and at the last position a variable reads
-when its spec excludes points from the image, where the query is the full
-one and asks what no relaxed query did.  A word realizing the full spec
-realizes every subset of it, so a variable no word can serve even in part
-prunes every boundary that extends the prefix.  Every rejection rule only
-grows with the bound occurrences, so no pruned prefix has an accepted
-completion and the first complete boundary found is still the least
-counterexample.  Its words are spelled then, one full query per variable
-(a variable that occurs in neither word, which only a premise can leave,
-has the empty spec, and the first letter is its word).  Each expanded
-position adds its number of choices to one work count, each breadth-first
-search (below) the states it reaches; ``LimitExceeded`` is raised once the
-count passes ``budget``.  Positions below a rejected point are never
-expanded, so they are never charged.
+edge from a spec with a sink end whose bind grew the start to end map, and
+at the last position a variable reads when its spec excludes points from
+the image, where the query is the full one and asks what no relaxed query
+did.  A word realizing the full spec realizes every subset of it, so a
+variable no word can serve even in part prunes every boundary that extends
+the prefix.  Every rejection rule only grows with the bound occurrences, so
+no pruned prefix has an accepted completion and the first complete
+boundary found is still the least counterexample.  Its words are spelled
+then: a variable's full query at its last position, when it asked one,
+found its word, and each other variable's is read from a plain reach (a
+variable that occurs in neither word, which only a premise can leave, has
+the empty spec, and the first letter is its word).  Each expanded position
+adds its number of choices to one work count, each breadth-first search
+(below) the states it reaches; ``LimitExceeded`` is raised once the count
+passes ``budget``.  Positions below a rejected point are never expanded, so
+they are never charged.
 
 A variable's occurrences build a map from start points to required end
 points, one occurrence at a time.  Every word acts as a function that is
@@ -106,7 +118,7 @@ variables also pin every real end point as fixed, since their value is the
 idempotent power of the realized word, and need no mask because an
 idempotent's domain and image coincide.  Plain reaches depend only on the
 start points, so variables and boundaries share them; a masked search runs
-for each query that needs one, and again when its word is spelled.  With
+for each query that needs one, and its word is kept for the spelling.  With
 the sink among the guessed points, the accepted guesses coincide exactly
 with the semantic counterexamples, so the verdict matches the closure
 oracle.
@@ -114,7 +126,6 @@ oracle.
 
 from __future__ import annotations
 
-from collections import deque
 from itertools import combinations
 from typing import Optional
 
@@ -183,7 +194,9 @@ class _Occurrences:
     spec.
 
     ``edges`` holds one (from, to, exponent) per occurrence, where from/to
-    index the flat boundary ``p[0..l] + q[1..r]`` and from < to; ``depth`` is
+    index the flat boundary ``p[0..l] + q[1..r]`` and from < to; a premise
+    variable's exponents are all 1, as its value is an idempotent and so its
+    own inverse (``bind`` binds either exponent alike for it).  ``depth`` is
     the last flat position the variable reads (0 when it occurs nowhere).  A
     spec is the tuple ``(ends, real, forbidden)``: start point -> required end
     point, real end point -> its start point, and the frozenset of points the
@@ -195,16 +208,18 @@ class _Occurrences:
 
     def __init__(self, ident, var, sink):
         l = len(ident.lhs)
-        edges = []
+        self.constrained = var <= ident.num_premises
         # a literal of this variable is ``var`` or ``-var``: exponent ``lit // var``
+        edges = []
         for pos, lit in enumerate(ident.lhs):
             if abs(lit) == var:
                 edges.append((pos, pos + 1, lit // var))
         for pos, lit in enumerate(ident.rhs):
             if abs(lit) == var:
                 edges.append((l + pos if pos else 0, l + pos + 1, lit // var))
+        if self.constrained:
+            edges = [(i, j, 1) for i, j, _ in edges]
         self.edges = tuple(edges)
-        self.constrained = var <= ident.num_premises
         self.depth = max((j for _, j, _ in edges), default=0)
         self.sink = sink
 
@@ -248,17 +263,21 @@ def _explore(letters, points, work):
     one expansion after they pass it.
     """
     arrived: dict = {}
-    queue = deque(((points, ()),))
+    queue = [(points, ())]
     while queue and len(arrived) <= work.left:
-        slots, word = queue.popleft()
-        for c, table in enumerate(letters):
-            ns = slots.translate(table)
-            if ns in arrived:
-                continue
-            w = word + (c,)
-            arrived[ns] = w
-            if ns != points:
-                queue.append((ns, w))
+        # one level at a time, so that the queue holds at most two
+        level, queue = queue, []
+        for slots, word in level:
+            if len(arrived) > work.left:
+                break
+            for c, table in enumerate(letters):
+                ns = slots.translate(table)
+                if ns in arrived:
+                    continue
+                w = word + (c,)
+                arrived[ns] = w
+                if ns != points:
+                    queue.append((ns, w))
     work.charge(len(arrived))
     return arrived
 
@@ -280,23 +299,27 @@ def _masked_word(letters, points, targets, forbidden, n, work):
     pad = bytes(256 - n)  # the sink is in no image
     start = points + full
     arrived: set = set()
-    queue = deque(((points, full, ()),))
+    queue = [(points, full, ())]
     try:
         while queue and len(arrived) <= work.left:
-            slots, img, word = queue.popleft()
-            img += pad
-            for c, (table, pre) in enumerate(pairs):
-                ns = slots.translate(table)
-                ni = pre.translate(img)
-                nc = ns + ni
-                if nc in arrived:
-                    continue
-                arrived.add(nc)
-                w = word + (c,)
-                if ns == targets and not any(ni[x] for x in forbidden):
-                    return w
-                if nc != start:
-                    queue.append((ns, ni, w))
+            # one level at a time, as in ``_explore``
+            level, queue = queue, []
+            for slots, img, word in level:
+                if len(arrived) > work.left:
+                    break
+                img += pad
+                for c, (table, pre) in enumerate(pairs):
+                    ns = slots.translate(table)
+                    ni = pre.translate(img)
+                    nc = ns + ni
+                    if nc in arrived:
+                        continue
+                    arrived.add(nc)
+                    w = word + (c,)
+                    if ns == targets and not any(ni[x] for x in forbidden):
+                        return w
+                    if nc != start:
+                        queue.append((ns, ni, w))
         return None
     finally:
         work.charge(len(arrived))
@@ -316,26 +339,37 @@ def _offer(letters, occ, spec, x, exponent, reach_cache, index_cache, work):
     into ``spec`` and whose relaxed query answers.
 
     A point the spec forces is offered alone: a sink stays the sink, a bound
-    start point keeps its end, and an inverse edge from a real end point goes
+    start point keeps its end, an inverse edge from a real end point goes
     back to that end's start (the sink would exclude x from the image, and
-    any other point would be a second start sent to x).  Any other inverse
-    edge is offered every point.  Any other forward edge is offered the end
-    points y such that some word sends x to y and every bound start point to
-    its end: a projection of the plain reach over those start points, which
-    answers the relaxed query.  Each reach is indexed by the rest of its
-    tuples once per slot, in ``index_cache``.  A premise variable keeps only
-    x and the sink among them, as its real ends are fixed.
+    any other point would be a second start sent to x), and one from a point
+    the image excludes goes to the sink.  Any other edge is offered a
+    projection at x's slot of one plain reach, indexed by the rest of its
+    tuples once per slot, in ``index_cache``:
+
+    - a forward edge, the end points y such that some word sends x to y and
+      every bound start point to its end: the reach over those start points
+      and x, which answers the relaxed query.  A premise variable keeps only
+      x and the sink among them, as its real ends are fixed;
+    - an inverse edge, the real points y such that some word sends x to y
+      and every real end point back to its start, then the sink: the reach
+      over the real end points and x.  The letters are inverse-closed, so
+      the inverse of a word is a word, and it sends y to x and each bound
+      start point to its real end.  So when every bound end is real the
+      projection answers the relaxed query, and otherwise it holds every
+      point that answers it.  The sink only excludes x from the image, which
+      the relaxed query leaves out, so it answers as the spec did.
     """
     n = occ.sink
     if x == n:
         return (n,)
-    ends, real, _ = spec
-    end = (ends if exponent == 1 else real).get(x)
+    ends, real, forbidden = spec
+    bound = ends if exponent == 1 else real
+    end = bound.get(x)
     if end is not None:
         return (end,)
-    if exponent == -1:
-        return range(n + 1)
-    points = bytes(sorted([*ends, x]))
+    if exponent == -1 and x in forbidden:
+        return (n,)
+    points = bytes(sorted([*bound, x]))
     slot = points.index(x)
     index = index_cache.get((points, slot))
     if index is None:
@@ -343,7 +377,9 @@ def _offer(letters, occ, spec, x, exponent, reach_cache, index_cache, work):
         # tuples that agree off the slot sort by their point at the slot
         for t in sorted(_reach(letters, points, reach_cache, work)):
             index.setdefault(t[:slot] + t[slot + 1:], []).append(t[slot])
-    choices = index.get(bytes([ends[p] for p in points if p != x]), ())
+    choices = index.get(bytes([bound[p] for p in points if p != x]), ())
+    if exponent == -1:
+        return choices if choices and choices[-1] == n else [*choices, n]
     if occ.constrained:
         return [y for y in choices if y == x or y == n]
     return choices
@@ -543,11 +579,14 @@ def _walk(gens, letters, ident, budget):
     left, and a conflict rejects it at once.  The point is queried only
     where the answer can still be no: when the query is the full one, at the
     last position the variable reads, and the spec excludes image points; or
-    when the edge is an inverse one and the bind grew the spec, in which
-    case the query before that last position is relaxed, without the image
+    when the edge is an inverse one from a spec with a sink end, whose offer
+    is not exact, and the bind grew its start to end map, in which case the
+    query before that last position is relaxed, without the image
     exclusions.  Any word for the full spec serves the relaxed one, so a
     variable with no word for either prunes every boundary below that
-    prefix.  The words are spelled once a counterexample is found.
+    prefix.  The word a position's query finds is kept with its spec, and
+    once a counterexample is found it is reused as its variable's word; the
+    other words are spelled then.
     """
     n = gens.degree
     l, r = len(ident.lhs), len(ident.rhs)
@@ -570,15 +609,20 @@ def _walk(gens, letters, ident, budget):
     # an identity's length is not bounded by the interpreter's recursion
     # limit.  ``pending[d]`` iterates the choices left at position d and
     # ``specs[d]`` is the spec its current point left; specs are values, so
-    # backtracking undoes nothing.
+    # backtracking undoes nothing.  ``found[d]`` is the word its query found,
+    # or None when it asked none.
     pending: list = [None] * (last + 1)
     specs: list = [_EMPTY] * (last + 1)
+    found: list = [None] * (last + 1)
     pending[0] = iter(range(n))
     d = 0
     while d >= 0:
         if d:
             occ, i, exponent, full, prev = ending[d]
             bind, start, base = occ.bind, pts[i], specs[prev]
+            ends = base[0]
+            # an inverse edge's offer is exact when every bound end is real
+            inexact = exponent == -1 and len(ends) != len(base[1])
         for v in pending[d]:
             if d == last and pts[l] == v:
                 continue
@@ -588,13 +632,17 @@ def _walk(gens, letters, ident, budget):
                 if spec is None:
                     continue
                 # every other spec passed the offer or an earlier query
-                if ((full and spec[2] or exponent == -1 and spec is not base)
-                        and _run_word(letters, spec, n, reach_cache, work, full) is None):
-                    continue
+                word = None
+                if full and spec[2] or inexact and spec[0] is not ends:
+                    word = _run_word(letters, spec, n, reach_cache, work, full)
+                    if word is None:
+                        continue
                 specs[d] = spec
+                found[d] = word
             if d == last:
                 p, q = tuple(pts[: l + 1]), (pts[0],) + tuple(pts[l + 1 :])
-                words = tuple(_run_word(letters, specs[o.depth], n, reach_cache, work)
+                words = tuple(found[o.depth]
+                              or _run_word(letters, specs[o.depth], n, reach_cache, work)
                               for o in occs)
                 cex = Counterexample(BoundaryGuess(p, q), words)
                 return ModelCheckResult(False, cex, gens)

@@ -8,6 +8,7 @@ from pbsg import (
     DEFAULT_BUDGET,
     BoundaryGuess,
     GeneratorSet,
+    Identity,
     LimitExceeded,
     PartialBijection,
     check_variable_run,
@@ -19,7 +20,7 @@ from pbsg import (
 from pbsg.checkers import check_commutative
 from pbsg.closure import _keys, _tables
 from pbsg.model_checker import (_EMPTY, _Occurrences, _Work, _in_class, _masked_word, _offer,
-                                _reduce, counterexample_values)
+                                _reduce, _run_word, counterexample_values)
 from pbsg.sampling import random_generator_set
 
 from conftest import MODEL_CORPUS, load_script, pb, seeded_generator_sets
@@ -194,11 +195,12 @@ class TestWorkBudget:
         # that, so the masked search walks the 2^15 images the generators
         # reach before it could answer None: such an unsatisfiable exclusion
         # stays exponential in the degree.  The search is charged one unit
-        # per (slots, image) state and stops one state past the budget here
+        # per (slots, image) state and stops within one expansion past the
+        # budget: three states past it here
         gens = cosingleton_semilattice(16, dropped=range(1, 16))
         with pytest.raises(LimitExceeded) as info:
             models(gens, parse_identity("x1 x2^-1 x1 = x1"), budget=20_000)
-        assert info.value.limit == 20_000 and info.value.count == 20_001
+        assert info.value.limit == 20_000 and info.value.count == 20_003
 
     def test_contradictory_exclusions_are_rejected_at_bind(self):
         # p = a b _ asks x1 to send a to b and, through x1^-1 sent to the
@@ -213,18 +215,20 @@ class TestWorkBudget:
 
     def test_masked_search_stops_at_the_goal(self):
         # at p = 1 1 _ _, q = 1 1, x2 of x1 x2^-1 x1 = x1 asks only that
-        # point 1 leave its image, which one letter does: 63 units are
-        # charged here, the one-state masked search counted once in the
-        # walk and once more when x2's word is spelled, while the whole
-        # masked reach over the 2^18 - 1 images is 262,143 states
+        # point 1 leave its image, which one letter does: 11 units are
+        # charged here, the one-state masked search counted once, in the
+        # walk, which keeps its word as x2's, while the whole masked reach
+        # over the 2^18 - 1 images is 262,143 states.  The rest is the reach
+        # of point 1 (itself and the sink), which both x1's forward edge and
+        # x2's inverse one are offered, and the forced points
         gens, ident = cosingleton_semilattice(18), parse_identity("x1 x2^-1 x1 = x1")
-        result = models(gens, ident, budget=63)
+        result = models(gens, ident, budget=11)
         assert not result.models
         cex = result.counterexample
         assert cex.boundary == BoundaryGuess((0, 0, 18, 18), (0, 0))
         assert cex.words == ((1,), (0,))
         with pytest.raises(LimitExceeded):
-            models(gens, ident, budget=62)
+            models(gens, ident, budget=10)
 
     def test_partial_queries_prune_before_a_variable_is_due(self):
         # x1 is due only at the last position, but each variable's bound
@@ -790,6 +794,137 @@ class TestReachChoices:
                         seen["none offered"] += not offered
         assert all(seen.values()), seen
 
+    def test_inverse_edges_are_offered_the_inverse_reach(self):
+        # after a random run of binds, each unforced inverse edge from a real
+        # point x is offered, in ascending order, the real points that some
+        # word sends x to while it sends every real end point back to its
+        # start, then the sink.  When every bound end is real, those are
+        # exactly the points y of 0..n that bind and whose relaxed query
+        # answers; when a start point is bound to the sink the offer holds
+        # them all, and the walk queries the rest.  x1 is a premise variable:
+        # its inverse literal is bound as a forward edge (an idempotent is
+        # its own inverse), offered exactly what binding it as an inverse
+        # edge admits
+        rng = random.Random(432)
+        ident = parse_identity("x1=x1^2 => x1^-1 x2^-1 = x2 x1")
+        seen = dict.fromkeys(("exact", "sink end", "queried", "excluded", "premise"), 0)
+        for gens in seeded_generator_sets(432, 60, degrees=(2, 3, 4, 5, 6),
+                                          inverse_closed=True):
+            n = gens.degree
+            letters = _tables(_keys(gens))
+            reach_cache: dict = {}
+            index_cache: dict = {}
+            queried: dict = {}
+            for var in (1, 2):
+                occ = _Occurrences(ident, var, n)
+                exponent = occ.edges[0][2]
+                assert exponent == (1 if var == 1 else -1)
+                for _ in range(8):
+                    # the walk only offers from a spec whose relaxed query answers
+                    sinks = rng.random() < 0.5
+                    spec = _EMPTY
+                    for _ in range(rng.randrange(n + 1)):
+                        y = n if sinks and rng.random() < 0.4 else rng.randrange(n)
+                        bound = _bind(occ, spec, rng.randrange(n), y, rng.choice((1, -1)))
+                        if bound is not None and _run_word(letters, bound, n, queried,
+                                                           _Work(10**7), full=False):
+                            spec = bound
+                    ends, real, forbidden = spec
+                    exact = len(ends) == len(real)
+                    for x in range(n):
+                        if x in (ends if exponent == 1 else real):
+                            continue  # the end point is forced
+                        offered = list(_offer(letters, occ, spec, x, exponent, reach_cache,
+                                              index_cache, _Work(10**7)))
+                        answers = []
+                        for y in range(n + 1):
+                            bound = _bind(occ, spec, x, y, -1)
+                            if bound is not None and _run_word(
+                                    letters, bound, n, queried, _Work(10**7),
+                                    full=False) is not None:
+                                answers.append(y)
+                        assert offered == sorted(set(offered)), (x, offered)
+                        if var == 1:
+                            assert offered == answers, (spec, x, offered)
+                            seen["premise"] += 1
+                            continue
+                        assert offered[-1] == n, (x, offered)
+                        if exact:
+                            assert offered == answers, (spec, x, offered)
+                        else:
+                            assert set(answers) <= set(offered), (spec, x, offered)
+                            seen["queried"] += answers != offered
+                        seen["exact" if exact else "sink end"] += 1
+                        seen["excluded"] += x in forbidden
+        assert all(seen.values()), seen
+
+
+def conjugate(gens, perm):
+    """The generators with every point x renamed ``perm[x]``: an isomorphic copy."""
+    n = gens.degree
+    out = []
+    for g in gens.generators:
+        entries = [None] * n
+        for x, y in enumerate(g.entries):
+            if y is not None:
+                entries[perm[x]] = perm[y]
+        out.append(PartialBijection(entries))
+    return GeneratorSet(n, out)
+
+
+class TestFrontierSymmetry:
+    """Degrees 16-32, which no oracle reaches.  An inverse semigroup S
+    satisfies u = v iff it satisfies the words reversed with their exponents
+    kept: the reversed word takes at an assignment b the inverse of the value
+    u takes at b's inverses, and b -> b^-1 permutes the assignments (keeping
+    the idempotent ones).  Renaming the points gives an isomorphic copy."""
+
+    IDENTITIES = (
+        "x1 x1^-1 = x1^-1 x1",
+        "x1^-1 = x1^-1 x1^-1",
+        "x1 x2^-1 x1 = x1",
+        "x1=x1^2 => x1^-1 x1^-1 = x2",
+        "x1^-1 x1 x2 = x2 x1^-1 x1",
+    )
+
+    def test_reversal_and_conjugation_keep_verdicts(self):
+        # random sets, which mostly fail, and the sweep's semilattices,
+        # commutative and Clifford sets, which the identities often hold in;
+        # the walk alone must agree with models on each it decides within
+        # its budget
+        sweep = load_script("model_check_sweep")
+        rng = random.Random(433)
+        kinds = ("random", "semilattice", "commutative", "clifford")
+        seen = dict.fromkeys((True, False, "walk over budget"), 0)
+        for i in range(80):
+            kind, n, k = kinds[i % len(kinds)], rng.randint(16, 32), rng.randint(1, 3)
+            if kind == "random":
+                gens = random_generator_set(rng, n, k)
+            else:
+                gens = sweep.class_generator_set(rng, n, k, kind)
+            gens = gens.with_inverses()
+            renamed = conjugate(gens, rng.sample(range(n), n))
+            for text in self.IDENTITIES:
+                ident = parse_identity(text)
+                reversed_ = Identity(ident.num_vars, ident.num_premises, ident.lhs[::-1],
+                                     ident.rhs[::-1])
+                checks = [(ident, models(gens, ident)),
+                          (reversed_, models(gens, reversed_)),
+                          (ident, models(renamed, ident))]
+                try:
+                    checks.append((ident, walk(gens, ident, budget=100_000)))
+                except LimitExceeded:
+                    seen["walk over budget"] += 1
+                verdict = checks[0][1].models
+                for idn, result in checks:
+                    assert result.models == verdict, (text, str(idn), gens.to_json_obj())
+                    if not verdict:
+                        _, lhs, rhs = counterexample_values(result.generators, idn,
+                                                            result.counterexample)
+                        assert lhs != rhs
+                seen[verdict] += 1
+        assert seen[True] > 100 and seen[False] > 100, seen
+
 
 class TestOracleAgreement:
     #: stresses beyond the acceptance corpus: double inverses, mixed
@@ -857,6 +992,8 @@ class TestOracleAgreement:
         "x1 x1 = x1 x1 x1",
         "x1 x1^-1 x1 = x1",
         "x1 x2 x1 = x2 x1 x2",
+        "x1=x1^2 => x1^-1 x1^-1 = x2",
+        "x1=x1^2, x2=x2^2, x3=x3^2 => x3^-1 x3^-1 = x1",
     ))
     def test_least_counterexample_matches_naive_loop(self, text):
         # every boundary in lexicographic order, each variable run on its own:
