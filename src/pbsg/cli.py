@@ -106,6 +106,12 @@ def _properties(text):
 # -- props / oracle ----------------------------------------------------------
 
 
+def _table_exit(holds):
+    """The exit code of a property table, given each row's verdict: one
+    property decides it, and a table of several exits 0."""
+    return EXIT_DOES_NOT_HOLD if holds == [False] else EXIT_HOLDS
+
+
 def _props_rows(gens, props, want_oracle, limit):
     from .checkers import run_generator_check
 
@@ -158,9 +164,7 @@ def _cmd_props(args, out):
             out.write(f"DISAGREE\t{prop}\n")
     if disagreements:
         return EXIT_INCONSISTENT
-    if len(props) == 1:
-        return EXIT_HOLDS if results[0]["holds"] else EXIT_DOES_NOT_HOLD
-    return EXIT_HOLDS
+    return _table_exit([r["holds"] for r in results])
 
 
 def _cmd_oracle(args, out):
@@ -183,9 +187,7 @@ def _cmd_oracle(args, out):
         out.write("property\tholds\twitness\n")
         for r in reports:
             out.write(f"{r.prop.value}\t{str(r.holds).lower()}\t{_witness_str(r.witness)}\n")
-    if len(reports) == 1:
-        return EXIT_HOLDS if reports[0].holds else EXIT_DOES_NOT_HOLD
-    return EXIT_HOLDS
+    return _table_exit([r.holds for r in reports])
 
 
 # -- member ------------------------------------------------------------------

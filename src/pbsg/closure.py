@@ -60,12 +60,11 @@ class GeneratorSet(ValueType):
                     f"generator degree {g.degree} != set degree {degree}"
                 )
         if inverse_closed:
-            have = {g.entries for g in generators}
-            for g in generators:
-                if g.inverse().entries not in have:
-                    raise ValueError(
-                        f"inverse_closed set but inverse of {g.to_text()!r} missing"
-                    )
+            missing = _missing_inverses(generators)
+            if missing:
+                # the first inverse missing is that of the first generator lacking one
+                raise ValueError(f"inverse_closed set but inverse of "
+                                 f"{missing[0].inverse().to_text()!r} missing")
         self.degree = degree
         self.generators = generators
         self.inverse_closed = inverse_closed
@@ -79,14 +78,8 @@ class GeneratorSet(ValueType):
         """Append each missing inverse; already-closed sets come back as-is."""
         if self.inverse_closed:
             return self
-        out = list(self.generators)
-        have = {g.entries for g in out}
-        for g in self.generators:
-            inv = g.inverse()
-            if inv.entries not in have:
-                out.append(inv)
-                have.add(inv.entries)
-        return GeneratorSet(self.degree, tuple(out), inverse_closed=True)
+        return GeneratorSet(self.degree, self.generators + _missing_inverses(self.generators),
+                            inverse_closed=True)
 
     @classmethod
     def from_json_obj(cls, obj) -> "GeneratorSet":
@@ -113,6 +106,19 @@ class GeneratorSet(ValueType):
             "generators": [g.to_json_obj()["map"] for g in self.generators],
             "inverse_closed": self.inverse_closed,
         }
+
+
+def _missing_inverses(generators) -> tuple:
+    """The inverses of ``generators`` that the list lacks, each once, in
+    generator order."""
+    have = {g.entries for g in generators}
+    out = []
+    for g in generators:
+        inv = g.inverse()
+        if inv.entries not in have:
+            out.append(inv)
+            have.add(inv.entries)
+    return tuple(out)
 
 
 class MemberResult(ValueType):
@@ -313,8 +319,6 @@ def _evaluate(generators, word) -> bytes:
 
 def close(gens: GeneratorSet, limit: int = DEFAULT_LIMIT) -> SemigroupClosure:
     """Enumerate the generated semigroup exactly, or raise LimitExceeded."""
-    if limit < len(gens.generators):
-        raise ValueError("limit must be at least the number of generators")
     generator_keys = _keys(gens)
     keys, parent, gen_of, cayley, index, _ = _bfs(generator_keys, limit)
     return SemigroupClosure(gens.generators, generator_keys, keys, parent, gen_of, cayley, index)

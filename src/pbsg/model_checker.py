@@ -42,86 +42,31 @@ Points live in ``{0..n-1}`` plus an absorbing sink standing for "undefined"
 byte of the closure's keys, so the degree is capped at ``MAX_DEGREE``).  The
 first boundary point must be a real point; every other position may be the
 sink, and a sink possibly differing from a real endpoint is what lets the
-search see definedness-only disagreements.
-A guess where a real point follows a sink on the same trace is never
-tried: the sink is absorbing, so no run could realize it.
+search see definedness-only disagreements.  With the sink among the guessed
+points, the accepted guesses coincide exactly with the semantic
+counterexamples, so the verdict matches the closure oracle.
 
 Boundary positions are fixed depth first in lexicographic order (``p``, then
 ``q``; real points ascending, sink last).  Each position past the start ends
-exactly one occurrence, and fixing it binds that occurrence into the run
-spec (below) that its variable's previous occurrence left.  Specs are
-values, one kept per position, so backtracking undoes nothing; a point whose
-binding conflicts is rejected at once.
+exactly one occurrence, which ``_Occurrences.bind`` adds to the run spec its
+variable's previous occurrence left; ``_offer`` names the position's choices,
+and ``_walk`` says which of them it queries.  A word realizing a variable's
+full spec realizes every part of it, so a variable that no word can serve
+even in part prunes every boundary that extends the prefix.  Every rejection
+rule only grows with the bound occurrences, so no pruned prefix has an
+accepted completion and the first complete boundary found is the least
+counterexample.  Its words are spelled then, each the least word for its
+variable's spec (``_run_word``); a variable that occurs in neither word,
+which only a premise can leave, has the empty spec, and the first letter is
+its word.
 
-One rule names a position's choices, in the walk's order, and they include
-every point that binds and whose relaxed query answers: a word sending the
-bound start points to their end points, without the image exclusions, so
-that it runs on the plain reach that unmasked variables share.  When the
-spec leaves the occurrence a single end point (a sink stays the sink, a
-bound start point keeps its end, an inverse edge from a bound real end
-point goes back to that end's start, and one from a point the image
-excludes goes to the sink), that point is offered alone, and binding it
-adds nothing to the spec.  Any other forward edge from x is offered the end
-points y that the plain reach over the bound start points and x holds at
-x's slot beside the bound ends: a projection of that reach, indexed once
-per slot, which answers the relaxed query; a premise variable keeps only x
-and the sink among them, since its real ends are fixed.  A premise
-variable's inverse literals are forward edges, since its value is an
-idempotent and so its own inverse.  Any other inverse edge from x is
-offered the same projection of the plain reach over the bound real end
-points and x, beside their starts, then the sink.  The generators are
-inverse-closed, so the inverse of a word is a word: a word sends y to x
-and each bound start point to its real end iff its inverse sends x to y
-and each real end back to its start.  So when every bound end is real the
-offer answers the relaxed query, and otherwise it holds every point that
-answers it.  The sink asks only that x leave the image, which the relaxed
-query leaves out.
-
-So a query is asked only where its answer can still be no: on an inverse
-edge from a spec with a sink end whose bind grew the start to end map, and
-at the last position a variable reads when its spec excludes points from
-the image, where the query is the full one and asks what no relaxed query
-did.  A word realizing the full spec realizes every subset of it, so a
-variable no word can serve even in part prunes every boundary that extends
-the prefix.  Every rejection rule only grows with the bound occurrences, so
-no pruned prefix has an accepted completion and the first complete
-boundary found is still the least counterexample.  Its words are spelled
-then: a variable's full query at its last position, when it asked one,
-found its word, and each other variable's is read from a plain reach (a
-variable that occurs in neither word, which only a premise can leave, has
-the empty spec, and the first letter is its word).  Each expanded position
-adds its number of choices to one work count, each breadth-first search
-(below) the states it reaches; ``LimitExceeded`` is raised once the count
-passes ``budget``.  Positions below a rejected point are never expanded, so
-they are never charged.
-
-A variable's occurrences build a map from start points to required end
-points, one occurrence at a time.  Every word acts as a function that is
-injective away from the sink, so a start point needing two ends, or two
-start points needing one real end, has no word and is rejected as soon as
-the occurrence that causes it is bound, without a search.  Otherwise the run
-is breadth-first over the distinct start points' current values, one byte
-per slot, each letter stepping them with one ``bytes.translate``.
-An occurrence ``x -> y`` of ``x_i`` tracks a forward slot (start x, end y);
-an occurrence of ``x_i^-1`` tracks the reverse edge forwards (start y, end
-x).  An inverse occurrence whose target is the sink requires its source to
-lie outside the image of the realized element, which no single slot can
-attest.  A real end point is in the image, so excluding one is rejected at
-bind; any other full query with an exclusion runs a search of its own that
-also tracks the image of the word's value as n more bytes, a 0/1 indicator
-of its points, updated forwards by one ``translate`` of the letter's
-preimages (which each such search builds when it starts): image(s·a) =
-(image(s) ∩ dom(a))·a.  It stops at the first arrival that meets the
-spec, but an exclusion no word meets still walks every image the words
-reach, up to 2^n of them.  Premise-constrained
-variables also pin every real end point as fixed, since their value is the
-idempotent power of the realized word, and need no mask because an
-idempotent's domain and image coincide.  Plain reaches depend only on the
-start points, so variables and boundaries share them; a masked search runs
-for each query that needs one, and its word is kept for the spelling.  With
-the sink among the guessed points, the accepted guesses coincide exactly
-with the semantic counterexamples, so the verdict matches the closure
-oracle.
+Each expanded position adds its number of choices to one work count, and
+each breadth-first search (``_explore``, ``_masked_word``) the states it
+reaches; ``LimitExceeded`` is raised once the count passes ``budget``.
+Positions below a rejected point are never expanded, so they are never
+charged.  A masked search for an exclusion that no word meets walks every
+image the words reach, up to 2^n of them, so there the budget bounds the
+work, not the time.
 """
 
 from __future__ import annotations
@@ -196,7 +141,7 @@ class _Occurrences:
     ``edges`` holds one (from, to, exponent) per occurrence, where from/to
     index the flat boundary ``p[0..l] + q[1..r]`` and from < to; a premise
     variable's exponents are all 1, as its value is an idempotent and so its
-    own inverse (``bind`` binds either exponent alike for it).  ``depth`` is
+    own inverse, so only a plain variable has inverse edges.  ``depth`` is
     the last flat position the variable reads (0 when it occurs nowhere).  A
     spec is the tuple ``(ends, real, forbidden)``: start point -> required end
     point, real end point -> its start point, and the frozenset of points the
@@ -209,18 +154,12 @@ class _Occurrences:
     def __init__(self, ident, var, sink):
         l = len(ident.lhs)
         self.constrained = var <= ident.num_premises
+        flat = [(pos, pos + 1, lit) for pos, lit in enumerate(ident.lhs)]
+        flat += [(l + pos if pos else 0, l + pos + 1, lit) for pos, lit in enumerate(ident.rhs)]
         # a literal of this variable is ``var`` or ``-var``: exponent ``lit // var``
-        edges = []
-        for pos, lit in enumerate(ident.lhs):
-            if abs(lit) == var:
-                edges.append((pos, pos + 1, lit // var))
-        for pos, lit in enumerate(ident.rhs):
-            if abs(lit) == var:
-                edges.append((l + pos if pos else 0, l + pos + 1, lit // var))
-        if self.constrained:
-            edges = [(i, j, 1) for i, j, _ in edges]
-        self.edges = tuple(edges)
-        self.depth = max((j for _, j, _ in edges), default=0)
+        self.edges = tuple((i, j, 1 if self.constrained else lit // var)
+                           for i, j, lit in flat if abs(lit) == var)
+        self.depth = max((j for _, j, _ in self.edges), default=0)
         self.sink = sink
 
     def bind(self, spec, x, y, exponent):
@@ -231,20 +170,21 @@ class _Occurrences:
         points sent to one real point (it is injective away from the sink), a
         real end point that the image must exclude, or, for a premise
         variable, a real end point that is not fixed (its value is
-        idempotent).  Each rule only looks at the edges bound so far, so a
-        spec rejected here stays rejected whatever is bound later.
+        idempotent).  An inverse edge (``exponent`` -1) to a real point binds
+        the forward edge ``y -> x``, and one to the sink excludes x from the
+        image.  Each rule only looks at the edges bound so far, so a spec
+        rejected here stays rejected whatever is bound later.
         """
         sink = self.sink
         if x == sink:
             return spec if y == sink else None
         ends, real, forbidden = spec
         if exponent == -1:
-            if y != sink:
-                x, y = y, x
-            elif not self.constrained:
+            if y == sink:
                 if x in forbidden:
                     return spec
                 return None if x in real else (ends, real, forbidden | {x})
+            x, y = y, x
         end = ends.get(x)
         if end is not None:
             return spec if end == y else None
@@ -292,7 +232,9 @@ def _masked_word(letters, points, targets, forbidden, n, work):
     their first words, so that word is the least.  The states reached are
     charged to ``work`` however the search ends, and stop it at most one
     expansion after they pass it.  Each call builds its own preimage of
-    every letter: byte w is the point the letter sends to w, or the sink.
+    every letter: byte w is the point the letter sends to w, or the sink,
+    so one ``translate`` of it through the indicator steps the image:
+    image(s·a) = (image(s) ∩ dom(a))·a.
     """
     pairs = [(table, _inverse_key(table[:n])) for table in letters]
     full = b"\x01" * n

@@ -54,16 +54,7 @@ class PartialBijection(ValueType):
         n = len(entries)
         if n == 0:
             raise ValueError("degree must be at least 1")
-        seen = set()
-        for v in entries:
-            if v is None:
-                continue
-            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
-                raise ValueError(f"image {v!r} out of range for degree {n}")
-            if v in seen:
-                raise ValueError(f"not injective: image {v} repeated")
-            seen.add(v)
-        self.entries = entries
+        self.entries = _checked(entries, n, 0, "image {!r} out of range for degree {}")
 
     @property
     def degree(self) -> int:
@@ -102,7 +93,8 @@ class PartialBijection(ValueType):
             except ValueError:
                 raise ValueError(f"bad token {tok!r} in text form") from None
 
-        return cls._from_points(map(point, tokens), len(tokens), "point {!r} out of range 1..{}")
+        return cls._trusted(_checked(map(point, tokens), len(tokens), 1,
+                                     "point {!r} out of range 1..{}"))
 
     def to_text(self) -> str:
         return " ".join("_" if v is None else str(v + 1) for v in self.entries)
@@ -118,25 +110,7 @@ class PartialBijection(ValueType):
             raise ValueError("degree must be a positive integer")
         if not isinstance(raw, list) or len(raw) != n:
             raise ValueError("map length must equal degree")
-        return cls._from_points(raw, n, "map entry {!r} must be null or a point in 1..{}")
-
-    @classmethod
-    def _from_points(cls, points, n, out_of_range) -> "PartialBijection":
-        """The map with the 1-based images ``points`` (None: undefined), checked
-        once: an entry v that is no point of 1..n raises ``out_of_range``
-        formatted with v and n, and a repeated one is named as written."""
-        entries: list[Optional[int]] = []
-        seen = set()
-        for v in points:
-            if v is not None:
-                if not isinstance(v, int) or isinstance(v, bool) or not 1 <= v <= n:
-                    raise ValueError(out_of_range.format(v, n))
-                if v in seen:
-                    raise ValueError(f"not injective: image {v} repeated")
-                seen.add(v)
-                v -= 1
-            entries.append(v)
-        return cls._trusted(tuple(entries))
+        return cls._trusted(_checked(raw, n, 1, "map entry {!r} must be null or a point in 1..{}"))
 
     def to_json_obj(self) -> dict:
         return {
@@ -212,6 +186,25 @@ class PartialBijection(ValueType):
 
     def __repr__(self):
         return f"PartialBijection({self.to_text()!r})"
+
+
+def _checked(images, n, low, out_of_range) -> tuple:
+    """The 0-based entries of the map on ``n`` points whose images, numbered
+    from ``low``, are ``images`` (None: undefined), checked once: an image v
+    that is no point of low..low+n-1 raises ``out_of_range`` formatted with v
+    and n, and a repeated one is named as written."""
+    entries: list[Optional[int]] = []
+    seen = set()
+    for v in images:
+        if v is not None:
+            if not isinstance(v, int) or isinstance(v, bool) or not low <= v < low + n:
+                raise ValueError(out_of_range.format(v, n))
+            if v in seen:
+                raise ValueError(f"not injective: image {v} repeated")
+            seen.add(v)
+            v -= low
+        entries.append(v)
+    return tuple(entries)
 
 
 def all_partial_bijections(n: int) -> list[PartialBijection]:

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import strategies as st
 
-from pbsg import PartialBijection
+from pbsg import GeneratorSet, PartialBijection
 from pbsg.sampling import random_generator_set
 
 #: identities exercised by the model-checker acceptance sweep
@@ -58,6 +58,20 @@ def ref_compose(a: PartialBijection, b: PartialBijection) -> dict:
         if z is not None:
             out[x] = z
     return out
+
+
+def rename(el: PartialBijection, perm) -> PartialBijection:
+    """``el`` with every point x renamed ``perm[x]``."""
+    entries = [None] * el.degree
+    for x, y in el.graph():
+        entries[perm[x]] = perm[y]
+    return PartialBijection(entries)
+
+
+def conjugate(gens: GeneratorSet, perm) -> GeneratorSet:
+    """The generators with every point x renamed ``perm[x]``, in their order:
+    an isomorphic copy."""
+    return GeneratorSet(gens.degree, [rename(g, perm) for g in gens.generators])
 
 
 def as_pairs(a: PartialBijection) -> dict:

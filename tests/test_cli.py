@@ -10,6 +10,9 @@ from conftest import PRIME_CYCLES, cycle_permutation
 
 GENS_SWAP = {"degree": 2, "generators": [[2, 1]], "inverse_closed": True}
 GENS_SHIFT = {"degree": 2, "generators": [[2, None]], "inverse_closed": False}
+#: the criterion-6 generator set: two generators, a closure of more elements
+GENS_CRITERION_6 = {"degree": 3, "generators": [[3, 1, None], [1, None, 2]],
+                    "inverse_closed": False}
 TILING_OK = {"colors": 1, "width": 1, "tiles": [{"n": 1, "e": 1, "s": 1, "w": 1}]}
 TILING_BAD = {"colors": 2, "width": 1, "tiles": [{"n": 1, "e": 1, "s": 2, "w": 1}]}
 
@@ -452,6 +455,17 @@ class TestUsage:
                 assert code == 2 and captured.out == "", (argv, flag, value)
                 assert len(captured.err.splitlines()) == 1 and flag in captured.err
             assert run(capsys, *argv, flag, "1")[0] == at_one, (argv, flag)
+
+    def test_limit_below_the_generator_count_is_a_budget_verdict(self, tmp_json, capsys):
+        # --limit counts closure elements: 1 is a valid limit that two
+        # distinct generators outgrow, not a usage error
+        gens = tmp_json("g.json", GENS_CRITERION_6)
+        for argv in (["oracle", gens], ["props", gens, "--property", "zero"],
+                     ["models", gens, "x1 = x1", "--oracle"]):
+            code = main([*argv, "--limit", "1"])
+            captured = capsys.readouterr()
+            assert code == 3 and captured.out == "", argv
+            assert captured.err.splitlines() == ["pbsg: closure exceeds 1 elements (stopped at 2)"]
 
     def test_options_a_subcommand_ignores_are_usage_errors(self, tmp_json, capsys):
         gens = tmp_json("g.json", GENS_SWAP)

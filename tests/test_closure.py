@@ -14,10 +14,10 @@ from pbsg import (
     member,
 )
 from pbsg.closure import _inverse_key, _key, _tail
-from pbsg.sampling import random_tiling_instance
+from pbsg.sampling import random_partial_bijection, random_tiling_instance
 from pbsg.tiling import reduce
 
-from conftest import pb, pbij_pairs, seeded_generator_sets
+from conftest import conjugate, pb, pbij_pairs, rename, seeded_generator_sets
 
 
 def ref_closure(gens):
@@ -69,6 +69,9 @@ class TestGeneratorSet:
         with pytest.raises(ValueError):
             GeneratorSet(2, (pb("2 _"),), inverse_closed=True)
         GeneratorSet(2, (pb("2 _"), pb("_ 1")), inverse_closed=True)
+        # the first generator whose inverse is missing is named
+        with pytest.raises(ValueError, match=r"^inverse_closed set but inverse of '2 _ _' missing$"):
+            GeneratorSet(3, (pb("2 1 3"), pb("2 _ _"), pb("3 _ _")), inverse_closed=True)
 
     def test_with_inverses(self):
         g = GeneratorSet.from_elements([pb("2 _")]).with_inverses()
@@ -178,6 +181,14 @@ class TestClose:
         with pytest.raises(LimitExceeded):
             close(gens, limit=1)
         assert len(close(gens, limit=2)) == 2
+
+    def test_limit_counts_elements_not_generators(self):
+        # two equal generators close to one element, which a limit of 1 fits
+        clo = close(GeneratorSet.from_elements([pb("1 2"), pb("1 2")]), limit=1)
+        assert list(clo) == [pb("1 2")]
+        with pytest.raises(LimitExceeded) as exc:
+            close(GeneratorSet.from_elements([pb("2 1"), pb("1 2")]), limit=1)
+        assert (exc.value.limit, exc.value.count) == (1, 2)
 
     def test_inverse_closed_closure_is_inverse_closed(self):
         for gens in seeded_generator_sets(107, 10, degrees=(2, 3), inverse_closed=True):
@@ -306,6 +317,48 @@ class TestMember:
     def test_positive_answer_can_beat_the_limit(self):
         gens = GeneratorSet.from_elements([pb("2 3 4 5 1"), pb("1 2 3 4 5")])
         assert member(gens, pb("1 2 3 4 5"), limit=2).found
+
+
+def test_renaming_the_points_keeps_words_and_counts():
+    # the renamed set is an isomorphic copy with the generators in the same
+    # order, so the BFS reaches the same words in the same order: the closure
+    # keeps its size and every word, each member witness is the same, and a
+    # search that outgrows its limit stops at the same count
+    rng = random.Random(434)
+    limit = 3000
+    seen = dict.fromkeys(("closed", "over limit", "hit", "miss", "member over limit"), 0)
+
+    def outcome(fn, *args):
+        try:
+            return fn(*args, limit=limit)
+        except LimitExceeded as exc:
+            return exc.count
+
+    for gens in seeded_generator_sets(434, 60, degrees=range(2, 11)):
+        n = gens.degree
+        perm = rng.sample(range(n), n)
+        renamed = conjugate(gens, perm)
+        clo, clo_renamed = outcome(close, gens), outcome(close, renamed)
+        if isinstance(clo, int):
+            assert clo_renamed == clo
+            seen["over limit"] += 1
+            targets = []
+        else:
+            assert len(clo_renamed) == len(clo)
+            for i, el in enumerate(clo):
+                assert clo_renamed.word(i) == clo.word(i)
+                assert clo_renamed[i] == rename(el, perm)
+            seen["closed"] += 1
+            targets = rng.sample(list(clo), min(3, len(clo)))
+        targets += [random_partial_bijection(rng, n) for _ in range(3)]
+        for b in targets:
+            hit = outcome(member, gens, b)
+            assert outcome(member, renamed, rename(b, perm)) == hit
+            if isinstance(hit, int):
+                seen["member over limit"] += 1
+            else:
+                seen["hit" if hit.found else "miss"] += 1
+    assert all(seen.values()), seen
 
 
 def test_evaluate_word_rejects_empty():

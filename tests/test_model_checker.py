@@ -23,7 +23,7 @@ from pbsg.model_checker import (_EMPTY, _Occurrences, _Work, _in_class, _masked_
                                 _reduce, _run_word, counterexample_values)
 from pbsg.sampling import random_generator_set
 
-from conftest import MODEL_CORPUS, load_script, pb, seeded_generator_sets
+from conftest import MODEL_CORPUS, conjugate, load_script, pb, seeded_generator_sets
 
 
 def gset(*texts, closed=True):
@@ -675,6 +675,12 @@ def _bind(occ, spec, x, y, exponent):
     return bound
 
 
+def literal_exponents(occ):
+    """The exponents of ``occ``'s edges as ``_Occurrences`` builds them: a
+    premise variable's are all 1, a plain variable's either sign."""
+    return (1,) if occ.constrained else (1, -1)
+
+
 class TestExactNarrowing:
     def test_forced_end_point_is_the_only_one_bind_accepts(self):
         # after a random run of binds, whenever the spec forces an edge's end
@@ -682,7 +688,7 @@ class TestExactNarrowing:
         # inverse edge from a real end point goes back to that end's start),
         # it is the one point offered, every other point of 0..n (the sink n
         # included) fails to bind, and binding it returns the spec itself;
-        # x1 is a premise variable, x2 a plain one
+        # x1 is a premise variable, whose edges are all forward, x2 a plain one
         rng = random.Random(409)
         ident = parse_identity("x1=x1^2 => x1 x2 = x2 x1")
         narrowed = {1: 0, -1: 0}
@@ -694,9 +700,9 @@ class TestExactNarrowing:
                     spec = _EMPTY
                     for _ in range(rng.randrange(2 * n)):
                         spec = _bind(occ, spec, rng.randrange(n + 1), rng.randrange(n + 1),
-                                     rng.choice((1, -1))) or spec
+                                     rng.choice(literal_exponents(occ))) or spec
                     ends, real, _ = spec
-                    for x, exponent in product(range(n + 1), (1, -1)):
+                    for x, exponent in product(range(n + 1), literal_exponents(occ)):
                         forced = n if x == n else (ends if exponent == 1 else real).get(x)
                         if forced is None:
                             continue
@@ -767,7 +773,7 @@ class TestReachChoices:
                     spec = _EMPTY
                     for _ in range(rng.randrange(n + 1)):
                         spec = _bind(occ, spec, rng.randrange(n), rng.randrange(n + 1),
-                                     rng.choice((1, -1))) or spec
+                                     rng.choice(literal_exponents(occ))) or spec
                     for x in range(n):
                         if x in spec[0]:
                             continue  # the bound end is forced
@@ -802,9 +808,9 @@ class TestReachChoices:
         # exactly the points y of 0..n that bind and whose relaxed query
         # answers; when a start point is bound to the sink the offer holds
         # them all, and the walk queries the rest.  x1 is a premise variable:
-        # its inverse literal is bound as a forward edge (an idempotent is
-        # its own inverse), offered exactly what binding it as an inverse
-        # edge admits
+        # its inverse literal is a forward edge (an idempotent is its own
+        # inverse), offered exactly what binding it admits.  Each bind, the
+        # random ones included, takes its exponent from the variable's edges
         rng = random.Random(432)
         ident = parse_identity("x1=x1^2 => x1^-1 x2^-1 = x2 x1")
         seen = dict.fromkeys(("exact", "sink end", "queried", "excluded", "premise"), 0)
@@ -825,7 +831,7 @@ class TestReachChoices:
                     spec = _EMPTY
                     for _ in range(rng.randrange(n + 1)):
                         y = n if sinks and rng.random() < 0.4 else rng.randrange(n)
-                        bound = _bind(occ, spec, rng.randrange(n), y, rng.choice((1, -1)))
+                        bound = _bind(occ, spec, rng.randrange(n), y, rng.choice(occ.edges)[2])
                         if bound is not None and _run_word(letters, bound, n, queried,
                                                            _Work(10**7), full=False):
                             spec = bound
@@ -838,7 +844,7 @@ class TestReachChoices:
                                               index_cache, _Work(10**7)))
                         answers = []
                         for y in range(n + 1):
-                            bound = _bind(occ, spec, x, y, -1)
+                            bound = _bind(occ, spec, x, y, exponent)
                             if bound is not None and _run_word(
                                     letters, bound, n, queried, _Work(10**7),
                                     full=False) is not None:
@@ -859,25 +865,13 @@ class TestReachChoices:
         assert all(seen.values()), seen
 
 
-def conjugate(gens, perm):
-    """The generators with every point x renamed ``perm[x]``: an isomorphic copy."""
-    n = gens.degree
-    out = []
-    for g in gens.generators:
-        entries = [None] * n
-        for x, y in enumerate(g.entries):
-            if y is not None:
-                entries[perm[x]] = perm[y]
-        out.append(PartialBijection(entries))
-    return GeneratorSet(n, out)
-
-
 class TestFrontierSymmetry:
     """Degrees 16-32, which no oracle reaches.  An inverse semigroup S
     satisfies u = v iff it satisfies the words reversed with their exponents
     kept: the reversed word takes at an assignment b the inverse of the value
     u takes at b's inverses, and b -> b^-1 permutes the assignments (keeping
-    the idempotent ones).  Renaming the points gives an isomorphic copy."""
+    the idempotent ones).  Renaming the points gives an isomorphic copy, and
+    appending a product of two generators generates the same semigroup."""
 
     IDENTITIES = (
         "x1 x1^-1 = x1^-1 x1",
@@ -904,13 +898,16 @@ class TestFrontierSymmetry:
                 gens = sweep.class_generator_set(rng, n, k, kind)
             gens = gens.with_inverses()
             renamed = conjugate(gens, rng.sample(range(n), n))
+            extended = GeneratorSet(n, (*gens.generators,
+                                        rng.choice(gens.generators) * rng.choice(gens.generators)))
             for text in self.IDENTITIES:
                 ident = parse_identity(text)
                 reversed_ = Identity(ident.num_vars, ident.num_premises, ident.lhs[::-1],
                                      ident.rhs[::-1])
                 checks = [(ident, models(gens, ident)),
                           (reversed_, models(gens, reversed_)),
-                          (ident, models(renamed, ident))]
+                          (ident, models(renamed, ident)),
+                          (ident, models(extended, ident))]
                 try:
                     checks.append((ident, walk(gens, ident, budget=100_000)))
                 except LimitExceeded:
