@@ -290,10 +290,12 @@ def _bfs(generators, limit, goal=None):
 
 
 def _keys(gens: GeneratorSet) -> list[bytes]:
-    """The generators' keys, repeats included.  Raises ``ValueError`` past
-    ``MAX_DEGREE``."""
-    _tail(gens.degree)
-    return [_key(g) for g in gens.generators]
+    """The generators' keys, repeats included: each ``_key``, sliced from
+    the bytes of all of them.  Raises ``ValueError`` past ``MAX_DEGREE``."""
+    n = gens.degree
+    _tail(n)
+    flat = bytes([n if v is None else v for g in gens.generators for v in g.entries])
+    return [flat[i:i + n] for i in range(0, len(flat), n)]
 
 
 def _member(generators, goal, limit) -> MemberResult:

@@ -10,15 +10,15 @@ can serve yields a counterexample assignment.
 Laws are decided first, from the identity alone.  If the two words are equal
 in the free inverse semigroup on the variables, the identity holds in every
 inverse semigroup whatever the generators, so ``models`` answers that it
-holds without a walk and charges nothing.  Munn's solution of the word
-problem decides the equality in linear time: two words are equal there iff
-they have the same Munn tree, the set of free-group-reduced prefixes, and
-the same reduced value.  A premise variable ``x_i = x_i^2`` is read as
-``y_i y_i^-1`` whatever its exponent: in an inverse semigroup every
-idempotent e equals e·e⁻¹ and its own inverse, so under an assignment that
-meets the premises each word takes the value of its substituted form with
-``y_i`` set to the value of ``x_i``, and a law of the substituted words
-holds there.
+holds without a walk and charges nothing; of the generators it reads only
+the degree cap.  Munn's solution of the word problem decides the equality
+in linear time: two words are equal there iff they have the same Munn
+tree, the set of free-group-reduced prefixes, and the same reduced value.
+A premise variable ``x_i = x_i^2`` is read as ``y_i y_i^-1`` whatever its
+exponent: in an inverse semigroup every idempotent e equals e·e⁻¹ and its
+own inverse, so under an assignment that meets the premises each word
+takes the value of its substituted form with ``y_i`` set to the value of
+``x_i``, and a law of the substituted words holds there.
 
 Identities of the generators' class come next, read the same way.  If the
 inverse hull of the generators lies in a class of inverse semigroups where
@@ -77,7 +77,7 @@ from typing import Optional
 # DEFAULT_BUDGET lives in ``closure`` so that the CLI can name it without
 # loading this module; it is re-exported from here.
 from .closure import (DEFAULT_BUDGET, GeneratorSet, LimitExceeded, _inverse_key, _keys, _tables,
-                      evaluate_word)
+                      _tail, evaluate_word)
 from .identities import Identity, apply_assignment
 from .pbij import PartialBijection, ValueType
 
@@ -138,28 +138,30 @@ class _Occurrences:
     """One variable's occurrence edges, and the rule binding them into its run
     spec.
 
-    ``edges`` holds one (from, to, exponent) per occurrence, where from/to
-    index the flat boundary ``p[0..l] + q[1..r]`` and from < to; a premise
-    variable's exponents are all 1, as its value is an idempotent and so its
-    own inverse, so only a plain variable has inverse edges.  ``depth`` is
-    the last flat position the variable reads (0 when it occurs nowhere).  A
-    spec is the tuple ``(ends, real, forbidden)``: start point -> required end
-    point, real end point -> its start point, and the frozenset of points the
-    image must exclude.  Specs are values: ``bind`` builds a new one and never
-    changes the one it is given.
+    ``edges`` holds one (from, to, exponent) per occurrence, in position
+    order, where from/to index the flat boundary ``p[0..l] + q[1..r]`` and
+    from < to: literal t of ``lhs + rhs`` runs from position t to t + 1,
+    except the first literal of ``rhs`` (t = l), which starts at the shared
+    start 0.  A premise variable's exponents are all 1, as its value is an
+    idempotent and so its own inverse, so only a plain variable has inverse
+    edges.  ``depth`` is the last flat position the variable reads, the
+    last edge's end (0 when it occurs nowhere).  A spec is the tuple
+    ``(ends, real, forbidden)``: start point -> required end point, real end
+    point -> its start point, and the frozenset of points the image must
+    exclude.  Specs are values: ``bind`` builds a new one and never changes
+    the one it is given.
     """
 
     __slots__ = ("edges", "constrained", "depth", "sink")
 
     def __init__(self, ident, var, sink):
         l = len(ident.lhs)
-        self.constrained = var <= ident.num_premises
-        flat = [(pos, pos + 1, lit) for pos, lit in enumerate(ident.lhs)]
-        flat += [(l + pos if pos else 0, l + pos + 1, lit) for pos, lit in enumerate(ident.rhs)]
+        constrained = self.constrained = var <= ident.num_premises
         # a literal of this variable is ``var`` or ``-var``: exponent ``lit // var``
-        self.edges = tuple((i, j, 1 if self.constrained else lit // var)
-                           for i, j, lit in flat if abs(lit) == var)
-        self.depth = max((j for _, j, _ in self.edges), default=0)
+        self.edges = edges = tuple((t if t != l else 0, t + 1, 1 if constrained else lit // var)
+                                   for t, lit in enumerate(ident.lhs + ident.rhs)
+                                   if lit == var or lit == -var)
+        self.depth = edges[-1][1] if edges else 0
         self.sink = sink
 
     def bind(self, spec, x, y, exponent):
@@ -486,14 +488,15 @@ def models(
     A law of every inverse semigroup (the two words, with each premise
     variable ``x_i`` read as ``y_i y_i^-1``, are equal in the free inverse
     semigroup: ``_reduce`` gives them the same Munn tree and value) holds
-    whatever the generators, so it is answered first, before any walk: it
-    charges nothing and never raises ``LimitExceeded``.  The substitution is sound because every idempotent
-    e of an inverse semigroup equals e·e⁻¹.  So is an identity whose words,
-    read the same way, are equal in a class the inverse hull lies in
-    (``_in_class``: groups, abelian groups, commutative inverse and
-    Clifford semigroups).  Any other identity is decided by the boundary
-    walk (``_walk``), with the same verdict, least counterexample and
-    charges as without the tests.
+    whatever the generators, so it is answered first: it reads nothing of
+    the generators but the degree cap, builds no key or table, charges
+    nothing and never raises ``LimitExceeded``.  The substitution is sound
+    because every idempotent e of an inverse semigroup equals e·e⁻¹.  So is
+    an identity whose words, read the same way, are equal in a class the
+    inverse hull lies in (``_in_class``: groups, abelian groups, commutative
+    inverse and Clifford semigroups).  Any other identity is decided by the
+    boundary walk (``_walk``), with the same verdict, least counterexample
+    and charges as without the tests.
 
     Boundaries are tried in lexicographic order of ``p[0..l]`` then
     ``q[1..r]`` (real points ascending, sink last), so the reported
@@ -503,10 +506,13 @@ def models(
     work passes ``budget``.
     """
     gens = gens.with_inverses()
+    lhs, rhs = _reduce(ident)
+    if lhs == rhs:
+        _tail(gens.degree)  # a law is refused past the cap too
+        return ModelCheckResult(True, None, gens)
     keys = _keys(gens)
     letters = _tables(keys)
-    lhs, rhs = _reduce(ident)
-    if lhs == rhs or _in_class(keys, letters, ident, lhs[0] == rhs[0]):
+    if _in_class(keys, letters, ident, lhs[0] == rhs[0]):
         return ModelCheckResult(True, None, gens)
     return _walk(gens, letters, ident, budget)
 

@@ -13,7 +13,7 @@ from pbsg import (
     evaluate_word,
     member,
 )
-from pbsg.closure import _inverse_key, _key, _tail
+from pbsg.closure import _inverse_key, _key, _keys, _tail
 from pbsg.sampling import random_partial_bijection, random_tiling_instance
 from pbsg.tiling import reduce
 
@@ -163,6 +163,20 @@ class TestClose:
         assert _key(PartialBijection._from_key(_key(a))) == _key(a)
         assert _inverse_key(_key(a)) == _key(a.inverse())
         assert _key(a).translate(_key(b) + _tail(a.degree)) == _key(a * b)
+
+    def test_generator_keys_in_one_pass(self):
+        # the keys sliced from one flat byte string are each generator's own
+        rng = random.Random(434)
+        for n in (*range(1, 11), 255):
+            for _ in range(20 if n < 255 else 3):
+                gens = [random_partial_bijection(rng, n) for _ in range(rng.randint(1, 5))]
+                # repeats included
+                gens += rng.choices(gens, k=rng.randint(0, 3))
+                rng.shuffle(gens)
+                gens = GeneratorSet(n, gens)
+                assert _keys(gens) == [_key(g) for g in gens.generators]
+        with pytest.raises(ValueError, match="255"):
+            _keys(GeneratorSet.from_elements([_cycle(256)]))
 
     def test_closing_the_closure_adds_nothing(self):
         for gens in seeded_generator_sets(105, 10, degrees=(2, 3)):

@@ -368,26 +368,45 @@ class TestLawCheck:
         "x1=x1^2 => x1^-1 = x1",
     )
 
-    @pytest.mark.parametrize("text", LAWS)
-    def test_laws_decide_without_work(self, text):
-        # degree 120: a walk would charge far more than the budget of 1
-        gens = GeneratorSet.from_elements([
+    NON_LAWS = (
+        "x1 x1^-1 = x1^-1 x1",  # the same reduced value, different trees
+        "x1=x1^2 => x1 x2 = x2 x1",
+        "x1 = x1 x1",
+        "x1 x1^-1 x1 = x1 x1",
+    )
+
+    @staticmethod
+    def degree_120():
+        # a walk would charge far more than a budget of 1
+        return GeneratorSet.from_elements([
             PartialBijection([(x + 1) % 120 for x in range(120)]),
             PartialBijection([None if x < 60 else x for x in range(120)]),
             PartialBijection([x + 1 if x < 119 else None for x in range(120)]),
         ])
+
+    @pytest.mark.parametrize("text", LAWS)
+    def test_laws_decide_without_work(self, text):
+        gens = self.degree_120()
         ident = parse_identity(text)
         lhs, rhs = _reduce(ident)
         assert lhs == rhs
         result = models(gens, ident, budget=1)
         assert result == model_checker.ModelCheckResult(True, None, gens.with_inverses())
 
-    @pytest.mark.parametrize("text", (
-        "x1 x1^-1 = x1^-1 x1",  # the same reduced value, different trees
-        "x1=x1^2 => x1 x2 = x2 x1",
-        "x1 = x1 x1",
-        "x1 x1^-1 x1 = x1 x1",
-    ))
+    def test_laws_build_no_key(self, monkeypatch):
+        def refuse(*args):
+            raise RuntimeError("a key or table was built")
+
+        monkeypatch.setattr(model_checker, "_keys", refuse)
+        monkeypatch.setattr(model_checker, "_tables", refuse)
+        gens = self.degree_120()
+        for text in self.LAWS:
+            result = models(gens, parse_identity(text), budget=1)
+            assert result == model_checker.ModelCheckResult(True, None, gens.with_inverses())
+        with pytest.raises(RuntimeError, match="a key or table was built"):
+            models(gens, parse_identity(self.NON_LAWS[0]), budget=1)
+
+    @pytest.mark.parametrize("text", NON_LAWS)
     def test_non_laws_still_walk(self, text):
         ident = parse_identity(text)
         lhs, rhs = _reduce(ident)
@@ -625,6 +644,35 @@ def reference_variable_run(gens, ident, var, boundary):
     if spec is None:
         return None, spec
     return naive_least_word(gens, *spec), spec
+
+
+def reference_occurrences(ident, var):
+    """One variable's ``(edges, depth, constrained)``, built per word: the
+    left word's literal i runs from position i to i + 1, the right word's
+    from l + i to l + i + 1, except its first, which starts at 0; the depth
+    is the largest end."""
+    l = len(ident.lhs)
+    constrained = var <= ident.num_premises
+    flat = [(pos, pos + 1, lit) for pos, lit in enumerate(ident.lhs)]
+    flat += [(l + pos if pos else 0, l + pos + 1, lit) for pos, lit in enumerate(ident.rhs)]
+    edges = tuple((i, j, 1 if constrained else lit // var)
+                  for i, j, lit in flat if abs(lit) == var)
+    return edges, max((j for _, j, _ in edges), default=0), constrained
+
+
+class TestOccurrences:
+    def test_one_pass_matches_per_word_reference(self):
+        rng = random.Random(434)
+        idents = [random_identity(rng) for _ in range(3_000)]
+        idents.append(parse_identity("x3=x3^2 => x1 x2 = x2 x1"))
+        for ident in idents:
+            for var in range(1, ident.num_vars + 1):
+                occ = _Occurrences(ident, var, 5)
+                expected = reference_occurrences(ident, var)
+                assert (occ.edges, occ.depth, occ.constrained) == expected, (str(ident), var)
+        # the last identity's premise variable (x1 once parsed) occurs nowhere
+        premise = _Occurrences(idents[-1], 1, 5)
+        assert premise.edges == () and premise.depth == 0 and premise.constrained
 
 
 class TestSpecBinder:
