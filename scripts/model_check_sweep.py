@@ -11,9 +11,19 @@ groups (powers of one permutation), semilattices (which are commutative and
 Clifford), commutative sets and Clifford sets whose domains are nested.
 Random sets rarely lie in one.
 
+``--sets small`` draws sets whose closure stays small at any degree, so the
+oracle reaches degrees 16-64, where random closures outgrow it: in turn,
+groups of order at most 24 acting on many points, a permutation of order at
+most 3 plus partial identities, and the rank-1 hull of the maps i -> i+1
+(its n^2 rank-1 maps and the empty map).  Each check is then also decided
+by the boundary walk alone (``model_checker._walk``), without the law and
+class tests that ``models`` runs before it, so laws and class identities
+meet the oracle through the walk too.
+
 Example:
     python3 scripts/model_check_sweep.py --degrees 2 3 4 --count 200
     python3 scripts/model_check_sweep.py --degrees 5 6 --count 50 --sets class
+    python3 scripts/model_check_sweep.py --degrees 16 24 32 --count 6 --sets small
 """
 
 import argparse
@@ -21,8 +31,9 @@ import random
 import sys
 import time
 
-from pbsg import (GeneratorSet, LimitExceeded, PartialBijection, models, oracle_models,
-                  parse_identity)
+from pbsg import (DEFAULT_BUDGET, GeneratorSet, LimitExceeded, PartialBijection, model_checker,
+                  models, oracle_models, parse_identity)
+from pbsg.closure import _keys, _tables
 from pbsg.model_checker import counterexample_values
 from pbsg.sampling import random_generator_set
 
@@ -42,6 +53,8 @@ DEFAULT_IDENTITIES = [
 ]
 
 CLASSES = ("group", "abelian", "semilattice", "commutative", "clifford")
+
+SMALL = ("group", "partial", "rank1")
 
 
 def _restricted(perm, dom):
@@ -90,6 +103,45 @@ def class_generator_set(rng, n, k, kind):
     return GeneratorSet(n, gens)
 
 
+def _block_lift(order, m, perm):
+    """The permutation ``perm`` of 0..m-1 acting at once on each block of m
+    consecutive points of ``order``, a list of all the points; the points
+    past the last whole block stay fixed.  Lifts multiply as the
+    permutations do, so they generate a group of the same order."""
+    entries = list(range(len(order)))
+    for start in range(0, len(order) - len(order) % m, m):
+        block = order[start:start + m]
+        for x, y in zip(block, perm):
+            entries[x] = block[y]
+    return PartialBijection(entries)
+
+
+def small_generator_set(rng, n, k, kind):
+    """Generators of degree ``n`` (at least 4) whose closure stays small
+    whatever ``n``, of the family ``kind`` (one of ``SMALL``).
+
+    ``group``: k permutations of m <= 4 points, none the identity, each
+    lifted to every block of m points of one random ordering.  ``partial``:
+    one such lift with m <= 3 and 1 to k partial identities on random
+    subsets.  ``rank1``: the maps sending each point of a random ordering to
+    the next one alone.
+    """
+    order = rng.sample(range(n), n)
+    if kind == "rank1":
+        return GeneratorSet(n, [PartialBijection([y if x == a else None for x in range(n)])
+                                for a, y in zip(order, order[1:])])
+    m = rng.randint(2, 4 if kind == "group" else 3)
+    gens = []
+    while len(gens) < (k if kind == "group" else 1):
+        perm = rng.sample(range(m), m)
+        if perm != sorted(perm):  # no lift of the identity
+            gens.append(_block_lift(order, m, perm))
+    if kind == "partial":
+        gens += [_restricted(range(n), rng.sample(range(n), rng.randint(1, n - 1)))
+                 for _ in range(rng.randint(1, k))]
+    return GeneratorSet(n, gens)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--degrees", type=int, nargs="+", default=[2, 3, 4])
@@ -97,8 +149,9 @@ def main(argv=None):
     parser.add_argument("--max-k", type=int, default=3)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--identities", nargs="*", default=DEFAULT_IDENTITIES)
-    parser.add_argument("--sets", choices=("random", "class"), default="random",
-                        help="random sets, or members of the classes in turn")
+    parser.add_argument("--sets", choices=("random", "class", "small"), default="random",
+                        help="random sets, members of the classes in turn, "
+                             "or the small-closure families in turn")
     args = parser.parse_args(argv)
 
     idents = [(text, parse_identity(text)) for text in args.identities]
@@ -114,6 +167,8 @@ def main(argv=None):
             k = rng.randint(1, args.max_k)
             if args.sets == "class":
                 gens = class_generator_set(rng, n, k, CLASSES[i % len(CLASSES)]).with_inverses()
+            elif args.sets == "small":
+                gens = small_generator_set(rng, n, k, SMALL[i % len(SMALL)]).with_inverses()
             else:
                 gens = random_generator_set(rng, n, k, inverse_closed=True)
             for text, ident in idents:
@@ -124,13 +179,18 @@ def main(argv=None):
                     continue
                 fast = models(gens, ident)
                 verdicts[text][0 if fast.models else 1] += 1
-                if fast.models != slow.models:
-                    disagreements.append((text, [g.to_text() for g in gens.generators]))
-                if not fast.models:
-                    _, lhs, rhs = counterexample_values(fast.generators, ident,
-                                                        fast.counterexample)
-                    if lhs == rhs:
-                        replay_failures.append((text, gens))
+                results = [fast]
+                if args.sets == "small":
+                    results.append(model_checker._walk(gens, _tables(_keys(gens)), ident,
+                                                       DEFAULT_BUDGET))
+                for result in results:
+                    if result.models != slow.models:
+                        disagreements.append((text, [g.to_text() for g in gens.generators]))
+                    if not result.models:
+                        _, lhs, rhs = counterexample_values(result.generators, ident,
+                                                            result.counterexample)
+                        if lhs == rhs:
+                            replay_failures.append((text, gens))
 
     elapsed = time.perf_counter() - start
     checks = len(args.degrees) * args.count * len(idents) - skipped

@@ -73,9 +73,12 @@ def enumerate_identities(gens: GeneratorSet) -> IdentityLists:
 
 
 def _check_two_sided_identity(gens: GeneratorSet) -> CheckReport:
-    two_sided = enumerate_identities(gens).two_sided
-    witness = {"identity": two_sided[0]} if two_sided else None
-    return CheckReport(PropertyName.TWO_SIDED_IDENTITY, bool(two_sided), witness)
+    """A left identity e and a right identity f are equal, e = ef = f, so the
+    right check runs only when the left holds, and the witness is the left's."""
+    left = check_left_identity_exists(gens)
+    holds = left.holds and check_right_identity_exists(gens).holds
+    witness = {"identity": left.witness["identity"]} if holds else None
+    return CheckReport(PropertyName.TWO_SIDED_IDENTITY, holds, witness)
 
 
 def _domain_intersection_check(gens: GeneratorSet, prop: PropertyName) -> CheckReport:

@@ -18,9 +18,10 @@ s⁻¹ is in S, and S is inverse-closed iff every generator's inverse is.
 ``r-trivial`` scan every element, so the oracle shares no argument with
 their generator-level checkers; ``completely-regular`` compares the sink
 bytes of each key and of its square (dom(s²) = dom(s) iff s lies in a
-subgroup), and ``r-trivial`` walks each element's right ideal only at the
-element's own rank.  ``nilpotent`` and the identity scans stop once their
-answer is fixed, by exact arguments stated where they are used.
+subgroup), and ``r-trivial`` tests only elements that share a domain, as
+R-related ones do, walking a right ideal at its own rank only on demand.
+``nilpotent`` and the identity scans stop once their answer is fixed, by
+exact arguments stated where they are used, each identity scan at its first.
 A product of two elements is one ``bytes.translate`` of their keys, or a
 generator's column of the Cayley table.  The scans build no element: a
 witness is written from its key.  Candidates and witnesses are walked in
@@ -30,7 +31,7 @@ enumeration order, so the output stays deterministic.
 from __future__ import annotations
 
 import operator
-from itertools import islice, product
+from itertools import compress, count, islice, product, repeat
 from math import prod
 from typing import TYPE_CHECKING, Callable, Optional
 
@@ -111,7 +112,7 @@ def _group(closure):
     if len(idems) != 1:
         return False, {"idempotents": [_show(closure, e) for e in idems]}
     (e,) = idems
-    if _left_identity_test(closure)(e) and _right_identity_test(closure)(e):
+    if _first_identity(closure, "two_sided") == e:  # an identity is idempotent
         # each s has a power s^m = e, the only idempotent: s^(m-1), or e, inverts s
         return True, None
     keys, tail = closure.keys, _tail(closure.generators[0].degree)
@@ -142,7 +143,7 @@ def _nilpotent(closure):
     # an idempotent e = g1..gk other than the zero lies in every G^(kt), so no G^t is {zero}
     if any(e != zero for e in _idempotents(closure)):
         return False, {"zero": zero_key}
-    current = set(map(closure.index.__getitem__, closure.generator_keys))
+    current = set(_generator_row(closure))
     # With the zero as the only idempotent, G^(N+1) = {zero}: a product of N+1
     # generators repeats a prefix value p = px, so p = p x^ω with x^ω the zero.
     for length in range(1, len(closure) + 2):
@@ -152,36 +153,47 @@ def _nilpotent(closure):
     return False, {"zero": zero_key}
 
 
-def _rank_slice(cayley, rank, i):
-    """The elements of iS¹ of i's rank: a DFS from i along the right Cayley
-    graph that follows no edge dropping the rank.  Right multiplication
-    never raises a rank, so a path that ends at i's rank keeps it
-    throughout, and the DFS still reaches every such element."""
-    r = rank[i]
-    seen = {i}
-    stack = [i]
-    while stack:
-        for nxt in cayley[stack.pop()]:
-            if nxt not in seen and rank[nxt] == r:
-                seen.add(nxt)
-                stack.append(nxt)
-    return frozenset(seen)
-
-
 def _r_trivial(closure):
-    # s R t iff sS¹ = tS¹, and R-related elements share a domain, hence a
-    # rank, so s R t iff their right ideals agree on that rank: each element
-    # walks only its same-rank slice.  A large R-trivial slice of one rank
-    # still costs a walk per element, quadratic in its size.
+    # s R t iff sS¹ = tS¹.  Right multiples never gain domain, so s R t
+    # forces dom s = dom t, hence one rank, and s R t iff each lies in the
+    # other's right ideal at that rank.  So only an element sharing its domain
+    # with earlier ones is tested, and at most one of those passes, as they
+    # are pairwise not R-related.
     n = closure.generators[0].degree  # the key byte of an undefined image
-    rank = [n - key.count(n) for key in closure.keys]
-    ideals = {}
-    for i in range(len(closure)):
-        ideal = _rank_slice(closure.cayley, rank, i)
-        other = ideals.get(ideal)
-        if other is not None:
-            return False, {"first": _show(closure, other), "second": _show(closure, i)}
-        ideals[ideal] = i
+    keys, cayley = closure.keys, closure.cayley
+    slices = {}
+
+    def rank_slice(i):
+        """iS¹ at i's rank, built once by a DFS along the right Cayley graph
+        that follows no edge dropping the rank (right multiplication never
+        raises one); a built slice(w) ⊆ slice(i) is taken in whole."""
+        seen = slices.get(i)
+        if seen is None:
+            sinks = keys[i].count(n)
+            seen = slices[i] = {i}
+            stack = [i]
+            while stack:
+                for nxt in cayley[stack.pop()]:
+                    if nxt not in seen and keys[nxt].count(n) == sinks:
+                        built = slices.get(nxt)
+                        if built is None:
+                            seen.add(nxt)
+                            stack.append(nxt)
+                        else:
+                            seen |= built
+        return seen
+
+    # a key read through this table keeps its sink bytes and zeroes its points
+    domain = bytes(n) + _tail(n)
+    earlier = {}  # a domain -> the elements so far that have it
+    for i, dom in enumerate(map(bytes.translate, keys, repeat(domain))):
+        same = earlier.setdefault(dom, [])
+        if same:
+            mine = rank_slice(i)
+            for j in same:
+                if j in mine and i in rank_slice(j):
+                    return False, {"first": _show(closure, j), "second": _show(closure, i)}
+        same.append(i)
     return True, None
 
 
@@ -223,37 +235,40 @@ def _completely_regular(closure):
     return True, None
 
 
-def _left_identity_test(closure) -> Callable[[int], bool]:
-    """e*g == g for every generator g: the test that e is a left identity."""
-    gens = tuple(map(closure.index.__getitem__, closure.generator_keys))
-    cayley = closure.cayley
-    return lambda e: cayley[e] == gens
+def _generator_row(closure) -> tuple:
+    """The generators' indices: the Cayley row of a left identity e, as
+    e*g == g for every generator g."""
+    return tuple(map(closure.index.__getitem__, closure.generator_keys))
 
 
-def _right_identity_test(closure) -> Callable[[int], bool]:
-    """g*e == g for every generator g, that is, e fixes every point of every
-    generator's image: the test that e is a right identity."""
+def _right_identity_test(closure):
+    """``(fixed, want)`` with e a right identity iff ``fixed(keys[e]) ==
+    want``: g*e == g for every generator g iff e fixes every point of every
+    generator's image, and ``fixed`` reads a key at those points."""
     n = closure.generators[0].degree
     points = sorted({v for key in closure.generator_keys for v in key} - {n})
     if not points:
-        return lambda e: True
+        return (lambda key: ()), ()
     # the repeated point makes even one image point read as a tuple
     fixed = operator.itemgetter(*points, points[0])
-    want = fixed(range(n))
-    keys = closure.keys
-    return lambda e: fixed(keys[e]) == want
+    return fixed, fixed(range(n))
 
 
 def _first_identity(closure, side) -> Optional[int]:
-    """The first left, right or two-sided identity (``side`` as in IdentityLists)."""
-    idx = range(len(closure))
+    """The first left, right or two-sided identity (``side`` as in
+    IdentityLists): each scan stops at its first hit."""
     if side == "right":
-        return next(filter(_right_identity_test(closure), idx), None)
-    e = next(filter(_left_identity_test(closure), idx), None)
-    # a left identity e and a right identity f are equal (e = ef = f), so test e alone
-    if side == "two_sided" and e is not None and not _right_identity_test(closure)(e):
+        fixed, want = _right_identity_test(closure)
+        return next(compress(count(), map(want.__eq__, map(fixed, closure.keys))), None)
+    try:
+        e = closure.cayley.index(_generator_row(closure))
+    except ValueError:
         return None
-    return e
+    if side == "left":
+        return e
+    # a left identity e and a right identity f are equal (e = ef = f), so test e alone
+    fixed, want = _right_identity_test(closure)
+    return e if fixed(closure.keys[e]) == want else None
 
 
 def _found(first, *args):

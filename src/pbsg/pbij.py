@@ -78,24 +78,6 @@ class PartialBijection(ValueType):
             entries[x] = x
         return cls(entries)
 
-    @classmethod
-    def from_text(cls, text: str) -> "PartialBijection":
-        """Parse the 1-indexed text form, e.g. ``"2 _ 1"``."""
-        tokens = text.split()
-        if not tokens:
-            raise ValueError("empty text form")
-
-        def point(tok):
-            if tok == "_":
-                return None
-            try:
-                return int(tok)
-            except ValueError:
-                raise ValueError(f"bad token {tok!r} in text form") from None
-
-        return cls._trusted(_checked(map(point, tokens), len(tokens), 1,
-                                     "point {!r} out of range 1..{}"))
-
     def to_text(self) -> str:
         return " ".join("_" if v is None else str(v + 1) for v in self.entries)
 

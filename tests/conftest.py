@@ -6,6 +6,7 @@ import pytest
 from hypothesis import strategies as st
 
 from pbsg import GeneratorSet, PartialBijection
+from pbsg.pbij import _checked
 from pbsg.sampling import random_generator_set
 
 #: identities exercised by the model-checker acceptance sweep
@@ -31,7 +32,21 @@ def load_script(name):
 
 
 def pb(text: str) -> PartialBijection:
-    return PartialBijection.from_text(text)
+    """Parse the 1-indexed text form that ``to_text`` writes, e.g. ``"2 _ 1"``."""
+    tokens = text.split()
+    if not tokens:
+        raise ValueError("empty text form")
+
+    def point(tok):
+        if tok == "_":
+            return None
+        try:
+            return int(tok)
+        except ValueError:
+            raise ValueError(f"bad token {tok!r} in text form") from None
+
+    return PartialBijection._trusted(_checked(map(point, tokens), len(tokens), 1,
+                                              "point {!r} out of range 1..{}"))
 
 
 #: cycle lengths of a 77-point permutation of order 2·3·5·…·19 = 9,699,690

@@ -278,6 +278,42 @@ class TestWorkBudget:
             assert walk(gens, parse_identity(text)).models, text
             assert len(asked) == 0, text
 
+    def test_budget_is_exact(self, monkeypatch):
+        # with C the whole charge of a call that reaches the walk, the result
+        # under budget C is the one under 2C, and budget C - 1 overflows
+        works = []
+
+        class RecordingWork(_Work):
+            __slots__ = ()
+
+            def __init__(self, budget):
+                super().__init__(budget)
+                works.append(self)
+
+        monkeypatch.setattr(model_checker, "_Work", RecordingWork)
+        rng = random.Random(711)
+        walked = {True: 0, False: 0, "premises": 0}
+        while walked[True] + walked[False] < 250:
+            gens = random_generator_set(rng, rng.randint(1, 6), rng.randint(1, 3))
+            ident = random_identity(rng)
+            works.clear()
+            try:
+                result = models(gens, ident, budget=20_000)
+            except LimitExceeded:
+                continue
+            if not works:
+                continue  # a law or a class answer, charged nothing
+            (work,) = works
+            charge = work.budget - work.left
+            assert charge >= 1
+            assert models(gens, ident, budget=charge) == result
+            assert models(gens, ident, budget=2 * charge) == result
+            with pytest.raises(LimitExceeded):
+                models(gens, ident, budget=charge - 1)
+            walked[result.models] += 1
+            walked["premises"] += ident.num_premises > 0
+        assert min(walked.values()) >= 30, walked
+
     def test_variable_run_is_charged_its_reach_states(self):
         # the 3-cycle's orbit of point 1 is three states
         gens = gset("2 3 1")

@@ -27,11 +27,11 @@ class TestConstruction:
     def test_parsers_name_a_repeated_image_one_based(self):
         # the forms are 1-indexed, so their errors name points as written
         with pytest.raises(ValueError, match="^not injective: image 2 repeated$"):
-            PartialBijection.from_text("2 2 _")
+            pb("2 2 _")
         with pytest.raises(ValueError, match="^not injective: image 2 repeated$"):
             PartialBijection.from_json_obj({"degree": 3, "map": [2, 2, None]})
         with pytest.raises(ValueError, match="^not injective: image 3 repeated$"):
-            PartialBijection.from_text("3 _ 3")
+            pb("3 _ 3")
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -46,13 +46,13 @@ class TestConstruction:
 
     def test_text_errors(self):
         with pytest.raises(ValueError):
-            PartialBijection.from_text("")
+            pb("")
         with pytest.raises(ValueError):
-            PartialBijection.from_text("0 1")
+            pb("0 1")
         with pytest.raises(ValueError):
-            PartialBijection.from_text("3 1")
+            pb("3 1")
         with pytest.raises(ValueError):
-            PartialBijection.from_text("x _")
+            pb("x _")
 
     def test_json_round_trip(self):
         a = pb("2 _ 1")

@@ -21,6 +21,19 @@ def test_sweep_agrees_with_oracle(name, argv, capsys):
     assert "agree" in capsys.readouterr().out
 
 
+def test_small_sweep_meets_the_oracle_at_degree_16(capsys):
+    # the small-closure families keep the oracle in reach at degree 16; each
+    # identity holds on one of the three sets and fails on the others, and
+    # the walk alone decides every one, exhaustively where it holds
+    identities = ["x1 x1 = x1 x1 x1", "x1 x2 x1 = x1 x2 x1 x2 x1", "x1 x2 x1^-1 = x2"]
+    argv = ["--degrees", "16", "--count", "3", "--sets", "small", "--identities", *identities]
+    assert load_script("model_check_sweep").main(argv) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("9 checks in ") and "agree" in out
+    for text in identities:
+        assert f"{text:44} {1:7} {2:7}" in out
+
+
 def test_model_check_sweep_skips_sets_over_the_oracle_budget(capsys):
     # the second degree-4 set of seed 1 closes to 93 elements: 93^4 assignments
     argv = ["--degrees", "4", "--count", "2", "--seed", "1",
