@@ -84,11 +84,12 @@ def main(argv=None):
             member_misses += len(outside)
             disagree["member"] += check_member(gens, clo, [*clo, *outside.values()],
                                                args.limit)
-            ids = oracle_identities(clo)
+            ids = left, right = oracle_identities(clo)
             oracle_truth = {
-                PropertyName.LEFT_IDENTITY: bool(ids.left),
-                PropertyName.RIGHT_IDENTITY: bool(ids.right),
-                PropertyName.TWO_SIDED_IDENTITY: bool(ids.two_sided),
+                PropertyName.LEFT_IDENTITY: left is not None,
+                PropertyName.RIGHT_IDENTITY: right is not None,
+                # a left and a right identity are one: e = ef = f
+                PropertyName.TWO_SIDED_IDENTITY: left is not None and right is not None,
             }
             if enumerate_identities(gens) != ids:
                 disagree["identity-element"] += 1

@@ -55,7 +55,7 @@ _EXPORTS = {
         "oracle_report",
     ),
     "pbij": ("PartialBijection", "all_partial_bijections"),
-    "properties": ("CheckReport", "IdentityLists", "PropertyName"),
+    "properties": ("CheckReport", "PropertyName"),
 }
 
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

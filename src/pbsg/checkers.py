@@ -17,7 +17,7 @@ from typing import Optional
 
 from .closure import GeneratorSet
 from .pbij import PartialBijection
-from .properties import CheckReport, IdentityLists, PropertyName
+from .properties import CheckReport, PropertyName
 
 
 def _identity_from_generator(gens: GeneratorSet, prop: PropertyName, test) -> CheckReport:
@@ -58,18 +58,12 @@ def check_right_identity_exists(gens: GeneratorSet) -> CheckReport:
                                     lambda i: union <= gs[i].dom())
 
 
-def enumerate_identities(gens: GeneratorSet) -> IdentityLists:
-    """The left, right and two-sided identities, built directly.
-
-    Identities are unique, so each tuple holds at most one element: the
-    witness of the matching check.  The two-sided identity exists exactly
-    when both do and they coincide.
-    """
-    left, right = (
-        (rep.witness["identity"],) if rep.holds else ()
-        for rep in (check_left_identity_exists(gens), check_right_identity_exists(gens))
-    )
-    return IdentityLists(left, right, left if left == right else ())
+def enumerate_identities(gens: GeneratorSet) -> tuple:
+    """``(left, right)``: the left and the right identity, each the witness
+    of its check, or None when there is none.  A two-sided identity exists
+    exactly when both do, as then e = ef = f."""
+    return tuple(rep.witness["identity"] if rep.holds else None
+                 for rep in (check_left_identity_exists(gens), check_right_identity_exists(gens)))
 
 
 def _check_two_sided_identity(gens: GeneratorSet) -> CheckReport:

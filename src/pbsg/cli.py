@@ -395,25 +395,17 @@ def _cmd_tiling_roundtrip(args, out):
 # -- random ------------------------------------------------------------------
 
 
-def _cmd_random_gens(args, out):
+def _cmd_random(args, out):
     from random import Random
 
-    from .sampling import random_generator_set
+    from . import sampling
 
-    gens = random_generator_set(Random(args.seed), args.n, args.k, args.inverse_closed)
-    doc = {"schema": SCHEMA, **gens.to_json_obj()}
-    _write_doc(doc, args.output, out)
-    return EXIT_HOLDS
-
-
-def _cmd_random_tiling(args, out):
-    from random import Random
-
-    from .sampling import random_tiling_instance
-
-    inst = random_tiling_instance(Random(args.seed), args.m, args.c, args.k)
-    doc = {"schema": SCHEMA, **inst.to_json_obj()}
-    _write_doc(doc, args.output, out)
+    rng = Random(args.seed)
+    if args.random_command == "gens":
+        drawn = sampling.random_generator_set(rng, args.n, args.k, args.inverse_closed)
+    else:
+        drawn = sampling.random_tiling_instance(rng, args.m, args.c, args.k)
+    _write_doc({"schema": SCHEMA, **drawn.to_json_obj()}, args.output, out)
     return EXIT_HOLDS
 
 
@@ -508,6 +500,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pt.set_defaults(handler=_cmd_tiling_roundtrip)
 
     p = sub.add_parser("random", help="seeded random instance files")
+    p.set_defaults(handler=_cmd_random)
     rsub = p.add_subparsers(dest="random_command", required=True)
     rg = rsub.add_parser("gens")
     rg.add_argument("-n", type=int, required=True, help="degree")
@@ -515,14 +508,12 @@ def _build_parser() -> argparse.ArgumentParser:
     rg.add_argument("--seed", type=int, default=0)
     rg.add_argument("--inverse-closed", action="store_true")
     rg.add_argument("-o", "--output", default=None)
-    rg.set_defaults(handler=_cmd_random_gens)
     rt = rsub.add_parser("tiling")
     rt.add_argument("-m", type=int, required=True, help="rows")
     rt.add_argument("-c", type=int, required=True, help="colors")
     rt.add_argument("-k", type=int, required=True, help="tiles")
     rt.add_argument("--seed", type=int, default=0)
     rt.add_argument("-o", "--output", default=None)
-    rt.set_defaults(handler=_cmd_random_tiling)
     return parser
 
 

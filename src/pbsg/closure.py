@@ -6,8 +6,11 @@ as a parent pointer and a last letter, spelled only when asked for, and
 records the right action of each generator as an integer Cayley table.
 Each element is stored only as its byte key, one byte per point, and built
 on access.  This module owns that codec (``_key``, ``_tail``, ``_tables``,
-``_inverse_key``): every product, here or in the oracle, the model checker
-and the tiling round trip, is one ``bytes.translate`` of two keys.  One BFS
+``_inverse_key``): every product made here, in the oracle, in the model
+checker's search and in the tiling round trip is one ``bytes.translate`` of
+two keys.  The model checker's counterexample replay
+(``counterexample_values``) is the exception: its ``idempotent_power`` and
+``apply_assignment`` multiply ``PartialBijection`` values.  One BFS
 (``_bfs``, over generator keys) serves ``close`` and ``member``, and one
 evaluator (``_evaluate``) serves every word.  BFS order (word length, then
 generator index) makes the output deterministic.
@@ -69,11 +72,6 @@ class GeneratorSet(ValueType):
         self.generators = generators
         self.inverse_closed = inverse_closed
 
-    @classmethod
-    def from_elements(cls, generators: Sequence[PartialBijection], inverse_closed=False):
-        gens = tuple(generators)  # ``__init__`` refuses an empty list
-        return cls(gens[0].degree if gens else 0, gens, inverse_closed)
-
     def with_inverses(self) -> "GeneratorSet":
         """Append each missing inverse; already-closed sets come back as-is."""
         if self.inverse_closed:
@@ -122,13 +120,16 @@ def _missing_inverses(generators) -> tuple:
 
 
 class MemberResult(ValueType):
-    """A membership verdict and, when found, its witness word."""
+    """A membership witness word, or None when the element is no product."""
 
-    __slots__ = ("found", "witness")
+    __slots__ = ("witness",)
 
-    def __init__(self, found: bool, witness: Optional[tuple[int, ...]] = None):
-        self.found = found
+    def __init__(self, witness: Optional[tuple[int, ...]] = None):
         self.witness = witness
+
+    @property
+    def found(self) -> bool:
+        return self.witness is not None
 
 
 class SemigroupClosure:
@@ -302,9 +303,7 @@ def _member(generators, goal, limit) -> MemberResult:
     """``member`` for the generators keyed ``generators`` and the element
     keyed ``goal``."""
     _, parent, gen_of, _, _, i = _bfs(generators, limit, goal)
-    if i is None:
-        return MemberResult(False, None)
-    return MemberResult(True, _word(parent, gen_of, i))
+    return MemberResult(None if i is None else _word(parent, gen_of, i))
 
 
 def _evaluate(generators, word) -> bytes:

@@ -118,16 +118,18 @@ class Counterexample(ValueType):
 
 
 class ModelCheckResult(ValueType):
-    """The verdict, the least counterexample when there is one, and the
+    """The least counterexample, None when the identity holds, and the
     inverse-closed generator list that counterexample words index into."""
 
-    __slots__ = ("models", "counterexample", "generators")
+    __slots__ = ("counterexample", "generators")
 
-    def __init__(self, models: bool, counterexample: Optional[Counterexample],
-                 generators: GeneratorSet):
-        self.models = models
+    def __init__(self, counterexample: Optional[Counterexample], generators: GeneratorSet):
         self.counterexample = counterexample
         self.generators = generators
+
+    @property
+    def models(self) -> bool:
+        return self.counterexample is None
 
 
 #: the spec of a variable with no occurrence bound: any letter realizes it
@@ -509,11 +511,11 @@ def models(
     lhs, rhs = _reduce(ident)
     if lhs == rhs:
         _tail(gens.degree)  # a law is refused past the cap too
-        return ModelCheckResult(True, None, gens)
+        return ModelCheckResult(None, gens)
     keys = _keys(gens)
     letters = _tables(keys)
     if _in_class(keys, letters, ident, lhs[0] == rhs[0]):
-        return ModelCheckResult(True, None, gens)
+        return ModelCheckResult(None, gens)
     return _walk(gens, letters, ident, budget)
 
 
@@ -593,7 +595,7 @@ def _walk(gens, letters, ident, budget):
                               or _run_word(letters, specs[o.depth], n, reach_cache, work)
                               for o in occs)
                 cex = Counterexample(BoundaryGuess(p, q), words)
-                return ModelCheckResult(False, cex, gens)
+                return ModelCheckResult(cex, gens)
             d += 1
             occ, i, exponent, _, prev = ending[d]
             choices = _offer(letters, occ, specs[prev], pts[i], exponent, reach_cache,
@@ -603,7 +605,7 @@ def _walk(gens, letters, ident, budget):
             break
         else:
             d -= 1
-    return ModelCheckResult(True, None, gens)
+    return ModelCheckResult(None, gens)
 
 
 def realize_assignment(

@@ -47,7 +47,7 @@ from .closure import (
     close,
 )
 from .pbij import PartialBijection
-from .properties import CheckReport, IdentityLists, PropertyName
+from .properties import CheckReport, PropertyName
 
 if TYPE_CHECKING:
     from .identities import Identity
@@ -70,10 +70,12 @@ def _idempotents(closure):
     return (e for e, key in enumerate(closure.keys) if key.translate(key + tail) == key)
 
 
-def oracle_identities(closure: SemigroupClosure) -> IdentityLists:
-    """Each list holds the closure's one identity of its kind, if any."""
-    ids = (_first_identity(closure, side) for side in ("left", "right", "two_sided"))
-    return IdentityLists(*(() if e is None else (closure[e],) for e in ids))
+def oracle_identities(closure: SemigroupClosure) -> tuple:
+    """``(left, right)``: the closure's left and its right identity, each
+    None when there is none.  Each is unique, and a two-sided identity exists
+    iff both do, as then e = ef = f."""
+    return tuple(None if e is None else closure[e]
+                 for e in (_first_identity(closure, "left"), _first_identity(closure, "right")))
 
 
 def _commutative(closure):
@@ -255,8 +257,8 @@ def _right_identity_test(closure):
 
 
 def _first_identity(closure, side) -> Optional[int]:
-    """The first left, right or two-sided identity (``side`` as in
-    IdentityLists): each scan stops at its first hit."""
+    """The first ``"left"``, ``"right"`` or ``"two_sided"`` identity: each
+    scan stops at its first hit."""
     if side == "right":
         fixed, want = _right_identity_test(closure)
         return next(compress(count(), map(want.__eq__, map(fixed, closure.keys))), None)
@@ -306,11 +308,16 @@ def oracle_report(closure: SemigroupClosure, prop: PropertyName) -> CheckReport:
 
 
 class OracleModelResult:
-    __slots__ = ("models", "assignment")
+    """The first violating assignment, or None when the identity holds."""
 
-    def __init__(self, models: bool, assignment: Optional[tuple[PartialBijection, ...]] = None):
-        self.models = models
+    __slots__ = ("assignment",)
+
+    def __init__(self, assignment: Optional[tuple[PartialBijection, ...]] = None):
         self.assignment = assignment
+
+    @property
+    def models(self) -> bool:
+        return self.assignment is None
 
 
 def oracle_models(
@@ -349,5 +356,5 @@ def oracle_models(
                             f"{space} oracle assignments exceed the budget {DEFAULT_BUDGET}")
     for assign in product(*ranges):
         if eval_side(ident.lhs, assign) != eval_side(ident.rhs, assign):
-            return OracleModelResult(False, tuple(clo[i] for i in assign))
-    return OracleModelResult(True, None)
+            return OracleModelResult(tuple(clo[i] for i in assign))
+    return OracleModelResult(None)

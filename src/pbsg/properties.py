@@ -1,12 +1,9 @@
-"""Shared vocabulary: decidable property names, the check-report record and
-the identity lists both identity deciders return."""
+"""Shared vocabulary: decidable property names and the check-report record."""
 
 from __future__ import annotations
 
 from enum import Enum
 from typing import Optional
-
-from .pbij import ValueType
 
 
 class PropertyName(str, Enum):
@@ -45,17 +42,3 @@ class CheckReport:
         self.prop = prop
         self.holds = holds
         self.witness = witness
-
-
-class IdentityLists(ValueType):
-    """Every left/right/two-sided identity of the closure, in discovery order.
-
-    Identities are unique, so each tuple holds at most one element.
-    """
-
-    __slots__ = ("left", "right", "two_sided")
-
-    def __init__(self, left: tuple, right: tuple, two_sided: tuple):
-        self.left = left
-        self.right = right
-        self.two_sided = two_sided

@@ -361,15 +361,21 @@ def decode_witness(reduced: ReducedInstance, word) -> TilingGrid:
 
 
 class RoundtripReport:
-    __slots__ = ("solvable", "member", "consistent", "grid", "decoded")
+    """The membership answer, whether it agrees with the solver's ``grid``
+    (None when unsolvable), and the grid its witness decodes to."""
 
-    def __init__(self, solvable: bool, member: MemberResult, consistent: bool,
+    __slots__ = ("member", "consistent", "grid", "decoded")
+
+    def __init__(self, member: MemberResult, consistent: bool,
                  grid: Optional[TilingGrid] = None, decoded: Optional[TilingGrid] = None):
-        self.solvable = solvable
         self.member = member
         self.consistent = consistent
         self.grid = grid
         self.decoded = decoded
+
+    @property
+    def solvable(self) -> bool:
+        return self.grid is not None
 
 
 def roundtrip_check(inst: TilingInstance, limit: int = DEFAULT_LIMIT) -> RoundtripReport:
@@ -382,13 +388,12 @@ def roundtrip_check(inst: TilingInstance, limit: int = DEFAULT_LIMIT) -> Roundtr
     closure's cap raise its ValueError.
     """
     grid = solve_corridor_tiling(inst, limit)
-    solvable = grid is not None
     reduced = reduce(inst)
     keys, target = reduced.keys
     got = _member(keys, target, limit)
-    consistent = solvable == got.found
+    consistent = (grid is not None) == got.found
     decoded = None
-    if consistent and solvable:
+    if consistent and grid is not None:
         if _evaluate(keys, encode_grid(reduced, grid)) != target:
             consistent = False
         else:
@@ -398,4 +403,4 @@ def roundtrip_check(inst: TilingInstance, limit: int = DEFAULT_LIMIT) -> Roundtr
                 consistent = False
             else:
                 consistent = verify_proper_tiling(inst, decoded) is None
-    return RoundtripReport(solvable, got, consistent, grid, decoded)
+    return RoundtripReport(got, consistent, grid, decoded)

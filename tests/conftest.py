@@ -49,6 +49,12 @@ def pb(text: str) -> PartialBijection:
                                               "point {!r} out of range 1..{}"))
 
 
+def gens_of(generators, inverse_closed=False) -> GeneratorSet:
+    """The generator set of ``generators``, at the first one's degree."""
+    gens = tuple(generators)
+    return GeneratorSet(gens[0].degree, gens, inverse_closed)
+
+
 #: cycle lengths of a 77-point permutation of order 2·3·5·…·19 = 9,699,690
 PRIME_CYCLES = (2, 3, 5, 7, 11, 13, 17, 19)
 

@@ -14,7 +14,6 @@ from itertools import combinations_with_replacement, product
 
 import pbsg
 from pbsg import (
-    GeneratorSet,
     LimitExceeded,
     PartialBijection,
     PropertyName,
@@ -33,6 +32,7 @@ from pbsg import (
     oracle_models,
     oracle_report,
     parse_identity,
+    run_generator_check,
 )
 from pbsg.model_checker import counterexample_values
 from pbsg.sampling import random_generator_set, random_tiling_instance
@@ -47,7 +47,7 @@ from pbsg.tiling import (
 )
 from pbsg.closure import evaluate_word
 
-from conftest import MODEL_CORPUS
+from conftest import MODEL_CORPUS, gens_of
 
 SEED = 20260810
 
@@ -115,7 +115,7 @@ def _identity_sweep_sets():
     """Exhaustive ordered pairs over degree 2, then seeded random sets."""
     i2 = all_partial_bijections(2)
     assert len(i2) == 7
-    sets = [GeneratorSet.from_elements([a, b]) for a in i2 for b in i2]
+    sets = [gens_of([a, b]) for a in i2 for b in i2]
     for n in (3, 4, 5):
         rng = random.Random(SEED + n)
         for _ in range(500):
@@ -128,14 +128,18 @@ def test_criterion_2_identity_checkers_vs_oracle():
     start = time.perf_counter()
     sets = _identity_sweep_sets()
     for gens in sets:
-        ids = oracle_identities(close(gens))
-        if len(ids.left) > 1 or len(ids.right) > 1:
+        ids = left, right = oracle_identities(close(gens))
+        # a two-sided identity exists iff both do, and then e = ef = f
+        two_sided = left is not None and right is not None
+        if two_sided and left != right:
             failures.append(("uniqueness", gens))
             continue
-        if check_left_identity_exists(gens).holds != bool(ids.left):
+        if check_left_identity_exists(gens).holds != (left is not None):
             failures.append(("left-existence", gens))
-        if check_right_identity_exists(gens).holds != bool(ids.right):
+        if check_right_identity_exists(gens).holds != (right is not None):
             failures.append(("right-existence", gens))
+        if run_generator_check(gens, PropertyName.TWO_SIDED_IDENTITY).holds != two_sided:
+            failures.append(("two-sided-existence", gens))
         if enumerate_identities(gens) != ids:
             failures.append(("element", gens))
     report(2, f"identity existence vs oracle, {len(sets)} generator sets",
@@ -170,7 +174,7 @@ def test_criterion_4_model_checker_vs_oracle():
     start = time.perf_counter()
 
     i2 = all_partial_bijections(2)
-    sets = [GeneratorSet.from_elements([a, b]).with_inverses() for a in i2 for b in i2]
+    sets = [gens_of([a, b]).with_inverses() for a in i2 for b in i2]
     for n in (3, 4):
         rng = random.Random(SEED + 10 * n)
         for _ in range(200):

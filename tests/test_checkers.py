@@ -1,8 +1,7 @@
 import pytest
 
 from pbsg import (
-    GeneratorSet,
-    IdentityLists,
+    CheckReport,
     PartialBijection,
     PropertyName,
     all_partial_bijections,
@@ -19,11 +18,11 @@ from pbsg import (
     run_generator_check,
 )
 
-from conftest import pb, seeded_generator_sets
+from conftest import gens_of, pb, seeded_generator_sets
 
 
 def gset(*texts):
-    return GeneratorSet.from_elements([pb(t) for t in texts])
+    return gens_of([pb(t) for t in texts])
 
 
 class TestIdentityExistence:
@@ -57,11 +56,10 @@ class TestIdentityExistence:
 class TestEnumerateIdentities:
     def test_partial_identity_generator(self):
         e = PartialBijection.partial_identity(3, [0, 1])
-        ids = enumerate_identities(GeneratorSet.from_elements([e]))
-        assert ids == IdentityLists((e,), (e,), (e,))
+        assert enumerate_identities(gens_of([e])) == (e, e)
 
     def test_shift_has_none(self):
-        assert enumerate_identities(gset("2 _")) == IdentityLists((), (), ())
+        assert enumerate_identities(gset("2 _")) == (None, None)
 
     def test_matches_oracle(self):
         for gens in seeded_generator_sets(302, 60, degrees=(2, 3)):
@@ -69,9 +67,9 @@ class TestEnumerateIdentities:
 
     def test_constructed_element_is_union_partial_identity(self):
         gens = gset("2 1", "1 _")
-        ids = enumerate_identities(gens)
-        assert ids.left == (PartialBijection.identity(2),)
-        assert ids.left == oracle_identities(close(gens)).left
+        left, _ = enumerate_identities(gens)
+        assert left == PartialBijection.identity(2)
+        assert left == oracle_identities(close(gens))[0]
 
     def test_every_small_set_matches_oracle(self):
         # every 1- and 2-generator set of degree <= 3: 2 + 7 + 34 one-generator
@@ -81,16 +79,16 @@ class TestEnumerateIdentities:
             universe = all_partial_bijections(n)
             sets = [(a,) for a in universe] + [(a, b) for a in universe for b in universe]
             for generators in sets:
-                gens = GeneratorSet.from_elements(generators)
+                gens = gens_of(generators)
                 ids = enumerate_identities(gens)
                 assert ids == oracle_identities(close(gens))
-                for check, found in ((check_left_identity_exists, ids.left),
-                                     (check_right_identity_exists, ids.right)):
+                for check, found in zip((check_left_identity_exists,
+                                         check_right_identity_exists), ids):
                     rep = check(gens)
-                    assert rep.holds == bool(found)
+                    assert rep.holds == (found is not None)
                     if rep.holds:
                         a = generators[rep.witness["generator"] - 1]
-                        assert a.idempotent_power() == rep.witness["identity"] == found[0]
+                        assert a.idempotent_power() == rep.witness["identity"] == found
                 count += 1
         assert count == 1252
 
@@ -125,7 +123,7 @@ class TestCompletelyRegular:
                 dom = sorted(rng.sample(range(n), size))
                 img = dict(zip(dom, rng.sample(dom, size)))
                 gens.append(PartialBijection([img.get(x) for x in range(n)]))
-            gset_ = GeneratorSet.from_elements(gens)
+            gset_ = gens_of(gens)
             if not check_completely_regular(gset_).holds:
                 continue
             found += 1
@@ -135,7 +133,7 @@ class TestCompletelyRegular:
 
 class TestBandSemilattice:
     def test_partial_identities(self):
-        gens = GeneratorSet.from_elements(
+        gens = gens_of(
             [PartialBijection.partial_identity(3, [0]),
              PartialBijection.partial_identity(3, [1, 2])]
         )
@@ -176,11 +174,11 @@ class TestExhaustiveDegreeTwo:
         assert len(i2) == 7
         for a in i2:
             for b in i2:
-                gens = GeneratorSet.from_elements([a, b])
+                gens = gens_of([a, b])
                 clo = close(gens)
-                ids = oracle_identities(clo)
-                assert check_left_identity_exists(gens).holds == bool(ids.left)
-                assert check_right_identity_exists(gens).holds == bool(ids.right)
+                ids = left, right = oracle_identities(clo)
+                assert check_left_identity_exists(gens).holds == (left is not None)
+                assert check_right_identity_exists(gens).holds == (right is not None)
                 assert enumerate_identities(gens) == ids
                 assert check_completely_regular(gens).holds == oracle_report(
                     clo, PropertyName.COMPLETELY_REGULAR
@@ -221,6 +219,11 @@ class TestDispatcher:
     def test_band_prop_validation(self):
         with pytest.raises(ValueError):
             check_band_semilattice(gset("2 1"), PropertyName.GROUP)
+
+    def test_report_witness_must_be_a_dict(self):
+        for witness in ([1, 2], "element", PartialBijection.identity(2)):
+            with pytest.raises(TypeError, match="witness must be a dict or None"):
+                CheckReport(PropertyName.ZERO, True, witness)
 
 
 # -- the generator-level checks written with PartialBijection products, the

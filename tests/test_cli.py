@@ -15,6 +15,9 @@ GENS_CRITERION_6 = {"degree": 3, "generators": [[3, 1, None], [1, None, 2]],
                     "inverse_closed": False}
 TILING_OK = {"colors": 1, "width": 1, "tiles": [{"n": 1, "e": 1, "s": 1, "w": 1}]}
 TILING_BAD = {"colors": 2, "width": 1, "tiles": [{"n": 1, "e": 1, "s": 2, "w": 1}]}
+#: the criterion-6 tiling: one column, tile 1 above tile 2
+TILING_CRITERION_6 = {"colors": 2, "width": 2,
+                      "tiles": [{"n": 1, "e": 1, "s": 2, "w": 1}, {"n": 2, "e": 1, "s": 1, "w": 1}]}
 
 
 def run(capsys, *argv):
@@ -105,6 +108,12 @@ class TestOracle:
         path = tmp_json("g.json", GENS_SWAP)
         code, out = run(capsys, "oracle", path, "--property", "group")
         assert code == 0 and "group\ttrue" in out
+        code, out = run(capsys, "oracle", path, "--property", "zero", "--json")
+        assert code == 1
+        assert json.loads(out) == {
+            "schema": "pbsg/1", "command": "oracle", "closure_size": 2,
+            "results": [{"property": "zero", "holds": False, "witness": None}],
+        }
 
     def test_limit_exceeded_exit(self, tmp_json, capsys):
         path = tmp_json("g.json", GENS_SWAP)
@@ -131,6 +140,11 @@ class TestMember:
         elem = tmp_json("b.json", {"degree": 2, "map": [3, 1]})
         code, _ = run(capsys, "member", gens, elem)
         assert code == 2
+        elem = tmp_json("b0.json", {"degree": 0, "map": []})
+        code = main(["member", gens, elem])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"pbsg: {elem}: degree must be a positive integer\n"
 
     def test_degree_over_cap_is_usage_error(self, tmp_json, capsys):
         # the closure and the model checker's reach store one byte per
@@ -178,7 +192,7 @@ class TestModels:
         argv = ("models", gens, "x1 x1^-1 = x1^-1 x1", "--cross-check")
         assert run(capsys, *argv)[0] == 1
         monkeypatch.setattr(mc, "models",
-                            lambda g, ident, budget: mc.ModelCheckResult(True, None, g))
+                            lambda g, ident, budget: mc.ModelCheckResult(None, g))
         code, out = run(capsys, *argv)
         assert code == 4 and "DISAGREE\tfast=True\toracle=False\n" in out
         code, out = run(capsys, *argv, "--json")
@@ -289,6 +303,27 @@ class TestTiling:
         code, out = run(capsys, "tiling", "roundtrip", path)
         assert code == 0
         assert "solvable=false" in out and "member=false" in out
+
+    @pytest.mark.parametrize("fault", ("grid", "witness"))
+    def test_failed_roundtrip_exits_4(self, fault, tmp_json, capsys, monkeypatch):
+        from pbsg import tiling
+
+        if fault == "grid":
+            # right-shaped, but tile 2 on top breaks the north border: its
+            # word does not evaluate to the target
+            monkeypatch.setattr(tiling, "solve_corridor_tiling",
+                                lambda inst, limit: tiling.TilingGrid([[1], [0]]))
+        else:
+            # a witness of one letter does not factor into columns of 2 rows
+            monkeypatch.setattr(tiling, "_member",
+                                lambda keys, target, limit: tiling.MemberResult((0,)))
+        path = tmp_json("t.json", TILING_CRITERION_6)
+        report = tiling.roundtrip_check(tiling.TilingInstance.from_json_obj(TILING_CRITERION_6))
+        assert report.solvable and report.member.found and not report.consistent
+        assert report.decoded is None
+        code, out = run(capsys, "tiling", "roundtrip", path)
+        assert code == 4
+        assert out.splitlines() == ["solvable=true", "member=true", "consistent=false"]
 
     def test_mistyped_fields_are_usage_errors(self, tmp_json, capsys):
         for field, value in (("colors", "2"), ("width", True), ("tiles", 3)):

@@ -148,6 +148,8 @@ class TestFormat:
             == "x1=x1^2 => x1 x2 = x2 x1"
         )
         assert format_identity(parse_identity("x1' = x1'")) == "x1^-1 = x1^-1"
+        ident = parse_identity("x1=x1^2 => x1 x2' = x2' x1")
+        assert str(ident) == format_identity(ident) == "x1=x1^2 => x1 x2^-1 = x2^-1 x1"
 
     @given(words, words, st.integers(0, 4))
     def test_round_trip_random(self, lhs, rhs, premises):
@@ -190,6 +192,8 @@ class TestValidation:
             Identity(1, 0, (1,), (-2,))
         with pytest.raises(ValueError):
             Identity(2, 3, (1,), (1,))
+        with pytest.raises(ValueError, match="at least one variable"):
+            Identity(0, 0, (1,), (1,))
 
 
 def test_apply_assignment():

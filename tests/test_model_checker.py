@@ -23,11 +23,11 @@ from pbsg.model_checker import (_EMPTY, _Occurrences, _Work, _in_class, _masked_
                                 _reduce, _run_word, counterexample_values)
 from pbsg.sampling import random_generator_set
 
-from conftest import MODEL_CORPUS, conjugate, load_script, pb, seeded_generator_sets
+from conftest import MODEL_CORPUS, conjugate, gens_of, load_script, pb, seeded_generator_sets
 
 
 def gset(*texts, closed=True):
-    g = GeneratorSet.from_elements([pb(t) for t in texts])
+    g = gens_of([pb(t) for t in texts])
     return g.with_inverses() if closed else g
 
 
@@ -45,7 +45,7 @@ def walk(gens, ident, budget=DEFAULT_BUDGET):
 def cosingleton_semilattice(n, dropped=None):
     """The partial identities missing one point each: a commutative semilattice.
     ``dropped`` limits the generators to those missing a point in it."""
-    return GeneratorSet.from_elements([
+    return gens_of([
         PartialBijection([None if x == k else x for x in range(n)])
         for k in (range(n) if dropped is None else dropped)
     ])
@@ -59,13 +59,12 @@ def unclassed_semilattice(n):
     walk."""
     extra = [None] * n
     extra[n - 1] = n - 2
-    return GeneratorSet.from_elements([*cosingleton_semilattice(n).generators,
-                                       PartialBijection(extra)])
+    return gens_of([*cosingleton_semilattice(n).generators, PartialBijection(extra)])
 
 
 def symmetric_group(n):
     """S_n, generated by the n-cycle and the transposition of the first two points."""
-    return GeneratorSet.from_elements([
+    return gens_of([
         PartialBijection([(x + 1) % n for x in range(n)]),
         PartialBijection([1, 0, *range(2, n)]),
     ])
@@ -73,7 +72,7 @@ def symmetric_group(n):
 
 def cycle(n):
     """The n-cycle."""
-    return GeneratorSet.from_elements([PartialBijection([(x + 1) % n for x in range(n)])])
+    return gens_of([PartialBijection([(x + 1) % n for x in range(n)])])
 
 
 class TestModels:
@@ -414,7 +413,7 @@ class TestLawCheck:
     @staticmethod
     def degree_120():
         # a walk would charge far more than a budget of 1
-        return GeneratorSet.from_elements([
+        return gens_of([
             PartialBijection([(x + 1) % 120 for x in range(120)]),
             PartialBijection([None if x < 60 else x for x in range(120)]),
             PartialBijection([x + 1 if x < 119 else None for x in range(120)]),
@@ -427,7 +426,7 @@ class TestLawCheck:
         lhs, rhs = _reduce(ident)
         assert lhs == rhs
         result = models(gens, ident, budget=1)
-        assert result == model_checker.ModelCheckResult(True, None, gens.with_inverses())
+        assert result == model_checker.ModelCheckResult(None, gens.with_inverses())
 
     def test_laws_build_no_key(self, monkeypatch):
         def refuse(*args):
@@ -438,7 +437,7 @@ class TestLawCheck:
         gens = self.degree_120()
         for text in self.LAWS:
             result = models(gens, parse_identity(text), budget=1)
-            assert result == model_checker.ModelCheckResult(True, None, gens.with_inverses())
+            assert result == model_checker.ModelCheckResult(None, gens.with_inverses())
         with pytest.raises(RuntimeError, match="a key or table was built"):
             models(gens, parse_identity(self.NON_LAWS[0]), budget=1)
 
@@ -508,8 +507,7 @@ class TestClassCheck:
             lhs, rhs = _reduce(ident)
             if lhs == rhs or not _in_class(keys, _tables(keys), ident, lhs[0] == rhs[0]):
                 continue
-            assert models(gens, ident, budget=1) == model_checker.ModelCheckResult(
-                True, None, gens)
+            assert models(gens, ident, budget=1) == model_checker.ModelCheckResult(None, gens)
             try:
                 slow = oracle_models(gens, ident)
                 fast = walk(gens, ident, budget=200_000)
@@ -524,7 +522,7 @@ class TestClassCheck:
         # the walk would exhaust every boundary of these, far past the budget
         gens, ident = cycle(48), parse_identity(text)
         result = models(gens, ident, budget=1)
-        assert result == model_checker.ModelCheckResult(True, None, gens.with_inverses())
+        assert result == model_checker.ModelCheckResult(None, gens.with_inverses())
         with pytest.raises(LimitExceeded):
             walk(gens, ident, budget=10_000)
 
@@ -598,6 +596,9 @@ class TestCheckVariableRun:
             check_variable_run(gens, ident, 1, BoundaryGuess((0, 0, 0), (0, 0)))
         with pytest.raises(ValueError):
             check_variable_run(gens, ident, 1, BoundaryGuess((2, 0), (2, 0)))
+        for var in (0, 2):
+            with pytest.raises(ValueError, match=f"variable x{var} out of range"):
+                check_variable_run(gens, ident, var, BoundaryGuess((0, 1), (0, 1)))
 
     def test_inverse_sent_to_the_sink_excludes_the_image(self):
         # the swap's inverse is defined at point 1, so no value of x1 sends it

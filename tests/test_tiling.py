@@ -53,6 +53,9 @@ class TestTypes:
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             TilingGrid(((0,), (0, 1)))
+        for cells in ([], [[]]):
+            with pytest.raises(ValueError, match="nonempty"):
+                TilingGrid(cells)
 
 
 #: (tiles, width, cells, first violation): one grid per verdict; tiles are
