@@ -9,6 +9,11 @@ that permutes its domain, the partial identity on that domain.  No check
 multiplies elements: each computes a generator's domain or image at most
 once and reads its entries where it needs more; an identity witness is
 built from its generator's entries without being validated again.
+
+The idempotents of a semigroup of partial bijections are partial identities,
+which commute.  So band and semilattice are one decision, and so are
+completely regular and Clifford: one function decides each pair, and the
+report, ``(holds, witness)``, is the same for both names.
 """
 
 from __future__ import annotations
@@ -20,15 +25,15 @@ from .pbij import PartialBijection
 from .properties import CheckReport, PropertyName
 
 
-def _identity_from_generator(gens: GeneratorSet, prop: PropertyName, test) -> CheckReport:
+def _identity_from_generator(gens: GeneratorSet, test) -> CheckReport:
     """Holds with the partial identity on dom(a_i) for the first generator
     a_i whose index i passes ``test``."""
     for i, a in enumerate(gens.generators):
         if test(i):
             el = PartialBijection._trusted(
                 tuple([None if v is None else x for x, v in enumerate(a.entries)]))
-            return CheckReport(prop, True, {"generator": i + 1, "identity": el})
-    return CheckReport(prop, False, None)
+            return CheckReport(True, {"generator": i + 1, "identity": el})
+    return CheckReport(False)
 
 
 def check_left_identity_exists(gens: GeneratorSet) -> CheckReport:
@@ -41,8 +46,7 @@ def check_left_identity_exists(gens: GeneratorSet) -> CheckReport:
     doms = [g.dom() for g in gs]
     union = frozenset().union(*doms)
     return _identity_from_generator(
-        gens, PropertyName.LEFT_IDENTITY,
-        lambda i: union <= doms[i] and gs[i].image() == doms[i])
+        gens, lambda i: union <= doms[i] and gs[i].image() == doms[i])
 
 
 def check_right_identity_exists(gens: GeneratorSet) -> CheckReport:
@@ -54,8 +58,7 @@ def check_right_identity_exists(gens: GeneratorSet) -> CheckReport:
     """
     gs = gens.generators
     union = frozenset().union(*(g.image() for g in gs))
-    return _identity_from_generator(gens, PropertyName.RIGHT_IDENTITY,
-                                    lambda i: union <= gs[i].dom())
+    return _identity_from_generator(gens, lambda i: union <= gs[i].dom())
 
 
 def enumerate_identities(gens: GeneratorSet) -> tuple:
@@ -72,10 +75,11 @@ def _check_two_sided_identity(gens: GeneratorSet) -> CheckReport:
     left = check_left_identity_exists(gens)
     holds = left.holds and check_right_identity_exists(gens).holds
     witness = {"identity": left.witness["identity"]} if holds else None
-    return CheckReport(PropertyName.TWO_SIDED_IDENTITY, holds, witness)
+    return CheckReport(holds, witness)
 
 
-def _domain_intersection_check(gens: GeneratorSet, prop: PropertyName) -> CheckReport:
+def check_completely_regular(gens: GeneratorSet) -> CheckReport:
+    """Holds iff dom(a_i a_j) = dom(a_i) ∩ dom(a_j) for all generator pairs."""
     doms = [g.dom() for g in gens.generators]
     for i, a in enumerate(gens.generators):
         da, ea = doms[i], a.entries
@@ -83,36 +87,21 @@ def _domain_intersection_check(gens: GeneratorSet, prop: PropertyName) -> CheckR
             got = {x for x in da if ea[x] in db}  # dom(a_i a_j), read off a_i
             want = da & db
             if got != want:
-                point = min(got ^ want)
-                return CheckReport(
-                    prop, False, {"i": i + 1, "j": j + 1, "point": point + 1}
-                )
-    return CheckReport(prop, True, None)
+                return CheckReport(False, {"i": i + 1, "j": j + 1, "point": min(got ^ want) + 1})
+    return CheckReport(True)
 
 
-def check_completely_regular(gens: GeneratorSet) -> CheckReport:
-    """Holds iff dom(a_i a_j) = dom(a_i) ∩ dom(a_j) for all generator pairs."""
-    return _domain_intersection_check(gens, PropertyName.COMPLETELY_REGULAR)
+check_clifford = check_completely_regular
 
 
-def check_clifford(gens: GeneratorSet) -> CheckReport:
-    # Same decision as completely regular: idempotents of partial bijections
-    # always commute, so completely regular already forces Clifford here.
-    return _domain_intersection_check(gens, PropertyName.CLIFFORD)
-
-
-def check_band_semilattice(
-    gens: GeneratorSet, prop: PropertyName = PropertyName.SEMILATTICE
-) -> CheckReport:
+def check_band_semilattice(gens: GeneratorSet) -> CheckReport:
     """Band and semilattice coincide here; both hold iff every generator is
     idempotent (products of partial identities stay partial identities)."""
-    if prop not in (PropertyName.BAND, PropertyName.SEMILATTICE):
-        raise ValueError("prop must be band or semilattice")
     for i, a in enumerate(gens.generators):
         for x, v in a.graph():
             if v != x:
-                return CheckReport(prop, False, {"generator": i + 1, "point": x + 1})
-    return CheckReport(prop, True, None)
+                return CheckReport(False, {"generator": i + 1, "point": x + 1})
+    return CheckReport(True)
 
 
 def check_commutative(gens: GeneratorSet) -> CheckReport:
@@ -125,19 +114,16 @@ def check_commutative(gens: GeneratorSet) -> CheckReport:
             ba = [None if v is None else ea[v] for v in eb]
             if ab != ba:
                 point = min(x for x in range(gens.degree) if ab[x] != ba[x])
-                return CheckReport(
-                    PropertyName.COMMUTATIVE, False,
-                    {"i": i + 1, "j": j + 1, "point": point + 1},
-                )
-    return CheckReport(PropertyName.COMMUTATIVE, True, None)
+                return CheckReport(False, {"i": i + 1, "j": j + 1, "point": point + 1})
+    return CheckReport(True)
 
 
 _CHECKERS = {
     PropertyName.COMMUTATIVE: check_commutative,
-    PropertyName.BAND: lambda gens: check_band_semilattice(gens, PropertyName.BAND),
+    PropertyName.BAND: check_band_semilattice,
     PropertyName.SEMILATTICE: check_band_semilattice,
     PropertyName.COMPLETELY_REGULAR: check_completely_regular,
-    PropertyName.CLIFFORD: check_clifford,
+    PropertyName.CLIFFORD: check_completely_regular,
     PropertyName.LEFT_IDENTITY: check_left_identity_exists,
     PropertyName.RIGHT_IDENTITY: check_right_identity_exists,
     PropertyName.TWO_SIDED_IDENTITY: _check_two_sided_identity,

@@ -178,15 +178,15 @@ def _cmd_oracle(args, out):
         _emit_json(out, {
             "schema": SCHEMA, "command": "oracle", "closure_size": len(closure),
             "results": [
-                {"property": r.prop.value, "holds": r.holds, "witness": _jsonable(r.witness)}
-                for r in reports
+                {"property": prop.value, "holds": r.holds, "witness": _jsonable(r.witness)}
+                for prop, r in zip(props, reports)
             ],
         })
     else:
         out.write(f"# closure size: {len(closure)}\n")
         out.write("property\tholds\twitness\n")
-        for r in reports:
-            out.write(f"{r.prop.value}\t{str(r.holds).lower()}\t{_witness_str(r.witness)}\n")
+        for prop, r in zip(props, reports):
+            out.write(f"{prop.value}\t{str(r.holds).lower()}\t{_witness_str(r.witness)}\n")
     return _table_exit([r.holds for r in reports])
 
 

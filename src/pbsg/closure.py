@@ -137,16 +137,15 @@ class SemigroupClosure:
 
     Element ``self[i]`` is built on access from ``keys[i]``, its ``_key``; it
     was first reached by the word ``word(i)`` (generator indices, length
-    >= 1), and ``cayley[i][g]`` is the index of ``self[i] * generators[g]``.
-    ``index`` maps each key to its index, and ``generator_keys[g]`` is the
-    key of ``generators[g]``, repeats included.  Finished closures are
+    >= 1), and ``cayley[i][g]`` is the index of ``self[i]`` times generator
+    g.  ``index`` maps each key to its index, and ``generator_keys[g]`` is
+    the key of generator g, repeats included.  Finished closures are
     immutable and safe for concurrent reads.
     """
 
-    __slots__ = ("generators", "generator_keys", "keys", "parent", "gen_of", "cayley", "index")
+    __slots__ = ("generator_keys", "keys", "parent", "gen_of", "cayley", "index")
 
-    def __init__(self, generators, generator_keys, keys, parent, gen_of, cayley, index):
-        self.generators = generators
+    def __init__(self, generator_keys, keys, parent, gen_of, cayley, index):
         self.generator_keys = generator_keys
         self.keys = keys
         self.parent = parent
@@ -173,7 +172,7 @@ class SemigroupClosure:
         return isinstance(el, PartialBijection) and self.index_of(el) is not None
 
     def index_of(self, el) -> Optional[int]:
-        if el.degree == self.generators[0].degree:
+        if el.degree == len(self.generator_keys[0]):
             return self.index.get(_key(el))
 
     def word(self, i: int) -> tuple[int, ...]:
@@ -322,7 +321,7 @@ def close(gens: GeneratorSet, limit: int = DEFAULT_LIMIT) -> SemigroupClosure:
     """Enumerate the generated semigroup exactly, or raise LimitExceeded."""
     generator_keys = _keys(gens)
     keys, parent, gen_of, cayley, index, _ = _bfs(generator_keys, limit)
-    return SemigroupClosure(gens.generators, generator_keys, keys, parent, gen_of, cayley, index)
+    return SemigroupClosure(generator_keys, keys, parent, gen_of, cayley, index)
 
 
 def member(gens: GeneratorSet, b: PartialBijection, limit: int = DEFAULT_LIMIT) -> MemberResult:

@@ -66,7 +66,7 @@ def _show(closure, i) -> str:
 
 def _idempotents(closure):
     """The idempotents' indices in enumeration order, read off their keys."""
-    tail = _tail(closure.generators[0].degree)
+    tail = _tail(len(closure.generator_keys[0]))
     return (e for e, key in enumerate(closure.keys) if key.translate(key + tail) == key)
 
 
@@ -79,7 +79,7 @@ def oracle_identities(closure: SemigroupClosure) -> tuple:
 
 
 def _commutative(closure):
-    keys, tail = closure.keys, _tail(closure.generators[0].degree)
+    keys, tail = closure.keys, _tail(len(closure.generator_keys[0]))
     # The k distinct generators hold indices 0..k-1.  An element commuting
     # with every generator commutes with all of S, so when S is not
     # commutative some generator fails with some element, and the least
@@ -95,7 +95,7 @@ def _commutative(closure):
 
 
 def _band(closure):
-    tail = _tail(closure.generators[0].degree)
+    tail = _tail(len(closure.generator_keys[0]))
     for a, key in enumerate(closure.keys):
         if key.translate(key + tail) != key:
             return False, {"element": _show(closure, a)}
@@ -117,7 +117,7 @@ def _group(closure):
     if _first_identity(closure, "two_sided") == e:  # an identity is idempotent
         # each s has a power s^m = e, the only idempotent: s^(m-1), or e, inverts s
         return True, None
-    keys, tail = closure.keys, _tail(closure.generators[0].degree)
+    keys, tail = closure.keys, _tail(len(closure.generator_keys[0]))
     key_e = keys[e]
     table = key_e + tail
     s = next(s for s, key in enumerate(keys)
@@ -161,7 +161,7 @@ def _r_trivial(closure):
     # other's right ideal at that rank.  So only an element sharing its domain
     # with earlier ones is tested, and at most one of those passes, as they
     # are pairwise not R-related.
-    n = closure.generators[0].degree  # the key byte of an undefined image
+    n = len(closure.generator_keys[0])  # the key byte of an undefined image
     keys, cayley = closure.keys, closure.cayley
     slices = {}
 
@@ -201,7 +201,7 @@ def _r_trivial(closure):
 
 def _central_idempotents(closure):
     keys, cayley = closure.keys, closure.cayley
-    tail = _tail(closure.generators[0].degree)
+    tail = _tail(len(closure.generator_keys[0]))
     gen_keys = closure.generator_keys
     for e in _idempotents(closure):
         key_e = keys[e]
@@ -229,7 +229,7 @@ def _completely_regular(closure):
     # s lies in a subgroup iff it permutes its domain, iff s maps dom(s) into
     # itself, iff dom(s²) = dom(s): as dom(s²) ⊆ dom(s), iff the key of s²
     # has no more sink bytes than the key of s
-    n = closure.generators[0].degree  # the key byte of an undefined image
+    n = len(closure.generator_keys[0])  # the key byte of an undefined image
     tail = _tail(n)
     for i, key in enumerate(closure.keys):
         if key.translate(key + tail).count(n) != key.count(n):
@@ -247,7 +247,7 @@ def _right_identity_test(closure):
     """``(fixed, want)`` with e a right identity iff ``fixed(keys[e]) ==
     want``: g*e == g for every generator g iff e fixes every point of every
     generator's image, and ``fixed`` reads a key at those points."""
-    n = closure.generators[0].degree
+    n = len(closure.generator_keys[0])
     points = sorted({v for key in closure.generator_keys for v in key} - {n})
     if not points:
         return (lambda key: ()), ()
@@ -282,14 +282,16 @@ def _found(first, *args):
     return check
 
 
+_zero = _found(_first_zero)
+
 _CHECKS: dict[PropertyName, Callable] = {
     PropertyName.COMMUTATIVE: _commutative,
     PropertyName.SEMILATTICE: _semilattice,
     PropertyName.BAND: _band,
     PropertyName.GROUP: _group,
-    PropertyName.LEFT_ZERO: _found(_first_zero),
-    PropertyName.RIGHT_ZERO: _found(_first_zero),
-    PropertyName.ZERO: _found(_first_zero),
+    PropertyName.LEFT_ZERO: _zero,
+    PropertyName.RIGHT_ZERO: _zero,
+    PropertyName.ZERO: _zero,
     PropertyName.NILPOTENT: _nilpotent,
     PropertyName.R_TRIVIAL: _r_trivial,
     PropertyName.CENTRAL_IDEMPOTENTS: _central_idempotents,
@@ -303,8 +305,7 @@ _CHECKS: dict[PropertyName, Callable] = {
 
 
 def oracle_report(closure: SemigroupClosure, prop: PropertyName) -> CheckReport:
-    holds, witness = _CHECKS[prop](closure)
-    return CheckReport(prop, holds, witness)
+    return CheckReport(*_CHECKS[prop](closure))
 
 
 class OracleModelResult:

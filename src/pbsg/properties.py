@@ -1,4 +1,5 @@
-"""Shared vocabulary: decidable property names and the check-report record."""
+"""Shared vocabulary: decidable property names and the check report, a
+verdict with its witness."""
 
 from __future__ import annotations
 
@@ -26,7 +27,8 @@ class PropertyName(str, Enum):
 
 
 class CheckReport:
-    """Outcome of one property decision.
+    """Outcome of one property decision: its verdict and its witness.  The
+    caller names the property, so the report does not repeat it.
 
     ``witness`` carries whatever makes the verdict checkable: the witnessing
     element/generator for existential properties that hold, or the violating
@@ -34,11 +36,10 @@ class CheckReport:
     nothing to exhibit (existential failure, universal success).
     """
 
-    __slots__ = ("prop", "holds", "witness")
+    __slots__ = ("holds", "witness")
 
-    def __init__(self, prop: PropertyName, holds: bool, witness: Optional[dict] = None):
+    def __init__(self, holds: bool, witness: Optional[dict] = None):
         if witness is not None and not isinstance(witness, dict):
             raise TypeError("witness must be a dict or None")
-        self.prop = prop
         self.holds = holds
         self.witness = witness

@@ -280,6 +280,11 @@ class ReducedInstance:
         return flat // self.num_colors + 1, flat % self.num_colors + 1
 
 
+def _degree(inst: TilingInstance) -> int:
+    """The points of the reduction: 2·width·colors."""
+    return 2 * inst.width * inst.num_colors
+
+
 def reduce(inst: TilingInstance) -> ReducedInstance:
     """Compile the instance into generators and a target idempotent.
 
@@ -296,7 +301,7 @@ def reduce(inst: TilingInstance) -> ReducedInstance:
     template with at most two images set.
     """
     m, c, k = inst.width, inst.num_colors, len(inst.tiles)
-    npts = 2 * m * c  # also the image of an undefined point
+    npts = _degree(inst)  # also the image of an undefined point
     # column-checking points undefined, every row-checking point fixed; a
     # bytearray copies, and becomes a key, faster than a list
     fixed = [npts] * (m * c) + list(range(m * c, npts))
@@ -385,8 +390,10 @@ def roundtrip_check(inst: TilingInstance, limit: int = DEFAULT_LIMIT) -> Roundtr
     grid's word evaluates to the target while the membership witness decodes
     to a proper grid.  ``report.member`` is what ``member`` gives the
     reduction's views, found here on its byte keys: degrees above the
-    closure's cap raise its ValueError.
+    closure's cap raise its ValueError before the solver runs or the
+    reduction is built.
     """
+    _tail(_degree(inst))
     grid = solve_corridor_tiling(inst, limit)
     reduced = reduce(inst)
     keys, target = reduced.keys

@@ -140,8 +140,8 @@ class TestBandSemilattice:
         assert check_band_semilattice(gens).holds
 
     def test_swap_fails(self):
-        rep = check_band_semilattice(gset("2 1"), PropertyName.BAND)
-        assert not rep.holds and rep.prop == PropertyName.BAND
+        rep = check_band_semilattice(gset("2 1"))
+        assert not rep.holds
         assert rep.witness == {"generator": 1, "point": 1}
 
     def test_matches_oracle(self):
@@ -204,8 +204,7 @@ class TestDispatcher:
             PropertyName.RIGHT_IDENTITY,
             PropertyName.TWO_SIDED_IDENTITY,
         ):
-            rep = run_generator_check(gens, prop)
-            assert rep is not None and rep.prop == prop
+            assert isinstance(run_generator_check(gens, prop), CheckReport)
 
     def test_oracle_only_properties_return_none(self):
         gens = gset("2 1")
@@ -216,14 +215,41 @@ class TestDispatcher:
         rep = run_generator_check(gset("2 1"), PropertyName.TWO_SIDED_IDENTITY)
         assert rep.holds and rep.witness["identity"] == PartialBijection.identity(2)
 
-    def test_band_prop_validation(self):
-        with pytest.raises(ValueError):
-            check_band_semilattice(gset("2 1"), PropertyName.GROUP)
-
     def test_report_witness_must_be_a_dict(self):
         for witness in ([1, 2], "element", PartialBijection.identity(2)):
             with pytest.raises(TypeError, match="witness must be a dict or None"):
-                CheckReport(PropertyName.ZERO, True, witness)
+                CheckReport(True, witness)
+
+
+class TestPairedProperties:
+    """Properties that are one decision for partial bijections give one
+    report, verdict and witness alike, under each of their names."""
+
+    FAST_PAIRS = ((PropertyName.BAND, PropertyName.SEMILATTICE),
+                  (PropertyName.COMPLETELY_REGULAR, PropertyName.CLIFFORD))
+    ORACLE_GROUPS = FAST_PAIRS + (
+        (PropertyName.LEFT_ZERO, PropertyName.RIGHT_ZERO, PropertyName.ZERO),)
+
+    @staticmethod
+    def outcomes(report_of, groups):
+        """Check each group's reports are equal; the verdicts seen per group."""
+        seen = {group: set() for group in groups}
+        for gens in seeded_generator_sets(307, 120, degrees=(1, 2, 3)):
+            for group in groups:
+                reports = [report_of(gens, prop) for prop in group]
+                first = (reports[0].holds, reports[0].witness)
+                assert all((r.holds, r.witness) == first for r in reports), (group, gens)
+                seen[group].add(first[0])
+        return seen
+
+    def test_generator_checks(self):
+        seen = self.outcomes(run_generator_check, self.FAST_PAIRS)
+        assert all(verdicts == {True, False} for verdicts in seen.values()), seen
+
+    def test_oracle_reports(self):
+        seen = self.outcomes(lambda gens, prop: oracle_report(close(gens), prop),
+                             self.ORACLE_GROUPS)
+        assert all(verdicts == {True, False} for verdicts in seen.values()), seen
 
 
 # -- the generator-level checks written with PartialBijection products, the

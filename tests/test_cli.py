@@ -57,7 +57,7 @@ class TestProps:
         argv = ("props", path, "--property", "commutative", "--cross-check")
         assert run(capsys, *argv)[0] == 0
         monkeypatch.setitem(_CHECKERS, PropertyName.COMMUTATIVE,
-                            lambda gens: CheckReport(PropertyName.COMMUTATIVE, False, None))
+                            lambda gens: CheckReport(False))
         code, out = run(capsys, *argv)
         assert code == 4 and "commutative\tfalse\ttrue\t" in out
         assert out.endswith("DISAGREE\tcommutative\n")
@@ -357,6 +357,26 @@ class TestTiling:
         assert code == 2 and captured.out == ""
         assert len(captured.err.splitlines()) == 1 and "255" in captured.err
         assert "Traceback" not in captured.err
+
+    def test_roundtrip_checks_the_cap_before_the_solver(self, tmp_json, capsys, monkeypatch):
+        # 2 * 2 * 64 = 256 points: a solver past its --limit is never reached,
+        # so the cap's usage error (2) comes first, not the budget's exit 3
+        from pbsg import tiling
+        from pbsg.closure import LimitExceeded
+
+        def over_budget(*args, **kwargs):
+            raise LimitExceeded(1, 2)
+
+        def unreached(*args, **kwargs):
+            raise AssertionError("ran past the closure cap")
+
+        monkeypatch.setattr(tiling, "solve_corridor_tiling", over_budget)
+        monkeypatch.setattr(tiling, "reduce", unreached)
+        path = tmp_json("t.json", {**TILING_CRITERION_6, "colors": 64})
+        code = main(["tiling", "roundtrip", path, "--limit", "1"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "pbsg: degree 256 exceeds the closure cap of 255 points\n"
 
     def test_column_limit(self, tmp_json, capsys):
         # 4 tiles on 14 rows: 4**14 candidate columns, far over the default limit

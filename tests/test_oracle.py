@@ -119,7 +119,7 @@ def naive_nilpotent(clo):
     if zero is None:
         return False, {"reason": "no zero element"}
     zero_key = clo[zero].to_text()
-    current = {clo.index_of(g) for g in clo.generators}
+    current = {clo.index[k] for k in clo.generator_keys}
     for length in range(1, len(clo) + 2):
         if current == {zero}:
             return True, {"zero": zero_key, "annihilating_length": length}
@@ -224,7 +224,7 @@ def naive_r_trivial(clo):
     """Each element's whole right ideal sS¹, by a DFS over its products with
     the generators; two elements with one ideal are R-related."""
     mul = composition(clo)
-    gens = [clo.index_of(g) for g in clo.generators]
+    gens = [clo.index[k] for k in clo.generator_keys]
     ideals = {}
     for i in range(len(clo)):
         seen, stack = {i}, [i]

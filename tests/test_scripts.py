@@ -21,6 +21,28 @@ def test_sweep_agrees_with_oracle(name, argv, capsys):
     assert "agree" in capsys.readouterr().out
 
 
+def test_oracle_sweep_fails_on_a_wrong_checker(capsys, monkeypatch):
+    from pbsg.checkers import _CHECKERS, check_commutative
+    from pbsg.properties import CheckReport, PropertyName
+
+    monkeypatch.setitem(_CHECKERS, PropertyName.COMMUTATIVE,
+                        lambda gens: CheckReport(not check_commutative(gens).holds))
+    assert load_script("oracle_sweep").main(["--degrees", "3", "--count", "5"]) == 1
+    out = capsys.readouterr().out
+    assert "DISAGREEMENTS FOUND {'commutative': 5}" in out.splitlines()
+
+
+def test_model_check_sweep_fails_on_a_wrong_model_checker(capsys):
+    from pbsg.model_checker import ModelCheckResult
+
+    sweep = load_script("model_check_sweep")
+    sweep.models = lambda gens, ident: ModelCheckResult(None, gens)  # always "holds"
+    assert sweep.main(["--degrees", "3", "--count", "5"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert any(line.startswith("DISAGREEMENTS [(") for line in lines)
+    assert "model checker agrees with the oracle; all counterexamples replay" not in lines
+
+
 def test_small_sweep_meets_the_oracle_at_degree_16(capsys):
     # the small-closure families keep the oracle in reach at degree 16; each
     # identity holds on one of the three sets and fails on the others, and

@@ -348,3 +348,18 @@ def test_roundtrip_matches_the_public_pieces():
         assert rep.consistent
         seen[rep.solvable] += 1
     assert min(seen[True], seen[False], seen["limit"]) > 50, seen
+
+
+def test_roundtrip_refuses_the_cap_before_solving_or_reducing(monkeypatch):
+    # 2 * 2 * 64 = 256 points: the cap is read off the instance, so neither
+    # the solver nor the reduction's maps run for a degree the keys refuse
+    from pbsg import tiling
+
+    def unreached(*args, **kwargs):
+        raise AssertionError("ran past the closure cap")
+
+    monkeypatch.setattr(tiling, "solve_corridor_tiling", unreached)
+    monkeypatch.setattr(tiling, "reduce", unreached)
+    inst = inst_of([Tile(1, 1, 2, 1), Tile(2, 1, 1, 1)], 64, 2)
+    with pytest.raises(ValueError, match="degree 256 exceeds the closure cap of 255"):
+        roundtrip_check(inst)
