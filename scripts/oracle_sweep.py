@@ -10,7 +10,7 @@ reductions (at most 2 rows and 2 colors, 1 to 3 tiles), whose target, a hit
 or a miss, is checked too: there ``member`` skips the generators undefined at
 an element's image of the target's first point.  Each of those instances
 also runs through ``roundtrip_check``, which searches on the reduction's own
-byte keys: its verdict and witness must be ``member``'s.
+translate tables: its verdict and witness must be ``member``'s.
 
 Example:
     python3 scripts/oracle_sweep.py --degrees 3 4 5 --count 500 --seed 1

@@ -8,11 +8,12 @@ Each element is stored only as its byte key, one byte per point, and built
 on access.  This module owns that codec (``_key``, ``_tail``, ``_tables``,
 ``_inverse_key``): every product made here, in the oracle, in the model
 checker's search and in the tiling round trip is one ``bytes.translate`` of
-two keys.  The model checker's counterexample replay
+a key and a table.  The model checker's counterexample replay
 (``counterexample_values``) is the exception: its ``idempotent_power`` and
 ``apply_assignment`` multiply ``PartialBijection`` values.  One BFS
-(``_bfs``, over generator keys) serves ``close`` and ``member``, and one
-evaluator (``_evaluate``) serves every word.  BFS order (word length, then
+(``_bfs``) serves ``close`` and ``member``, and one evaluator
+(``_evaluate``) serves every word; both take the generators' translate
+tables and the degree, built once per call.  BFS order (word length, then
 generator index) makes the output deterministic.
 """
 
@@ -226,9 +227,9 @@ def _word(parent, gen_of, i) -> tuple[int, ...]:
     return tuple(reversed(word))
 
 
-def _bfs(generators, limit, goal=None):
-    """Core enumeration over the generator keys ``generators``; stops early,
-    keeping no Cayley rows, at the element keyed ``goal``.
+def _bfs(tables, n, limit, goal=None):
+    """Core enumeration over the generators' ``_tables`` at degree ``n``;
+    stops early, keeping no Cayley rows, at the element keyed ``goal``.
 
     Element ``keys[i]`` is ``keys[parent[i]] * generators[gen_of[i]]``, or the
     generator alone when ``parent[i]`` is -1.  A product is one ``translate``.
@@ -240,8 +241,6 @@ def _bfs(generators, limit, goal=None):
     every other product is undefined at p, so skipping it changes no kept
     element, witness or ``LimitExceeded`` count.
     """
-    n = len(generators[0])
-    tables = _tables(generators)
     watch = point = None
     if goal is not None:
         dom = [p for p, b in enumerate(goal) if b != n]
@@ -263,8 +262,8 @@ def _bfs(generators, limit, goal=None):
             at = cur[point]  # defined: every element kept is defined on dom(goal)
             letters = live.get(at)
             if letters is None:
-                letters = live[at] = [(gi, tables[gi])
-                                      for gi, key in enumerate(generators) if key[at] != n]
+                letters = live[at] = [(gi, table)
+                                      for gi, table in enumerate(tables) if table[at] != n]
         for gi, table in letters:
             prod = cur.translate(table)
             idx = get(prod)
@@ -298,29 +297,28 @@ def _keys(gens: GeneratorSet) -> list[bytes]:
     return [flat[i:i + n] for i in range(0, len(flat), n)]
 
 
-def _member(generators, goal, limit) -> MemberResult:
-    """``member`` for the generators keyed ``generators`` and the element
-    keyed ``goal``."""
-    _, parent, gen_of, _, _, i = _bfs(generators, limit, goal)
+def _member(tables, goal, limit) -> MemberResult:
+    """``member`` for the generators' translate tables ``tables`` and the
+    element keyed ``goal``."""
+    _, parent, gen_of, _, _, i = _bfs(tables, len(goal), limit, goal)
     return MemberResult(None if i is None else _word(parent, gen_of, i))
 
 
-def _evaluate(generators, word) -> bytes:
-    """The key of the product of the generators keyed ``generators`` that
-    ``word`` names (indices, length >= 1)."""
+def _evaluate(tables, n, word) -> bytes:
+    """The key, at degree ``n``, of the product of the generators tabled
+    ``tables`` that ``word`` names (indices, length >= 1)."""
     if not word:
         raise ValueError("words must be nonempty")
-    tail = _tail(len(generators[0]))
-    acc = generators[word[0]]
+    acc = tables[word[0]][:n]
     for gi in word[1:]:
-        acc = acc.translate(generators[gi] + tail)
+        acc = acc.translate(tables[gi])
     return acc
 
 
 def close(gens: GeneratorSet, limit: int = DEFAULT_LIMIT) -> SemigroupClosure:
     """Enumerate the generated semigroup exactly, or raise LimitExceeded."""
     generator_keys = _keys(gens)
-    keys, parent, gen_of, cayley, index, _ = _bfs(generator_keys, limit)
+    keys, parent, gen_of, cayley, index, _ = _bfs(_tables(generator_keys), gens.degree, limit)
     return SemigroupClosure(generator_keys, keys, parent, gen_of, cayley, index)
 
 
@@ -337,7 +335,7 @@ def member(gens: GeneratorSet, b: PartialBijection, limit: int = DEFAULT_LIMIT) 
     """
     if b.degree != gens.degree:
         raise ValueError(f"degree mismatch: {b.degree} vs {gens.degree}")
-    return _member(_keys(gens), _key(b), limit)
+    return _member(_tables(_keys(gens)), _key(b), limit)
 
 
 def evaluate_word(gens: GeneratorSet, word: Sequence[int]) -> PartialBijection:
@@ -348,4 +346,4 @@ def evaluate_word(gens: GeneratorSet, word: Sequence[int]) -> PartialBijection:
     for c in word:
         if not 0 <= c < k:
             raise ValueError(f"letter {c} out of range 0..{k - 1}")
-    return PartialBijection._from_key(_evaluate(_keys(gens), word))
+    return PartialBijection._from_key(_evaluate(_tables(_keys(gens)), gens.degree, word))

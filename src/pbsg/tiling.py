@@ -9,9 +9,9 @@ one partial bijection per (row, tile) pair acting on 2*m*c points (pairs
 terms) plus a target idempotent fixing {(1,1)} and {(m+p, 1) : p in [m]}.
 The instance is tilable exactly when the target is a product of the
 generators, and a membership witness decodes column by column back into a
-grid.  The reduction keeps each map as its list of images; the round trip
-searches, evaluates words and decodes on the closure's byte keys made from
-those lists, and builds no PartialBijection.
+grid.  Within the closure's cap the reduction writes each generator as its
+translate table (``closure._tables``), and the round trip searches,
+evaluates words and decodes on those tables, building no PartialBijection.
 """
 
 from __future__ import annotations
@@ -163,69 +163,61 @@ def solve_corridor_tiling(inst: TilingInstance, limit: int = DEFAULT_LIMIT) -> O
     for j, t in enumerate(inst.tiles):
         by_west.setdefault(t.west, {}).setdefault(t.north, []).append(j)
     built = 0
-
-    def columns(west):
-        """The columns with west profile ``west``, in product order, each
-        with its east profile, built as they are taken."""
-        nonlocal built
-        # fits[a]: north color of row a -> the tiles, ascending, that fit row
-        # a there and leave rows a+1..m-1 some filling; ways[a]: north color
-        # of row a -> count of fillings of rows a..m-1.  Below the last row
-        # the south border asks for color 1
-        fits = [None] * m
-        ways = [None] * m + [{1: 1}]
-        for a in range(m - 1, -1, -1):
-            below = ways[a + 1]
-            fit, way = {}, {}
-            for north, js in by_west.get(west[a], {}).items():
-                ok = [j for j in js if souths[j] in below]
-                if ok:
-                    fit[north] = ok
-                    way[north] = sum([below[souths[j]] for j in ok])
-            fits[a], ways[a] = fit, way
-        count = ways[0].get(1, 0)
-        if built + count > limit:
-            raise LimitExceeded(limit, built + count,
-                                f"tiling needs at least {built + count} columns, "
-                                f"over the limit of {limit}")
-        built += count
-        # depth first, tiles in index order, so columns come in product order;
-        # every tile taken has a filling below it, so each step down leads to
-        # a column, and a column costs O(m): at most m steps, and its two
-        # tuples built once, when it is complete
-        combo, pending = [], [iter(fits[0].get(1, ()))]
-        while pending:
-            j = next(pending[-1], None)
-            if j is None:  # row len(pending) - 1 is done: back up one row
-                pending.pop()
-                if combo:
-                    combo.pop()
-                continue
-            combo.append(j)
-            if len(combo) == m:
-                yield tuple(combo), tuple(map(easts.__getitem__, combo))
-                combo.pop()
-            else:
-                pending.append(iter(fits[len(combo)][souths[j]]))
-
     target = (1,) * m
     parent: dict = {target: None}
     frontier = [target]
     while frontier:
         nxt = []
         for profile in frontier:
-            for combo, east in columns(profile):
+            # fits[a]: north color of row a -> the tiles, ascending, that fit
+            # row a there and leave rows a+1..m-1 some filling; ways: north
+            # color of the row -> count of fillings from it down.  Below the
+            # last row the south border asks for color 1
+            fits = [None] * m
+            ways = {1: 1}
+            for a in range(m - 1, -1, -1):
+                fit, way = {}, {}
+                for north, js in by_west.get(profile[a], {}).items():
+                    ok, count = [], 0
+                    for j in js:
+                        below = ways.get(souths[j])
+                        if below:
+                            ok.append(j)
+                            count += below
+                    if ok:
+                        fit[north], way[north] = ok, count
+                fits[a], ways = fit, way
+            built += ways.get(1, 0)
+            if built > limit:
+                raise LimitExceeded(limit, built, f"tiling needs at least {built} columns, "
+                                                  f"over the limit of {limit}")
+            # the columns with west edges ``profile``, depth first, tiles in
+            # index order, so in product order; every tile taken has a
+            # filling below it, so each step down leads to a column, and a
+            # column costs O(m): at most m steps and one tuple of east edges
+            combo, pending = [], [iter(fits[0].get(1, ()))]
+            while pending:
+                j = next(pending[-1], None)
+                if j is None:  # row len(pending) - 1 is done: back up one row
+                    pending.pop()
+                    if combo:
+                        combo.pop()
+                    continue
+                combo.append(j)
+                if len(combo) < m:
+                    pending.append(iter(fits[len(combo)][souths[j]]))
+                    continue
+                east = tuple(map(easts.__getitem__, combo))
                 if east == target:
-                    chain = [combo]
-                    back = profile
-                    while parent[back] is not None:
-                        back, combo_prev = parent[back]
-                        chain.append(combo_prev)
-                    chain.reverse()
-                    return TilingGrid(zip(*chain))  # the columns, transposed into rows
+                    columns = [combo]
+                    while parent[profile] is not None:
+                        profile, column = parent[profile]
+                        columns.append(column)
+                    return TilingGrid(zip(*reversed(columns)))  # transposed into rows
                 if east not in parent:
-                    parent[east] = (profile, combo)
+                    parent[east] = (profile, tuple(combo))
                     nxt.append(east)
+                combo.pop()
         frontier = nxt
     return None
 
@@ -236,10 +228,10 @@ class ReducedInstance:
     Generators are ordered row-major over (row i, tile j): index
     (i-1)·k + (j-1).  The degree is 2·width·colors.  Each generator is kept
     as ``maps[i]``, and the target as ``target_map``: its images, the degree
-    standing for "undefined" (``embed`` without its extra point); a
-    generator's are a bytearray when they fit a byte.  ``generator_set``
-    and ``target``, at any degree, and ``keys``, up to the closure's cap,
-    are made from these when asked for.
+    standing for "undefined" (``embed`` without its extra point).  Up to the
+    closure's cap these are byte strings, a generator's followed by ``_tail``
+    into its translate table.  ``generator_set``, ``target`` and, up to the
+    cap, ``keys`` are sliced from them when asked for.
     """
 
     __slots__ = ("width", "num_colors", "num_tiles", "maps", "target_map")
@@ -258,18 +250,25 @@ class ReducedInstance:
 
     @property
     def generator_set(self) -> GeneratorSet:
-        return GeneratorSet(self.degree, [PartialBijection._from_key(e) for e in self.maps])
+        n = self.degree
+        return GeneratorSet(n, [PartialBijection._from_key(e[:n]) for e in self.maps])
 
     @property
     def target(self) -> PartialBijection:
         return PartialBijection._from_key(self.target_map)
 
     @property
-    def keys(self) -> tuple[list[bytes], bytes]:
-        """The generators' byte keys and the target's, made on each access;
-        degrees above the closure's cap raise its ValueError."""
+    def tables(self) -> tuple[list[bytearray], bytes]:
+        """The generators' translate tables, ``maps`` itself, and the
+        target's key; degrees above the closure's cap raise its ValueError."""
         _tail(self.degree)
-        return [bytes(e) for e in self.maps], bytes(self.target_map)
+        return self.maps, self.target_map
+
+    @property
+    def keys(self) -> tuple[list[bytes], bytes]:
+        """The generators' byte keys, sliced from ``tables``, and the target's."""
+        tables, target = self.tables
+        return [bytes(t[:len(target)]) for t in tables], target
 
     def generator_label(self, index: int) -> tuple[int, int]:
         """1-based (row, tile) of a generator index."""
@@ -298,15 +297,18 @@ def reduce(inst: TilingInstance) -> ReducedInstance:
     each map moves one point into the next column block (or to point 0), one
     point within its own row block and fixes the rest: it is injective and
     in range, so it is built without re-validation, as a copy of its row's
-    template with at most two images set.
+    template with at most two images set; up to the closure's cap the
+    template carries ``closure._tail``, so that copy is the map's table.
     """
     m, c, k = inst.width, inst.num_colors, len(inst.tiles)
     npts = _degree(inst)  # also the image of an undefined point
-    # column-checking points undefined, every row-checking point fixed; a
-    # bytearray copies, and becomes a key, faster than a list
+    # column-checking points undefined, every row-checking point fixed
     fixed = [npts] * (m * c) + list(range(m * c, npts))
+    target = [npts] * npts
+    for q in [0] + [(m + i) * c for i in range(m)]:
+        target[q] = q
     if npts <= MAX_DEGREE:
-        fixed = bytearray(fixed)
+        fixed, target = bytearray(fixed) + _tail(npts), bytes(target)
     maps = []
     for i in range(m):
         row = (m + i) * c  # flat point (m+i+1, 1): row i's row-checking block
@@ -320,9 +322,6 @@ def reduce(inst: TilingInstance) -> ReducedInstance:
                 images[i * c + tile.north - 1] = 0
             images[row + tile.west - 1] = row + tile.east - 1
             maps.append(images)
-    target = [npts] * npts
-    for q in [0] + [(m + i) * c for i in range(m)]:
-        target[q] = q
     return ReducedInstance(m, c, k, maps, target)
 
 
@@ -339,8 +338,8 @@ def decode_witness(reduced: ReducedInstance, word) -> TilingGrid:
 
     Any word evaluating to the target factors into blocks of ``width``
     letters, the t-th letter of each block using row t; anything else raises
-    MalformedWitness.  The value is compared on the reduction's byte keys,
-    so degrees above the closure's cap raise its ValueError.
+    MalformedWitness.  The value is compared on the reduction's translate
+    tables, so degrees above the closure's cap raise its ValueError.
     """
     m, k = reduced.width, reduced.num_tiles
     word = tuple(word)
@@ -359,8 +358,8 @@ def decode_witness(reduced: ReducedInstance, word) -> TilingGrid:
                 f"letter {t + 1} uses row {row + 1}, expected row {t % m + 1}"
             )
         cells[row][t // m] = tile
-    keys, target = reduced.keys
-    if _evaluate(keys, word) != target:
+    tables, target = reduced.tables
+    if _evaluate(tables, len(target), word) != target:
         raise MalformedWitness("word does not evaluate to the target idempotent")
     return TilingGrid(cells)
 
@@ -389,19 +388,19 @@ def roundtrip_check(inst: TilingInstance, limit: int = DEFAULT_LIMIT) -> Roundtr
     Consistency means: equal verdicts; and on solvable instances the solver
     grid's word evaluates to the target while the membership witness decodes
     to a proper grid.  ``report.member`` is what ``member`` gives the
-    reduction's views, found here on its byte keys: degrees above the
-    closure's cap raise its ValueError before the solver runs or the
+    reduction's views, found here on its translate tables: degrees above
+    the closure's cap raise its ValueError before the solver runs or the
     reduction is built.
     """
     _tail(_degree(inst))
     grid = solve_corridor_tiling(inst, limit)
     reduced = reduce(inst)
-    keys, target = reduced.keys
-    got = _member(keys, target, limit)
+    tables, target = reduced.tables
+    got = _member(tables, target, limit)
     consistent = (grid is not None) == got.found
     decoded = None
     if consistent and grid is not None:
-        if _evaluate(keys, encode_grid(reduced, grid)) != target:
+        if _evaluate(tables, len(target), encode_grid(reduced, grid)) != target:
             consistent = False
         else:
             try:

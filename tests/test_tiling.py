@@ -7,7 +7,7 @@ from itertools import combinations_with_replacement, product
 import pytest
 
 from pbsg import LimitExceeded, PartialBijection, member
-from pbsg.closure import DEFAULT_LIMIT, _key, evaluate_word
+from pbsg.closure import DEFAULT_LIMIT, _key, _tail, evaluate_word
 from pbsg.sampling import random_tiling_instance
 from pbsg.tiling import (
     MalformedWitness,
@@ -148,6 +148,61 @@ class TestSolve:
         with pytest.raises(LimitExceeded):
             solve_corridor_tiling(inst_of(chain, c, 1), limit=c - 1)
 
+    def test_matches_a_brute_force_search(self):
+        # the contract on instances small enough to enumerate: None exactly
+        # when no proper grid of at most c^width columns exists, else the
+        # shortest grid, lexicographically least column by column
+        rng = random.Random(505)
+        instances = [random_tiling_instance(rng, rng.randint(1, 3), rng.randint(1, 3),
+                                            rng.randint(1, 4)) for _ in range(150)]
+        instances += [random_tiling_instance(rng, 2, 2, rng.randint(1, 4)) for _ in range(150)]
+        for _ in range(150):
+            # width 1, north = south = 1, one tile leaving west 1 and none
+            # from west 1 to east 1: every grid has two columns or more
+            c = rng.randint(2, 4)
+            tiles = [Tile(1, rng.randint(2, c), 1, 1)]
+            tiles += [Tile(1, rng.randint(1, c), 1, rng.randint(2, c))
+                      for _ in range(rng.randint(1, 3))]
+            rng.shuffle(tiles)
+            instances.append(inst_of(tiles, c, 1))
+        verdicts = Counter()
+        for inst in instances:
+            expected = brute_force_grid(inst)
+            assert solve_corridor_tiling(inst) == expected, inst.to_json_obj()
+            verdicts[None if expected is None else min(expected.num_cols, 2)] += 1
+        assert verdicts[None] >= 50 and verdicts[1] >= 50 and verdicts[2] >= 40, verdicts
+
+
+def brute_force_grid(inst):
+    """The first proper grid in order of column count, then of the columns'
+    sequence, each column a tuple of tile indices read top to bottom, over
+    at most c^width columns; None when there is none."""
+    m, tiles, ones = inst.width, inst.tiles, (1,) * inst.width
+    columns = [column for column in product(range(len(tiles)), repeat=m)
+               if tiles[column[0]].north == 1 and tiles[column[-1]].south == 1
+               and all(tiles[a].south == tiles[b].north for a, b in zip(column, column[1:]))]
+    edges = [(tuple(tiles[j].west for j in column), tuple(tiles[j].east for j in column), column)
+             for column in columns]
+
+    def grids(profile, length):
+        # the sequences of ``length`` columns from west edges ``profile`` to
+        # an all-1 east border, in lexicographic order
+        if not length:
+            if profile == ones:
+                yield ()
+            return
+        for west, east, column in edges:
+            if west == profile:
+                for rest in grids(east, length - 1):
+                    yield (column, *rest)
+
+    for length in range(1, inst.num_colors ** m + 1):
+        for sequence in grids(ones, length):
+            grid = TilingGrid(zip(*sequence))
+            assert verify_proper_tiling(inst, grid) is None
+            return grid
+    return None
+
 
 class TestReduce:
     def test_trivial_instance(self):
@@ -210,12 +265,16 @@ class TestReduce:
             keys, target = red.keys
             assert keys == [_key(g) for g in red.generator_set.generators]
             assert target == _key(red.target)
+            tail = _tail(red.degree)
+            assert red.tables == ([key + tail for key in keys], target)
 
     def test_keys_refuse_degrees_past_the_closure_cap(self):
         red = reduce(inst_of([ALL1], 8, 16))  # 2 * 16 * 8 = 256 points
         assert red.generator_set.degree == red.target.degree == 256
         with pytest.raises(ValueError, match="255"):
             red.keys
+        with pytest.raises(ValueError, match="255"):
+            red.tables
 
 
 class TestEncodeDecode:
